@@ -13,8 +13,9 @@ the moment generating function
 (a = start, b = reset point, valid for |s| < sqrt(2r)), the
 characteristic function M_t(i s), a density that combines a Laplace
 density, a Gaussian density, and their convolution, and moments built
-from Laplace moments, Gaussian moments (via Kummer's confluent
-hypergeometric function) and a binomial cross term.
+from Laplace moments, Gaussian moments (a finite binomial sum; the
+paper's Kummer-function form is the cross-check) and a binomial cross
+term.
 
 Power-law nonhomogeneous resetting (intensity r (t+1)^p, start = reset
 point = 0) gets its characteristic function, density and mean squared
@@ -23,7 +24,6 @@ that keep every integrand bounded by e^{-u} so nothing overflows.
 """
 
 from dataclasses import dataclass
-import csv
 import math
 
 import numpy as np
@@ -38,6 +38,7 @@ from .core import (
     SpecError,
     rescale_to_unit,
     validate_spec,
+    write_table,
 )
 from .clocks import IntensityFunction, cumulative_intensity, inverse_cumulative_intensity
 
@@ -72,11 +73,8 @@ class DensityCurve:
         return float(np.trapezoid(self.values, self.xs))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "value"])
-            for x, v in zip(self.xs, self.values):
-                writer.writerow([repr(float(x)), repr(float(v))])
+        write_table(path, ("x", "value"), [(np.asarray(self.xs, dtype=float),
+                                             np.asarray(self.values, dtype=float))])
 
 
 @dataclass(frozen=True)
@@ -87,11 +85,8 @@ class MomentTable:
     t: float
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["order", "value"])
-            for n, v in zip(self.orders, self.values):
-                writer.writerow([int(n), repr(float(v))])
+        write_table(path, ("order", "value"), [(np.asarray(self.orders, dtype=int),
+                                                 np.asarray(self.values, dtype=float))])
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +131,7 @@ def mgf(spec: ProcessSpec, s: float, t: float) -> float:
     validate_spec(spec)
     rate = _poisson_rate(spec)
     if t < 0:
-        raise ValueError("t must be nonnegative")
+        raise DomainError("t must be nonnegative")
     a, b, c = _unit(spec)
     return _mgf_unit(a, b, rate, c * s, t)
 
@@ -158,7 +153,7 @@ def char_fn(spec: ProcessSpec, s, t: float) -> complex:
     validate_spec(spec)
     rate = _poisson_rate(spec)
     if t < 0:
-        raise ValueError("t must be nonnegative")
+        raise DomainError("t must be nonnegative")
     a, b, c = _unit(spec)
     s = np.asarray(s, dtype=float) * c
     if rate == 0.0:
@@ -238,7 +233,7 @@ def pdf(spec: ProcessSpec, x, t: float):
     validate_spec(spec)
     rate = _poisson_rate(spec)
     if not t > 0:
-        raise ValueError("t must be positive")
+        raise DomainError("t must be positive")
     a, b, c = _unit(spec)
     x = np.asarray(x, dtype=float)
     out = _pdf_unit(x / c, t, a, b, rate) / c
@@ -278,6 +273,8 @@ def mean(spec: ProcessSpec, t) -> float:
     validate_spec(spec)
     rate = _poisson_rate(spec)
     t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise DomainError("t must be nonnegative")
     out = spec.x_reset + np.exp(-rate * t) * (spec.x0 - spec.x_reset)
     return float(out) if out.ndim == 0 else out
 
@@ -337,26 +334,25 @@ def _double_factorial(n: int) -> int:
 def gaussian_moment(n: int, x0: float, t: float) -> float:
     """n-th raw moment of a Normal(x0, t) random variable.
 
-    Even and odd orders use the Kummer-function closed forms; at x0 = 0
-    the even case collapses to t^(n/2) (n-1)!! and odd orders vanish.
+    E (x0 + sqrt(t) Z)^n = sum_k C(n, 2k) x0^(n-2k) t^k (2k-1)!!, a finite
+    sum whose terms all share the sign of x0^n, so nothing cancels.  The
+    paper's Kummer-function form (see :func:`kummer_phi`) turns this
+    terminating series into an infinite one that overflows for large
+    x0^2/t; it is kept as an independent cross-check in the tests.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if not t > 0:
         raise DomainError("t must be positive")
-    if n == 0:
-        return 1.0
-    if x0 == 0.0:
-        if n % 2:
-            return 0.0
-        return t ** (n / 2.0) * _double_factorial(n - 1)
-    z = -x0 * x0 / (2.0 * t)
-    if n % 2 == 0:
-        return (math.sqrt(2.0 * t) ** n * math.gamma((n + 1) / 2.0)
-                / math.sqrt(math.pi) * kummer_phi(-n / 2.0, 0.5, z))
-    return (x0 * math.sqrt(t) ** (n - 1) * 2.0 ** ((n + 1) / 2.0)
-            * math.gamma(n / 2.0 + 1.0) / math.sqrt(math.pi)
-            * kummer_phi((1.0 - n) / 2.0, 1.5, z))
+    try:
+        total = sum(math.comb(n, 2 * k) * _double_factorial(2 * k - 1)
+                    * x0 ** (n - 2 * k) * t ** k for k in range(n // 2 + 1))
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise NumericalError(
+            f"Gaussian moment of order {n} overflows (x0={x0:g}, t={t:g})")
+    return total
 
 
 def sum_moment(n: int, t: float, rate: float) -> float:
@@ -468,7 +464,7 @@ def npp_char_fn(spec: ProcessSpec, s, t: float) -> complex:
     validate_spec(spec)
     rate, p = _npp_params(spec)
     if not t >= 0:
-        raise ValueError("t must be nonnegative")
+        raise DomainError("t must be nonnegative")
     _, _, c = _unit(spec)
     s_arr = np.atleast_1d(np.asarray(s, dtype=float)) * c
     out = np.array([_npp_cf_unit(rate, p, si, t) for si in s_arr], dtype=complex)
@@ -503,7 +499,7 @@ def npp_pdf(spec: ProcessSpec, x, t: float):
     validate_spec(spec)
     rate, p = _npp_params(spec)
     if not t > 0:
-        raise ValueError("t must be positive")
+        raise DomainError("t must be positive")
     _, _, c = _unit(spec)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float)) / c
     out = np.array([_npp_pdf_unit(rate, p, xi, t) for xi in x_arr]) / c
@@ -545,7 +541,7 @@ def npp_msd(spec: ProcessSpec, t: float) -> float:
     validate_spec(spec)
     rate, p = _npp_params(spec)
     if not t >= 0:
-        raise ValueError("t must be nonnegative")
+        raise DomainError("t must be nonnegative")
     return 2.0 * spec.diffusivity * _npp_msd_unit(rate, p, t)
 
 

@@ -30,6 +30,7 @@ from .core import (
     clock_from_json,
     spec_to_json,
     validate_spec,
+    write_table,
 )
 from .simulate import (
     EulerScheme,
@@ -275,15 +276,9 @@ def _cmd_simulate(args) -> int:
 # analytic
 # ---------------------------------------------------------------------------
 
-def _curve_csv(out, name, header, rows):
-    import csv
+def _curve_csv(out, name, header, columns):
     path = os.path.join(out, name)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, float) else v
-                             for v in row])
+    write_table(path, header, [tuple(np.asarray(c, dtype=float) for c in columns)])
     return path
 
 
@@ -294,6 +289,8 @@ def _cmd_analytic(args) -> int:
     what = args.what
     resolved = {"spec": spec_to_json(spec), "what": what, "t": args.t, "out": out}
     outputs = []
+    if what not in ("regime", "moments") and args.points < 2:
+        raise SpecError("--points must be at least 2")
 
     if what == "regime":
         if args.p is None:
@@ -319,11 +316,10 @@ def _cmd_analytic(args) -> int:
     elif what in ("cf", "mgf"):
         outputs.append(_transform_curve(args, spec, out, what))
     elif what == "mean":
-        ts = np.linspace(args.t_lo, args.t_hi, args.points)
+        ts = np.linspace(args.t_lo, _t_hi(args, args.t_lo), args.points)
         values = analytic.mean(spec, ts)
         outputs.append(os.path.basename(
-            _curve_csv(out, "curve.csv", ["t", "value"],
-                       zip(ts.tolist(), values.tolist()))))
+            _curve_csv(out, "curve.csv", ["t", "value"], (ts, values))))
     elif what == "moments":
         table = analytic.moment_table(spec, args.t, args.n_max)
         table.to_csv(os.path.join(out, "moments.csv"))
@@ -333,13 +329,19 @@ def _cmd_analytic(args) -> int:
             raise SpecError("msd requires the nonhomogeneous clock; pass --p "
                             "(use --p 0 for constant rate)")
         lo = max(args.t_lo, 1e-3)
-        ts = np.geomspace(lo, args.t_hi, args.points)
+        ts = np.geomspace(lo, _t_hi(args, lo), args.points)
         values = [analytic.npp_msd(spec, float(t)) for t in ts]
         outputs.append(os.path.basename(
-            _curve_csv(out, "curve.csv", ["t", "msd"],
-                       zip(ts.tolist(), values))))
+            _curve_csv(out, "curve.csv", ["t", "msd"], (ts, values))))
     _write_manifest(out, f"analytic {what}", resolved, None, outputs, started)
     return EXIT_OK
+
+
+def _t_hi(args, lo):
+    """``--t-hi``, checked to lie above the first time of the grid."""
+    if not args.t_hi > lo:
+        raise SpecError(f"--t-hi must exceed {lo:g}, the first time of the grid")
+    return args.t_hi
 
 
 def _x_grid(args, spec):
@@ -369,12 +371,11 @@ def _transform_curve(args, spec, out, what):
         s_lo, s_hi = args.s_lo, args.s_hi
     ss = np.linspace(s_lo, s_hi, args.points)
     if what == "mgf":
-        rows = [(float(s), float(evaluate(s))) for s in ss]
-        _curve_csv(out, "curve.csv", ["s", "value"], rows)
+        values = [float(evaluate(s)) for s in ss]
+        _curve_csv(out, "curve.csv", ["s", "value"], (ss, values))
     else:
-        vals = [complex(evaluate(s)) for s in ss]
-        rows = [(float(s), v.real, v.imag) for s, v in zip(ss, vals)]
-        _curve_csv(out, "curve.csv", ["s", "re", "im"], rows)
+        values = np.array([complex(evaluate(s)) for s in ss])
+        _curve_csv(out, "curve.csv", ["s", "re", "im"], (ss, values.real, values.imag))
     return "curve.csv"
 
 

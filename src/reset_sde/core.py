@@ -1,10 +1,9 @@
 """Domain types shared by every module: process description, resetting
 clocks, trajectories and ensembles, plus validation, unit-diffusivity
-rescaling and the JSON wire format."""
+rescaling and the wire formats (JSON documents and CSV tables)."""
 
 from dataclasses import dataclass, field
 from typing import Union
-import json
 import math
 
 import numpy as np
@@ -87,10 +86,7 @@ class ProcessSpec:
     clock: ResetClock
 
 
-ValidatedSpec = ProcessSpec
-
-
-def validate_spec(spec: ProcessSpec) -> ValidatedSpec:
+def validate_spec(spec: ProcessSpec) -> ProcessSpec:
     """Return ``spec`` unchanged if all invariants hold, else raise SpecError."""
     if not (isinstance(spec.diffusivity, (int, float)) and spec.diffusivity > 0):
         raise SpecError("diffusivity must be positive")
@@ -293,9 +289,26 @@ def spec_from_json(doc: dict) -> ProcessSpec:
     return validate_spec(spec)
 
 
-def spec_to_json_str(spec: ProcessSpec) -> str:
-    return json.dumps(spec_to_json(spec), sort_keys=True)
+# ---------------------------------------------------------------------------
+# CSV wire format
+# ---------------------------------------------------------------------------
 
+def write_table(path, header, blocks) -> None:
+    """Write a CSV table: the header row, then the rows of every block.
 
-def spec_from_json_str(text: str) -> ProcessSpec:
-    return spec_from_json(json.loads(text))
+    Each block is a tuple of equal-length numpy columns.  Integer columns
+    are written as ``str(int)`` and float columns as ``repr(float)``, the
+    shortest string that round-trips; lines end in CRLF, as in the csv
+    module's default dialect.  Blocks are formatted one at a time, so
+    memory stays bounded by the largest block, not the table.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for block in blocks:
+            if len({len(col) for col in block}) > 1:
+                raise ValueError("columns of a block must have equal length")
+            cells = [map(str if col.dtype.kind in "iu" else repr, col.tolist())
+                     for col in block]
+            text = "\r\n".join(map(",".join, zip(*cells)))
+            if text:
+                fh.write(text + "\r\n")

@@ -89,7 +89,10 @@ def default_grid(spec: ProcessSpec, t_final: float, h: float = 1e-2,
                  dt: float = None, boundary: str = "reflecting") -> FpeGrid:
     """Grid padded by 8 standard scales beyond the start and reset
     points; the stationary tails decay fast enough that the truncation
-    error is negligible at that range."""
+    error is negligible at that range.  ``t_final=None`` sizes the grid
+    for the stationary law."""
+    if t_final is not None and not t_final >= 0:
+        raise DomainError("t_final must be nonnegative")
     pad = DEFAULT_PAD_SCALES * max(_scale(spec, t_final), 10 * h)
     lo = min(spec.x0, spec.x_reset) - pad
     hi = max(spec.x0, spec.x_reset) + pad
@@ -156,7 +159,7 @@ def _require_poisson(spec):
 def _solve_transient(spec, grid, t_final, source_coeff):
     rate = _require_poisson(spec)
     if not t_final > 0:
-        raise ValueError("t_final must be positive")
+        raise DomainError("t_final must be positive")
     _check_margins(spec, grid, t_final)
     xs = grid.xs
     n = len(xs)

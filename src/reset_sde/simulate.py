@@ -13,7 +13,6 @@ which makes results bit-identical no matter how many worker threads run.
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-import csv
 import math
 import os
 from typing import Optional, Union
@@ -32,6 +31,7 @@ from .core import (
     Trajectory,
     spec_to_json,
     validate_spec,
+    write_table,
 )
 from .clocks import (
     IntensityFunction,
@@ -304,30 +304,18 @@ def run_ensemble(spec: ProcessSpec, cfg: SchemeConfig, n: int, seed,
 # Exports
 # ---------------------------------------------------------------------------
 
-def trajectory_to_csv(trajectory: Trajectory, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x"])
-        for t, x in zip(trajectory.times, trajectory.positions):
-            writer.writerow([repr(float(t)), repr(float(x))])
-
-
 def ensemble_to_csv(ensemble: Ensemble, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["traj", "t", "x"])
-        for i, tr in enumerate(ensemble.trajectories):
-            for t, x in zip(tr.times, tr.positions):
-                writer.writerow([i, repr(float(t)), repr(float(x))])
+    """Every trajectory's (t, x) rows, grouped by trajectory in index order."""
+    write_table(path, ("traj", "t", "x"),
+                ((np.full(len(tr.times), i), tr.times, tr.positions)
+                 for i, tr in enumerate(ensemble.trajectories)))
 
 
 def resets_to_csv(ensemble: Ensemble, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["traj", "reset_time"])
-        for i, tr in enumerate(ensemble.trajectories):
-            for t in tr.reset_times:
-                writer.writerow([i, repr(float(t))])
+    """Every trajectory's reset epochs, grouped by trajectory in index order."""
+    write_table(path, ("traj", "reset_time"),
+                ((np.full(len(tr.reset_times), i), tr.reset_times)
+                 for i, tr in enumerate(ensemble.trajectories)))
 
 
 def scheme_to_json(cfg: SchemeConfig) -> dict:

@@ -16,6 +16,7 @@ from .core import (
     ProcessSpec,
     rescale_to_unit,
     validate_spec,
+    write_table,
 )
 from . import analytic
 from .analytic import DensityCurve
@@ -31,12 +32,8 @@ class MsdSeries:
     fit_window: Optional[Tuple[float, float]] = None
 
     def to_csv(self, path) -> None:
-        import csv
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "msd"])
-            for t, m in zip(self.ts, self.msd):
-                writer.writerow([repr(float(t)), repr(float(m))])
+        write_table(path, ("t", "msd"), [(np.asarray(self.ts, dtype=float),
+                                          np.asarray(self.msd, dtype=float))])
 
 
 def histogram_density(samples, bin_spec=None, t: float = math.nan) -> DensityCurve:

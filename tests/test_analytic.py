@@ -1,3 +1,4 @@
+from fractions import Fraction
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from reset_sde import (
     marginal_samples,
 )
 from reset_sde import analytic
+from reset_sde.core import NumericalError
 from reset_sde.analytic import (
     ConvergenceError,
     DensityCurve,
@@ -276,6 +278,34 @@ class TestMomentPieces:
                 lambda x: x ** n * math.exp(-(x - x0) ** 2 / (2 * t))
                 / math.sqrt(2 * math.pi * t), -np.inf, np.inf)
             assert gaussian_moment(n, x0, t) == pytest.approx(quad, rel=1e-10)
+
+    def test_gaussian_moment_large_order_and_offset(self):
+        # The Kummer route overflows here; the finite sum is checked
+        # against the same sum in exact rational arithmetic.
+        n, x0, t = 60, 50.0, 0.7
+        x0_q, t_q = Fraction(x0), Fraction(t)
+        exact = sum(math.comb(n, 2 * k) * math.prod(range(2 * k - 1, 0, -2))
+                    * x0_q ** (n - 2 * k) * t_q ** k for k in range(n // 2 + 1))
+        assert gaussian_moment(n, x0, t) == pytest.approx(float(exact), rel=1e-12)
+        spec = spec_poisson(1.0, x0, 0.0)
+        assert math.isfinite(nth_moment(spec, n, t))
+        with pytest.raises(NumericalError, match="overflows"):
+            gaussian_moment(400, x0, t)
+
+    def test_gaussian_moment_matches_kummer_form(self):
+        def kummer_form(n, x0, t):
+            z = -x0 * x0 / (2.0 * t)
+            if n % 2 == 0:
+                return (math.sqrt(2.0 * t) ** n * math.gamma((n + 1) / 2.0)
+                        / math.sqrt(math.pi) * kummer_phi(-n / 2.0, 0.5, z))
+            return (x0 * math.sqrt(t) ** (n - 1) * 2.0 ** ((n + 1) / 2.0)
+                    * math.gamma(n / 2.0 + 1.0) / math.sqrt(math.pi)
+                    * kummer_phi((1.0 - n) / 2.0, 1.5, z))
+
+        for x0, t in ((1.0, 0.5), (1.3, 0.8), (-0.7, 2.0), (3.0, 0.2)):
+            for n in range(13):
+                assert gaussian_moment(n, x0, t) == pytest.approx(
+                    kummer_form(n, x0, t), rel=1e-10, abs=1e-12)
 
     def test_sum_moments(self):
         assert sum_moment(2, 1.0, 0.5) == pytest.approx(3.0)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -44,6 +45,28 @@ class TestSimulateCommand:
         assert code == 0
         _, rows = read_csv(out / "resets.csv")
         assert rows == []
+
+    def test_rate_zero_resets_file_is_the_header_alone(self, tmp_path):
+        out = tmp_path / "r0"
+        assert run(["simulate", "--r", 0, "--scheme", "exact", "--horizon", 2,
+                    "--n", 4, "--seed", 1, "--out", out]) == 0
+        assert (out / "resets.csv").read_bytes() == b"traj,reset_time\r\n"
+
+    def test_outputs_match_pinned_digests(self, tmp_path):
+        # The CSV bytes are part of the output contract: a fixed-seed run
+        # must reproduce these digests exactly.
+        out = tmp_path / "pinned"
+        assert run(["simulate", "--r", 1, "--x0", 0, "--xr", 2,
+                    "--scheme", "exact", "--horizon", 10, "--n", 20,
+                    "--seed", 7, "--out", out]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("trajectories.csv", "resets.csv")}
+        assert digests == {
+            "trajectories.csv":
+                "3977183add217f7048506be155736fceab83929058f515991bac27d91d88524d",
+            "resets.csv":
+                "2dd957a66ba506adef597ac154ec6b46d852e454f444bf6de2404ab652ff62b0",
+        }
 
     def test_byte_identical_reruns_and_thread_independence(self, tmp_path):
         base = ["simulate", "--r", 1, "--xr", 2, "--scheme", "exact",
@@ -215,6 +238,22 @@ class TestValidateCommand:
 
     def test_unknown_suite_rejected_by_parser(self, tmp_path):
         assert run(["validate", "--suite", "nonsense"]) == 2
+
+
+class TestDomainErrors:
+    @pytest.mark.parametrize("args", [
+        ["analytic", "pdf", "--t", 0],
+        ["fpe", "--t", -1],
+        ["analytic", "mean", "--t-hi", -1],
+        ["analytic", "msd", "--p", 0, "--t-hi", 1e-4],
+    ], ids=["pdf-t0", "fpe-negative-t", "mean-negative-t-hi", "msd-reversed-grid"])
+    def test_exits_2_without_traceback(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        assert run(args + ["--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:")
+        assert "Traceback" not in err
+        assert not list(out.glob("*.csv"))
 
 
 class TestVersionFlag:

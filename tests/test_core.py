@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -20,6 +21,7 @@ from reset_sde import (
     spec_to_json,
     validate_spec,
 )
+from reset_sde.core import write_table
 from reset_sde.simulate import (
     ExactScheme,
     SchemeConfig,
@@ -167,3 +169,60 @@ class TestJsonWireFormat:
             spec_from_json({"diffusivity": 0.5, "x0": 0.0, "xR": 0.0,
                             "clock": {"type": "renewal",
                                       "renewal_law": {"name": "cauchy"}}})
+
+
+def csv_reference(path, header, blocks):
+    """The table as the csv module writes it, one row at a time."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for block in blocks:
+            for row in zip(*block):
+                writer.writerow([str(int(v)) if isinstance(v, np.integer)
+                                 else repr(float(v)) for v in row])
+
+
+class TestCsvWireFormat:
+    def assert_matches_reference(self, tmp_path, header, blocks):
+        write_table(tmp_path / "new.csv", header, blocks)
+        csv_reference(tmp_path / "ref.csv", header, blocks)
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "ref.csv").read_bytes())
+
+    def test_special_floats_and_int64_ids(self, tmp_path):
+        floats = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e16,
+                           1e-5, 0.1, -2.5, 1.7976931348623157e308, 1 / 3])
+        ids = np.array([0, 1, -1, 2 ** 62, -2 ** 63, 7, 8, 9, 10, 11, 12, 13],
+                       dtype=np.int64)
+        self.assert_matches_reference(
+            tmp_path, ("traj", "t", "x"),
+            [(ids, floats, floats[::-1].copy())])
+
+    def test_several_blocks_and_an_empty_block(self, tmp_path):
+        rng = np.random.default_rng(3)
+        blocks = [(np.full(n, i), rng.standard_normal(n) * 10.0 ** i)
+                  for i, n in enumerate((3, 0, 5, 1))]
+        self.assert_matches_reference(tmp_path, ("traj", "reset_time"), blocks)
+
+    def test_float32_column_is_written_as_its_double(self, tmp_path):
+        col = np.array([0.1, 1e-8, 3.0], dtype=np.float32)
+        self.assert_matches_reference(tmp_path, ("x",), [(col,)])
+
+    def test_table_without_rows_is_the_header_alone(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        write_table(path, ("traj", "reset_time"), [])
+        assert path.read_bytes() == b"traj,reset_time\r\n"
+        self.assert_matches_reference(
+            tmp_path, ("order", "value"),
+            [(np.array([], dtype=np.int64), np.array([]))])
+
+    def test_accepts_a_generator_of_blocks(self, tmp_path):
+        blocks = ((np.array([i]), np.array([float(i)])) for i in range(3))
+        write_table(tmp_path / "lazy.csv", ("i", "v"), blocks)
+        assert (tmp_path / "lazy.csv").read_bytes() == (
+            b"i,v\r\n0,0.0\r\n1,1.0\r\n2,2.0\r\n")
+
+    def test_ragged_block_is_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="equal length"):
+            write_table(tmp_path / "bad.csv", ("a", "b"),
+                        [(np.zeros(2), np.zeros(3))])
