@@ -19,8 +19,13 @@ term.
 
 Power-law nonhomogeneous resetting (intensity r (t+1)^p, start = reset
 point = 0) gets its characteristic function, density and mean squared
-displacement by one-dimensional adaptive quadrature, with substitutions
-that keep every integrand bounded by e^{-u} so nothing overflows.
+displacement by adaptive quadrature over the last reset time, with
+substitutions that keep every integrand bounded by e^{-u} so nothing
+overflows.  A whole curve (every x of a density, every s of a
+characteristic function) is one vectorised quadrature, accurate to a
+fraction of the curve's largest value; every quadrature checks its own
+error estimate and raises ConvergenceError beyond tolerance (see
+:func:`quadrature`).
 """
 
 from dataclasses import dataclass
@@ -454,12 +459,58 @@ _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-8, limit=200)
 _EXP_CUTOFF = 700.0  # e^{-700} is below double precision
 
 
+def quadrature(integrand, lo, hi, points=None, vector=False, **opts):
+    """Integral of ``integrand`` over [lo, hi], with its error estimate checked.
+
+    A scalar integrand goes to ``scipy.integrate.quad``.  With
+    ``vector=True`` the integrand returns an array and one
+    ``scipy.integrate.quad_vec`` call integrates every component at once;
+    its error estimate is a single max-norm over the components.  Either
+    way the tolerance is max(epsabs, epsrel * size), where size is |value|
+    for a scalar and max|value| for an array, and ConvergenceError is
+    raised when the estimate exceeds it.  ``opts`` override the module
+    defaults (epsabs, epsrel, limit).
+    """
+    opts = {**_QUAD_OPTS, **opts}
+    if vector:
+        value, error = integrate.quad_vec(integrand, lo, hi, points=points,
+                                          norm="max", **opts)
+        size = float(np.max(np.abs(value), initial=0.0))
+    else:
+        value, error = integrate.quad(integrand, lo, hi, points=points, **opts)
+        size = abs(value)
+    tolerance = max(opts["epsabs"], opts["epsrel"] * size)
+    if not error <= tolerance:
+        raise ConvergenceError(
+            f"quadrature over [{lo:g}, {hi:g}] did not reach its tolerance: "
+            f"error estimate {error:g} > {tolerance:g}")
+    return value
+
+
+def _intensity_since(f: IntensityFunction, t: float, age: float) -> float:
+    """R(t) - R(t - age), the mean number of events in (t - age, t].
+
+    Written through log1p and expm1 of age/(t+1), so it stays accurate to
+    rounding when age is small and R(t) is large, where the difference of
+    two cumulative intensities would cancel.
+    """
+    shrink = math.log1p(-age / (t + 1.0))
+    if f.exponent == -1.0:
+        return -f.rate * shrink
+    q = f.exponent + 1.0
+    return -f.rate / q * (t + 1.0) ** q * math.expm1(q * shrink)
+
+
 def npp_char_fn(spec: ProcessSpec, s, t: float) -> complex:
     """Characteristic function under power-law resetting intensity.
 
     The defining integral is taken in the exhausted-intensity variable
     u = R(t) - R(w), which bounds the integrand by e^{-u} uniformly in
     (rate, exponent, s, t).  Requires x0 = xR = 0; the result is real.
+
+    All points of ``s`` share one vectorised quadrature, whose tolerance
+    is max(1e-12, 1e-8 * max|value|) at every point: values far below the
+    largest one (large |s|) carry that absolute accuracy, not a relative one.
     """
     validate_spec(spec)
     rate, p = _npp_params(spec)
@@ -467,25 +518,25 @@ def npp_char_fn(spec: ProcessSpec, s, t: float) -> complex:
         raise DomainError("t must be nonnegative")
     _, _, c = _unit(spec)
     s_arr = np.atleast_1d(np.asarray(s, dtype=float)) * c
-    out = np.array([_npp_cf_unit(rate, p, si, t) for si in s_arr], dtype=complex)
+    out = _npp_cf_unit(rate, p, s_arr, t).astype(complex)
     return complex(out[0]) if np.ndim(s) == 0 else out
 
 
-def _npp_cf_unit(rate, p, s, t) -> float:
+def _npp_cf_unit(rate, p, s, t) -> np.ndarray:
     if t == 0.0:
-        return 1.0
+        return np.ones(len(s))
     f = IntensityFunction(rate, p)
     total = cumulative_intensity(f, t)
     half_s2 = 0.5 * s * s
 
     def integrand(u):
         w = inverse_cumulative_intensity(f, total - u)
-        return math.exp(-u + (w - t) * half_s2)
+        return np.exp(-u + (w - t) * half_s2)
 
     upper = min(total, _EXP_CUTOFF)
-    tail, _ = integrate.quad(integrand, 0.0, upper, **_QUAD_OPTS)
+    tail = quadrature(integrand, 0.0, upper, vector=True)
     head = -total - t * half_s2
-    head = math.exp(head) if head > -_EXP_CUTOFF else 0.0
+    head = np.where(head > -_EXP_CUTOFF, np.exp(head), 0.0)
     return head + tail
 
 
@@ -495,6 +546,11 @@ def npp_pdf(spec: ProcessSpec, x, t: float):
     The time integral is regularised by the substitution w = t - v^2,
     which removes the square-root singularity where the Gaussian kernel
     collapses at the upper endpoint.
+
+    All points of ``x`` share one vectorised quadrature, whose tolerance
+    is max(1e-12, 1e-8 * peak) at every point, the peak being the largest
+    density value among them: far-tail values carry that absolute
+    accuracy, not a relative one.
     """
     validate_spec(spec)
     rate, p = _npp_params(spec)
@@ -502,11 +558,11 @@ def npp_pdf(spec: ProcessSpec, x, t: float):
         raise DomainError("t must be positive")
     _, _, c = _unit(spec)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float)) / c
-    out = np.array([_npp_pdf_unit(rate, p, xi, t) for xi in x_arr]) / c
+    out = _npp_pdf_unit(rate, p, x_arr, t) / c
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
-def _npp_pdf_unit(rate, p, x, t) -> float:
+def _npp_pdf_unit(rate, p, x, t) -> np.ndarray:
     f = IntensityFunction(rate, p)
     total = cumulative_intensity(f, t)
     half_x2 = 0.5 * x * x
@@ -514,20 +570,18 @@ def _npp_pdf_unit(rate, p, x, t) -> float:
 
     def integrand(v):
         if v == 0.0:
-            return front * float(f(t)) if x == 0.0 else 0.0
+            return np.where(x == 0.0, front * float(f(t)), 0.0)
         w = t - v * v
-        expo = cumulative_intensity(f, w) - total - half_x2 / (v * v)
-        if expo < -_EXP_CUTOFF:
-            return 0.0
-        return front * float(f(w)) * math.exp(expo)
+        expo = -_intensity_since(f, t, v * v) - half_x2 / (v * v)
+        return np.where(expo < -_EXP_CUTOFF, 0.0, front * float(f(w)) * np.exp(expo))
 
     top = math.sqrt(t)
     layer = 1.0 / math.sqrt(float(f(t)) + 1.0)
     breaks = sorted(b for b in {layer, top / 2.0} if 0.0 < b < top)
-    tail, _ = integrate.quad(integrand, 0.0, top,
-                             points=breaks or None, **_QUAD_OPTS)
+    tail = quadrature(integrand, 0.0, top, points=breaks or None, vector=True)
     head_exp = -total - half_x2 / t
-    head = math.exp(head_exp) / math.sqrt(2.0 * math.pi * t) if head_exp > -_EXP_CUTOFF else 0.0
+    head = np.where(head_exp > -_EXP_CUTOFF,
+                    np.exp(head_exp) / math.sqrt(2.0 * math.pi * t), 0.0)
     return head + tail
 
 
@@ -558,8 +612,7 @@ def _npp_msd_unit(rate, p, t) -> float:
         return math.exp(-u) / float(f(w))
 
     upper = min(total, _EXP_CUTOFF)
-    out, _ = integrate.quad(integrand, 0.0, upper, **_QUAD_OPTS)
-    return out
+    return quadrature(integrand, 0.0, upper)
 
 
 # ---------------------------------------------------------------------------
@@ -615,11 +668,24 @@ def _base_positive_rate(spec):
     return None
 
 
+_NPP_SUPPORT_RMS = 12.0  # half-width of the power-law grid, in rms displacements
+
+
 def default_support(spec: ProcessSpec, t: float, span: float = 8.0,
                     points: int = 1001) -> np.ndarray:
-    scale = spatial_scale(spec, t)
-    lo = min(spec.x0, spec.x_reset) - span * scale
-    hi = max(spec.x0, spec.x_reset) + span * scale
+    """Even grid that holds the law at time t.
+
+    The half-width beyond the start and reset points is ``span`` times
+    :func:`spatial_scale`.  Under power-law resetting it is instead 12
+    root mean squared displacements (:func:`npp_msd`), since a growing
+    intensity confines the law far inside the base-rate scale.
+    """
+    if isinstance(spec.clock, NonhomogeneousPoissonClock):
+        half = _NPP_SUPPORT_RMS * math.sqrt(npp_msd(spec, t))
+    else:
+        half = span * spatial_scale(spec, t)
+    lo = min(spec.x0, spec.x_reset) - half
+    hi = max(spec.x0, spec.x_reset) + half
     return np.linspace(lo, hi, points)
 
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from .core import (
     DeterministicGaps,
+    DomainError,
     ExponentialGaps,
     NonhomogeneousPoissonClock,
     ParetoGaps,
@@ -46,7 +47,7 @@ def cumulative_intensity(f: IntensityFunction, t):
     """
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
-        raise ValueError("t must be nonnegative")
+        raise DomainError("t must be nonnegative")
     p = f.exponent
     if p == -1.0:
         out = f.rate * np.log1p(t)
@@ -59,7 +60,7 @@ def inverse_cumulative_intensity(f: IntensityFunction, u):
     """Time t at which the cumulative intensity reaches u."""
     u = np.asarray(u, dtype=float)
     if np.any(u < 0):
-        raise ValueError("u must be nonnegative")
+        raise DomainError("u must be nonnegative")
     p = f.exponent
     if p == -1.0:
         out = np.expm1(u / f.rate)
@@ -110,7 +111,7 @@ def sample_reset_times(clock, horizon, rng) -> np.ndarray:
         Private stream; the same state always yields the same events.
     """
     if not horizon > 0:
-        raise ValueError("horizon must be positive")
+        raise SpecError("horizon must be positive")
     if isinstance(clock, PoissonClock):
         if clock.rate == 0.0:
             return np.empty(0)

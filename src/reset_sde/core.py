@@ -86,13 +86,20 @@ class ProcessSpec:
     clock: ResetClock
 
 
+# Real scalars, Python or numpy; bool is an int subclass and is excluded
+# separately.
+_REAL_TYPES = (float, int, np.floating, np.integer)
+
+
 def validate_spec(spec: ProcessSpec) -> ProcessSpec:
     """Return ``spec`` unchanged if all invariants hold, else raise SpecError."""
-    if not (isinstance(spec.diffusivity, (int, float)) and spec.diffusivity > 0):
+    d = spec.diffusivity
+    if isinstance(d, bool) or not (isinstance(d, _REAL_TYPES) and d > 0):
         raise SpecError("diffusivity must be positive")
     for name in ("x0", "x_reset"):
         value = getattr(spec, name)
-        if not isinstance(value, (int, float)) or not math.isfinite(value):
+        if (isinstance(value, bool) or not isinstance(value, _REAL_TYPES)
+                or not math.isfinite(value)):
             raise SpecError(f"{name} must be a finite constant")
     _validate_clock(spec.clock)
     return spec

@@ -188,9 +188,9 @@ def marginal_samples(spec: ProcessSpec, t: float, n: int, seed) -> np.ndarray:
     """
     validate_spec(spec)
     if not t > 0:
-        raise ValueError("t must be positive")
+        raise DomainError("t must be positive")
     if not n >= 1:
-        raise ValueError("n must be at least 1")
+        raise SpecError("n must be at least 1")
     rng = np.random.default_rng(seed)
     u = rng.random(n)
     z = rng.standard_normal(n)
@@ -221,7 +221,7 @@ def euler_marginal_samples(spec: ProcessSpec, ts, dt: float, n: int, seed,
     validate_scheme(spec, cfg)
     idx = np.rint(ts / dt).astype(int)
     if np.any(np.abs(idx * dt - ts) > 1e-9 * max(1.0, ts.max())):
-        raise ValueError("requested times must be multiples of dt")
+        raise SpecError("requested times must be multiples of dt")
     n_steps = int(idx.max())
     times_left = np.arange(n_steps) * dt
     p = _euler_reset_probs(spec.clock, times_left, dt)

@@ -11,9 +11,11 @@ import numpy as np
 from scipy import special
 
 from .core import (
+    DomainError,
     Ensemble,
     PoissonClock,
     ProcessSpec,
+    SpecError,
     rescale_to_unit,
     validate_spec,
     write_table,
@@ -167,9 +169,9 @@ def analytic_cdf(spec: ProcessSpec, x, t: float):
     """
     validate_spec(spec)
     if not isinstance(spec.clock, PoissonClock):
-        raise ValueError("analytic_cdf requires a homogeneous Poisson clock")
+        raise SpecError("analytic_cdf requires a homogeneous Poisson clock")
     if not t > 0:
-        raise ValueError("t must be positive")
+        raise DomainError("t must be positive")
     rate = spec.clock.rate
     scaled, mapping = rescale_to_unit(spec)
     y = np.asarray(x, dtype=float) / mapping.factor

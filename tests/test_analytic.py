@@ -396,6 +396,114 @@ class TestNppPdf:
         assert ks < 0.02
 
 
+def _oracle_cumulative(rate, p, t):
+    if p == -1.0:
+        return rate * math.log1p(t)
+    return rate / (p + 1.0) * ((t + 1.0) ** (p + 1.0) - 1.0)
+
+
+_ORACLE_OPTS = dict(epsabs=1e-14, epsrel=1e-12, limit=400)
+
+
+def oracle_npp_pdf(rate, p, x, t):
+    """Unit-frame density at one point by its own quad call, in the
+    variable v = sqrt(t - w) of the last reset time w."""
+    total = _oracle_cumulative(rate, p, t)
+
+    def integrand(v):
+        if v == 0.0:
+            return 0.0
+        w = t - v * v
+        expo = _oracle_cumulative(rate, p, w) - total - x * x / (2.0 * v * v)
+        return 2.0 / math.sqrt(2.0 * math.pi) * rate * (w + 1.0) ** p * math.exp(expo)
+
+    top = math.sqrt(t)
+    layer = 1.0 / math.sqrt(rate * (t + 1.0) ** p + 1.0)
+    breaks = sorted(b for b in {layer, top / 2.0} if 0.0 < b < top)
+    tail, _ = integrate.quad(integrand, 0.0, top, points=breaks, **_ORACLE_OPTS)
+    head = math.exp(-total - x * x / (2.0 * t)) / math.sqrt(2.0 * math.pi * t)
+    return head + tail
+
+
+def oracle_npp_char_fn(rate, p, s, t):
+    """Unit-frame characteristic function at one point by its own quad
+    call, directly in the last reset time w."""
+    total = _oracle_cumulative(rate, p, t)
+
+    def integrand(w):
+        return rate * (w + 1.0) ** p * math.exp(
+            _oracle_cumulative(rate, p, w) - total - 0.5 * (t - w) * s * s)
+
+    near = t - 1.0 / (rate * (t + 1.0) ** p)
+    tail, _ = integrate.quad(integrand, 0.0, t, points=[near] if 0.0 < near < t else None,
+                             **_ORACLE_OPTS)
+    return math.exp(-total - 0.5 * t * s * s) + tail
+
+
+class TestNppVectorisedQuadrature:
+    """One quad_vec call per curve must reproduce per-point quad to 1e-10
+    of the curve's peak."""
+
+    @pytest.mark.parametrize("p", [-1.5, -0.5, 0.5, 2.0])
+    @pytest.mark.parametrize("t", [0.1, 5.0])
+    def test_pdf_matches_per_point_oracle(self, p, t):
+        spec = spec_npp(1.0, p)
+        xs = analytic.default_support(spec, t, points=81)
+        values = npp_pdf(spec, xs, t)
+        oracle = np.array([oracle_npp_pdf(1.0, p, x, t) for x in xs])
+        assert np.max(np.abs(values - oracle)) <= 1e-10 * oracle.max()
+
+    @pytest.mark.parametrize("p", [-1.5, -0.5, 0.5, 2.0])
+    @pytest.mark.parametrize("t", [0.1, 5.0])
+    def test_char_fn_matches_per_point_oracle(self, p, t):
+        spec = spec_npp(1.0, p)
+        ss = np.linspace(0.0, 8.0 / math.sqrt(npp_msd(spec, t)), 41)
+        values = npp_char_fn(spec, ss, t)
+        oracle = np.array([oracle_npp_char_fn(1.0, p, s, t) for s in ss])
+        assert np.all(values.imag == 0.0)
+        assert np.max(np.abs(values.real - oracle)) <= 1e-10 * oracle.max()
+
+    def test_scalar_and_array_evaluations_agree(self):
+        spec = spec_npp(1.0, -0.5)
+        xs = np.array([-1.0, 0.0, 0.7])
+        curve = npp_pdf(spec, xs, 2.0)
+        for x, v in zip(xs, curve):
+            assert isinstance(npp_pdf(spec, x, 2.0), float)
+            assert npp_pdf(spec, x, 2.0) == pytest.approx(v, rel=1e-8, abs=1e-12)
+        assert isinstance(npp_char_fn(spec, 1.0, 2.0), complex)
+
+    def test_general_diffusivity_rescales(self):
+        unit, wide = spec_npp(1.0, 0.5), spec_npp(1.0, 0.5, d=2.0)
+        xs = np.linspace(-3.0, 3.0, 13)
+        assert np.allclose(npp_pdf(wide, 2.0 * xs, 1.5), npp_pdf(unit, xs, 1.5) / 2.0,
+                           rtol=1e-12, atol=0.0)
+        assert np.allclose(npp_char_fn(wide, xs / 2.0, 1.5), npp_char_fn(unit, xs, 1.5),
+                           rtol=1e-12, atol=0.0)
+
+
+class TestQuadrature:
+    def test_scalar_and_vector_paths_integrate(self):
+        assert analytic.quadrature(math.exp, 0.0, 1.0) == pytest.approx(math.e - 1.0,
+                                                                        rel=1e-12)
+        ks = np.array([1.0, 2.0, 3.0])
+        out = analytic.quadrature(lambda x: np.exp(ks * x), 0.0, 1.0, vector=True)
+        assert np.allclose(out, np.expm1(ks) / ks, rtol=1e-12)
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_error_estimate_beyond_tolerance_raises(self, vector):
+        spike = lambda x: np.full(2, 1.0 / (x * x + 1e-8)) if vector else 1.0 / (x * x + 1e-8)
+        with pytest.raises(ConvergenceError, match="error estimate"):
+            analytic.quadrature(spike, -1.0, 1.0, vector=vector, limit=2)
+
+    def test_npp_pdf_reports_unconverged_quadrature(self, monkeypatch):
+        # A tolerance below the rounding floor cannot be met.
+        monkeypatch.setitem(analytic._QUAD_OPTS, "epsrel", 1e-15)
+        monkeypatch.setitem(analytic._QUAD_OPTS, "limit", 1)
+        with pytest.raises(ConvergenceError):
+            npp_pdf(spec_npp(1.0, -0.5), np.linspace(-3.0, 3.0, 7), 5.0)
+
+
 class TestNppMsd:
     def test_constant_exponent_closed_form(self):
         spec = spec_npp(1.0, 0.0)

@@ -177,6 +177,31 @@ class TestAnalyticCommand:
         assert v == pytest.approx(analytic.npp_pdf(spec, x, 1.0), rel=1e-8)
 
 
+    def test_npp_default_grid_holds_growing_intensity_law(self, tmp_path, capsys):
+        # The default grid must follow the law's own spread: under growing
+        # intensity it is far narrower than the base-rate scale.
+        assert run(["analytic", "pdf", "--p", 2, "--t", 5,
+                    "--out", tmp_path / "grow"]) == 0
+        mass = float(capsys.readouterr().out.split("mass = ")[1])
+        assert abs(mass - 1.0) < 1e-3
+
+    def test_poisson_default_grid_keeps_base_rate_scale(self, tmp_path):
+        assert run(["analytic", "pdf", "--r", 1, "--t", 1, "--points", 5,
+                    "--out", tmp_path / "hom"]) == 0
+        _, rows = read_csv(tmp_path / "hom" / "curve.csv")
+        assert [float(r[0]) for r in rows] == [-8.0, -4.0, 0.0, 4.0, 8.0]
+
+    def test_unconverged_quadrature_exits_4(self, tmp_path, capsys, monkeypatch):
+        # A tolerance below the rounding floor cannot be met.
+        monkeypatch.setitem(analytic._QUAD_OPTS, "epsrel", 1e-15)
+        monkeypatch.setitem(analytic._QUAD_OPTS, "limit", 1)
+        assert run(["analytic", "pdf", "--p", -0.5, "--t", 5, "--points", 11,
+                    "--x-lo", -5, "--x-hi", 5, "--out", tmp_path / "nc"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical:")
+        assert "Traceback" not in err
+
+
 class TestFpeCommand:
     def test_transient_form_and_mass_report(self, tmp_path, capsys):
         out = tmp_path / "ev"
@@ -226,6 +251,13 @@ class TestValidateCommand:
             for check in checks:
                 assert check["pass"] is True
                 assert {"name", "value", "tolerance", "pass"} <= set(check)
+
+    def test_report_records_seconds_per_suite(self, tmp_path):
+        out = tmp_path / "val"
+        assert run(["validate", "--suite", "dynkin", "--out", out]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert set(report["suite_seconds"]) == {"dynkin"}
+        assert 0.0 <= report["suite_seconds"]["dynkin"] <= report["elapsed_s"]
 
     def test_failing_check_exits_1(self, tmp_path, monkeypatch):
         monkeypatch.setitem(

@@ -12,6 +12,7 @@ from reset_sde import (
     NonhomogeneousPoissonClock,
     ParetoGaps,
     PoissonClock,
+    DomainError,
     RenewalClock,
     SpecError,
 )
@@ -42,6 +43,10 @@ class TestCumulativeIntensity:
         with pytest.raises(ValueError):
             cumulative_intensity(IntensityFunction(1.0, 0.0), -0.1)
 
+    def test_negative_time_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="t must be nonnegative"):
+            cumulative_intensity(IntensityFunction(1.0, -0.5), np.array([1.0, -0.1]))
+
 
 class TestInverseCumulativeIntensity:
     def test_identity_for_constant_rate(self):
@@ -50,6 +55,10 @@ class TestInverseCumulativeIntensity:
     def test_exponential_form_at_minus_one(self):
         f = IntensityFunction(1.0, -1.0)
         assert inverse_cumulative_intensity(f, 1.0) == pytest.approx(math.e - 1.0, rel=1e-14)
+
+    def test_negative_budget_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="u must be nonnegative"):
+            inverse_cumulative_intensity(IntensityFunction(1.0, 0.5), -1.0)
 
     @given(rate=hs.floats(0.1, 10.0), p=hs.floats(-3.0, 3.0),
            t=hs.floats(0.0, 100.0))
@@ -78,6 +87,11 @@ class TestSampling:
         a = sample_reset_times(PoissonClock(1.0), 100.0, np.random.default_rng(42))
         b = sample_reset_times(PoissonClock(1.0), 100.0, np.random.default_rng(42))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0])
+    def test_nonpositive_horizon_is_a_spec_error(self, horizon):
+        with pytest.raises(SpecError, match="horizon must be positive"):
+            sample_reset_times(PoissonClock(1.0), horizon, np.random.default_rng(0))
 
     def test_rate_zero_yields_no_events(self):
         assert len(sample_reset_times(PoissonClock(0.0), 10.0,

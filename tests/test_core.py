@@ -76,6 +76,26 @@ class TestValidateSpec:
         with pytest.raises(SpecError, match="clock"):
             validate_spec(ProcessSpec(0.5, 0.0, 0.0, "not a clock"))
 
+    def test_rejects_bool_constants(self):
+        with pytest.raises(SpecError, match="diffusivity"):
+            validate_spec(ProcessSpec(True, 0.0, 0.0, PoissonClock(1.0)))
+        with pytest.raises(SpecError, match="x0"):
+            validate_spec(ProcessSpec(0.5, True, 0.0, PoissonClock(1.0)))
+        with pytest.raises(SpecError, match="x_reset"):
+            validate_spec(ProcessSpec(0.5, 0.0, np.bool_(False), PoissonClock(1.0)))
+
+    @pytest.mark.parametrize("value", [np.float32(1.0), np.float64(1.0),
+                                       np.int64(1), np.int8(1), 1, 1.0])
+    def test_accepts_real_numpy_and_python_scalars(self, value):
+        spec = ProcessSpec(value, value, value, PoissonClock(1.0))
+        assert validate_spec(spec) is spec
+
+    def test_rejects_complex_and_nonfinite_numpy_scalars(self):
+        with pytest.raises(SpecError, match="x0"):
+            validate_spec(ProcessSpec(0.5, np.complex128(1.0), 0.0, PoissonClock(1.0)))
+        with pytest.raises(SpecError, match="x0"):
+            validate_spec(ProcessSpec(0.5, np.float32("inf"), 0.0, PoissonClock(1.0)))
+
 
 class TestRescale:
     def test_identity_at_unit_diffusivity(self):

@@ -194,6 +194,17 @@ class TestMarginalSampler:
             assert abs(resid.mean()) < 3 * resid.std() / math.sqrt(n)
 
 
+    def test_typed_errors_for_bad_time_and_size(self):
+        with pytest.raises(DomainError, match="t must be positive"):
+            marginal_samples(poisson_spec(1.0), 0.0, 10, seed=1)
+        with pytest.raises(SpecError, match="n must be at least 1"):
+            marginal_samples(poisson_spec(1.0), 1.0, 0, seed=1)
+
+    def test_euler_marginals_reject_off_lattice_times(self):
+        with pytest.raises(SpecError, match="multiples of dt"):
+            euler_marginal_samples(poisson_spec(1.0), [0.1, 0.15], 0.1, 10, seed=1)
+
+
 class TestEnsemble:
     def test_bit_identical_reruns_and_thread_independence(self):
         spec = poisson_spec(1.0, 0.0, 2.0)

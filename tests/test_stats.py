@@ -7,9 +7,11 @@ from scipy import integrate
 from scipy.stats import norm
 
 from reset_sde import (
+    DomainError,
     NonhomogeneousPoissonClock,
     PoissonClock,
     ProcessSpec,
+    SpecError,
     marginal_samples,
     run_ensemble,
 )
@@ -193,6 +195,13 @@ class TestAnalyticCdf:
             direct, _ = integrate.quad(lambda u: analytic.pdf(spec, u, 0.1),
                                        -np.inf, x, limit=300)
             assert analytic_cdf(spec, x, 0.1) == pytest.approx(direct, abs=1e-8)
+
+    def test_typed_errors(self):
+        npp = ProcessSpec(0.5, 0.0, 0.0, NonhomogeneousPoissonClock(1.0, -0.5))
+        with pytest.raises(SpecError, match="homogeneous Poisson"):
+            analytic_cdf(npp, 0.0, 1.0)
+        with pytest.raises(DomainError, match="t must be positive"):
+            analytic_cdf(spec_poisson(1.0), 0.0, 0.0)
 
 
 class TestEmpiricalCf:
