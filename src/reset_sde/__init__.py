@@ -37,6 +37,5 @@ from .simulate import (
     simulate_euler,
     simulate_exact,
 )
-from ._kernels import BACKEND as KERNEL_BACKEND
 
 __version__ = "0.1.0"

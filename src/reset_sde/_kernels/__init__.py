@@ -1,35 +1,14 @@
-"""Walk-kernel backend selection.
+"""The walk kernel: positions of a random walk with resets, in numpy.
 
-The compiled Cython kernel is preferred when its extension module was
-built; otherwise the numpy fallback is used.  Both produce bit-identical
-output.  Set ``RESET_SDE_KERNEL=python`` (or ``compiled``) to force a
-backend; forcing ``compiled`` raises if the extension is missing.
+``BACKEND`` names the implementation for run records; it is always
+``"python"`` (the numpy kernel in ``_walk_py``).
 """
-
-import os
 
 import numpy as np
 
+from . import _walk_py
 
-def _select():
-    forced = os.environ.get("RESET_SDE_KERNEL", "").strip().lower()
-    if forced not in ("", "compiled", "python"):
-        raise ValueError(
-            f"RESET_SDE_KERNEL must be 'compiled' or 'python', got {forced!r}")
-    if forced == "python":
-        from . import _walk_py
-        return _walk_py, "python"
-    try:
-        from . import _walk
-        return _walk, "compiled"
-    except ImportError:
-        if forced == "compiled":
-            raise
-        from . import _walk_py
-        return _walk_py, "python"
-
-
-_impl, BACKEND = _select()
+BACKEND = "python"
 
 
 def walk(x0, x_reset, increments, reset_flags):
@@ -42,7 +21,7 @@ def walk(x0, x_reset, increments, reset_flags):
     increments = np.ascontiguousarray(increments, dtype=np.float64)
     reset_flags = np.ascontiguousarray(reset_flags, dtype=np.uint8)
     out = np.empty(increments.shape[0] + 1, dtype=np.float64)
-    _impl.resetting_walk(float(x0), float(x_reset), increments, reset_flags, out)
+    _walk_py.resetting_walk(float(x0), float(x_reset), increments, reset_flags, out)
     return out
 
 
@@ -52,5 +31,5 @@ def walk_batch(x0, x_reset, increments, reset_flags):
     reset_flags = np.ascontiguousarray(reset_flags, dtype=np.uint8)
     n, m = increments.shape
     out = np.empty((n, m + 1), dtype=np.float64)
-    _impl.resetting_walk_batch(float(x0), float(x_reset), increments, reset_flags, out)
+    _walk_py.resetting_walk_batch(float(x0), float(x_reset), increments, reset_flags, out)
     return out

@@ -1,9 +1,15 @@
-"""Pure-numpy fallback for the walk kernels.
+"""Numpy walk kernels, vectorised over steps.
 
-Evaluates the same anchored-partial-sum expressions as the compiled
-version (see ``_walk.pyx``), vectorised over steps instead of looped.
-``np.cumsum`` produces the identical sequential partial sums, so the two
-backends agree bit for bit.
+Positions are anchored partial sums:
+
+    s[j] = s[j-1] + (0 if reset at j else increment[j])
+    x[j] = x_reset                    if reset at j
+         = base + (s[j] - s_anchor)   otherwise
+
+where (base, s_anchor) are frozen at the most recent reset, or (x0, 0)
+before the first one.  ``np.cumsum`` gives the sequential partial sums.
+Do not "simplify" to a plain running position: that changes the
+floating-point operation order, and with it the last bits of every path.
 """
 
 import numpy as np

@@ -490,14 +490,19 @@ def quadrature(integrand, lo, hi, points=None, vector=False, **opts):
 def _intensity_since(f: IntensityFunction, t: float, age: float) -> float:
     """R(t) - R(t - age), the mean number of events in (t - age, t].
 
-    Written through log1p and expm1 of age/(t+1), so it stays accurate to
-    rounding when age is small and R(t) is large, where the difference of
-    two cumulative intensities would cancel.
+    For exponent > -1 it is written through log1p and expm1 of age/(t+1),
+    so it stays accurate to rounding when age is small and R(t) is large,
+    where the difference of two cumulative intensities would cancel.  For
+    exponent < -1, R is bounded by rate/|exponent + 1| and the difference
+    of the two powers, each in (0, 1], is taken directly: there expm1
+    would overflow once |exponent + 1| log(t + 1) exceeds ~709.
     """
-    shrink = math.log1p(-age / (t + 1.0))
-    if f.exponent == -1.0:
-        return -f.rate * shrink
     q = f.exponent + 1.0
+    if q < 0.0:
+        return f.rate / -q * ((t + 1.0 - age) ** q - (t + 1.0) ** q)
+    shrink = math.log1p(-age / (t + 1.0))
+    if q == 0.0:
+        return -f.rate * shrink
     return -f.rate / q * (t + 1.0) ** q * math.expm1(q * shrink)
 
 
@@ -576,9 +581,15 @@ def _npp_pdf_unit(rate, p, x, t) -> np.ndarray:
         return np.where(expo < -_EXP_CUTOFF, 0.0, front * float(f(w)) * np.exp(expo))
 
     top = math.sqrt(t)
+    # The integrand lives in a layer of width ~ layer next to v = 0 (last
+    # reset just before t).  Geometric breakpoints layer * 4^k up to top
+    # keep that layer sampled however much wider [0, top] is.
     layer = 1.0 / math.sqrt(float(f(t)) + 1.0)
-    breaks = sorted(b for b in {layer, top / 2.0} if 0.0 < b < top)
-    tail = quadrature(integrand, 0.0, top, points=breaks or None, vector=True)
+    breaks = {top / 2.0}
+    while layer < top:
+        breaks.add(layer)
+        layer *= 4.0
+    tail = quadrature(integrand, 0.0, top, points=sorted(breaks), vector=True)
     head_exp = -total - half_x2 / t
     head = np.where(head_exp > -_EXP_CUTOFF,
                     np.exp(head_exp) / math.sqrt(2.0 * math.pi * t), 0.0)
@@ -588,8 +599,10 @@ def _npp_pdf_unit(rate, p, x, t) -> np.ndarray:
 def npp_msd(spec: ProcessSpec, t: float) -> float:
     """Mean squared displacement under power-law resetting, x0 = xR = 0.
 
-    Same exhausted-intensity substitution as the characteristic function;
-    at exponent -1 the closed form (t+1)/(r+1) - (t+1)^(-r)/(r+1) is used
+    In the unit frame this is the mean age min(t - last reset, t), the
+    integral over ages a in [0, t] of P(no reset in (t - a, t]) =
+    exp(-(R(t) - R(t - a))), whose integrand is bounded by 1.  At
+    exponent -1 the closed form (t+1)/(r+1) - (t+1)^(-r)/(r+1) is used
     directly.  Scales as 2 D times the unit-frame value.
     """
     validate_spec(spec)
@@ -605,14 +618,20 @@ def _npp_msd_unit(rate, p, t) -> float:
     if p == -1.0:
         return (t + 1.0) / (rate + 1.0) - (t + 1.0) ** (-rate) / (rate + 1.0)
     f = IntensityFunction(rate, p)
-    total = cumulative_intensity(f, t)
 
-    def integrand(u):
-        w = inverse_cumulative_intensity(f, total - u)
-        return math.exp(-u) / float(f(w))
+    def integrand(age):
+        return math.exp(-_intensity_since(f, t, age))
 
-    upper = min(total, _EXP_CUTOFF)
-    return quadrature(integrand, 0.0, upper)
+    # When resets near t are frequent (f(t) t > 1) the survival decays
+    # within ~1/f(t) of age 0; geometric breakpoints from there up to t
+    # keep that layer sampled.
+    rate_t = float(f(t))
+    breaks = []
+    age = 1.0 / rate_t if rate_t * t > 1.0 else t
+    while age < t:
+        breaks.append(age)
+        age *= 4.0
+    return quadrature(integrand, 0.0, t, points=breaks or None)
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,7 @@ def validate_scheme(spec: ProcessSpec, cfg: SchemeConfig) -> SchemeConfig:
     validate_spec(spec)
     if not cfg.horizon > 0:
         raise SpecError("horizon must be positive")
+    grid = None
     if cfg.grid is not None:
         grid = np.asarray(cfg.grid, dtype=float)
         if grid.ndim != 1 or len(grid) < 1 or np.any(np.diff(grid) <= 0):
@@ -84,16 +85,19 @@ def validate_scheme(spec: ProcessSpec, cfg: SchemeConfig) -> SchemeConfig:
         if grid[0] < 0 or grid[-1] > cfg.horizon * (1 + 1e-12):
             raise SpecError("grid must lie within [0, horizon]")
     if isinstance(cfg.scheme, EulerScheme):
-        if not cfg.scheme.dt > 0:
+        dt = cfg.scheme.dt
+        if not dt > 0:
             raise SpecError("dt must be positive")
         rate = _base_rate(spec.clock)
         if rate is None:
             raise SpecError("the Euler scheme supports Poisson clocks only; "
                             "use the exact scheme for renewal clocks")
-        if rate * cfg.scheme.dt > MAX_EULER_RESET_PROB * (1 + 1e-12):
+        if rate * dt > MAX_EULER_RESET_PROB * (1 + 1e-12):
             raise SpecError(
-                f"r*dt = {rate * cfg.scheme.dt:g} exceeds {MAX_EULER_RESET_PROB}; "
-                "reduce dt")
+                f"r*dt = {rate * dt:g} exceeds {MAX_EULER_RESET_PROB}; reduce dt")
+        if grid is not None and np.any(
+                np.abs(np.rint(grid / dt) * dt - grid) > 1e-9 * max(1.0, cfg.horizon)):
+            raise SpecError("requested times must be multiples of dt")
     elif not isinstance(cfg.scheme, ExactScheme):
         raise SpecError(f"unknown scheme: {type(cfg.scheme).__name__}")
     return cfg
@@ -208,37 +212,44 @@ def marginal_samples(spec: ProcessSpec, t: float, n: int, seed) -> np.ndarray:
 
 
 def euler_marginal_samples(spec: ProcessSpec, ts, dt: float, n: int, seed,
-                           drift: float = 0.0, max_chunk: int = 16384) -> np.ndarray:
-    """n Euler-scheme positions at each time in ts, without storing paths.
+                           drift: float = 0.0) -> np.ndarray:
+    """n Euler-scheme positions at each time in ts, without simulating paths.
 
     All requested times must sit on the dt lattice.  Returns shape
-    (n, len(ts)), or (n,) when ts is a scalar.  Trajectories are batched
-    in fixed-size chunks, so results depend only on (spec, ts, dt, n, seed).
+    (n, len(ts)), or (n,) when ts is a scalar.  The Euler chain's marginal
+    is sampled exactly: the chain survives steps i..k-1 without a reset
+    with probability prod (1 - p_j), so the last reset step is an inverse-
+    CDF draw on the log survival, and the diffusive steps after it sum to
+    one Normal.  Times are visited in increasing order, each conditioned
+    on the position at the previous one (Markov property), with one
+    uniform and one normal per sample and time.
     """
     scalar = np.ndim(ts) == 0
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    cfg = SchemeConfig(scheme=EulerScheme(dt=dt), horizon=float(ts.max()))
+    lattice = np.unique(ts)
+    cfg = SchemeConfig(scheme=EulerScheme(dt=dt), horizon=float(ts.max()), grid=lattice)
     validate_scheme(spec, cfg)
-    idx = np.rint(ts / dt).astype(int)
-    if np.any(np.abs(idx * dt - ts) > 1e-9 * max(1.0, ts.max())):
-        raise SpecError("requested times must be multiples of dt")
-    n_steps = int(idx.max())
-    times_left = np.arange(n_steps) * dt
-    p = _euler_reset_probs(spec.clock, times_left, dt)
-    sigma = math.sqrt(2.0 * spec.diffusivity * dt)
-    chunk = max(1, min(max_chunk, int(4e6 / max(1, n_steps))))
+    ks = np.rint(lattice / dt).astype(int)
+    p = _euler_reset_probs(spec.clock, np.arange(ks[-1]) * dt, dt)
+    # hazard[k] = -log P(no reset in steps 0..k-1), non-decreasing
+    hazard = np.concatenate(([0.0], -np.cumsum(np.log1p(-p))))
     rng = np.random.default_rng(seed)
-    out = np.empty((n, len(ts)))
-    done = 0
-    while done < n:
-        m = min(chunk, n - done)
-        u = rng.random((m, n_steps))
-        z = rng.standard_normal((m, n_steps))
-        increments = drift * dt + sigma * z
-        flags = u < p
-        paths = _kernels.walk_batch(spec.x0, spec.x_reset, increments, flags)
-        out[done:done + m] = paths[:, idx]
-        done += m
+    cols = np.empty((n, len(ks)))
+    x = np.full(n, float(spec.x0))
+    k_prev = 0
+    for col, k in enumerate(ks):
+        log_u = np.log(rng.random(n))
+        z = rng.standard_normal(n)
+        survived = log_u <= hazard[k_prev] - hazard[k]
+        # lattice index just after the last reset: the smallest m with
+        # P(no reset in steps m..k-1) >= u, and after the previous time
+        m = np.maximum(np.searchsorted(hazard, hazard[k] + log_u), k_prev + 1)
+        age = np.where(survived, k - k_prev, k - m)
+        center = np.where(survived, x, spec.x_reset)
+        x = center + drift * dt * age + np.sqrt(2.0 * spec.diffusivity * dt * age) * z
+        cols[:, col] = x
+        k_prev = k
+    out = cols[:, np.searchsorted(lattice, ts)]
     return out[:, 0] if scalar else out
 
 

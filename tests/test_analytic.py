@@ -388,6 +388,14 @@ class TestNppPdf:
         xs = np.linspace(-12.0, 12.0, 4001)
         assert np.trapezoid(npp_pdf(spec, xs, t), xs) == pytest.approx(1.0, abs=1e-4)
 
+    @pytest.mark.parametrize("p, t", [(4.0, 100.0), (2.0, 1000.0)])
+    def test_normalisation_under_strongly_growing_intensity(self, p, t):
+        # the density sits in a thin boundary layer of last-reset times
+        spec = spec_npp(1.0, p)
+        half = 20.0 * math.sqrt(npp_msd(spec, t))
+        xs = np.linspace(-half, half, 8001)
+        assert np.trapezoid(npp_pdf(spec, xs, t), xs) == pytest.approx(1.0, abs=1e-3)
+
     def test_matches_monte_carlo(self):
         spec = spec_npp(1.0, -0.5)
         samples = marginal_samples(spec, 5.0, 30000, seed=8)
@@ -516,6 +524,18 @@ class TestNppMsd:
         direct, _ = integrate.quad(
             lambda w: math.exp(math.log1p(w) - math.log1p(9.0)), 0.0, 9.0)
         assert direct == pytest.approx(4.95, rel=1e-10)
+
+    @pytest.mark.parametrize("rate, p, t, about", [(10.0, -3.0, 1000.0, 997.0),
+                                                    (1.0, -400.0, 10.0, 10.0)])
+    def test_fast_decaying_intensity(self, rate, p, t, about):
+        # nearly all resets happen early, so the mean age is close to t;
+        # cross-checked by quad directly in the last reset time w
+        total = _oracle_cumulative(rate, p, t)
+        direct, _ = integrate.quad(
+            lambda w: math.exp(_oracle_cumulative(rate, p, w) - total), 0.0, t,
+            limit=200)
+        assert direct == pytest.approx(about, abs=0.1)
+        assert npp_msd(spec_npp(rate, p), t) == pytest.approx(direct, rel=1e-8)
 
     def test_growing_intensity_scaling_limit(self):
         spec = spec_npp(1.0, 0.5)

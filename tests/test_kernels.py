@@ -1,18 +1,8 @@
-import os
-
 import numpy as np
 import pytest
 
 from reset_sde import _kernels
 from reset_sde._kernels import _walk_py
-
-try:
-    from reset_sde._kernels import _walk as _walk_c
-except ImportError:
-    _walk_c = None
-
-needs_compiled = pytest.mark.skipif(_walk_c is None,
-                                    reason="compiled kernel not built")
 
 
 def naive_walk(x0, x_reset, increments, flags):
@@ -61,32 +51,4 @@ class TestSemantics:
         dw = np.zeros(5)
         bad = np.zeros(4, dtype=np.uint8)
         with pytest.raises(ValueError):
-            _kernels._impl.resetting_walk(0.0, 0.0, dw, bad, np.empty(6))
-
-
-@needs_compiled
-class TestBackendEquivalence:
-    def test_bit_identical_1d(self):
-        rng = np.random.default_rng(31)
-        for m in (1, 2, 17, 1023, 20000):
-            dw, flags = random_case(rng, m, 0.08)
-            a = np.empty(m + 1)
-            b = np.empty(m + 1)
-            _walk_c.resetting_walk(0.1, 4.0, dw, flags, a)
-            _walk_py.resetting_walk(0.1, 4.0, dw, flags, b)
-            assert np.array_equal(a, b)
-
-    def test_bit_identical_batch(self):
-        rng = np.random.default_rng(32)
-        dw = rng.standard_normal((64, 777))
-        flags = (rng.random((64, 777)) < 0.12).astype(np.uint8)
-        a = np.empty((64, 778))
-        b = np.empty((64, 778))
-        _walk_c.resetting_walk_batch(-2.0, 0.25, dw, flags, a)
-        _walk_py.resetting_walk_batch(-2.0, 0.25, dw, flags, b)
-        assert np.array_equal(a, b)
-
-    def test_selected_backend_reported(self):
-        if os.environ.get("RESET_SDE_KERNEL", "").strip().lower() == "python":
-            pytest.skip("python backend forced via environment")
-        assert _kernels.BACKEND == "compiled"
+            _walk_py.resetting_walk(0.0, 0.0, dw, bad, np.empty(6))

@@ -29,6 +29,7 @@ from reset_sde.simulate import (
     validate_scheme,
 )
 from reset_sde import analytic, stats
+from reset_sde import simulate as simulate_module
 
 
 def poisson_spec(rate=1.0, x0=0.0, xr=0.0, d=0.5):
@@ -54,6 +55,16 @@ class TestSchemeValidation:
         cfg = SchemeConfig(EulerScheme(dt=0.01), horizon=10.0)
         with pytest.raises(DomainError, match="too coarse"):
             simulate_euler(spec, cfg, np.random.default_rng(0))
+
+    def test_euler_grid_off_lattice_refused_before_simulating(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(simulate_module, "simulate_euler",
+                            lambda *a, **k: calls.append(a))
+        cfg = SchemeConfig(EulerScheme(0.1), horizon=0.5,
+                           grid=np.array([0.0, 0.25, 0.5]))
+        with pytest.raises(SpecError, match="multiples of dt"):
+            run_ensemble(poisson_spec(1.0), cfg, 5, seed=1)
+        assert calls == []
 
     def test_grid_must_be_increasing_and_inside(self):
         with pytest.raises(SpecError, match="increasing"):
@@ -87,6 +98,19 @@ class TestEuler:
         samples = euler_marginal_samples(spec, 0.1, 1e-4, 100000, seed=77)
         ks = stats.ks_distance(samples, lambda v: stats.analytic_cdf(spec, v, 0.1))
         assert ks < 0.01
+
+    def test_path_free_sampler_matches_simulated_paths(self):
+        # two lattice times and the increment between them, which the
+        # sampler draws by chaining the times through the Markov property
+        spec = ProcessSpec(0.7, 1.0, -1.0, NonhomogeneousPoissonClock(1.0, 1.5))
+        dt, n = 0.02, 4000
+        cfg = SchemeConfig(EulerScheme(dt), horizon=1.0, grid=np.array([0.4, 1.0]))
+        paths = run_ensemble(spec, cfg, n, seed=3, keep="grid").positions_at()
+        cols = euler_marginal_samples(spec, [0.4, 1.0], dt, n, seed=4)
+        assert ks_2samp(paths[:, 0], cols[:, 0]).pvalue > 0.01
+        assert ks_2samp(paths[:, 1], cols[:, 1]).pvalue > 0.01
+        assert ks_2samp(paths[:, 1] - paths[:, 0],
+                        cols[:, 1] - cols[:, 0]).pvalue > 0.01
 
     def test_constant_drift_enters_observable_averages(self):
         # generalised chain rule: d/dt E x^2 = E[2 mu x + 2 D] + r(b^2 - E x^2)
