@@ -20,6 +20,7 @@ import time
 import numpy as np
 
 from . import __version__, analytic, fpe, stats
+from .clocks import expected_resets
 from .core import (
     DomainError,
     NonhomogeneousPoissonClock,
@@ -215,7 +216,7 @@ def _out_dir(args):
     return out
 
 
-def _write_manifest(out_dir, command, config, seed, outputs, started):
+def _write_manifest(out_dir, command, config, seed, outputs, started, **extra):
     manifest = {
         "command": command,
         "config": config,
@@ -223,6 +224,7 @@ def _write_manifest(out_dir, command, config, seed, outputs, started):
         "version": __version__,
         "wall_time_s": round(time.time() - started, 3),
         "outputs": sorted(outputs),
+        **extra,
     }
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w") as fh:
@@ -258,16 +260,30 @@ def _cmd_simulate(args) -> int:
         grid = np.linspace(0.0, horizon, int(grid_points))
     cfg = SchemeConfig(scheme=scheme, horizon=horizon, grid=grid)
 
+    clock_start = time.perf_counter()
     ensemble = run_ensemble(spec, cfg, n, seed, threads=threads)
+    ensemble_s = time.perf_counter() - clock_start
     out = _out_dir(args)
     traj_path = os.path.join(out, "trajectories.csv")
     resets_path = os.path.join(out, "resets.csv")
+    clock_start = time.perf_counter()
     ensemble_to_csv(ensemble, traj_path)
     resets_to_csv(ensemble, resets_path)
+    write_s = time.perf_counter() - clock_start
+    expected = expected_resets(spec.clock, horizon)
+    counters = {
+        "trajectories": n,
+        "rows": sum(len(tr.times) for tr in ensemble.trajectories),
+        "resets_drawn": sum(len(tr.reset_times) for tr in ensemble.trajectories),
+        "resets_expected": None if expected is None else n * expected,
+    }
     resolved = dict(ensemble_metadata(ensemble),
                     threads=resolve_threads(threads), out=out)
     _write_manifest(out, "simulate", resolved, seed,
-                    ["trajectories.csv", "resets.csv"], started)
+                    ["trajectories.csv", "resets.csv"], started,
+                    stages={"ensemble_s": round(ensemble_s, 3),
+                            "write_s": round(write_s, 3)},
+                    counters=counters)
     print(f"wrote {traj_path} ({n} trajectories)")
     return EXIT_OK
 

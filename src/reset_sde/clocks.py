@@ -69,6 +69,16 @@ def inverse_cumulative_intensity(f: IntensityFunction, u):
     return float(out) if out.ndim == 0 else out
 
 
+def expected_resets(clock, horizon):
+    """Mean number of resets in [0, horizon], R(horizon), for Poisson and
+    power-law clocks; None for renewal clocks, which have no closed form."""
+    if isinstance(clock, PoissonClock):
+        return clock.rate * horizon
+    if isinstance(clock, NonhomogeneousPoissonClock):
+        return cumulative_intensity(IntensityFunction(clock.rate, clock.exponent), horizon)
+    return None
+
+
 def _gap_sampler(law):
     _validate_renewal_law(law)
     if isinstance(law, ExponentialGaps):

@@ -176,6 +176,15 @@ def rescale_to_unit(spec: ProcessSpec):
 # Trajectories and ensembles
 # ---------------------------------------------------------------------------
 
+def time_atol(horizon) -> float:
+    """Distance within which two times over [0, horizon] count as equal.
+
+    One tolerance serves the Euler lattice check and ``Trajectory.at``, so
+    a grid accepted before a run is also readable after it.
+    """
+    return 1e-9 * max(1.0, horizon)
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """One realisation: time grid, positions, and the reset epochs.
@@ -188,12 +197,16 @@ class Trajectory:
     reset_times: np.ndarray
 
     def at(self, grid) -> np.ndarray:
-        """Positions at the given times, which must be grid members."""
+        """Positions at the given times, each within ``time_atol`` of a
+        time on the trajectory grid; the nearest such time is used."""
         grid = np.asarray(grid, dtype=float)
-        idx = np.searchsorted(self.times, grid)
-        if np.any(idx >= len(self.times)) or not np.allclose(
-                self.times[idx], grid, rtol=0.0, atol=1e-12):
-            raise ValueError("requested times are not on the trajectory grid")
+        times = self.times
+        right = np.minimum(np.searchsorted(times, grid), len(times) - 1)
+        left = np.maximum(right - 1, 0)
+        idx = np.where(np.abs(times[left] - grid) < np.abs(times[right] - grid),
+                       left, right)
+        if not np.all(np.abs(times[idx] - grid) <= time_atol(times[-1])):
+            raise DomainError("requested times are not on the trajectory grid")
         return self.positions[idx]
 
 
@@ -202,7 +215,8 @@ class Ensemble:
     """A reproducible collection of trajectories.
 
     Rerunning with the same (spec, scheme, seed, n) gives bit-identical
-    trajectories regardless of thread count.
+    trajectories regardless of thread count.  ``seed`` is the entropy of
+    the root ``SeedSequence``, also when the run drew it from the OS.
     """
     spec: ProcessSpec
     scheme: object
@@ -300,22 +314,40 @@ def spec_from_json(doc: dict) -> ProcessSpec:
 # CSV wire format
 # ---------------------------------------------------------------------------
 
+def _cells(col):
+    """``str`` of integers, ``repr`` of floats, and strings as they are: the
+    cells of a column, or the one cell of a scalar."""
+    if isinstance(col, list):
+        return col
+    col = np.asarray(col)
+    fmt = str if col.dtype.kind in "iu" else repr
+    return fmt(col.item()) if col.ndim == 0 else map(fmt, col.tolist())
+
+
 def write_table(path, header, blocks) -> None:
     """Write a CSV table: the header row, then the rows of every block.
 
-    Each block is a tuple of equal-length numpy columns.  Integer columns
-    are written as ``str(int)`` and float columns as ``repr(float)``, the
-    shortest string that round-trips; lines end in CRLF, as in the csv
-    module's default dialect.  Blocks are formatted one at a time, so
-    memory stays bounded by the largest block, not the table.
+    A block is a tuple of columns: first any scalars, which repeat on every
+    row of the block, then one or more equal-length columns, each a numpy
+    array or a list of cells already formatted as strings.  Integers are
+    written as ``str(int)`` and floats as ``repr(float)``, the shortest
+    string that round-trips; lines end in CRLF, as in the csv module's
+    default dialect.  A block's scalars are formatted once, into the row
+    separator.  Blocks are formatted one at a time, so memory stays bounded
+    by the largest block, not the table.
     """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for block in blocks:
-            if len({len(col) for col in block}) > 1:
-                raise ValueError("columns of a block must have equal length")
-            cells = [map(str if col.dtype.kind in "iu" else repr, col.tolist())
-                     for col in block]
-            text = "\r\n".join(map(",".join, zip(*cells)))
-            if text:
-                fh.write(text + "\r\n")
+            lead = 0
+            while lead < len(block) and not isinstance(block[lead], (list, np.ndarray)):
+                lead += 1
+            columns = block[lead:]
+            if len({len(col) for col in columns}) != 1:
+                raise ValueError("a block needs columns of equal length after its scalars")
+            if not len(columns[0]):
+                continue
+            prefix = "".join(_cells(col) + "," for col in block[:lead])
+            cells = [_cells(col) for col in columns]
+            rows = cells[0] if len(cells) == 1 else map(",".join, zip(*cells))
+            fh.write(prefix + ("\r\n" + prefix).join(rows) + "\r\n")

@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 import math
 import os
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .core import (
     SpecError,
     Trajectory,
     spec_to_json,
+    time_atol,
     validate_spec,
     write_table,
 )
@@ -67,6 +68,14 @@ class SchemeConfig:
     grid: Optional[np.ndarray] = None
 
 
+@dataclass(frozen=True)
+class _Prepared(SchemeConfig):
+    """A config that ``run_ensemble`` validated for its spec, with the
+    per-trajectory sampler built from it, so that ``simulate_exact`` and
+    ``simulate_euler`` skip validation and set-up on every trajectory."""
+    sample: Optional[Callable] = None
+
+
 def _base_rate(clock):
     if isinstance(clock, (PoissonClock, NonhomogeneousPoissonClock)):
         return clock.rate
@@ -96,7 +105,7 @@ def validate_scheme(spec: ProcessSpec, cfg: SchemeConfig) -> SchemeConfig:
             raise SpecError(
                 f"r*dt = {rate * dt:g} exceeds {MAX_EULER_RESET_PROB}; reduce dt")
         if grid is not None and np.any(
-                np.abs(np.rint(grid / dt) * dt - grid) > 1e-9 * max(1.0, cfg.horizon)):
+                np.abs(np.rint(grid / dt) * dt - grid) > time_atol(cfg.horizon)):
             raise SpecError("requested times must be multiples of dt")
     elif not isinstance(cfg.scheme, ExactScheme):
         raise SpecError(f"unknown scheme: {type(cfg.scheme).__name__}")
@@ -120,20 +129,33 @@ def simulate_euler(spec: ProcessSpec, cfg: SchemeConfig, rng, drift: float = 0.0
     ``drift`` adds a constant drift*dt to the diffusive branch; it exists
     for checking the generalised chain rule and has no analytic support.
     """
+    if isinstance(cfg, _Prepared) and drift == 0.0:
+        return cfg.sample(rng)
     validate_scheme(spec, cfg)
     if not isinstance(cfg.scheme, EulerScheme):
         raise SpecError("simulate_euler requires an Euler scheme config")
+    return _euler_sampler(spec, cfg, drift)[1](rng)
+
+
+def _euler_sampler(spec, cfg, drift=0.0):
+    """(lattice, rng -> one Euler trajectory) of a validated config; the
+    lattice and the reset probabilities are computed once and shared."""
     dt = cfg.scheme.dt
     n_steps = int(math.ceil(cfg.horizon / dt - 1e-12))
     times = np.arange(n_steps + 1) * dt
     p = _euler_reset_probs(spec.clock, times[:-1], dt)
-    u = rng.random(n_steps)
-    z = rng.standard_normal(n_steps)
-    increments = drift * dt + math.sqrt(2.0 * spec.diffusivity * dt) * z
-    flags = u < p
-    positions = _kernels.walk(spec.x0, spec.x_reset, increments, flags)
-    return Trajectory(times=times, positions=positions,
-                      reset_times=times[1:][flags])
+    scale = math.sqrt(2.0 * spec.diffusivity * dt)
+
+    def sample(rng):
+        u = rng.random(n_steps)
+        z = rng.standard_normal(n_steps)
+        increments = drift * dt + scale * z
+        flags = u < p
+        positions = _kernels.walk(spec.x0, spec.x_reset, increments, flags)
+        return Trajectory(times=times, positions=positions,
+                          reset_times=times[1:][flags])
+
+    return times, sample
 
 
 def _resolve_exact_grid(cfg: SchemeConfig) -> np.ndarray:
@@ -147,16 +169,39 @@ def _resolve_exact_grid(cfg: SchemeConfig) -> np.ndarray:
 
 def simulate_exact(spec: ProcessSpec, cfg: SchemeConfig, rng) -> Trajectory:
     """One event-driven trajectory; reset epochs are inserted into the grid."""
+    if isinstance(cfg, _Prepared):
+        return cfg.sample(rng)
     validate_scheme(spec, cfg)
-    resets = sample_reset_times(spec.clock, cfg.horizon, rng)
+    return _exact_sampler(spec, cfg)[1](rng)
+
+
+def _exact_sampler(spec, cfg):
+    """(output grid, rng -> one exact trajectory) of a validated config;
+    the grid is resolved once and shared."""
     grid = _resolve_exact_grid(cfg)
-    merged = np.union1d(grid, resets)
-    flags = np.isin(merged[1:], resets)
-    gaps = np.diff(merged)
-    z = rng.standard_normal(len(gaps))
-    increments = np.sqrt(2.0 * spec.diffusivity * gaps) * z
-    positions = _kernels.walk(spec.x0, spec.x_reset, increments, flags)
-    return Trajectory(times=merged, positions=positions, reset_times=resets)
+    two_d = 2.0 * spec.diffusivity
+
+    def sample(rng):
+        resets = sample_reset_times(spec.clock, cfg.horizon, rng)
+        slots = np.searchsorted(grid, resets)
+        if (grid[slots.clip(max=len(grid) - 1)] == resets).any():
+            # a reset on a grid time shares its row
+            merged = np.union1d(grid, resets)
+            flags = np.isin(merged[1:], resets)
+        else:
+            at = slots + np.arange(len(resets))
+            is_reset = np.zeros(len(grid) + len(resets), dtype=bool)
+            is_reset[at] = True
+            merged = np.empty(len(is_reset))
+            merged[at] = resets
+            merged[~is_reset] = grid
+            flags = is_reset[1:]
+        z = rng.standard_normal(len(merged) - 1)
+        increments = np.sqrt(two_d * (merged[1:] - merged[:-1])) * z
+        positions = _kernels.walk(spec.x0, spec.x_reset, increments, flags)
+        return Trajectory(times=merged, positions=positions, reset_times=resets)
+
+    return grid, sample
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +317,12 @@ def run_ensemble(spec: ProcessSpec, cfg: SchemeConfig, n: int, seed,
 
     Substream i derives from SeedSequence(seed).spawn at index i, so two
     runs with the same arguments agree bit for bit, independent of the
-    thread count and of execution order.  ``keep="grid"`` stores positions
-    only at the common output grid (resets still recorded), which keeps
-    large exact-scheme ensembles small.
+    thread count and of execution order, and trajectory i equals
+    ``simulate_exact`` or ``simulate_euler`` on ``default_rng(child i)``.
+    The ensemble records the root entropy as its seed, so a run with
+    ``seed=None`` can be repeated.  ``keep="grid"`` stores positions only
+    at the common output grid (resets still recorded), which keeps large
+    exact-scheme ensembles small.
     """
     validate_scheme(spec, cfg)
     if not n >= 1:
@@ -283,19 +331,18 @@ def run_ensemble(spec: ProcessSpec, cfg: SchemeConfig, n: int, seed,
         raise SpecError("keep must be 'full' or 'grid'")
     if isinstance(cfg.scheme, EulerScheme):
         simulate = simulate_euler
-        if cfg.grid is not None:
-            grid = np.asarray(cfg.grid, dtype=float)
-        else:
-            n_steps = int(math.ceil(cfg.horizon / cfg.scheme.dt - 1e-12))
-            grid = np.arange(n_steps + 1) * cfg.scheme.dt
+        lattice, sample = _euler_sampler(spec, cfg)
+        grid = lattice if cfg.grid is None else np.asarray(cfg.grid, dtype=float)
     else:
         simulate = simulate_exact
-        grid = _resolve_exact_grid(cfg)
+        grid, sample = _exact_sampler(spec, cfg)
+    prepared = _Prepared(cfg.scheme, cfg.horizon, cfg.grid, sample)
 
-    children = np.random.SeedSequence(seed).spawn(n)
+    root = np.random.SeedSequence(seed)
+    children = root.spawn(n)
 
     def one(i):
-        tr = simulate(spec, cfg, np.random.default_rng(children[i]))
+        tr = simulate(spec, prepared, np.random.default_rng(children[i]))
         if keep == "grid":
             tr = Trajectory(times=grid, positions=tr.at(grid),
                             reset_times=tr.reset_times)
@@ -307,7 +354,7 @@ def run_ensemble(spec: ProcessSpec, cfg: SchemeConfig, n: int, seed,
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             trajectories = list(pool.map(one, range(n)))
-    return Ensemble(spec=spec, scheme=cfg, seed=seed,
+    return Ensemble(spec=spec, scheme=cfg, seed=root.entropy,
                     trajectories=trajectories, grid=grid)
 
 
@@ -315,18 +362,48 @@ def run_ensemble(spec: ProcessSpec, cfg: SchemeConfig, n: int, seed,
 # Exports
 # ---------------------------------------------------------------------------
 
+def _time_cells(grid):
+    """times -> their CSV cells, with each shared grid time formatted once.
+
+    Times that hold every grid time reuse the grid's cells and format only
+    their other times (the resets); any other times pass through as they
+    are.  Grid times are matched by their bits, not their values, so a
+    grid -0.0 never stands in for a 0.0.
+    """
+    if grid is None:
+        return lambda times: times
+    grid = np.asarray(grid, dtype=np.float64)
+    bits = grid.view(np.int64)
+    cells = np.array(list(map(repr, grid.tolist())), dtype=object)
+
+    def format_times(times):
+        if times.dtype != np.float64 or not len(times):
+            return times
+        slots = np.searchsorted(times, grid).clip(max=len(times) - 1)
+        if (times[slots].view(np.int64) != bits).any():
+            return times
+        out = np.empty(len(times), dtype=object)
+        out[slots] = cells
+        other = np.ones(len(times), dtype=bool)
+        other[slots] = False
+        out[other] = list(map(repr, times[other].tolist()))
+        return out.tolist()
+
+    return format_times
+
+
 def ensemble_to_csv(ensemble: Ensemble, path) -> None:
     """Every trajectory's (t, x) rows, grouped by trajectory in index order."""
+    format_times = _time_cells(ensemble.grid)
     write_table(path, ("traj", "t", "x"),
-                ((np.full(len(tr.times), i), tr.times, tr.positions)
+                ((i, format_times(tr.times), tr.positions)
                  for i, tr in enumerate(ensemble.trajectories)))
 
 
 def resets_to_csv(ensemble: Ensemble, path) -> None:
     """Every trajectory's reset epochs, grouped by trajectory in index order."""
     write_table(path, ("traj", "reset_time"),
-                ((np.full(len(tr.reset_times), i), tr.reset_times)
-                 for i, tr in enumerate(ensemble.trajectories)))
+                ((i, tr.reset_times) for i, tr in enumerate(ensemble.trajectories)))
 
 
 def scheme_to_json(cfg: SchemeConfig) -> dict:

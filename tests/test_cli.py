@@ -68,6 +68,57 @@ class TestSimulateCommand:
                 "2dd957a66ba506adef597ac154ec6b46d852e454f444bf6de2404ab652ff62b0",
         }
 
+    @pytest.mark.parametrize("args, expected", [
+        # Euler: every trajectory on the shared dt lattice
+        (["--r", 1, "--x0", 0, "--xr", 2, "--scheme", "euler", "--dt", 0.01,
+          "--horizon", 2, "--n", 50, "--seed", 3],
+         ("7fc569cffeba0272b96821cf71765d18c04e7b2e9f7d09c499f0255ee20578f7",
+          "6f00c5fc9d3dbc13405b4d3bf80992fe2fce168c435fbe953062bd33a9e7fabb")),
+        # resets every 0.5 land on the 11-point grid and share its rows
+        (["--clock", "renewal", "--renewal-law",
+          '{"name":"deterministic","gap":0.5}', "--scheme", "exact",
+          "--horizon", 5, "--grid-points", 11, "--n", 40, "--seed", 6],
+         ("a7739b03d6d701a6bdb9bdfe6e7ea6e398f73ba8224d79e340f8ad0417e25413",
+          "f626620a5a29e7fdcce98323e5dd35d61ee2b9b62b8e77fb661bb3279e59c7d4")),
+    ], ids=["euler", "deterministic-on-grid"])
+    def test_more_outputs_match_pinned_digests(self, tmp_path, args, expected):
+        out = tmp_path / "pinned"
+        assert run(["simulate", *args, "--out", out]) == 0
+        digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                        for name in ("trajectories.csv", "resets.csv"))
+        assert digests == expected
+
+    def test_manifest_records_stages_and_counters(self, tmp_path):
+        out = tmp_path / "m"
+        assert run(["simulate", "--r", 2, "--scheme", "exact", "--horizon", 3,
+                    "--n", 25, "--seed", 4, "--out", out]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["stages"]) == {"ensemble_s", "write_s"}
+        assert all(v >= 0 for v in manifest["stages"].values())
+        counters = manifest["counters"]
+        assert set(counters) == {"trajectories", "rows", "resets_drawn",
+                                 "resets_expected"}
+        _, rows = read_csv(out / "trajectories.csv")
+        _, resets = read_csv(out / "resets.csv")
+        assert counters["trajectories"] == 25
+        assert counters["rows"] == len(rows)
+        assert counters["resets_drawn"] == len(resets)
+        assert counters["resets_expected"] == pytest.approx(25 * 2 * 3)
+
+    def test_manifest_expected_resets_by_clock(self, tmp_path):
+        assert run(["simulate", "--r", 1.5, "--p", 0.5, "--scheme", "exact",
+                    "--horizon", 2, "--n", 10, "--seed", 1,
+                    "--out", tmp_path / "npp"]) == 0
+        counters = json.loads((tmp_path / "npp" / "manifest.json").read_text())["counters"]
+        # n * R(T), R(T) = r/(p+1) * ((T+1)**(p+1) - 1)
+        assert counters["resets_expected"] == pytest.approx(
+            10 * 1.5 / 1.5 * (3.0 ** 1.5 - 1.0))
+        assert run(["simulate", "--clock", "renewal", "--renewal-law",
+                    '{"name":"pareto","alpha":1.5,"xm":0.2}', "--horizon", 2,
+                    "--n", 10, "--seed", 1, "--out", tmp_path / "ren"]) == 0
+        counters = json.loads((tmp_path / "ren" / "manifest.json").read_text())["counters"]
+        assert counters["resets_expected"] is None
+
     def test_byte_identical_reruns_and_thread_independence(self, tmp_path):
         base = ["simulate", "--r", 1, "--xr", 2, "--scheme", "exact",
                 "--horizon", 3, "--n", 8, "--seed", 11]

@@ -14,6 +14,7 @@ from reset_sde import (
     PoissonClock,
     ProcessSpec,
     RenewalClock,
+    DomainError,
     SpecError,
     Trajectory,
     rescale_to_unit,
@@ -148,6 +149,16 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             tr.at([0.123456789])
 
+    def test_at_reads_the_nearest_time_within_the_shared_tolerance(self):
+        tr = Trajectory(times=np.array([0.0, 0.1, 0.30000000000000004, 0.5]),
+                        positions=np.array([0.0, 1.0, 2.0, 3.0]),
+                        reset_times=np.array([]))
+        assert list(tr.at([0.3, 0.3 + 1e-10, 0.3 - 1e-10, 0.5 + 1e-10])) == [2.0, 2.0, 2.0, 3.0]
+        with pytest.raises(DomainError, match="not on the trajectory grid"):
+            tr.at([0.3 + 1e-8])
+        with pytest.raises(DomainError):
+            tr.at([np.nan])
+
     def test_position_is_reset_point_at_reset_times(self):
         spec = fig1_spec()
         cfg = SchemeConfig(scheme=ExactScheme(), horizon=5.0)
@@ -241,6 +252,25 @@ class TestCsvWireFormat:
         write_table(tmp_path / "lazy.csv", ("i", "v"), blocks)
         assert (tmp_path / "lazy.csv").read_bytes() == (
             b"i,v\r\n0,0.0\r\n1,1.0\r\n2,2.0\r\n")
+
+    def test_leading_scalars_and_formatted_cells(self, tmp_path):
+        times = np.array([0.0, 0.5, -0.0])
+        xs = np.array([1e16, np.nan, 1 / 3])
+        ids = np.array([2 ** 62] * 3, dtype=np.int64)
+        write_table(tmp_path / "new.csv", ("traj", "t", "x"),
+                    [(np.int64(2 ** 62), [repr(t) for t in times.tolist()], xs),
+                     (7, np.array([0.25]), np.array([-1.0])),
+                     (8, np.array([]), np.array([]))])
+        csv_reference(tmp_path / "ref.csv", ("traj", "t", "x"),
+                      [(ids, times, xs),
+                       (np.array([7]), np.array([0.25]), np.array([-1.0]))])
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "ref.csv").read_bytes())
+
+    def test_float_scalar_and_single_column(self, tmp_path):
+        write_table(tmp_path / "s.csv", ("a", "b", "c"),
+                    [(0.1, np.float32(0.5), np.array([1, 2]))])
+        assert (tmp_path / "s.csv").read_bytes() == b"a,b,c\r\n0.1,0.5,1\r\n0.1,0.5,2\r\n"
 
     def test_ragged_block_is_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="equal length"):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -6,6 +7,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from reset_sde import (
+    DeterministicGaps,
     DomainError,
     NonhomogeneousPoissonClock,
     ParetoGaps,
@@ -28,12 +30,22 @@ from reset_sde.simulate import (
     simulate_exact,
     validate_scheme,
 )
-from reset_sde import analytic, stats
+from reset_sde import _kernels, analytic, stats
 from reset_sde import simulate as simulate_module
+from reset_sde.clocks import sample_reset_times
 
 
 def poisson_spec(rate=1.0, x0=0.0, xr=0.0, d=0.5):
     return ProcessSpec(d, x0, xr, PoissonClock(rate))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class TestSchemeValidation:
@@ -64,6 +76,23 @@ class TestSchemeValidation:
                            grid=np.array([0.0, 0.25, 0.5]))
         with pytest.raises(SpecError, match="multiples of dt"):
             run_ensemble(poisson_spec(1.0), cfg, 5, seed=1)
+        assert calls == []
+
+    def test_euler_grid_within_lattice_tolerance_is_read_after_the_run(self):
+        # 1e-10 off the lattice: inside the shared time tolerance, so the
+        # check admits it and the positions are read at lattice time 0.3
+        cfg = SchemeConfig(EulerScheme(0.1), horizon=0.5, grid=[0, 0.3 + 1e-10, 0.5])
+        slim = run_ensemble(poisson_spec(1.0), cfg, 500, 1, keep="grid")
+        full = run_ensemble(poisson_spec(1.0), cfg, 500, 1)
+        for a, b in zip(full.trajectories, slim.trajectories):
+            assert same_bits(b.positions, a.positions[[0, 3, 5]])
+
+    def test_euler_grid_beyond_lattice_tolerance_refused_before_walking(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(_kernels, "walk", lambda *a, **k: calls.append(a))
+        cfg = SchemeConfig(EulerScheme(0.1), horizon=0.5, grid=[0, 0.3 + 1e-8, 0.5])
+        with pytest.raises(SpecError, match="multiples of dt"):
+            run_ensemble(poisson_spec(1.0), cfg, 5, seed=1, keep="grid")
         assert calls == []
 
     def test_grid_must_be_increasing_and_inside(self):
@@ -260,6 +289,61 @@ class TestEnsemble:
             assert np.array_equal(a.at(grid), b.positions)
             assert np.array_equal(a.reset_times, b.reset_times)
 
+    @pytest.mark.parametrize("spec, cfg", [
+        (poisson_spec(1.0, 0.0, 2.0), SchemeConfig(ExactScheme(), horizon=3.0)),
+        (ProcessSpec(0.5, 0.0, 1.0, RenewalClock(DeterministicGaps(0.5))),
+         SchemeConfig(ExactScheme(), horizon=5.0, grid=np.linspace(0.0, 5.0, 11))),
+        (poisson_spec(1.0, 0.0, 2.0), SchemeConfig(EulerScheme(0.01), horizon=1.0)),
+    ], ids=["exact", "resets-on-grid", "euler"])
+    def test_trajectory_i_is_a_single_run_on_child_i(self, spec, cfg):
+        ens = run_ensemble(spec, cfg, 12, seed=21)
+        one = simulate_euler if isinstance(cfg.scheme, EulerScheme) else simulate_exact
+        children = np.random.SeedSequence(21).spawn(12)
+        for child, tr in zip(children, ens.trajectories):
+            ref = one(spec, cfg, np.random.default_rng(child))
+            assert same_bits(tr.times, ref.times)
+            assert same_bits(tr.positions, ref.positions)
+            assert same_bits(tr.reset_times, ref.reset_times)
+
+    @pytest.mark.parametrize("spec, horizon, grid", [
+        (poisson_spec(1.3, 0.2, -1.0, 0.7), 4.0, None),
+        (ProcessSpec(0.5, 0.0, 1.0, NonhomogeneousPoissonClock(1.5, 0.5)), 3.0,
+         np.linspace(0.0, 3.0, 31)),
+        (ProcessSpec(0.5, 0.0, 1.0, RenewalClock(DeterministicGaps(0.25))), 2.0,
+         np.linspace(0.0, 2.0, 9)),
+        # resets past the last grid time are appended
+        (ProcessSpec(0.5, 0.0, 1.0, RenewalClock(ParetoGaps(1.5, 0.2))), 3.0,
+         np.array([0.0, 0.5, 1.0])),
+    ], ids=["poisson", "power-law", "deterministic-on-grid", "short-grid"])
+    def test_exact_path_matches_union_reference(self, spec, horizon, grid):
+        # reference: the union of grid and resets, reset rows by membership
+        cfg = SchemeConfig(ExactScheme(), horizon=horizon, grid=grid)
+        resolved = simulate_module._resolve_exact_grid(cfg)
+        for seed in range(20):
+            tr = simulate_exact(spec, cfg, np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)
+            resets = sample_reset_times(spec.clock, horizon, rng)
+            merged = np.union1d(resolved, resets)
+            flags = np.isin(merged[1:], resets)
+            z = rng.standard_normal(len(merged) - 1)
+            increments = np.sqrt(2.0 * spec.diffusivity * np.diff(merged)) * z
+            positions = _kernels.walk(spec.x0, spec.x_reset, increments, flags)
+            assert same_bits(tr.times, merged)
+            assert same_bits(tr.positions, positions)
+            assert same_bits(tr.reset_times, resets)
+
+    def test_seed_none_records_entropy_that_reproduces_the_run(self):
+        spec = poisson_spec(1.0, 0.0, 2.0)
+        cfg = SchemeConfig(ExactScheme(), horizon=2.0)
+        first = run_ensemble(spec, cfg, 6, seed=None)
+        assert isinstance(first.seed, int)
+        doc = json.loads(json.dumps(ensemble_metadata(first)))
+        assert doc["run"]["seed"] == first.seed
+        again = run_ensemble(spec, cfg, 6, seed=doc["run"]["seed"])
+        for a, b in zip(first.trajectories, again.trajectories):
+            assert same_bits(a.times, b.times)
+            assert same_bits(a.positions, b.positions)
+
     def test_positions_matrix_shape(self):
         spec = poisson_spec(1.0)
         cfg = SchemeConfig(ExactScheme(), horizon=1.0, grid=np.linspace(0, 1, 5))
@@ -281,6 +365,34 @@ class TestExport:
         rp = tmp_path / "r.csv"
         resets_to_csv(ens, rp)
         assert rp.read_text().splitlines()[0] == "traj,reset_time"
+
+    def test_grid_ensemble_csv_matches_pinned_digests(self, tmp_path):
+        spec = ProcessSpec(0.5, 0.0, 1.0, PoissonClock(1.0))
+        cfg = SchemeConfig(ExactScheme(), horizon=2.0, grid=np.linspace(0.0, 2.0, 9))
+        ens = run_ensemble(spec, cfg, 25, 13, keep="grid")
+        ensemble_to_csv(ens, tmp_path / "t.csv")
+        resets_to_csv(ens, tmp_path / "r.csv")
+        assert sha256(tmp_path / "t.csv") == (
+            "b28c72051e83d9d2659ce438c1c22063f61fc2dcc00a1a21a6d968dc056f6b08")
+        assert sha256(tmp_path / "r.csv") == (
+            "9aa075d3f6ac3fdc83d90d1611bcd620110dfa3be6495a2503e932e03d7571b2")
+
+    def test_signed_zero_grid_time_keeps_each_trajectory_bytes(self, tmp_path):
+        # -0.0 == 0.0, but the two are written differently: the full Euler
+        # paths start at lattice time 0.0, the grid-only ones at the grid's
+        # own -0.0
+        spec = ProcessSpec(0.5, 0.0, 1.0, PoissonClock(1.0))
+        cfg = SchemeConfig(EulerScheme(0.1), horizon=1.0, grid=[-0.0, 0.5, 1.0])
+        full, slim = tmp_path / "full.csv", tmp_path / "slim.csv"
+        ensemble_to_csv(run_ensemble(spec, cfg, 3, 2), full)
+        ensemble_to_csv(run_ensemble(spec, cfg, 3, 2, keep="grid"), slim)
+        assert full.read_bytes().startswith(b"traj,t,x\r\n0,0.0,0.0\r\n0,0.1,")
+        assert b",-0.0," not in full.read_bytes()
+        assert slim.read_bytes().startswith(b"traj,t,x\r\n0,-0.0,0.0\r\n0,0.5,")
+        assert sha256(full) == (
+            "e8b4fc0cc3980bf1eb36418f3b5627c0f9025ed7c9ba8de27218cb0bae00c6de")
+        assert sha256(slim) == (
+            "7618eaf075799fe963513d5c9eefa5632635f7fd439ddd05f2d4fe3609710bf3")
 
     def test_metadata_round_trips_through_json(self):
         spec = poisson_spec(2.0, 1.0, -1.0)
