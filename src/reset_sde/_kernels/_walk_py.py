@@ -14,6 +14,8 @@ floating-point operation order, and with it the last bits of every path.
 
 import numpy as np
 
+from ..core import SpecError
+
 
 def _anchored_positions(x0, x_reset, increments, reset_flags, out):
     m = increments.shape[-1]
@@ -36,7 +38,7 @@ def _anchored_positions(x0, x_reset, increments, reset_flags, out):
 def resetting_walk(x0, x_reset, increments, reset_flags, out):
     """Fill ``out`` (length m+1) with positions; ``out[0] = x0``."""
     if out.shape[0] != increments.shape[0] + 1 or reset_flags.shape[0] != increments.shape[0]:
-        raise ValueError("resetting_walk: shape mismatch")
+        raise SpecError("resetting_walk: shape mismatch")
     return _anchored_positions(float(x0), float(x_reset), increments, reset_flags, out)
 
 
@@ -44,5 +46,5 @@ def resetting_walk_batch(x0, x_reset, increments, reset_flags, out):
     """Row-wise ``resetting_walk``; ``out`` has shape (n, m+1)."""
     n, m = increments.shape
     if out.shape != (n, m + 1) or reset_flags.shape != (n, m):
-        raise ValueError("resetting_walk_batch: shape mismatch")
+        raise SpecError("resetting_walk_batch: shape mismatch")
     return _anchored_positions(float(x0), float(x_reset), increments, reset_flags, out)

@@ -72,7 +72,7 @@ class DensityCurve:
 
     def __post_init__(self):
         if self.provenance not in _PROVENANCES:
-            raise ValueError(f"provenance must be one of {_PROVENANCES}")
+            raise SpecError(f"provenance must be one of {_PROVENANCES}")
 
     def mass(self) -> float:
         return float(np.trapezoid(self.values, self.xs))
@@ -288,7 +288,7 @@ def laplace_moment(n: int, rate: float) -> float:
     """n-th moment of the centred Laplace law with scale (2 rate)^(-1/2):
     (2 rate)^(-n/2) n! for even n, zero for odd n."""
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise DomainError("n must be nonnegative")
     if not rate > 0:
         raise DomainError("rate must be positive")
     if n % 2:
@@ -346,7 +346,7 @@ def gaussian_moment(n: int, x0: float, t: float) -> float:
     x0^2/t; it is kept as an independent cross-check in the tests.
     """
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise DomainError("n must be nonnegative")
     if not t > 0:
         raise DomainError("t must be positive")
     try:
@@ -364,7 +364,7 @@ def sum_moment(n: int, t: float, rate: float) -> float:
     """n-th moment of W + L for independent W ~ Normal(0, t) and centred
     Laplace L: a binomial sum over even orders; zero for odd n."""
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise DomainError("n must be nonnegative")
     if n % 2:
         return 0.0
     total = 0.0
@@ -388,7 +388,7 @@ def nth_moment(spec: ProcessSpec, n: int, t: float) -> float:
             "closed-form moments require reset point 0; integrate the "
             "density by quadrature for other reset points")
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise DomainError("n must be nonnegative")
     if not t > 0:
         raise DomainError("t must be positive")
     a, _, c = _unit(spec)
@@ -404,7 +404,7 @@ def _fd_weights(offsets: np.ndarray, order: int) -> np.ndarray:
     (Fornberg's recursion)."""
     n = len(offsets)
     if order >= n:
-        raise ValueError("need more stencil points than the derivative order")
+        raise SpecError("need more stencil points than the derivative order")
     weights = np.zeros((n, order + 1))
     weights[0, 0] = 1.0
     c1 = 1.0
@@ -439,7 +439,7 @@ def moment_from_mgf(spec: ProcessSpec, n: int, t: float,
     validate_spec(spec)
     rate = _poisson_rate(spec)
     if points <= n:
-        raise ValueError("stencil must have more points than the order")
+        raise SpecError("stencil must have more points than the order")
     if step is None:
         step = 0.05
         if rate > 0:

@@ -8,6 +8,9 @@ Every command writes a ``manifest.json`` with the fully resolved
 configuration, seed, tool version and wall time, sufficient to reproduce
 its outputs exactly.  Exit codes: 0 success, 1 validation failure,
 2 configuration error, 3 I/O error, 4 numerical failure.
+
+``analytic``, ``fpe`` and ``stats`` load scipy, so only the commands that
+use them import them; ``simulate`` runs on numpy alone.
 """
 
 import argparse
@@ -19,7 +22,7 @@ import time
 
 import numpy as np
 
-from . import __version__, analytic, fpe, stats
+from . import __version__
 from .clocks import expected_resets
 from .core import (
     DomainError,
@@ -34,16 +37,17 @@ from .core import (
     write_table,
 )
 from .simulate import (
+    RESETS_CSV,
+    TRAJECTORIES_CSV,
     EulerScheme,
     ExactScheme,
     SchemeConfig,
-    ensemble_metadata,
-    ensemble_to_csv,
+    ensemble_csv,
     euler_marginal_samples,
     marginal_samples,
-    resets_to_csv,
-    resolve_threads,
+    resolve_workers,
     run_ensemble,
+    run_metadata,
 )
 
 EXIT_OK = 0
@@ -70,8 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int)
     sim.add_argument("--grid-points", type=int,
                      help="output grid resolution for the exact scheme")
-    sim.add_argument("--threads", type=int,
-                     help=f"worker threads (default ${'{'}RESET_SDE_THREADS{'}'} or 1)")
+    sim.add_argument("--workers", type=int,
+                     help="worker processes (default: one per usable CPU, "
+                          "one for small runs; never more than --n)")
     sim.add_argument("--out", help="output directory")
 
     ana = sub.add_parser("analytic", help="closed-form curves and values")
@@ -245,7 +250,7 @@ def _cmd_simulate(args) -> int:
     horizon = float(_merged(args, config, "horizon", 10.0))
     n = int(_merged(args, config, "n", 1))
     seed = int(_merged(args, config, "seed", 0))
-    threads = _merged(args, config, "threads")
+    workers = _merged(args, config, "workers")
     grid_points = _merged(args, config, "grid-points",
                           config.get("grid_points"))
     if scheme_name == "euler":
@@ -260,31 +265,23 @@ def _cmd_simulate(args) -> int:
         grid = np.linspace(0.0, horizon, int(grid_points))
     cfg = SchemeConfig(scheme=scheme, horizon=horizon, grid=grid)
 
-    clock_start = time.perf_counter()
-    ensemble = run_ensemble(spec, cfg, n, seed, threads=threads)
-    ensemble_s = time.perf_counter() - clock_start
+    workers = resolve_workers(n, workers)
     out = _out_dir(args)
-    traj_path = os.path.join(out, "trajectories.csv")
-    resets_path = os.path.join(out, "resets.csv")
-    clock_start = time.perf_counter()
-    ensemble_to_csv(ensemble, traj_path)
-    resets_to_csv(ensemble, resets_path)
-    write_s = time.perf_counter() - clock_start
+    counts = ensemble_csv(spec, cfg, n, seed, out, workers)
     expected = expected_resets(spec.clock, horizon)
     counters = {
         "trajectories": n,
-        "rows": sum(len(tr.times) for tr in ensemble.trajectories),
-        "resets_drawn": sum(len(tr.reset_times) for tr in ensemble.trajectories),
+        "rows": counts["rows"],
+        "resets_drawn": counts["resets_drawn"],
         "resets_expected": None if expected is None else n * expected,
     }
-    resolved = dict(ensemble_metadata(ensemble),
-                    threads=resolve_threads(threads), out=out)
+    resolved = dict(run_metadata(spec, cfg, n, seed), workers=workers, out=out)
     _write_manifest(out, "simulate", resolved, seed,
-                    ["trajectories.csv", "resets.csv"], started,
-                    stages={"ensemble_s": round(ensemble_s, 3),
-                            "write_s": round(write_s, 3)},
+                    [TRAJECTORIES_CSV, RESETS_CSV], started,
+                    stages={"ensemble_s": round(counts["ensemble_s"], 3),
+                            "write_s": round(counts["write_s"], 3)},
                     counters=counters)
-    print(f"wrote {traj_path} ({n} trajectories)")
+    print(f"wrote {os.path.join(out, TRAJECTORIES_CSV)} ({n} trajectories)")
     return EXIT_OK
 
 
@@ -299,6 +296,7 @@ def _curve_csv(out, name, header, columns):
 
 
 def _cmd_analytic(args) -> int:
+    from . import analytic
     started = time.time()
     spec = _build_spec(args, {})
     out = _out_dir(args)
@@ -361,12 +359,14 @@ def _t_hi(args, lo):
 
 
 def _x_grid(args, spec):
+    from . import analytic
     if args.x_lo is not None and args.x_hi is not None:
         return np.linspace(args.x_lo, args.x_hi, args.points)
     return analytic.default_support(spec, max(args.t, 0.0), points=args.points)
 
 
 def _transform_curve(args, spec, out, what):
+    from . import analytic
     if isinstance(spec.clock, NonhomogeneousPoissonClock):
         if what == "mgf":
             raise SpecError("the MGF is implemented for the homogeneous "
@@ -400,6 +400,7 @@ def _transform_curve(args, spec, out, what):
 # ---------------------------------------------------------------------------
 
 def _cmd_fpe(args) -> int:
+    from . import fpe
     started = time.time()
     config = _load_config(args.config)
     spec = _build_spec(args, config)
@@ -450,6 +451,7 @@ def _check(name, value, tolerance, ok=None):
 
 
 def _suite_pdf_ks(seed):
+    from . import analytic, stats
     spec = ProcessSpec(0.5, 0.0, 3.0, PoissonClock(1.0))
     checks = []
     xs = marginal_samples(spec, 0.1, 30000, seed=seed)
@@ -471,6 +473,7 @@ def _suite_pdf_ks(seed):
 
 
 def _suite_moments(seed):
+    from . import analytic
     spec = ProcessSpec(0.5, 1.0, 0.0, PoissonClock(1.0))
     t = 0.7
     checks = []
@@ -501,6 +504,7 @@ def _suite_moments(seed):
 
 
 def _suite_msd_exponents(seed):
+    from . import analytic, stats
     checks = []
     grid = np.geomspace(0.1, 100.0, 48)
     cfg = SchemeConfig(scheme=ExactScheme(), horizon=100.0, grid=grid)
@@ -528,6 +532,7 @@ def _suite_msd_exponents(seed):
 
 
 def _suite_fpe_agreement(seed):
+    from . import analytic, fpe
     checks = []
     spec = ProcessSpec(0.5, 0.0, 3.0, PoissonClock(1.0))
     grid = fpe.default_grid(spec, 0.5, h=2e-2, dt=2e-3)
@@ -551,6 +556,7 @@ def _suite_fpe_agreement(seed):
 
 
 def _suite_dynkin(seed):
+    from . import analytic, fpe
     checks = []
     spec = ProcessSpec(0.5, 0.0, 2.0, PoissonClock(1.0))
     xs = np.arange(-8.0, 10.0 + 1e-9, 1e-2)

@@ -215,8 +215,9 @@ class Ensemble:
     """A reproducible collection of trajectories.
 
     Rerunning with the same (spec, scheme, seed, n) gives bit-identical
-    trajectories regardless of thread count.  ``seed`` is the entropy of
-    the root ``SeedSequence``, also when the run drew it from the OS.
+    trajectories, however the indices are split between processes.
+    ``seed`` is the entropy of the root ``SeedSequence``, also when the
+    run drew it from the OS.
     """
     spec: ProcessSpec
     scheme: object
@@ -232,7 +233,7 @@ class Ensemble:
         if grid is None:
             grid = self.grid
         if grid is None:
-            raise ValueError("ensemble has no common grid; pass one explicitly")
+            raise SpecError("ensemble has no common grid; pass one explicitly")
         return np.stack([tr.at(grid) for tr in self.trajectories])
 
 
@@ -344,7 +345,7 @@ def write_table(path, header, blocks) -> None:
                 lead += 1
             columns = block[lead:]
             if len({len(col) for col in columns}) != 1:
-                raise ValueError("a block needs columns of equal length after its scalars")
+                raise SpecError("a block needs columns of equal length after its scalars")
             if not len(columns[0]):
                 continue
             prefix = "".join(_cells(col) + "," for col in block[:lead])

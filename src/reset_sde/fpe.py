@@ -258,11 +258,11 @@ def _operator_parts(values, xs, spec):
     values = np.asarray(values, dtype=float)
     xs = np.asarray(xs, dtype=float)
     if len(xs) < 3 or values.shape != xs.shape:
-        raise ValueError("need a grid function on at least 3 points")
+        raise SpecError("need a grid function on at least 3 points")
     steps = np.diff(xs)
     h = steps[0]
     if np.any(np.abs(steps - h) > 1e-9 * h):
-        raise ValueError("grid must be uniform")
+        raise SpecError("grid must be uniform")
     rate = _require_poisson(spec)
     if not xs[0] < spec.x_reset < xs[-1]:
         raise SpecError("reset position must lie inside the grid")

@@ -7,14 +7,20 @@ the reset epochs from the clock, inserts them into the output grid and
 fills the gaps with exact Brownian increments, so the jump to the reset
 point is represented without discretisation error.
 
-Ensembles derive one RNG substream per trajectory from (seed, index),
-which makes results bit-identical no matter how many worker threads run.
+Ensembles derive one RNG substream per trajectory from (seed, index), so
+any process can simulate any range of indices: ``ensemble_csv`` splits an
+ensemble over worker processes and writes the same bytes for any worker
+count.
 """
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 import math
+import multiprocessing
 import os
+import shutil
+import time
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -47,7 +53,14 @@ MAX_EULER_RESET_PROB = 0.1
 
 DEFAULT_EXACT_POINTS = 257
 
-THREADS_ENV_VAR = "RESET_SDE_THREADS"
+TRAJECTORIES_CSV = "trajectories.csv"
+RESETS_CSV = "resets.csv"
+
+# Below this many trajectories ``ensemble_csv`` runs in one process by
+# default.  Starting and joining a forked pool costs 10-15 ms; on the
+# default exact grid two workers broke even with one near n = 100
+# (2-vCPU VM).
+_MIN_SHARDED_N = 128
 
 
 @dataclass(frozen=True)
@@ -70,8 +83,8 @@ class SchemeConfig:
 
 @dataclass(frozen=True)
 class _Prepared(SchemeConfig):
-    """A config that ``run_ensemble`` validated for its spec, with the
-    per-trajectory sampler built from it, so that ``simulate_exact`` and
+    """A config already validated for its spec, with the per-trajectory
+    sampler that ``_shard`` built from it, so that ``simulate_exact`` and
     ``simulate_euler`` skip validation and set-up on every trajectory."""
     sample: Optional[Callable] = None
 
@@ -302,33 +315,36 @@ def euler_marginal_samples(spec: ProcessSpec, ts, dt: float, n: int, seed,
 # Ensembles
 # ---------------------------------------------------------------------------
 
-def resolve_threads(threads=None) -> int:
-    if threads is None:
-        threads = os.environ.get(THREADS_ENV_VAR, "1")
-    threads = int(threads)
-    if threads < 1:
-        raise SpecError("threads must be at least 1")
-    return threads
-
-
 def run_ensemble(spec: ProcessSpec, cfg: SchemeConfig, n: int, seed,
-                 threads=None, keep: str = "full") -> Ensemble:
+                 keep: str = "full") -> Ensemble:
     """n trajectories with per-trajectory RNG substreams.
 
     Substream i derives from SeedSequence(seed).spawn at index i, so two
-    runs with the same arguments agree bit for bit, independent of the
-    thread count and of execution order, and trajectory i equals
-    ``simulate_exact`` or ``simulate_euler`` on ``default_rng(child i)``.
-    The ensemble records the root entropy as its seed, so a run with
-    ``seed=None`` can be repeated.  ``keep="grid"`` stores positions only
-    at the common output grid (resets still recorded), which keeps large
-    exact-scheme ensembles small.
+    runs with the same arguments agree bit for bit, and trajectory i
+    equals ``simulate_exact`` or ``simulate_euler`` on
+    ``default_rng(child i)``.  The ensemble records the root entropy as its
+    seed, so a run with ``seed=None`` can be repeated.  ``keep="grid"``
+    stores positions only at the common output grid (resets still
+    recorded), which keeps large exact-scheme ensembles small.
     """
     validate_scheme(spec, cfg)
     if not n >= 1:
         raise SpecError("ensemble size must be at least 1")
     if keep not in ("full", "grid"):
         raise SpecError("keep must be 'full' or 'grid'")
+    root = np.random.SeedSequence(seed)
+    grid, trajectories = _shard(spec, cfg, root.entropy, 0, n, keep)
+    return Ensemble(spec=spec, scheme=cfg, seed=root.entropy,
+                    trajectories=trajectories, grid=grid)
+
+
+def _shard(spec, cfg, entropy, start, stop, keep="full"):
+    """(output grid, trajectories start..stop-1) of a validated config.
+
+    Trajectory i draws from ``SeedSequence(entropy, spawn_key=(i,))``,
+    which is child i of the root ``SeedSequence(entropy)``, so a shard
+    needs nothing from the others.
+    """
     if isinstance(cfg.scheme, EulerScheme):
         simulate = simulate_euler
         lattice, sample = _euler_sampler(spec, cfg)
@@ -337,25 +353,119 @@ def run_ensemble(spec: ProcessSpec, cfg: SchemeConfig, n: int, seed,
         simulate = simulate_exact
         grid, sample = _exact_sampler(spec, cfg)
     prepared = _Prepared(cfg.scheme, cfg.horizon, cfg.grid, sample)
-
-    root = np.random.SeedSequence(seed)
-    children = root.spawn(n)
-
-    def one(i):
-        tr = simulate(spec, prepared, np.random.default_rng(children[i]))
+    trajectories = []
+    for i in range(start, stop):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(i,)))
+        tr = simulate(spec, prepared, rng)
         if keep == "grid":
             tr = Trajectory(times=grid, positions=tr.at(grid),
                             reset_times=tr.reset_times)
-        return tr
+        trajectories.append(tr)
+    return grid, trajectories
 
-    workers = resolve_threads(threads)
-    if workers == 1:
-        trajectories = [one(i) for i in range(n)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            trajectories = list(pool.map(one, range(n)))
-    return Ensemble(spec=spec, scheme=cfg, seed=root.entropy,
-                    trajectories=trajectories, grid=grid)
+
+def resolve_workers(n: int, workers=None) -> int:
+    """Worker processes for an n-trajectory ``ensemble_csv``.
+
+    ``workers`` when given, else one per CPU this process may run on, or
+    one for a run too small to gain from more; never more than n.
+    """
+    if workers is None:
+        workers = 1 if n < _MIN_SHARDED_N else _usable_cpus()
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise SpecError("workers must be a positive integer")
+    return max(1, min(workers, n))
+
+
+def _usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pool_context():
+    """``fork`` where the platform has it: a forked worker starts at once,
+    with the package already imported.  Elsewhere ``spawn``.  A fork
+    copies only the calling thread, so a program that runs threads holding
+    locks while it calls ``ensemble_csv`` should pass ``workers=1``."""
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+
+
+def ensemble_csv(spec: ProcessSpec, cfg: SchemeConfig, n: int, seed, out,
+                 workers=None) -> dict:
+    """Simulate n trajectories straight into ``trajectories.csv`` and
+    ``resets.csv`` in the directory ``out``.
+
+    The files hold the bytes that ``ensemble_to_csv`` and ``resets_to_csv``
+    write for ``run_ensemble(spec, cfg, n, seed)``, for any worker count
+    (see ``resolve_workers``).  The indices are split into contiguous
+    shards, one per worker; the calling process runs shard 0 and worker
+    processes the others, each writing its own part files, which are then
+    appended, without their headers, to shard 0's and deleted.  An error
+    in any shard is raised here once every worker has stopped, and no
+    part file is left behind; a worker that dies raises
+    ``ChildProcessError``.
+
+    Returns ``rows``, ``resets_drawn``, ``ensemble_s`` and ``write_s``,
+    each summed over the shards (so the times are process seconds, and
+    may exceed the wall time).
+    """
+    validate_scheme(spec, cfg)
+    if not n >= 1:
+        raise SpecError("ensemble size must be at least 1")
+    k = resolve_workers(n, workers)
+    entropy = np.random.SeedSequence(seed).entropy
+    bounds = [i * n // k for i in range(k + 1)]
+    paths = [os.path.join(out, name) for name in (TRAJECTORIES_CSV, RESETS_CSV)]
+    parts = [[f"{path}.part{i}" for path in paths] for i in range(1, k)]
+    pool = ProcessPoolExecutor(k - 1, mp_context=_pool_context()) if k > 1 else None
+    try:
+        futures = [pool.submit(_write_shard, spec, cfg, entropy, bounds[i],
+                               bounds[i + 1], parts[i - 1]) for i in range(1, k)]
+        counts = [_write_shard(spec, cfg, entropy, 0, bounds[1], paths)]
+        try:
+            counts += [f.result() for f in futures]
+        except BrokenProcessPool as exc:
+            raise ChildProcessError(f"a worker process died: {exc}") from exc
+        clock = time.perf_counter()
+        for path, its_parts in zip(paths, zip(*parts)):
+            _append_parts(path, its_parts)
+        join_s = time.perf_counter() - clock
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+        for shard in parts:
+            for part in shard:
+                if os.path.exists(part):
+                    os.remove(part)
+    totals = {key: sum(c[key] for c in counts) for key in counts[0]}
+    totals["write_s"] += join_s
+    return totals
+
+
+def _write_shard(spec, cfg, entropy, start, stop, paths):
+    """Simulate trajectories start..stop-1 and write both CSVs of them to
+    ``paths``; return the shard's counts and stage times."""
+    clock = time.perf_counter()
+    grid, trajectories = _shard(spec, cfg, entropy, start, stop)
+    ensemble_s = time.perf_counter() - clock
+    clock = time.perf_counter()
+    _trajectories_to_csv(trajectories, grid, start, paths[0])
+    _resets_to_csv(trajectories, start, paths[1])
+    return {"rows": sum(len(tr.times) for tr in trajectories),
+            "resets_drawn": sum(len(tr.reset_times) for tr in trajectories),
+            "ensemble_s": ensemble_s,
+            "write_s": time.perf_counter() - clock}
+
+
+def _append_parts(path, parts):
+    """Append each part file, less its header line, to ``path``."""
+    with open(path, "ab") as out:
+        for part in parts:
+            with open(part, "rb") as fh:
+                fh.readline()
+                shutil.copyfileobj(fh, out)
 
 
 # ---------------------------------------------------------------------------
@@ -394,16 +504,24 @@ def _time_cells(grid):
 
 def ensemble_to_csv(ensemble: Ensemble, path) -> None:
     """Every trajectory's (t, x) rows, grouped by trajectory in index order."""
-    format_times = _time_cells(ensemble.grid)
-    write_table(path, ("traj", "t", "x"),
-                ((i, format_times(tr.times), tr.positions)
-                 for i, tr in enumerate(ensemble.trajectories)))
+    _trajectories_to_csv(ensemble.trajectories, ensemble.grid, 0, path)
 
 
 def resets_to_csv(ensemble: Ensemble, path) -> None:
     """Every trajectory's reset epochs, grouped by trajectory in index order."""
+    _resets_to_csv(ensemble.trajectories, 0, path)
+
+
+def _trajectories_to_csv(trajectories, grid, start, path):
+    format_times = _time_cells(grid)
+    write_table(path, ("traj", "t", "x"),
+                ((i, format_times(tr.times), tr.positions)
+                 for i, tr in enumerate(trajectories, start)))
+
+
+def _resets_to_csv(trajectories, start, path):
     write_table(path, ("traj", "reset_time"),
-                ((i, tr.reset_times) for i, tr in enumerate(ensemble.trajectories)))
+                ((i, tr.reset_times) for i, tr in enumerate(trajectories, start)))
 
 
 def scheme_to_json(cfg: SchemeConfig) -> dict:
@@ -420,8 +538,11 @@ def scheme_to_json(cfg: SchemeConfig) -> dict:
 
 def ensemble_metadata(ensemble: Ensemble) -> dict:
     """JSON document sufficient to regenerate the ensemble."""
-    return {
-        "spec": spec_to_json(ensemble.spec),
-        "run": dict(scheme_to_json(ensemble.scheme),
-                    n=len(ensemble), seed=ensemble.seed),
-    }
+    return run_metadata(ensemble.spec, ensemble.scheme, len(ensemble),
+                        ensemble.seed)
+
+
+def run_metadata(spec: ProcessSpec, cfg: SchemeConfig, n: int, seed) -> dict:
+    """JSON document sufficient to regenerate an n-trajectory run."""
+    return {"spec": spec_to_json(spec),
+            "run": dict(scheme_to_json(cfg), n=n, seed=seed)}

@@ -47,7 +47,7 @@ def histogram_density(samples, bin_spec=None, t: float = math.nan) -> DensityCur
     """
     samples = np.asarray(samples, dtype=float)
     if len(samples) == 0:
-        raise ValueError("no samples")
+        raise DomainError("no samples")
     if samples.max() == samples.min():
         v = float(samples[0])
         return DensityCurve(xs=np.array([v]), values=np.array([1.0]),
@@ -102,9 +102,9 @@ def fit_power_law_exponent(series: MsdSeries, window=None) -> float:
     lo, hi = window
     mask = (ts >= lo) & (ts <= hi) & (ts > 0)
     if mask.sum() < 10:
-        raise ValueError("fit window must contain at least 10 points")
+        raise DomainError("fit window must contain at least 10 points")
     if np.any(msd[mask] <= 0):
-        raise ValueError("msd must be positive inside the fit window")
+        raise DomainError("msd must be positive inside the fit window")
     slope = np.polyfit(np.log(ts[mask]), np.log(msd[mask]), 1)[0]
     return float(slope)
 
@@ -124,15 +124,15 @@ def ks_distance(samples, cdf_evaluator) -> float:
     samples = np.sort(np.asarray(samples, dtype=float))
     n = len(samples)
     if n < 10:
-        raise ValueError("need at least 10 samples")
+        raise DomainError("need at least 10 samples")
     try:
         cdf = np.asarray(cdf_evaluator(samples), dtype=float)
     except (TypeError, ValueError):
         cdf = np.array([float(cdf_evaluator(x)) for x in samples])
     if cdf.shape != samples.shape:
-        raise ValueError("cdf evaluator must return one value per sample")
+        raise SpecError("cdf evaluator must return one value per sample")
     if np.any(np.diff(cdf) < -1e-12):
-        raise ValueError("cdf evaluator is not monotone")
+        raise SpecError("cdf evaluator is not monotone")
     steps = np.arange(1, n + 1) / n
     return float(max(np.max(steps - cdf), np.max(cdf - (steps - 1.0 / n))))
 
@@ -192,7 +192,7 @@ def cdf_from_density_curve(curve: DensityCurve):
     from scipy.integrate import cumulative_trapezoid
     cum = cumulative_trapezoid(curve.values, curve.xs, initial=0.0)
     if cum[-1] <= 0:
-        raise ValueError("density curve has no mass")
+        raise DomainError("density curve has no mass")
     cum = cum / cum[-1]
     xs = np.asarray(curve.xs, dtype=float)
 
@@ -212,7 +212,7 @@ def empirical_char_fn(samples, s: float) -> EmpiricalCf:
     samples = np.asarray(samples, dtype=float)
     n = len(samples)
     if n < 100:
-        raise ValueError("need at least 100 samples")
+        raise DomainError("need at least 100 samples")
     phases = np.exp(1j * s * samples)
     value = complex(phases.mean())
     stderr = math.sqrt((phases.real.var() + phases.imag.var()) / n)

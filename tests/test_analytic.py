@@ -586,3 +586,22 @@ class TestCurves:
     def test_provenance_is_checked(self):
         with pytest.raises(ValueError):
             DensityCurve(np.array([0.0]), np.array([1.0]), 0.0, "guess")
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize("call, error", [
+        (lambda: DensityCurve(np.array([0.0]), np.array([1.0]), 0.0, "guess"),
+         SpecError),
+        (lambda: analytic.laplace_moment(-1, 1.0), DomainError),
+        (lambda: gaussian_moment(-1, 0.0, 1.0), DomainError),
+        (lambda: analytic.sum_moment(-1, 1.0, 1.0), DomainError),
+        (lambda: analytic.nth_moment(ProcessSpec(0.5, 1.0, 0.0, PoissonClock(1.0)),
+                                     -1, 1.0), DomainError),
+        (lambda: analytic._fd_weights(np.array([-1.0, 1.0]), 2), SpecError),
+        (lambda: analytic.moment_from_mgf(ProcessSpec(0.5, 1.0, 0.0, PoissonClock(1.0)),
+                                          3, 1.0, points=3), SpecError),
+    ], ids=["provenance", "laplace", "gaussian", "sum", "nth", "fd-weights",
+            "mgf-stencil"])
+    def test_bad_arguments_raise_typed_errors(self, call, error):
+        with pytest.raises(error):
+            call()

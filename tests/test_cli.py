@@ -2,13 +2,17 @@ import csv
 import hashlib
 import json
 import math
+import multiprocessing
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from reset_sde import analytic, cli
-from reset_sde.core import PoissonClock, ProcessSpec
+import reset_sde
+from reset_sde import analytic, cli, simulate
+from reset_sde.core import DomainError, NumericalError, PoissonClock, ProcessSpec
 
 
 def run(args):
@@ -119,15 +123,27 @@ class TestSimulateCommand:
         counters = json.loads((tmp_path / "ren" / "manifest.json").read_text())["counters"]
         assert counters["resets_expected"] is None
 
-    def test_byte_identical_reruns_and_thread_independence(self, tmp_path):
-        base = ["simulate", "--r", 1, "--xr", 2, "--scheme", "exact",
-                "--horizon", 3, "--n", 8, "--seed", 11]
-        payloads = []
-        for name, threads in (("a", 1), ("b", 1), ("c", 4)):
+    @pytest.mark.parametrize("args", [
+        ["--r", 1, "--xr", 2, "--scheme", "exact", "--horizon", 3, "--n", 8,
+         "--seed", 11],
+        ["--r", 1, "--xr", 2, "--scheme", "euler", "--dt", 0.01, "--horizon", 1,
+         "--n", 7, "--seed", 3],
+        ["--clock", "renewal", "--renewal-law",
+         '{"name":"pareto","alpha":1.5,"xm":0.2}', "--horizon", 5, "--n", 9,
+         "--seed", 4],
+        ["--r", 1, "--horizon", 3, "--n", 2, "--seed", 9],
+    ], ids=["exact", "euler", "pareto", "n2"])
+    def test_byte_identical_reruns_and_worker_independence(self, tmp_path, args):
+        outputs = []
+        for name, workers in (("a", 1), ("b", 1), ("c", 2), ("d", 3)):
             out = tmp_path / name
-            assert run(base + ["--threads", threads, "--out", out]) == 0
-            payloads.append((out / "trajectories.csv").read_bytes())
-        assert payloads[0] == payloads[1] == payloads[2]
+            assert run(["simulate", *args, "--workers", workers, "--out", out]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["config"]["workers"] == min(workers, manifest["config"]["run"]["n"])
+            outputs.append(((out / "trajectories.csv").read_bytes(),
+                            (out / "resets.csv").read_bytes(),
+                            manifest["counters"], sorted(os.listdir(out))))
+        assert all(other == outputs[0] for other in outputs[1:])
 
     def test_config_file_with_flag_override(self, tmp_path):
         config = tmp_path / "cfg.json"
@@ -142,13 +158,10 @@ class TestSimulateCommand:
         assert manifest["config"]["spec"]["clock"]["r"] == 1.0
         assert manifest["config"]["spec"]["xR"] == 4.0
 
-    def test_env_var_sets_default_threads(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("RESET_SDE_THREADS", "2")
-        out = tmp_path / "env"
-        assert run(["simulate", "--r", 1, "--horizon", 1, "--n", 2,
-                    "--seed", 1, "--out", out]) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["config"]["threads"] == 2
+    def test_zero_workers_exits_2(self, tmp_path, capsys):
+        assert run(["simulate", "--n", 4, "--workers", 0,
+                    "--out", tmp_path / "w"]) == 2
+        assert capsys.readouterr().err.startswith("error: config: workers")
 
     def test_invalid_spec_exits_2(self, tmp_path):
         assert run(["simulate", "--r", 1, "--d", 0,
@@ -159,6 +172,51 @@ class TestSimulateCommand:
         blocker.write_text("i am a file")
         assert run(["simulate", "--r", 1, "--horizon", 1, "--n", 1,
                     "--seed", 0, "--out", blocker / "sub"]) == 3
+
+    @pytest.mark.parametrize("error, code, label, suffix", [
+        (OSError(28, "No space left on device"), 3, "io", ".part1"),
+        (NumericalError("walk left its accuracy regime"), 4, "numerical", ".part2"),
+        (DomainError("outside the domain"), 2, "config", ".part1"),
+        (OSError(28, "No space left on device"), 3, "io", ".csv"),
+        (None, 3, "io: a worker process died", ".part1"),
+    ], ids=["io", "numerical", "domain", "calling-process", "dead-worker"])
+    def test_shard_failure_exits_with_its_code(self, tmp_path, capfd, monkeypatch,
+                                               error, code, label, suffix):
+        # Forked workers inherit the patch.  A ".partN" suffix fails the
+        # worker that writes shard N; ".csv" fails shard 0, which the
+        # calling process runs while the workers finish theirs.
+        real = simulate.write_table
+
+        def failing(path, *rest):
+            if os.fspath(path).endswith(suffix):
+                if error is None:
+                    os._exit(1)
+                raise error
+            return real(path, *rest)
+
+        monkeypatch.setattr(simulate, "write_table", failing)
+        out = tmp_path / "fail"
+        assert run(["simulate", "--r", 1, "--horizon", 2, "--n", 12,
+                    "--seed", 5, "--workers", 3, "--out", out]) == code
+        err = capfd.readouterr().err
+        assert err.startswith(f"error: {label}:")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not [name for name in os.listdir(out) if ".part" in name]
+        assert multiprocessing.active_children() == []
+
+    def test_simulate_imports_no_scipy(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(reset_sde.__file__))
+        code = ("import sys\n"
+                "from reset_sde import cli\n"
+                f"assert cli.main(['simulate', '--n', '3', '--horizon', '1', "
+                f"'--out', {str(tmp_path)!r}]) == 0\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                p for p in (src, os.environ.get("PYTHONPATH")) if p)))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestAnalyticCommand:

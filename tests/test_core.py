@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as hs
 
 from reset_sde import (
     DeterministicGaps,
+    Ensemble,
     ExponentialGaps,
     NonhomogeneousPoissonClock,
     ParetoGaps,
@@ -276,3 +277,12 @@ class TestCsvWireFormat:
         with pytest.raises(ValueError, match="equal length"):
             write_table(tmp_path / "bad.csv", ("a", "b"),
                         [(np.zeros(2), np.zeros(3))])
+
+
+class TestTypedErrors:
+    def test_missing_grid_and_ragged_block_raise_spec_error(self, tmp_path):
+        tr = Trajectory(np.array([0.0, 1.0]), np.zeros(2), np.empty(0))
+        with pytest.raises(SpecError, match="no common grid"):
+            Ensemble(fig1_spec(), None, 0, [tr]).positions_at()
+        with pytest.raises(SpecError, match="equal length"):
+            write_table(tmp_path / "bad.csv", ("a", "b"), [(np.zeros(2), np.zeros(3))])

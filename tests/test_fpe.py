@@ -208,3 +208,12 @@ class TestOperators:
         hi = marginal_samples(spec, t + delta, n, seed=2718)
         resid = (hi ** 2 - lo ** 2) / (2 * delta) - np.interp(mid, xs, action)
         assert abs(resid.mean()) < 3 * resid.std() / math.sqrt(n)
+
+
+class TestTypedErrors:
+    def test_bad_grid_functions_raise_spec_error(self):
+        spec = ProcessSpec(0.5, 0.0, 0.0, PoissonClock(1.0))
+        with pytest.raises(SpecError, match="at least 3 points"):
+            apply_generator(np.zeros(2), np.arange(2.0), spec)
+        with pytest.raises(SpecError, match="uniform"):
+            apply_adjoint(np.zeros(4), np.array([0.0, 1.0, 2.0, 4.0]), spec)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reset_sde import _kernels
+from reset_sde import SpecError, _kernels
 from reset_sde._kernels import _walk_py
 
 
@@ -52,3 +52,12 @@ class TestSemantics:
         bad = np.zeros(4, dtype=np.uint8)
         with pytest.raises(ValueError):
             _walk_py.resetting_walk(0.0, 0.0, dw, bad, np.empty(6))
+
+    def test_shape_mismatch_is_a_spec_error(self):
+        with pytest.raises(SpecError, match="shape mismatch"):
+            _walk_py.resetting_walk(0.0, 0.0, np.zeros(5), np.zeros(4, dtype=np.uint8),
+                                    np.empty(6))
+        with pytest.raises(SpecError, match="shape mismatch"):
+            _walk_py.resetting_walk_batch(0.0, 0.0, np.zeros((2, 5)),
+                                          np.zeros((2, 4), dtype=np.uint8),
+                                          np.empty((2, 6)))

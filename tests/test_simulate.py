@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -20,11 +21,13 @@ from reset_sde.simulate import (
     EulerScheme,
     ExactScheme,
     SchemeConfig,
+    ensemble_csv,
     ensemble_metadata,
     ensemble_to_csv,
     euler_marginal_samples,
     marginal_samples,
     resets_to_csv,
+    resolve_workers,
     run_ensemble,
     simulate_euler,
     simulate_exact,
@@ -259,22 +262,20 @@ class TestMarginalSampler:
 
 
 class TestEnsemble:
-    def test_bit_identical_reruns_and_thread_independence(self):
+    def test_bit_identical_reruns(self):
         spec = poisson_spec(1.0, 0.0, 2.0)
         cfg = SchemeConfig(ExactScheme(), horizon=2.0)
-        runs = [run_ensemble(spec, cfg, 40, seed=5, threads=th)
-                for th in (1, 1, 4)]
-        for other in runs[1:]:
-            for a, b in zip(runs[0].trajectories, other.trajectories):
-                assert np.array_equal(a.times, b.times)
-                assert np.array_equal(a.positions, b.positions)
-                assert np.array_equal(a.reset_times, b.reset_times)
+        runs = [run_ensemble(spec, cfg, 40, seed=5) for _ in range(2)]
+        for a, b in zip(runs[0].trajectories, runs[1].trajectories):
+            assert np.array_equal(a.times, b.times)
+            assert np.array_equal(a.positions, b.positions)
+            assert np.array_equal(a.reset_times, b.reset_times)
 
     def test_euler_ensembles_are_deterministic_too(self):
         spec = poisson_spec(1.0, 0.0, 2.0)
         cfg = SchemeConfig(EulerScheme(1e-2), horizon=1.0)
         a = run_ensemble(spec, cfg, 16, seed=9)
-        b = run_ensemble(spec, cfg, 16, seed=9, threads=3)
+        b = run_ensemble(spec, cfg, 16, seed=9)
         for x, y in zip(a.trajectories, b.trajectories):
             assert np.array_equal(x.positions, y.positions)
 
@@ -393,6 +394,39 @@ class TestExport:
             "e8b4fc0cc3980bf1eb36418f3b5627c0f9025ed7c9ba8de27218cb0bae00c6de")
         assert sha256(slim) == (
             "7618eaf075799fe963513d5c9eefa5632635f7fd439ddd05f2d4fe3609710bf3")
+
+    @pytest.mark.parametrize("spec, cfg", [
+        (poisson_spec(1.0, 0.0, 2.0), SchemeConfig(ExactScheme(), horizon=3.0)),
+        (ProcessSpec(0.5, 0.0, 1.0, RenewalClock(DeterministicGaps(0.5))),
+         SchemeConfig(ExactScheme(), horizon=5.0, grid=np.linspace(0.0, 5.0, 11))),
+        (poisson_spec(1.0, 0.0, 2.0),
+         SchemeConfig(EulerScheme(0.1), horizon=1.0, grid=[-0.0, 0.5, 1.0])),
+    ], ids=["exact", "resets-on-grid", "euler-signed-zero-grid"])
+    def test_sharded_csv_equals_the_ensemble_writers(self, tmp_path, spec, cfg):
+        ens = run_ensemble(spec, cfg, 7, seed=3)
+        ensemble_to_csv(ens, tmp_path / "t.csv")
+        resets_to_csv(ens, tmp_path / "r.csv")
+        for workers in (1, 2, 3):
+            out = tmp_path / str(workers)
+            out.mkdir()
+            counts = ensemble_csv(spec, cfg, 7, 3, out, workers=workers)
+            assert (out / "trajectories.csv").read_bytes() == (tmp_path / "t.csv").read_bytes()
+            assert (out / "resets.csv").read_bytes() == (tmp_path / "r.csv").read_bytes()
+            assert sorted(os.listdir(out)) == ["resets.csv", "trajectories.csv"]
+            assert counts["rows"] == sum(len(tr.times) for tr in ens.trajectories)
+            assert counts["resets_drawn"] == sum(len(tr.reset_times)
+                                                 for tr in ens.trajectories)
+            assert counts["ensemble_s"] >= 0 and counts["write_s"] >= 0
+
+    def test_worker_count_is_capped_by_n_and_checked(self, monkeypatch):
+        monkeypatch.setattr(simulate_module, "_usable_cpus", lambda: 64)
+        assert resolve_workers(3, 8) == 3
+        assert resolve_workers(10**6) == 64
+        assert resolve_workers(5) == 1  # a small run stays in one process
+        assert resolve_workers(10**6, 2) == 2
+        for bad in (0, -1, 1.5, True, "2"):
+            with pytest.raises(SpecError, match="workers"):
+                resolve_workers(10, bad)
 
     def test_metadata_round_trips_through_json(self):
         spec = poisson_spec(2.0, 1.0, -1.0)

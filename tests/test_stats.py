@@ -233,3 +233,26 @@ class TestCsvExports:
         path = tmp_path / "msd.csv"
         series.to_csv(path)
         assert path.read_text().splitlines() == ["t,msd", "1.0,0.5", "2.0,0.9"]
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize("call, error", [
+        (lambda: histogram_density(np.empty(0)), DomainError),
+        (lambda: fit_power_law_exponent(
+            MsdSeries(np.geomspace(0.1, 10.0, 30), np.geomspace(0.1, 10.0, 30), 1),
+            window=(9.0, 10.0)), DomainError),
+        (lambda: fit_power_law_exponent(
+            MsdSeries(np.geomspace(0.1, 10.0, 30), -np.ones(30), 1),
+            window=(0.1, 10.0)), DomainError),
+        (lambda: ks_distance(np.zeros(5), norm.cdf), DomainError),
+        (lambda: ks_distance(np.linspace(0, 1, 20), lambda x: np.zeros(3)), SpecError),
+        (lambda: ks_distance(np.linspace(0, 1, 100), lambda x: np.cos(10 * x)),
+         SpecError),
+        (lambda: cdf_from_density_curve(analytic.DensityCurve(
+            np.linspace(0.0, 1.0, 5), np.zeros(5), 0.0, "analytic")), DomainError),
+        (lambda: empirical_char_fn(np.zeros(50), 1.0), DomainError),
+    ], ids=["no-samples", "short-window", "nonpositive-msd", "few-ks-samples",
+            "cdf-shape", "cdf-monotone", "no-mass", "few-cf-samples"])
+    def test_bad_inputs_raise_typed_errors(self, call, error):
+        with pytest.raises(error):
+            call()
