@@ -84,7 +84,23 @@ class TestSimulateCommand:
           "--horizon", 5, "--grid-points", 11, "--n", 40, "--seed", 6],
          ("a7739b03d6d701a6bdb9bdfe6e7ea6e398f73ba8224d79e340f8ad0417e25413",
           "f626620a5a29e7fdcce98323e5dd35d61ee2b9b62b8e77fb661bb3279e59c7d4")),
-    ], ids=["euler", "deterministic-on-grid"])
+        # power-law clock: unit-rate events mapped through R^-1
+        (["--r", 1, "--p", 0.5, "--x0", 0.5, "--xr", -1, "--scheme", "exact",
+          "--horizon", 4, "--n", 30, "--seed", 8],
+         ("771734f06c8f1b8b07bd2b508f32abd38e9710bc55a26e3c50979b80a4146eee",
+          "3a18a507ccc0b6c42639b04d90b727beb6d04ff4e4e14ae4f3886534124713f8")),
+        # Euler with a decaying intensity r(t) = (t+1)^-0.5
+        (["--r", 1, "--p", -0.5, "--xr", 1, "--scheme", "euler", "--dt", 0.01,
+          "--horizon", 2, "--n", 30, "--seed", 9],
+         ("507234747ed4991c967595c2a8418d5f0302decded7ee635604974fad9f709a8",
+          "ba0ddc2ffa51baabeb8c677a55fdcce1b139e77251ad43568ff277ba1f7b7d24")),
+        (["--clock", "renewal", "--renewal-law",
+          '{"name":"pareto","alpha":1.5,"xm":0.2}', "--xr", 1, "--scheme", "exact",
+          "--horizon", 5, "--n", 30, "--seed", 10],
+         ("186e0760f89c193ace42e92940dc5d882d73ae268883f1d8beebd4d27ae08f28",
+          "55e961f22e7a07ed0b939816463b3c2d39a5b952e85f2aeb93dfae0a537184d2")),
+    ], ids=["euler", "deterministic-on-grid", "power-law-exact", "power-law-euler",
+            "pareto"])
     def test_more_outputs_match_pinned_digests(self, tmp_path, args, expected):
         out = tmp_path / "pinned"
         assert run(["simulate", *args, "--out", out]) == 0

@@ -250,6 +250,42 @@ class TestMarginalSampler:
             assert abs(resid.mean()) < 3 * resid.std() / math.sqrt(n)
 
 
+    def test_streams_match_pinned_digests(self):
+        # The sampler streams are part of the output contract: the sha256 of
+        # the float64 bytes of each fixed-seed draw.
+        def digest(a):
+            return hashlib.sha256(np.ascontiguousarray(a, dtype=np.float64)
+                                  .tobytes()).hexdigest()
+
+        def spec(clock):
+            return ProcessSpec(0.7, 0.3, -1.0, clock)
+
+        got = {name: digest(marginal_samples(spec(clock), 2.5, 400, seed=17))
+               for name, clock in [
+                   ("poisson", PoissonClock(1.5)),
+                   ("rate-0", PoissonClock(0.0)),
+                   ("power-law-0.5", NonhomogeneousPoissonClock(1.2, -0.5)),
+                   ("power-law+0.5", NonhomogeneousPoissonClock(1.2, 0.5)),
+                   ("pareto", RenewalClock(ParetoGaps(1.5, 0.2)))]}
+        # several times, unsorted and repeated, with a drift
+        for name, clock in [("euler-poisson", PoissonClock(1.5)),
+                            ("euler-power-law", NonhomogeneousPoissonClock(1.2, 0.5))]:
+            got[name] = digest(euler_marginal_samples(
+                spec(clock), [0.5, 0.1, 1.2, 0.5], 0.01, 400, seed=19, drift=0.4))
+        assert got == {
+            "poisson": "7fae1c24afedd23d4df24b4b9e87e181b5a206852e1a6c53eafc9d75a16e44d3",
+            "rate-0": "cbc3b0ef44b58076dcba7a0050ece60a0c2005da264fbdfee186f6be24a34084",
+            "power-law-0.5":
+                "580014245f50cbb7140538b2ee4c584c6576107b418ae2203b25fcca3d331fea",
+            "power-law+0.5":
+                "70a678fecfacf767dbf7af50d304d2bec0f454567074648b27ab856d35591b89",
+            "pareto": "bb1434d211e4062ebc96db7d9449a7ba8c9b0149f1df646fcbb96c97c57da163",
+            "euler-poisson":
+                "a38c394a24eab7995805e61623e9ea9de01f2ced8b326bcfdb37d576b0f15d21",
+            "euler-power-law":
+                "84db8f1d2f86f9664f0648b7167e0877c62c0e5d4468ead4b097f39c89ce1bf2",
+        }
+
     def test_typed_errors_for_bad_time_and_size(self):
         with pytest.raises(DomainError, match="t must be positive"):
             marginal_samples(poisson_spec(1.0), 0.0, 10, seed=1)
