@@ -95,10 +95,11 @@ class MomentTable:
 
 
 # ---------------------------------------------------------------------------
-# Clock guards and frame helpers
+# Clock guards (each validates the spec) and frame helpers
 # ---------------------------------------------------------------------------
 
 def _poisson_rate(spec: ProcessSpec) -> float:
+    validate_spec(spec)
     if not isinstance(spec.clock, PoissonClock):
         raise SpecError(f"this operation requires a homogeneous Poisson clock; "
                         f"got {type(spec.clock).__name__}")
@@ -106,6 +107,7 @@ def _poisson_rate(spec: ProcessSpec) -> float:
 
 
 def _npp_params(spec: ProcessSpec):
+    validate_spec(spec)
     if not isinstance(spec.clock, NonhomogeneousPoissonClock):
         raise SpecError(f"this operation requires a nonhomogeneous Poisson "
                         f"clock; got {type(spec.clock).__name__}")
@@ -133,7 +135,6 @@ def mgf(spec: ProcessSpec, s: float, t: float) -> float:
 
     Defined for |s| < sqrt(2r) in the unit frame (sqrt(r/D) in general).
     """
-    validate_spec(spec)
     rate = _poisson_rate(spec)
     if t < 0:
         raise DomainError("t must be nonnegative")
@@ -155,7 +156,6 @@ def _mgf_unit(x0, xr, rate, s, t):
 
 def char_fn(spec: ProcessSpec, s, t: float) -> complex:
     """Characteristic function E exp(i s X_t); Poisson clock only."""
-    validate_spec(spec)
     rate = _poisson_rate(spec)
     if t < 0:
         raise DomainError("t must be nonnegative")
@@ -235,7 +235,6 @@ def pdf(spec: ProcessSpec, x, t: float):
     Laplace part plus an exponentially damped correction: the Gaussian
     started at x0 minus the Gaussian-Laplace convolution.
     """
-    validate_spec(spec)
     rate = _poisson_rate(spec)
     if not t > 0:
         raise DomainError("t must be positive")
@@ -259,7 +258,6 @@ def _pdf_unit(x, t, x0, xr, rate):
 
 def stationary_pdf(spec: ProcessSpec, x):
     """Long-time density: Laplace centred at the reset point."""
-    validate_spec(spec)
     rate = _poisson_rate(spec)
     if rate <= 0:
         raise DomainError("no stationary law without resetting (rate 0)")
@@ -275,7 +273,6 @@ def stationary_pdf(spec: ProcessSpec, x):
 
 def mean(spec: ProcessSpec, t) -> float:
     """E X_t = xR + exp(-r t) (x0 - xR); exact for any diffusivity."""
-    validate_spec(spec)
     rate = _poisson_rate(spec)
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
@@ -381,7 +378,6 @@ def nth_moment(spec: ProcessSpec, n: int, t: float) -> float:
     E L^n + exp(-r t)(E W^n - E (W+L)^n).  For a nonzero reset point no
     closed form is implemented; integrate x^n against :func:`pdf` instead.
     """
-    validate_spec(spec)
     rate = _poisson_rate(spec)
     if spec.x_reset != 0.0:
         raise DomainError(
@@ -436,7 +432,6 @@ def moment_from_mgf(spec: ProcessSpec, n: int, t: float,
 
     This is the independent cross-check route for :func:`nth_moment`.
     """
-    validate_spec(spec)
     rate = _poisson_rate(spec)
     if points <= n:
         raise SpecError("stencil must have more points than the order")
@@ -517,7 +512,6 @@ def npp_char_fn(spec: ProcessSpec, s, t: float) -> complex:
     is max(1e-12, 1e-8 * max|value|) at every point: values far below the
     largest one (large |s|) carry that absolute accuracy, not a relative one.
     """
-    validate_spec(spec)
     rate, p = _npp_params(spec)
     if not t >= 0:
         raise DomainError("t must be nonnegative")
@@ -557,7 +551,6 @@ def npp_pdf(spec: ProcessSpec, x, t: float):
     density value among them: far-tail values carry that absolute
     accuracy, not a relative one.
     """
-    validate_spec(spec)
     rate, p = _npp_params(spec)
     if not t > 0:
         raise DomainError("t must be positive")
@@ -605,7 +598,6 @@ def npp_msd(spec: ProcessSpec, t: float) -> float:
     exponent -1 the closed form (t+1)/(r+1) - (t+1)^(-r)/(r+1) is used
     directly.  Scales as 2 D times the unit-frame value.
     """
-    validate_spec(spec)
     rate, p = _npp_params(spec)
     if not t >= 0:
         raise DomainError("t must be nonnegative")
@@ -672,19 +664,12 @@ def classify_regime(p: float) -> RegimeInfo:
 # ---------------------------------------------------------------------------
 
 def spatial_scale(spec: ProcessSpec, t: float) -> float:
-    """Max of the diffusive and stationary standard scales."""
+    """Max of the diffusive scale and, at base rate r > 0, sqrt(D / r)."""
     scale = math.sqrt(2.0 * spec.diffusivity * t)
-    rate = _base_positive_rate(spec)
+    rate = spec.clock.base_rate
     if rate:
         scale = max(scale, math.sqrt(spec.diffusivity / rate))
     return scale
-
-
-def _base_positive_rate(spec):
-    clock = spec.clock
-    if isinstance(clock, (PoissonClock, NonhomogeneousPoissonClock)) and clock.rate > 0:
-        return clock.rate
-    return None
 
 
 _NPP_SUPPORT_RMS = 12.0  # half-width of the power-law grid, in rms displacements

@@ -23,7 +23,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .clocks import expected_resets
+from .clocks import clock_from_json, expected_resets
 from .core import (
     DomainError,
     NonhomogeneousPoissonClock,
@@ -31,7 +31,6 @@ from .core import (
     PoissonClock,
     ProcessSpec,
     SpecError,
-    clock_from_json,
     spec_to_json,
     validate_spec,
     write_table,
@@ -45,8 +44,6 @@ from .simulate import (
     ensemble_csv,
     euler_marginal_samples,
     marginal_samples,
-    resolve_workers,
-    run_ensemble,
     run_metadata,
 )
 
@@ -184,23 +181,15 @@ def _merged(args, config, key, default=None):
 
 def _build_clock(args, config):
     doc = dict(config["clock"]) if isinstance(config.get("clock"), dict) else {}
-    kind = getattr(args, "clock", None)
-    if kind is not None:
-        doc["type"] = kind
-    r = getattr(args, "r", None)
-    if r is not None:
-        doc["r"] = r
-    p = getattr(args, "p", None)
-    if p is not None:
-        doc["p"] = p
+    for key, flag in (("type", "clock"), ("r", "r"), ("p", "p")):
+        if getattr(args, flag, None) is not None:
+            doc[key] = getattr(args, flag)
     law_text = getattr(args, "renewal_law", None)
     if law_text:
         doc["renewal_law"] = json.loads(law_text)
-    if "type" not in doc:
-        doc["type"] = "npp" if "p" in doc else "poisson"
-    doc.setdefault("r", 1.0)
-    if doc["type"] == "npp":
-        doc.setdefault("p", 0.0)
+    doc.setdefault("type", "npp" if "p" in doc else "poisson")
+    if doc["type"] in ("poisson", "npp"):
+        doc.setdefault("r", 1.0)
     return clock_from_json(doc)
 
 
@@ -253,19 +242,21 @@ def _cmd_simulate(args) -> int:
     workers = _merged(args, config, "workers")
     grid_points = _merged(args, config, "grid-points",
                           config.get("grid_points"))
+    grid = None
     if scheme_name == "euler":
         dt = _merged(args, config, "dt")
         if dt is None:
             raise SpecError("the Euler scheme requires --dt")
+        if grid_points is not None:
+            raise SpecError("--grid-points applies to the exact scheme only; "
+                            "the Euler scheme writes its dt lattice")
         scheme = EulerScheme(dt=float(dt))
     else:
         scheme = ExactScheme()
-    grid = None
-    if grid_points is not None and scheme_name == "exact":
-        grid = np.linspace(0.0, horizon, int(grid_points))
+        if grid_points is not None:
+            grid = np.linspace(0.0, horizon, int(grid_points))
     cfg = SchemeConfig(scheme=scheme, horizon=horizon, grid=grid)
 
-    workers = resolve_workers(n, workers)
     out = _out_dir(args)
     counts = ensemble_csv(spec, cfg, n, seed, out, workers)
     expected = expected_resets(spec.clock, horizon)
@@ -275,7 +266,7 @@ def _cmd_simulate(args) -> int:
         "resets_drawn": counts["resets_drawn"],
         "resets_expected": None if expected is None else n * expected,
     }
-    resolved = dict(run_metadata(spec, cfg, n, seed), workers=workers, out=out)
+    resolved = dict(run_metadata(spec, cfg, n, seed), workers=counts["workers"], out=out)
     _write_manifest(out, "simulate", resolved, seed,
                     [TRAJECTORIES_CSV, RESETS_CSV], started,
                     stages={"ensemble_s": round(counts["ensemble_s"], 3),
@@ -367,19 +358,15 @@ def _x_grid(args, spec):
 
 def _transform_curve(args, spec, out, what):
     from . import analytic
-    if isinstance(spec.clock, NonhomogeneousPoissonClock):
-        if what == "mgf":
-            raise SpecError("the MGF is implemented for the homogeneous "
-                            "clock only")
-        evaluate = lambda s: analytic.npp_char_fn(spec, s, args.t)
-    elif what == "mgf":
+    if what == "mgf":  # analytic.mgf refuses all but the homogeneous clock
         evaluate = lambda s: analytic.mgf(spec, s, args.t)
+    elif isinstance(spec.clock, NonhomogeneousPoissonClock):
+        evaluate = lambda s: analytic.npp_char_fn(spec, s, args.t)
     else:
         evaluate = lambda s: analytic.char_fn(spec, s, args.t)
     if args.s_lo is None or args.s_hi is None:
-        if what == "mgf" and isinstance(spec.clock, PoissonClock) \
-                and spec.clock.rate > 0:
-            edge = 0.98 * math.sqrt(spec.clock.rate / spec.diffusivity)
+        if what == "mgf" and spec.clock.base_rate:
+            edge = 0.98 * math.sqrt(spec.clock.base_rate / spec.diffusivity)
             s_lo, s_hi = -edge, edge
         else:
             s_lo, s_hi = -5.0, 5.0
@@ -504,27 +491,38 @@ def _suite_moments(seed):
 
 
 def _suite_msd_exponents(seed):
+    from statistics import NormalDist
     from . import analytic, stats
-    checks = []
+    # Each check fails a correct program with probability about false_alarm.
+    # From n samples an MSD has relative standard error sqrt(5 / n) for a
+    # Laplace law (kurtosis 6), less for the others: 5.8% at n = 1500, where
+    # 0.12 was ~2 SE.  n makes it z SE, z the two-sided normal quantile.
+    tolerance, false_alarm = 0.12, 1e-6
+    z = NormalDist().inv_cdf(1.0 - false_alarm / 2.0)
+    n = math.ceil((z * math.sqrt(5.0) / tolerance) ** 2)
     grid = np.geomspace(0.1, 100.0, 48)
-    cfg = SchemeConfig(scheme=ExactScheme(), horizon=100.0, grid=grid)
+
+    def msd_series(spec, seed):
+        # x0 = xR = 0, so the displacement is measured from 0
+        xs = marginal_samples(spec, grid, n, seed)
+        return stats.MsdSeries(ts=grid, msd=np.mean(xs ** 2, axis=0), n_samples=n)
+
+    checks = []
     for i, p in enumerate((-0.5, -1.0, -1.5, 0.0)):
         spec = ProcessSpec(0.5, 0.0, 0.0, NonhomogeneousPoissonClock(1.0, p))
-        ens = run_ensemble(spec, cfg, 1500, seed=seed + i, keep="grid")
-        series = stats.empirical_msd(ens)
+        series = msd_series(spec, seed + i)
         mu = stats.fit_power_law_exponent(series)
         mu_alt = stats.fit_power_law_exponent(series, window=(25.0, 100.0))
         target = analytic.classify_regime(p).exponent
         checks.append(_check(
             f"msd exponent p={p:g} (fit {mu:+.3f} / alt window {mu_alt:+.3f})",
-            abs(mu - target), 0.12))
+            abs(mu - target), tolerance))
     spec = ProcessSpec(0.5, 0.0, 0.0, NonhomogeneousPoissonClock(1.0, 0.5))
-    ens = run_ensemble(spec, cfg, 1500, seed=seed + 9, keep="grid")
-    series = stats.empirical_msd(ens)
+    series = msd_series(spec, seed + 9)
     tail = series.msd[-1]
     target = analytic.npp_msd(spec, 100.0)
     checks.append(_check("msd p=0.5 at horizon vs quadrature",
-                         abs(tail - target) / target, 0.12))
+                         abs(tail - target) / target, tolerance))
     checks.append(_check("msd p=0.5 decreasing over last decade",
                          series.msd[-1] - np.interp(10.0, series.ts, series.msd),
                          0.0))

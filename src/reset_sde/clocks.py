@@ -1,28 +1,22 @@
-"""Reset-event generation.
+"""Resetting clocks: everything that depends on the clock kind, defined once.
 
-Homogeneous Poisson clocks accumulate exponential gaps.  Power-law
-nonhomogeneous Poisson clocks are sampled exactly by mapping a
-unit-rate event stream through the inverse cumulative intensity (no
-thinning, which has no a.s. bound on proposals for growing intensity).
-Renewal clocks accumulate i.i.d. gaps from a pluggable law.
-"""
+The clock enters the dynamics only through its counting process N_t, in
+the jump term -(X_{t-} - x_R) dN_t, so every clock answers the same
+questions: ``validate()``, ``to_json()``, ``base_rate`` (None for renewal
+clocks) and ``sample_events(horizon, rng)``, its epochs in (0, horizon].
+The two Poisson clocks are one power-law family, intensity
+rate*(t+1)**exponent (homogeneous: exponent 0, the one admitting rate 0),
+and also give ``intensity``, ``cumulative`` R(t) and ``inverse_cumulative``.
+Renewal clocks accumulate i.i.d. gaps from a law with ``draw(rng, size)``
+and ``mean_gap``."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 import math
+from typing import Union
 
 import numpy as np
 
-from .core import (
-    DeterministicGaps,
-    DomainError,
-    ExponentialGaps,
-    NonhomogeneousPoissonClock,
-    ParetoGaps,
-    PoissonClock,
-    RenewalClock,
-    SpecError,
-    _validate_renewal_law,
-)
+from .errors import DomainError, SpecError
 
 
 @dataclass(frozen=True)
@@ -69,34 +63,77 @@ def inverse_cumulative_intensity(f: IntensityFunction, u):
     return float(out) if out.ndim == 0 else out
 
 
-def expected_resets(clock, horizon):
-    """Mean number of resets in [0, horizon], R(horizon), for Poisson and
-    power-law clocks; None for renewal clocks, which have no closed form."""
-    if isinstance(clock, PoissonClock):
-        return clock.rate * horizon
-    if isinstance(clock, NonhomogeneousPoissonClock):
-        return cumulative_intensity(IntensityFunction(clock.rate, clock.exponent), horizon)
-    return None
+def _zeros(t):
+    out = np.zeros(np.shape(t))
+    return float(out) if out.ndim == 0 else out
 
 
-def _gap_sampler(law):
-    _validate_renewal_law(law)
-    if isinstance(law, ExponentialGaps):
-        return lambda rng, size: rng.exponential(law.mean, size)
-    if isinstance(law, DeterministicGaps):
-        return lambda rng, size: np.full(size, law.gap)
-    if isinstance(law, ParetoGaps):
-        return lambda rng, size: law.xm * rng.random(size) ** (-1.0 / law.alpha)
-    raise SpecError(f"unsupported renewal law: {type(law).__name__}")
+# ---------------------------------------------------------------------------
+# Renewal gap laws
+# ---------------------------------------------------------------------------
+
+class _GapLaw:
+    """A law of i.i.d. inter-reset times, every parameter positive."""
+
+    def validate(self) -> None:
+        for f in fields(self):
+            if not getattr(self, f.name) > 0:
+                raise SpecError(f"renewal_law.{f.name} must be positive")
+
+    def to_json(self) -> dict:
+        return {"name": self.name, **{f.name: getattr(self, f.name) for f in fields(self)}}
 
 
-def _accumulate_gaps(draw, horizon, rng, mean_gap):
-    """Cumulative sums of positive gaps, truncated at ``horizon``."""
+@dataclass(frozen=True)
+class ExponentialGaps(_GapLaw):
+    """Exponential inter-reset times with the given mean."""
+    mean: float
+    name = "exponential"
+    mean_gap = property(lambda self: self.mean)
+
+    def draw(self, rng, size):
+        return rng.exponential(self.mean, size)
+
+
+@dataclass(frozen=True)
+class DeterministicGaps(_GapLaw):
+    """Fixed inter-reset time."""
+    gap: float
+    name = "deterministic"
+    mean_gap = property(lambda self: self.gap)
+
+    def draw(self, rng, size):
+        return np.full(size, self.gap)
+
+
+@dataclass(frozen=True)
+class ParetoGaps(_GapLaw):
+    """Pareto inter-reset times: survival (xm/x)**alpha for x >= xm."""
+    alpha: float
+    xm: float
+    name = "pareto"
+
+    def draw(self, rng, size):
+        return self.xm * rng.random(size) ** (-1.0 / self.alpha)
+
+    @property
+    def mean_gap(self):
+        return self.xm * self.alpha / (self.alpha - 1.0) if self.alpha > 1.0 else math.inf
+
+
+RenewalLaw = Union[ExponentialGaps, DeterministicGaps, ParetoGaps]
+_GAP_LAWS = {law.name: law for law in (ExponentialGaps, DeterministicGaps, ParetoGaps)}
+
+
+def _accumulate_gaps(law, horizon, rng):
+    """Cumulative sums of positive gaps drawn from ``law``, truncated at
+    ``horizon``."""
+    mean_gap = law.mean_gap
     block = max(16, int(1.2 * horizon / mean_gap) + 8) if math.isfinite(mean_gap) else 16
     total = 0.0
     chunks = []
     while True:
-        gaps = draw(rng, block)
+        gaps = law.draw(rng, block)
         if np.any(gaps <= 0):
             raise SpecError("renewal law produced a non-positive gap")
         times = total + np.cumsum(gaps)
@@ -107,6 +144,152 @@ def _accumulate_gaps(draw, horizon, rng, mean_gap):
         block = int(1.5 * block) + 16
     events = np.concatenate(chunks)
     return events[events <= horizon]
+
+
+# ---------------------------------------------------------------------------
+# Clocks
+# ---------------------------------------------------------------------------
+
+class _PowerLawClock:
+    """Poisson resetting with intensity rate*(t+1)**exponent.  Without
+    resetting r and R are 0, and so is R^-1 on R's range {0}."""
+
+    base_rate = property(lambda self: self.rate)
+
+    def _law(self):
+        return IntensityFunction(self.rate, self.exponent)
+
+    def intensity(self, t):
+        """r(t), the reset rate at time t."""
+        return self._law()(t) if self.rate else _zeros(t)
+
+    def cumulative(self, t):
+        """R(t), the mean number of resets in [0, t]."""
+        return cumulative_intensity(self._law(), t) if self.rate else _zeros(t)
+
+    def inverse_cumulative(self, u):
+        """R^-1(u), the time at which R reaches u."""
+        return inverse_cumulative_intensity(self._law(), u) if self.rate else _zeros(u)
+
+
+@dataclass(frozen=True)
+class PoissonClock(_PowerLawClock):
+    """Resets arrive as a Poisson process with constant rate.
+
+    ``rate = 0`` is the degenerate no-resetting clock.
+    """
+    rate: float
+    exponent = 0.0
+
+    def validate(self) -> None:
+        if not (self.rate >= 0 and math.isfinite(self.rate)):
+            raise SpecError("clock.rate must be nonnegative")
+
+    def to_json(self) -> dict:
+        return {"type": "poisson", "r": self.rate}
+
+    def sample_events(self, horizon, rng) -> np.ndarray:
+        if self.rate == 0.0:
+            return np.empty(0)
+        return _accumulate_gaps(ExponentialGaps(1.0 / self.rate), horizon, rng)
+
+
+@dataclass(frozen=True)
+class NonhomogeneousPoissonClock(_PowerLawClock):
+    """Resets arrive with power-law intensity rate*(t+1)**exponent."""
+    rate: float
+    exponent: float
+
+    def validate(self) -> None:
+        if not (self.rate > 0 and math.isfinite(self.rate)):
+            raise SpecError("clock.rate must be positive")
+        if not math.isfinite(self.exponent):
+            raise SpecError("clock.exponent must be finite")
+
+    def to_json(self) -> dict:
+        return {"type": "npp", "r": self.rate, "p": self.exponent}
+
+    def sample_events(self, horizon, rng) -> np.ndarray:
+        """A unit-rate event stream up to R(horizon), mapped through R^-1:
+        exact, unlike thinning, which has no a.s. bound on proposals."""
+        budget = self.cumulative(horizon)
+        if not budget > 0:
+            return np.empty(0)
+        return self.inverse_cumulative(_accumulate_gaps(ExponentialGaps(1.0), budget, rng))
+
+
+@dataclass(frozen=True)
+class RenewalClock:
+    """Resets separated by i.i.d. draws from a pluggable gap law."""
+    law: RenewalLaw
+    base_rate = None
+
+    def validate(self) -> None:
+        if not isinstance(self.law, _GapLaw):
+            raise SpecError(f"unsupported renewal_law: {type(self.law).__name__}")
+        self.law.validate()
+
+    def to_json(self) -> dict:
+        return {"type": "renewal", "renewal_law": self.law.to_json()}
+
+    def sample_events(self, horizon, rng) -> np.ndarray:
+        return _accumulate_gaps(self.law, horizon, rng)
+
+
+ResetClock = Union[PoissonClock, NonhomogeneousPoissonClock, RenewalClock]
+
+
+def validate_clock(clock) -> None:
+    """Raise SpecError unless ``clock`` is a clock whose invariants hold."""
+    if not isinstance(clock, (_PowerLawClock, RenewalClock)):
+        raise SpecError(f"unsupported clock type: {type(clock).__name__}")
+    clock.validate()
+
+
+def clock_from_json(doc: dict) -> ResetClock:
+    """Parse a clock document; a field its type does not have is an error."""
+    kind = doc.get("type")
+    try:
+        if kind == "poisson":
+            _only(doc, ["type", "r"], "a poisson clock")
+            return PoissonClock(rate=float(doc["r"]))
+        if kind == "npp":
+            _only(doc, ["type", "r", "p"], "an npp clock")
+            return NonhomogeneousPoissonClock(rate=float(doc["r"]),
+                                              exponent=float(doc.get("p", 0.0)))
+        if kind == "renewal":
+            _only(doc, ["type", "renewal_law"], "a renewal clock")
+            return RenewalClock(_law_from_json(doc.get("renewal_law")))
+    except KeyError as exc:
+        raise SpecError(f"clock is missing field {exc}") from None
+    raise SpecError(f"unknown clock.type: {kind!r}")
+
+
+def _law_from_json(doc) -> RenewalLaw:
+    if not isinstance(doc, dict):
+        raise SpecError("clock.renewal_law must be an object")
+    name = doc.get("name")
+    law = _GAP_LAWS.get(name)
+    if law is None:
+        raise SpecError(f"unknown clock.renewal_law.name: {name!r}")
+    keys = [f.name for f in fields(law)]
+    _only(doc, ["name", *keys], f"a {name} renewal_law")
+    try:
+        return law(*(float(doc[key]) for key in keys))
+    except KeyError as exc:
+        raise SpecError(f"clock.renewal_law is missing field {exc}") from None
+
+
+def _only(doc, keys, what):
+    other = sorted(set(doc) - set(keys))
+    if other:
+        raise SpecError(f"{what} has no field {', '.join(map(repr, other))}")
+
+
+def expected_resets(clock, horizon):
+    """Mean number of resets in [0, horizon], R(horizon), for Poisson and
+    power-law clocks; None for renewal clocks, which have no closed form."""
+    return None if clock.base_rate is None else clock.cumulative(horizon)
 
 
 def sample_reset_times(clock, horizon, rng) -> np.ndarray:
@@ -122,31 +305,5 @@ def sample_reset_times(clock, horizon, rng) -> np.ndarray:
     """
     if not horizon > 0:
         raise SpecError("horizon must be positive")
-    if isinstance(clock, PoissonClock):
-        if clock.rate == 0.0:
-            return np.empty(0)
-        draw = lambda rng, size: rng.exponential(1.0 / clock.rate, size)
-        return _accumulate_gaps(draw, horizon, rng, 1.0 / clock.rate)
-    if isinstance(clock, NonhomogeneousPoissonClock):
-        f = IntensityFunction(clock.rate, clock.exponent)
-        budget = cumulative_intensity(f, horizon)
-        draw = lambda rng, size: rng.exponential(1.0, size)
-        unit_events = _accumulate_gaps(draw, budget, rng, 1.0) if budget > 0 else np.empty(0)
-        return inverse_cumulative_intensity(f, unit_events) if len(unit_events) else np.empty(0)
-    if isinstance(clock, RenewalClock):
-        draw = _gap_sampler(clock.law)
-        mean_gap = _renewal_mean_gap(clock.law)
-        return _accumulate_gaps(draw, horizon, rng, mean_gap)
-    raise SpecError(f"unsupported clock type: {type(clock).__name__}")
-
-
-def _renewal_mean_gap(law):
-    if isinstance(law, ExponentialGaps):
-        return law.mean
-    if isinstance(law, DeterministicGaps):
-        return law.gap
-    if isinstance(law, ParetoGaps):
-        if law.alpha > 1.0:
-            return law.xm * law.alpha / (law.alpha - 1.0)
-        return math.inf
-    return math.inf
+    validate_clock(clock)
+    return clock.sample_events(horizon, rng)

@@ -1,75 +1,25 @@
-"""Domain types shared by every module: process description, resetting
-clocks, trajectories and ensembles, plus validation, unit-diffusivity
-rescaling and the wire formats (JSON documents and CSV tables)."""
+"""Domain types shared by every module: process description (its clocks
+re-exported from :mod:`reset_sde.clocks`), trajectories and ensembles,
+plus validation, unit-diffusivity rescaling and the wire formats."""
 
 from dataclasses import dataclass, field
-from typing import Union
 import math
 
 import numpy as np
 
-
-class SpecError(ValueError):
-    """A process description violates one of its invariants."""
-
-
-class DomainError(ValueError):
-    """An operation was evaluated outside its domain of validity."""
-
-
-class NumericalError(RuntimeError):
-    """A numerical routine left its guaranteed-accuracy regime."""
-
-
-# ---------------------------------------------------------------------------
-# Resetting clocks
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ExponentialGaps:
-    """Exponential inter-reset times with the given mean."""
-    mean: float
-
-
-@dataclass(frozen=True)
-class DeterministicGaps:
-    """Fixed inter-reset time."""
-    gap: float
-
-
-@dataclass(frozen=True)
-class ParetoGaps:
-    """Pareto inter-reset times: survival (xm/x)**alpha for x >= xm."""
-    alpha: float
-    xm: float
-
-
-RenewalLaw = Union[ExponentialGaps, DeterministicGaps, ParetoGaps]
-
-
-@dataclass(frozen=True)
-class PoissonClock:
-    """Resets arrive as a Poisson process with constant rate.
-
-    ``rate = 0`` is the degenerate no-resetting clock.
-    """
-    rate: float
-
-
-@dataclass(frozen=True)
-class NonhomogeneousPoissonClock:
-    """Resets arrive with power-law intensity rate*(t+1)**exponent."""
-    rate: float
-    exponent: float
-
-
-@dataclass(frozen=True)
-class RenewalClock:
-    """Resets separated by i.i.d. draws from a pluggable gap law."""
-    law: RenewalLaw
-
-
-ResetClock = Union[PoissonClock, NonhomogeneousPoissonClock, RenewalClock]
+from .clocks import (  # noqa: F401  (re-exported)
+    DeterministicGaps,
+    ExponentialGaps,
+    NonhomogeneousPoissonClock,
+    ParetoGaps,
+    PoissonClock,
+    RenewalClock,
+    RenewalLaw,
+    ResetClock,
+    clock_from_json,
+    validate_clock,
+)
+from .errors import DomainError, NumericalError, SpecError  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -101,39 +51,8 @@ def validate_spec(spec: ProcessSpec) -> ProcessSpec:
         if (isinstance(value, bool) or not isinstance(value, _REAL_TYPES)
                 or not math.isfinite(value)):
             raise SpecError(f"{name} must be a finite constant")
-    _validate_clock(spec.clock)
+    validate_clock(spec.clock)
     return spec
-
-
-def _validate_clock(clock: ResetClock) -> None:
-    if isinstance(clock, PoissonClock):
-        if not (clock.rate >= 0 and math.isfinite(clock.rate)):
-            raise SpecError("clock.rate must be nonnegative")
-    elif isinstance(clock, NonhomogeneousPoissonClock):
-        if not (clock.rate > 0 and math.isfinite(clock.rate)):
-            raise SpecError("clock.rate must be positive")
-        if not math.isfinite(clock.exponent):
-            raise SpecError("clock.exponent must be finite")
-    elif isinstance(clock, RenewalClock):
-        _validate_renewal_law(clock.law)
-    else:
-        raise SpecError(f"unsupported clock type: {type(clock).__name__}")
-
-
-def _validate_renewal_law(law: RenewalLaw) -> None:
-    if isinstance(law, ExponentialGaps):
-        if not law.mean > 0:
-            raise SpecError("renewal_law.mean must be positive")
-    elif isinstance(law, DeterministicGaps):
-        if not law.gap > 0:
-            raise SpecError("renewal_law.gap must be positive")
-    elif isinstance(law, ParetoGaps):
-        if not law.alpha > 0:
-            raise SpecError("renewal_law.alpha must be positive")
-        if not law.xm > 0:
-            raise SpecError("renewal_law.xm must be positive")
-    else:
-        raise SpecError(f"unsupported renewal_law: {type(law).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -241,59 +160,13 @@ class Ensemble:
 # JSON wire format
 # ---------------------------------------------------------------------------
 
-_RENEWAL_LAW_NAMES = {
-    ExponentialGaps: "exponential",
-    DeterministicGaps: "deterministic",
-    ParetoGaps: "pareto",
-}
-
-
-def clock_to_json(clock: ResetClock) -> dict:
-    if isinstance(clock, PoissonClock):
-        return {"type": "poisson", "r": clock.rate}
-    if isinstance(clock, NonhomogeneousPoissonClock):
-        return {"type": "npp", "r": clock.rate, "p": clock.exponent}
-    if isinstance(clock, RenewalClock):
-        law = clock.law
-        doc = {"name": _RENEWAL_LAW_NAMES[type(law)]}
-        doc.update({k: getattr(law, k) for k in law.__dataclass_fields__})
-        return {"type": "renewal", "renewal_law": doc}
-    raise SpecError(f"unsupported clock type: {type(clock).__name__}")
-
-
-def clock_from_json(doc: dict) -> ResetClock:
-    kind = doc.get("type")
-    if kind == "poisson":
-        return PoissonClock(rate=float(doc["r"]))
-    if kind == "npp":
-        return NonhomogeneousPoissonClock(rate=float(doc["r"]),
-                                          exponent=float(doc.get("p", 0.0)))
-    if kind == "renewal":
-        law_doc = doc.get("renewal_law")
-        if not isinstance(law_doc, dict):
-            raise SpecError("clock.renewal_law must be an object")
-        name = law_doc.get("name")
-        try:
-            if name == "exponential":
-                return RenewalClock(ExponentialGaps(mean=float(law_doc["mean"])))
-            if name == "deterministic":
-                return RenewalClock(DeterministicGaps(gap=float(law_doc["gap"])))
-            if name == "pareto":
-                return RenewalClock(ParetoGaps(alpha=float(law_doc["alpha"]),
-                                               xm=float(law_doc["xm"])))
-        except KeyError as exc:
-            raise SpecError(f"clock.renewal_law is missing field {exc}") from None
-        raise SpecError(f"unknown clock.renewal_law.name: {name!r}")
-    raise SpecError(f"unknown clock.type: {kind!r}")
-
-
 def spec_to_json(spec: ProcessSpec) -> dict:
     """ProcessSpec as a plain JSON document (CLI wire format)."""
     return {
         "diffusivity": spec.diffusivity,
         "x0": spec.x0,
         "xR": spec.x_reset,
-        "clock": clock_to_json(spec.clock),
+        "clock": spec.clock.to_json(),
     }
 
 

@@ -28,12 +28,10 @@ from scipy.linalg import solve_banded
 from .core import (
     DomainError,
     NumericalError,
-    PoissonClock,
     ProcessSpec,
     SpecError,
-    validate_spec,
 )
-from .analytic import DensityCurve
+from .analytic import DensityCurve, _poisson_rate, spatial_scale
 
 MASS_TOLERANCE = 1e-3
 BOUNDARY_MARGIN_SCALES = 5.0
@@ -74,17 +72,6 @@ class FpeGrid:
         return self.x_lo + self.h * np.arange(n + 1)
 
 
-def _stationary_scale(spec):
-    if isinstance(spec.clock, PoissonClock) and spec.clock.rate > 0:
-        return math.sqrt(spec.diffusivity / spec.clock.rate)
-    return 0.0
-
-
-def _scale(spec, t_final):
-    diffusive = math.sqrt(2.0 * spec.diffusivity * t_final) if t_final else 0.0
-    return max(diffusive, _stationary_scale(spec))
-
-
 def default_grid(spec: ProcessSpec, t_final: float, h: float = 1e-2,
                  dt: float = None, boundary: str = "reflecting") -> FpeGrid:
     """Grid padded by 8 standard scales beyond the start and reset
@@ -93,7 +80,7 @@ def default_grid(spec: ProcessSpec, t_final: float, h: float = 1e-2,
     for the stationary law."""
     if t_final is not None and not t_final >= 0:
         raise DomainError("t_final must be nonnegative")
-    pad = DEFAULT_PAD_SCALES * max(_scale(spec, t_final), 10 * h)
+    pad = DEFAULT_PAD_SCALES * max(spatial_scale(spec, t_final or 0.0), 10 * h)
     lo = min(spec.x0, spec.x_reset) - pad
     hi = max(spec.x0, spec.x_reset) + pad
     lo = math.floor(lo / h) * h
@@ -103,7 +90,7 @@ def default_grid(spec: ProcessSpec, t_final: float, h: float = 1e-2,
 
 
 def _check_margins(spec, grid, t_final):
-    margin = BOUNDARY_MARGIN_SCALES * _scale(spec, t_final)
+    margin = BOUNDARY_MARGIN_SCALES * spatial_scale(spec, t_final or 0.0)
     for name in ("x0", "x_reset"):
         x = getattr(spec, name)
         if not (grid.x_lo < x < grid.x_hi):
@@ -148,16 +135,8 @@ def _apply_tridiag(lower, main, upper, p):
     return out
 
 
-def _require_poisson(spec):
-    validate_spec(spec)
-    if not isinstance(spec.clock, PoissonClock):
-        raise SpecError("density solvers support the homogeneous Poisson "
-                        f"clock only; got {type(spec.clock).__name__}")
-    return spec.clock.rate
-
-
 def _solve_transient(spec, grid, t_final, source_coeff):
-    rate = _require_poisson(spec)
+    rate = _poisson_rate(spec)
     if not t_final > 0:
         raise DomainError("t_final must be positive")
     _check_margins(spec, grid, t_final)
@@ -206,14 +185,13 @@ def _solve_transient(spec, grid, t_final, source_coeff):
 
 def solve_fpe_evans(spec: ProcessSpec, grid: FpeGrid, t_final: float) -> DensityCurve:
     """March the density equation with the plain point source of rate r."""
-    rate = _require_poisson(spec)
-    return _solve_transient(spec, grid, t_final, rate)
+    return _solve_transient(spec, grid, t_final, _poisson_rate(spec))
 
 
 def solve_fpe_delta_fl(spec: ProcessSpec, grid: FpeGrid, t_final: float) -> DensityCurve:
     """March the density equation with the stationary-density-weighted
     source; its coefficient, evaluated at the reset point, equals r."""
-    rate = _require_poisson(spec)
+    rate = _poisson_rate(spec)
     if rate > 0:
         lam = math.sqrt(rate / spec.diffusivity)
         density_at_reset = lam / 2.0
@@ -226,7 +204,7 @@ def solve_fpe_delta_fl(spec: ProcessSpec, grid: FpeGrid, t_final: float) -> Dens
 def stationary_fpe(spec: ProcessSpec, grid: FpeGrid) -> DensityCurve:
     """Solve the zero-time-derivative linear system, normalised to unit
     mass; independent of the start point."""
-    rate = _require_poisson(spec)
+    rate = _poisson_rate(spec)
     if rate <= 0:
         raise DomainError("no stationary density without resetting (rate 0)")
     _check_margins(spec, grid, None)
@@ -263,7 +241,7 @@ def _operator_parts(values, xs, spec):
     h = steps[0]
     if np.any(np.abs(steps - h) > 1e-9 * h):
         raise SpecError("grid must be uniform")
-    rate = _require_poisson(spec)
+    rate = _poisson_rate(spec)
     if not xs[0] < spec.x_reset < xs[-1]:
         raise SpecError("reset position must lie inside the grid")
     bands = _second_difference_bands(len(xs), h, "reflecting")

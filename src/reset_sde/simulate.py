@@ -29,10 +29,7 @@ from . import _kernels
 from .core import (
     DomainError,
     Ensemble,
-    NonhomogeneousPoissonClock,
-    PoissonClock,
     ProcessSpec,
-    RenewalClock,
     SpecError,
     Trajectory,
     spec_to_json,
@@ -40,12 +37,7 @@ from .core import (
     validate_spec,
     write_table,
 )
-from .clocks import (
-    IntensityFunction,
-    cumulative_intensity,
-    inverse_cumulative_intensity,
-    sample_reset_times,
-)
+from .clocks import expected_resets, sample_reset_times
 
 # Per-step reset probability must stay a small probability; the boundary
 # value 0.1 is admitted so dt = 0.1 at unit rate is a valid step.
@@ -56,11 +48,10 @@ DEFAULT_EXACT_POINTS = 257
 TRAJECTORIES_CSV = "trajectories.csv"
 RESETS_CSV = "resets.csv"
 
-# Below this many trajectories ``ensemble_csv`` runs in one process by
-# default.  Starting and joining a forked pool costs 10-15 ms; on the
-# default exact grid two workers broke even with one near n = 100
-# (2-vCPU VM).
-_MIN_SHARDED_N = 128
+# Below this many expected CSV rows ``ensemble_csv`` runs in one process by
+# default: a forked pool costs 10-15 ms to start and join, and two workers
+# broke even with one near 128 trajectories of 257 rows (2-vCPU VM).
+_MIN_SHARDED_ROWS = 128 * DEFAULT_EXACT_POINTS
 
 
 @dataclass(frozen=True)
@@ -89,12 +80,6 @@ class _Prepared(SchemeConfig):
     sample: Optional[Callable] = None
 
 
-def _base_rate(clock):
-    if isinstance(clock, (PoissonClock, NonhomogeneousPoissonClock)):
-        return clock.rate
-    return None
-
-
 def validate_scheme(spec: ProcessSpec, cfg: SchemeConfig) -> SchemeConfig:
     validate_spec(spec)
     if not cfg.horizon > 0:
@@ -110,7 +95,7 @@ def validate_scheme(spec: ProcessSpec, cfg: SchemeConfig) -> SchemeConfig:
         dt = cfg.scheme.dt
         if not dt > 0:
             raise SpecError("dt must be positive")
-        rate = _base_rate(spec.clock)
+        rate = spec.clock.base_rate
         if rate is None:
             raise SpecError("the Euler scheme supports Poisson clocks only; "
                             "use the exact scheme for renewal clocks")
@@ -127,10 +112,7 @@ def validate_scheme(spec: ProcessSpec, cfg: SchemeConfig) -> SchemeConfig:
 
 def _euler_reset_probs(clock, times_left, dt):
     """Per-step reset probabilities, left-endpoint intensity."""
-    if isinstance(clock, PoissonClock):
-        p = np.full(len(times_left), clock.rate * dt)
-    else:
-        p = IntensityFunction(clock.rate, clock.exponent)(times_left) * dt
+    p = clock.intensity(times_left) * dt
     if np.any(p >= 1.0):
         raise DomainError("time step too coarse: r(t)*dt >= 1 inside the horizon")
     return p
@@ -221,52 +203,79 @@ def _exact_sampler(spec, cfg):
 # Marginal samplers
 # ---------------------------------------------------------------------------
 
-def _last_reset_ages(clock, t, u):
-    """Age t - tau of the most recent reset before t, or nan when none.
+def _chain(spec, times, ages, n, seed, unit=1.0, drift=None):
+    """(n, len(times)) positions at the increasing ``times``, without paths.
 
-    Uses P(no event in (a, t]) = exp(R(a) - R(t)): a uniform draw u lands
-    in the no-event atom when u <= exp(-R(t)), else the last event time is
-    R^{-1}(R(t) + log u).
+    Each time is drawn given the previous one (Markov property) from one
+    uniform u, then one normal z, per sample.  ``ages(j, log_u, rng)``
+    says which samples saw no reset since the previous time, and how long
+    each has diffused since then or since its last reset: a Normal step of
+    mean drift*unit*age (no term at all for None) and variance
+    2*D*unit*age, times being in units of ``unit``.
     """
-    if isinstance(clock, PoissonClock):
-        if clock.rate == 0.0:
-            return np.full(len(u), np.nan)
-        f = IntensityFunction(clock.rate, 0.0)
-    else:
-        f = IntensityFunction(clock.rate, clock.exponent)
-    total = cumulative_intensity(f, t)
-    none = np.log(u) <= -total
-    shifted = np.maximum(total + np.log(u), 0.0)
-    tau = inverse_cumulative_intensity(f, shifted)
-    return np.where(none, np.nan, t - tau)
+    rng = np.random.default_rng(seed)
+    var = 2.0 * spec.diffusivity * unit
+    out = np.empty((n, len(times)))
+    x, x_reset = float(spec.x0), float(spec.x_reset)
+    for j in range(len(times)):
+        log_u = np.log(rng.random(n))
+        z = rng.standard_normal(n)
+        survived, age = ages(j, log_u, rng)
+        center = np.where(survived, x, x_reset)
+        if drift is not None:
+            center = center + drift * unit * age
+        # center + sqrt(var age) z in place: at large n temporaries set the peak memory
+        step = np.sqrt(np.multiply(var, age, out=log_u), out=log_u)
+        x = np.add(center, np.multiply(step, z, out=step), out=out[:, j])
+    return out
 
 
-def marginal_samples(spec: ProcessSpec, t: float, n: int, seed) -> np.ndarray:
-    """n i.i.d. draws of the process position at time t, no path storage.
+def _hazard_ages(times, hazards, inverse, tick=0.0):
+    """``ages`` of a Markov clock whose hazard H(t) = -log P(no reset in
+    [0, t]) is ``hazards[j]`` at ``times[j]``, ``inverse(v)`` being the
+    earliest time whose hazard reaches v.  A sample survives since t_prev
+    with probability exp(H(t_prev) - H(t)); else its last reset is at
+    H^-1(H(t) + log u), at least ``tick`` after t_prev."""
+    def ages(j, log_u, rng):
+        t, h = times[j], hazards[j]
+        t_prev, h_prev = (times[j - 1], hazards[j - 1]) if j else (0.0, 0.0)
+        survived = log_u <= h_prev - h
+        last = np.maximum(inverse(np.maximum(h + log_u, h_prev)), t_prev + tick)
+        return survived, np.where(survived, t - t_prev, t - last)
+
+    return ages
+
+
+def marginal_samples(spec: ProcessSpec, t, n: int, seed) -> np.ndarray:
+    """n draws of the process position at time t, without path storage;
+    for an array of times, shape (n, len(t)) with row i one path's
+    positions at those times.
 
     Conditioned on the last reset age a, the position is
-    Normal(x_reset, 2*D*a); with no reset it is Normal(x0, 2*D*t).
+    Normal(x_reset, 2*D*a); with no reset it is Normal(x0, 2*D*t).  The
+    last reset is drawn by inverting the clock's R(t); renewal clocks have
+    none, and draw each sample's events at one time only.
     Distributionally identical to exact-scheme marginals.
     """
     validate_spec(spec)
-    if not t > 0:
+    times = np.unique(np.asarray(t, dtype=float))
+    if not np.all(times > 0):
         raise DomainError("t must be positive")
     if not n >= 1:
         raise SpecError("n must be at least 1")
-    rng = np.random.default_rng(seed)
-    u = rng.random(n)
-    z = rng.standard_normal(n)
-    if isinstance(spec.clock, RenewalClock):
-        ages = np.empty(n)
-        for i in range(n):
-            events = sample_reset_times(spec.clock, t, rng)
-            ages[i] = t - events[-1] if len(events) else np.nan
+    clock = spec.clock
+    if clock.base_rate is not None:
+        ages = _hazard_ages(times, [clock.cumulative(s) for s in times],
+                            clock.inverse_cumulative)
+    elif len(times) == 1:
+        def ages(j, log_u, rng):
+            events = (sample_reset_times(clock, times[0], rng) for _ in range(n))
+            last = np.array([e[-1] if len(e) else np.nan for e in events])
+            none = np.isnan(last)
+            return none, np.where(none, times[0], times[0] - last)
     else:
-        ages = _last_reset_ages(spec.clock, t, u)
-    none = np.isnan(ages)
-    scale = np.sqrt(2.0 * spec.diffusivity * np.where(none, t, ages))
-    center = np.where(none, spec.x0, spec.x_reset)
-    return center + scale * z
+        raise SpecError("renewal clocks give marginals at one time per call")
+    return _chain(spec, times, ages, n, seed)[:, np.searchsorted(times, t)]
 
 
 def euler_marginal_samples(spec: ProcessSpec, ts, dt: float, n: int, seed,
@@ -274,41 +283,21 @@ def euler_marginal_samples(spec: ProcessSpec, ts, dt: float, n: int, seed,
     """n Euler-scheme positions at each time in ts, without simulating paths.
 
     All requested times must sit on the dt lattice.  Returns shape
-    (n, len(ts)), or (n,) when ts is a scalar.  The Euler chain's marginal
-    is sampled exactly: the chain survives steps i..k-1 without a reset
-    with probability prod (1 - p_j), so the last reset step is an inverse-
-    CDF draw on the log survival, and the diffusive steps after it sum to
-    one Normal.  Times are visited in increasing order, each conditioned
-    on the position at the previous one (Markov property), with one
-    uniform and one normal per sample and time.
+    (n, len(ts)), or (n,) when ts is a scalar.  The Euler chain survives
+    steps i..k-1 without a reset with probability prod (1 - p_j), so
+    ``_chain`` samples its marginals exactly on the lattice, with the
+    tabulated log survival as its hazard.
     """
-    scalar = np.ndim(ts) == 0
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    lattice = np.unique(ts)
-    cfg = SchemeConfig(scheme=EulerScheme(dt=dt), horizon=float(ts.max()), grid=lattice)
-    validate_scheme(spec, cfg)
+    lattice = np.unique(np.asarray(ts, dtype=float))
+    validate_scheme(spec, SchemeConfig(EulerScheme(dt), float(lattice[-1]), lattice))
     ks = np.rint(lattice / dt).astype(int)
     p = _euler_reset_probs(spec.clock, np.arange(ks[-1]) * dt, dt)
-    # hazard[k] = -log P(no reset in steps 0..k-1), non-decreasing
+    # hazard[k] = -log P(no reset in steps 0..k-1), non-decreasing; a reset
+    # in step m-1 puts the chain at the reset point at lattice index m
     hazard = np.concatenate(([0.0], -np.cumsum(np.log1p(-p))))
-    rng = np.random.default_rng(seed)
-    cols = np.empty((n, len(ks)))
-    x = np.full(n, float(spec.x0))
-    k_prev = 0
-    for col, k in enumerate(ks):
-        log_u = np.log(rng.random(n))
-        z = rng.standard_normal(n)
-        survived = log_u <= hazard[k_prev] - hazard[k]
-        # lattice index just after the last reset: the smallest m with
-        # P(no reset in steps m..k-1) >= u, and after the previous time
-        m = np.maximum(np.searchsorted(hazard, hazard[k] + log_u), k_prev + 1)
-        age = np.where(survived, k - k_prev, k - m)
-        center = np.where(survived, x, spec.x_reset)
-        x = center + drift * dt * age + np.sqrt(2.0 * spec.diffusivity * dt * age) * z
-        cols[:, col] = x
-        k_prev = k
-    out = cols[:, np.searchsorted(lattice, ts)]
-    return out[:, 0] if scalar else out
+    ages = _hazard_ages(ks, hazard[ks], lambda v: np.searchsorted(hazard, v), tick=1)
+    cols = _chain(spec, ks, ages, n, seed, unit=dt, drift=drift)
+    return cols[:, np.searchsorted(lattice, ts)]
 
 
 # ---------------------------------------------------------------------------
@@ -364,17 +353,25 @@ def _shard(spec, cfg, entropy, start, stop, keep="full"):
     return grid, trajectories
 
 
-def resolve_workers(n: int, workers=None) -> int:
-    """Worker processes for an n-trajectory ``ensemble_csv``.
+def resolve_workers(n: int, workers=None, rows=DEFAULT_EXACT_POINTS) -> int:
+    """Worker processes for an n-trajectory ``ensemble_csv`` whose
+    trajectories write about ``rows`` CSV rows each.
 
     ``workers`` when given, else one per CPU this process may run on, or
-    one for a run too small to gain from more; never more than n.
+    one for a run of too few rows to gain from more; never more than n.
     """
     if workers is None:
-        workers = 1 if n < _MIN_SHARDED_N else _usable_cpus()
+        workers = 1 if n * rows < _MIN_SHARDED_ROWS else _usable_cpus()
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise SpecError("workers must be a positive integer")
     return max(1, min(workers, n))
+
+
+def _rows_per_trajectory(spec, cfg):
+    """Rows one trajectory is expected to walk: its grid or lattice plus
+    the clock's expected resets (none for renewal clocks)."""
+    sampler = _euler_sampler if isinstance(cfg.scheme, EulerScheme) else _exact_sampler
+    return len(sampler(spec, cfg)[0]) + (expected_resets(spec.clock, cfg.horizon) or 0.0)
 
 
 def _usable_cpus():
@@ -409,12 +406,12 @@ def ensemble_csv(spec: ProcessSpec, cfg: SchemeConfig, n: int, seed, out,
 
     Returns ``rows``, ``resets_drawn``, ``ensemble_s`` and ``write_s``,
     each summed over the shards (so the times are process seconds, and
-    may exceed the wall time).
+    may exceed the wall time), and ``workers``, the number of shards.
     """
     validate_scheme(spec, cfg)
     if not n >= 1:
         raise SpecError("ensemble size must be at least 1")
-    k = resolve_workers(n, workers)
+    k = resolve_workers(n, workers, _rows_per_trajectory(spec, cfg))
     entropy = np.random.SeedSequence(seed).entropy
     bounds = [i * n // k for i in range(k + 1)]
     paths = [os.path.join(out, name) for name in (TRAJECTORIES_CSV, RESETS_CSV)]
@@ -441,6 +438,7 @@ def ensemble_csv(spec: ProcessSpec, cfg: SchemeConfig, n: int, seed, out,
                     os.remove(part)
     totals = {key: sum(c[key] for c in counts) for key in counts[0]}
     totals["write_s"] += join_s
+    totals["workers"] = k
     return totals
 
 

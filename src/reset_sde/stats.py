@@ -17,7 +17,6 @@ from .core import (
     ProcessSpec,
     SpecError,
     rescale_to_unit,
-    validate_spec,
     write_table,
 )
 from . import analytic
@@ -167,12 +166,9 @@ def analytic_cdf(spec: ProcessSpec, x, t: float):
     The Laplace and Gaussian pieces are exact; the convolution piece uses
     the closed form checked against quadrature in the test suite.
     """
-    validate_spec(spec)
-    if not isinstance(spec.clock, PoissonClock):
-        raise SpecError("analytic_cdf requires a homogeneous Poisson clock")
+    rate = analytic._poisson_rate(spec)
     if not t > 0:
         raise DomainError("t must be positive")
-    rate = spec.clock.rate
     scaled, mapping = rescale_to_unit(spec)
     y = np.asarray(x, dtype=float) / mapping.factor
     if rate == 0.0:

@@ -102,11 +102,12 @@ class TestSimulateCommand:
     ], ids=["euler", "deterministic-on-grid", "power-law-exact", "power-law-euler",
             "pareto"])
     def test_more_outputs_match_pinned_digests(self, tmp_path, args, expected):
-        out = tmp_path / "pinned"
-        assert run(["simulate", *args, "--out", out]) == 0
-        digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
-                        for name in ("trajectories.csv", "resets.csv"))
-        assert digests == expected
+        for workers in (1, 3):
+            out = tmp_path / f"pinned-{workers}"
+            assert run(["simulate", *args, "--workers", workers, "--out", out]) == 0
+            digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                            for name in ("trajectories.csv", "resets.csv"))
+            assert digests == expected
 
     def test_manifest_records_stages_and_counters(self, tmp_path):
         out = tmp_path / "m"
@@ -173,6 +174,45 @@ class TestSimulateCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["spec"]["clock"]["r"] == 1.0
         assert manifest["config"]["spec"]["xR"] == 4.0
+
+    def test_euler_refuses_grid_points(self, tmp_path, capsys):
+        # the Euler scheme writes its dt lattice; a grid would be dropped
+        assert run(["simulate", "--scheme", "euler", "--dt", 0.1, "--horizon", 1,
+                    "--grid-points", 3, "--out", tmp_path / "e"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and "--grid-points" in err
+        assert not (tmp_path / "e").exists()
+
+    @pytest.mark.parametrize("args, field", [
+        (["--clock", "poisson", "--p", 0.5], "'p'"),
+        (["--clock", "renewal", "--r", 2, "--renewal-law",
+          '{"name":"deterministic","gap":0.5}'], "'r'"),
+        (["--clock", "renewal", "--renewal-law",
+          '{"name":"deterministic","gap":0.5,"alpha":2}'], "'alpha'"),
+    ], ids=["poisson-p", "renewal-r", "law-alpha"])
+    def test_fields_of_another_clock_exit_2(self, tmp_path, capsys, args, field):
+        assert run(["simulate", *args, "--out", tmp_path / "c"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and field in err
+
+    def test_renewal_clock_gets_no_default_rate(self, tmp_path):
+        assert run(["simulate", "--clock", "renewal", "--renewal-law",
+                    '{"name":"deterministic","gap":0.5}', "--horizon", 1,
+                    "--out", tmp_path / "r"]) == 0
+        manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
+        assert manifest["config"]["spec"]["clock"] == {
+            "type": "renewal", "renewal_law": {"name": "deterministic", "gap": 0.5}}
+
+    def test_default_workers_count_the_grid(self, tmp_path, monkeypatch):
+        # 3 trajectories of 20002 rows clear the 128 x 257-row threshold;
+        # the same 3 on the default grid do not
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+        for name, extra, workers in (("fine", ["--grid-points", 20001], 2),
+                                     ("default", [], 1)):
+            assert run(["simulate", "--r", 1, "--horizon", 1, "--n", 3, *extra,
+                        "--out", tmp_path / name]) == 0
+            manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+            assert manifest["config"]["workers"] == workers
 
     def test_zero_workers_exits_2(self, tmp_path, capsys):
         assert run(["simulate", "--n", 4, "--workers", 0,
@@ -392,6 +432,11 @@ class TestValidateCommand:
         assert code == 1
         report = json.loads((tmp_path / "v" / "report.json").read_text())
         assert report["pass"] is False
+
+    def test_msd_suite_passes_at_seed_22(self, tmp_path):
+        # with 1500 paths the p=0.5 horizon check read 0.138 against 0.12 at this seed
+        assert run(["validate", "--suite", "msd-exponents", "--seed", 22,
+                    "--out", tmp_path / "v"]) == 0
 
     def test_unknown_suite_rejected_by_parser(self, tmp_path):
         assert run(["validate", "--suite", "nonsense"]) == 2

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from reset_sde.clocks import (
     IntensityFunction,
     _accumulate_gaps,
     cumulative_intensity,
+    expected_resets,
     inverse_cumulative_intensity,
     sample_reset_times,
 )
@@ -162,5 +164,48 @@ class TestRenewalLaws:
 
     def test_nonpositive_gap_draw_is_rejected(self):
         with pytest.raises(SpecError, match="non-positive gap"):
-            _accumulate_gaps(lambda rng, size: np.zeros(size), 1.0,
-                             np.random.default_rng(0), 1.0)
+            _accumulate_gaps(SimpleNamespace(draw=lambda rng, size: np.zeros(size),
+                                             mean_gap=1.0),
+                             1.0, np.random.default_rng(0))
+
+
+class TestClockInterface:
+    def test_poisson_is_the_power_law_at_exponent_zero(self):
+        t = np.array([0.0, 0.3, 2.0, 17.5])
+        f = IntensityFunction(1.5, 0.0)
+        clock = PoissonClock(1.5)
+        assert np.array_equal(clock.cumulative(t), cumulative_intensity(f, t))
+        assert np.array_equal(clock.inverse_cumulative(t),
+                              inverse_cumulative_intensity(f, t))
+        assert np.array_equal(clock.intensity(t), np.full(4, 1.5))
+
+    def test_rate_zero_has_no_hazard(self):
+        clock = PoissonClock(0.0)
+        assert clock.base_rate == 0.0
+        assert clock.cumulative(3.0) == 0.0
+        assert np.array_equal(clock.intensity(np.ones(3)), np.zeros(3))
+        assert np.array_equal(clock.inverse_cumulative(np.zeros(2)), np.zeros(2))
+        assert expected_resets(clock, 5.0) == 0.0
+
+    def test_power_law_clock_inverts_its_cumulative_intensity(self):
+        clock = NonhomogeneousPoissonClock(2.0, -1.5)
+        t = np.array([0.5, 4.0, 50.0])
+        assert np.allclose(clock.inverse_cumulative(clock.cumulative(t)), t,
+                           rtol=1e-12)
+        assert expected_resets(clock, 4.0) == clock.cumulative(4.0)
+
+    def test_renewal_clocks_have_no_base_rate(self):
+        clock = RenewalClock(DeterministicGaps(0.5))
+        assert clock.base_rate is None
+        assert expected_resets(clock, 5.0) is None
+
+    @pytest.mark.parametrize("law, mean_gap", [
+        (ExponentialGaps(2.0), 2.0), (DeterministicGaps(0.3), 0.3),
+        (ParetoGaps(1.5, 0.2), 0.6), (ParetoGaps(0.8, 0.2), math.inf)])
+    def test_gap_law_mean_gap(self, law, mean_gap):
+        assert law.mean_gap == pytest.approx(mean_gap)
+        assert np.all(law.draw(np.random.default_rng(1), 1000) > 0)
+
+    def test_unknown_clock_is_a_spec_error(self):
+        with pytest.raises(SpecError, match="unsupported clock type"):
+            sample_reset_times("poisson", 1.0, np.random.default_rng(0))

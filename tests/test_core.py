@@ -23,7 +23,7 @@ from reset_sde import (
     spec_to_json,
     validate_spec,
 )
-from reset_sde.core import write_table
+from reset_sde.core import clock_from_json, write_table
 from reset_sde.simulate import (
     ExactScheme,
     SchemeConfig,
@@ -201,6 +201,29 @@ class TestJsonWireFormat:
             spec_from_json({"diffusivity": 0.5, "x0": 0.0, "xR": 0.0,
                             "clock": {"type": "renewal",
                                       "renewal_law": {"name": "cauchy"}}})
+
+
+class TestClockJson:
+    @pytest.mark.parametrize("doc, field", [
+        ({"type": "poisson", "r": 1.0, "p": 0.5}, "'p'"),
+        ({"type": "npp", "r": 1.0, "p": 0.5, "renewal_law": {}}, "'renewal_law'"),
+        ({"type": "renewal", "r": 1.0,
+          "renewal_law": {"name": "exponential", "mean": 1.0}}, "'r'"),
+        ({"type": "renewal",
+          "renewal_law": {"name": "pareto", "alpha": 1.5, "xm": 0.2, "mean": 1.0}},
+         "'mean'"),
+    ], ids=["poisson-p", "npp-law", "renewal-r", "pareto-mean"])
+    def test_fields_of_another_type_are_refused(self, doc, field):
+        with pytest.raises(SpecError, match=field):
+            clock_from_json(doc)
+
+    def test_missing_rate_is_a_spec_error(self):
+        with pytest.raises(SpecError, match="'r'"):
+            clock_from_json({"type": "poisson"})
+
+    def test_npp_exponent_defaults_to_zero(self):
+        assert clock_from_json({"type": "npp", "r": 2.0}) == \
+            NonhomogeneousPoissonClock(2.0, 0.0)
 
 
 def csv_reference(path, header, blocks):

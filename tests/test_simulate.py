@@ -296,6 +296,44 @@ class TestMarginalSampler:
         with pytest.raises(SpecError, match="multiples of dt"):
             euler_marginal_samples(poisson_spec(1.0), [0.1, 0.15], 0.1, 10, seed=1)
 
+    @pytest.mark.parametrize("clock", [PoissonClock(1.0), PoissonClock(0.0),
+                                       NonhomogeneousPoissonClock(1.0, -0.5)],
+                             ids=["poisson", "rate-0", "power-law"])
+    def test_one_time_of_many_is_the_scalar_draw(self, clock):
+        spec = ProcessSpec(0.5, 0.3, -1.0, clock)
+        cols = marginal_samples(spec, [1.5], 300, seed=5)
+        assert cols.shape == (300, 1)
+        assert same_bits(cols[:, 0], marginal_samples(spec, 1.5, 300, seed=5))
+
+    def test_several_times_follow_the_requested_order(self):
+        spec = ProcessSpec(0.5, 0.3, -1.0, NonhomogeneousPoissonClock(1.0, 0.5))
+        cols = marginal_samples(spec, [2.0, 0.5, 2.0, 1.0], 200, seed=8)
+        sorted_cols = marginal_samples(spec, [0.5, 1.0, 2.0], 200, seed=8)
+        assert cols.shape == (200, 4)
+        assert same_bits(cols, sorted_cols[:, [2, 0, 2, 1]])
+
+    @pytest.mark.parametrize("p", [-0.5, 0.5])
+    def test_several_times_match_exact_paths(self, p):
+        # the chain draws each time given the previous one (Markov
+        # property), so the marginals and the increments must match paths
+        spec = ProcessSpec(0.7, 1.0, -1.0, NonhomogeneousPoissonClock(1.0, p))
+        times = np.array([0.3, 1.0, 4.0])
+        cfg = SchemeConfig(ExactScheme(), horizon=4.0, grid=times)
+        paths = run_ensemble(spec, cfg, 4000, seed=12, keep="grid").positions_at(times)
+        cols = marginal_samples(spec, times, 4000, seed=13)
+        for j in range(3):
+            assert ks_2samp(paths[:, j], cols[:, j]).pvalue > 0.01
+        assert ks_2samp(paths[:, 2] - paths[:, 1],
+                        cols[:, 2] - cols[:, 1]).pvalue > 0.01
+
+    def test_renewal_clock_gives_one_time_per_call(self):
+        spec = ProcessSpec(0.5, 0.0, 1.0, RenewalClock(ParetoGaps(1.5, 0.3)))
+        assert marginal_samples(spec, [2.0], 50, seed=2).shape == (50, 1)
+        with pytest.raises(SpecError, match="one time"):
+            marginal_samples(spec, [1.0, 2.0], 50, seed=2)
+        with pytest.raises(DomainError, match="t must be positive"):
+            marginal_samples(poisson_spec(1.0), [1.0, 0.0], 10, seed=1)
+
 
 class TestEnsemble:
     def test_bit_identical_reruns(self):
@@ -463,6 +501,21 @@ class TestExport:
         for bad in (0, -1, 1.5, True, "2"):
             with pytest.raises(SpecError, match="workers"):
                 resolve_workers(10, bad)
+
+    def test_default_workers_follow_expected_rows(self, monkeypatch):
+        # 50 trajectories on a 20001-point grid: one process took
+        # 1.6-1.9 s and two 0.9-1.4 s (2-vCPU VM)
+        monkeypatch.setattr(simulate_module, "_usable_cpus", lambda: 2)
+        assert resolve_workers(50) == 1
+        assert resolve_workers(50, rows=20001) == 2
+        spec = poisson_spec(1.0)
+        fine = SchemeConfig(ExactScheme(), horizon=10.0, grid=np.linspace(0.0, 10.0, 20001))
+        assert resolve_workers(50, rows=simulate_module._rows_per_trajectory(spec, fine)) == 2
+        # the clock's expected resets count too: R(10) = 2000 at rate 200
+        busy = poisson_spec(200.0)
+        cfg = SchemeConfig(ExactScheme(), horizon=10.0)
+        assert simulate_module._rows_per_trajectory(busy, cfg) == pytest.approx(2257.0)
+        assert resolve_workers(50, rows=simulate_module._rows_per_trajectory(busy, cfg)) == 2
 
     def test_metadata_round_trips_through_json(self):
         spec = poisson_spec(2.0, 1.0, -1.0)
