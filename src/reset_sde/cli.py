@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .clocks import clock_from_json, expected_resets
+from .errors import as_number
 from .core import (
     DomainError,
     NonhomogeneousPoissonClock,
@@ -179,6 +180,12 @@ def _merged(args, config, key, default=None):
     return config.get(key, default)
 
 
+def _number(args, config, key, default=None, kind=float):
+    """``_merged`` as a number of type ``kind``, or None when absent."""
+    value = _merged(args, config, key, default)
+    return None if value is None else as_number(value, key, kind)
+
+
 def _build_clock(args, config):
     doc = dict(config["clock"]) if isinstance(config.get("clock"), dict) else {}
     for key, flag in (("type", "clock"), ("r", "r"), ("p", "p")):
@@ -195,10 +202,9 @@ def _build_clock(args, config):
 
 def _build_spec(args, config) -> ProcessSpec:
     spec = ProcessSpec(
-        diffusivity=float(_merged(args, config, "d",
-                                  config.get("diffusivity", 0.5))),
-        x0=float(_merged(args, config, "x0", 0.0)),
-        x_reset=float(_merged(args, config, "xr", config.get("xR", 0.0))),
+        diffusivity=_number(args, config, "d", config.get("diffusivity", 0.5)),
+        x0=_number(args, config, "x0", 0.0),
+        x_reset=_number(args, config, "xr", config.get("xR", 0.0)),
         clock=_build_clock(args, config),
     )
     return validate_spec(spec)
@@ -236,25 +242,24 @@ def _cmd_simulate(args) -> int:
     config = _load_config(args.config)
     spec = _build_spec(args, config)
     scheme_name = _merged(args, config, "scheme", "exact")
-    horizon = float(_merged(args, config, "horizon", 10.0))
-    n = int(_merged(args, config, "n", 1))
-    seed = int(_merged(args, config, "seed", 0))
+    horizon = _number(args, config, "horizon", 10.0)
+    n = _number(args, config, "n", 1, int)
+    seed = _number(args, config, "seed", 0, int)
     workers = _merged(args, config, "workers")
-    grid_points = _merged(args, config, "grid-points",
-                          config.get("grid_points"))
+    grid_points = _number(args, config, "grid-points", config.get("grid_points"), int)
     grid = None
     if scheme_name == "euler":
-        dt = _merged(args, config, "dt")
+        dt = _number(args, config, "dt")
         if dt is None:
             raise SpecError("the Euler scheme requires --dt")
         if grid_points is not None:
             raise SpecError("--grid-points applies to the exact scheme only; "
                             "the Euler scheme writes its dt lattice")
-        scheme = EulerScheme(dt=float(dt))
+        scheme = EulerScheme(dt=dt)
     else:
         scheme = ExactScheme()
         if grid_points is not None:
-            grid = np.linspace(0.0, horizon, int(grid_points))
+            grid = np.linspace(0.0, horizon, grid_points)
     cfg = SchemeConfig(scheme=scheme, horizon=horizon, grid=grid)
 
     out = _out_dir(args)
@@ -391,21 +396,20 @@ def _cmd_fpe(args) -> int:
     started = time.time()
     config = _load_config(args.config)
     spec = _build_spec(args, config)
-    h = float(_merged(args, config, "h", 1e-2))
-    dt = _merged(args, config, "dt")
-    t_final = float(_merged(args, config, "t", 1.0))
+    h = _number(args, config, "h", 1e-2)
+    dt = _number(args, config, "dt")
+    t_final = _number(args, config, "t", 1.0)
     boundary = _merged(args, config, "boundary", "reflecting")
     form = _merged(args, config, "form", "evans")
-    x_lo = _merged(args, config, "x-lo", config.get("x_lo"))
-    x_hi = _merged(args, config, "x-hi", config.get("x_hi"))
+    x_lo = _number(args, config, "x-lo", config.get("x_lo"))
+    x_hi = _number(args, config, "x-hi", config.get("x_hi"))
     if x_lo is not None and x_hi is not None:
-        grid = fpe.FpeGrid(x_lo=float(x_lo), x_hi=float(x_hi), h=h,
-                           dt=float(dt) if dt is not None else h / 10.0,
+        grid = fpe.FpeGrid(x_lo=x_lo, x_hi=x_hi, h=h,
+                           dt=dt if dt is not None else h / 10.0,
                            boundary=boundary)
     else:
         grid = fpe.default_grid(spec, None if form == "stationary" else t_final,
-                                h=h, dt=float(dt) if dt is not None else None,
-                                boundary=boundary)
+                                h=h, dt=dt, boundary=boundary)
     if form == "evans":
         curve = fpe.solve_fpe_evans(spec, grid, t_final)
     elif form == "delta-fl":

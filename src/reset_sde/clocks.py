@@ -16,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DomainError, SpecError
+from .errors import DomainError, SpecError, as_number
 
 
 @dataclass(frozen=True)
@@ -248,15 +248,18 @@ def validate_clock(clock) -> None:
 
 def clock_from_json(doc: dict) -> ResetClock:
     """Parse a clock document; a field its type does not have is an error."""
+    if not isinstance(doc, dict):
+        raise SpecError("clock must be an object")
     kind = doc.get("type")
     try:
         if kind == "poisson":
             _only(doc, ["type", "r"], "a poisson clock")
-            return PoissonClock(rate=float(doc["r"]))
+            return PoissonClock(rate=as_number(doc["r"], "clock.r"))
         if kind == "npp":
             _only(doc, ["type", "r", "p"], "an npp clock")
-            return NonhomogeneousPoissonClock(rate=float(doc["r"]),
-                                              exponent=float(doc.get("p", 0.0)))
+            return NonhomogeneousPoissonClock(
+                rate=as_number(doc["r"], "clock.r"),
+                exponent=as_number(doc.get("p", 0.0), "clock.p"))
         if kind == "renewal":
             _only(doc, ["type", "renewal_law"], "a renewal clock")
             return RenewalClock(_law_from_json(doc.get("renewal_law")))
@@ -275,7 +278,7 @@ def _law_from_json(doc) -> RenewalLaw:
     keys = [f.name for f in fields(law)]
     _only(doc, ["name", *keys], f"a {name} renewal_law")
     try:
-        return law(*(float(doc[key]) for key in keys))
+        return law(*(as_number(doc[key], f"clock.renewal_law.{key}") for key in keys))
     except KeyError as exc:
         raise SpecError(f"clock.renewal_law is missing field {exc}") from None
 

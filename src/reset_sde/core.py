@@ -2,6 +2,7 @@
 re-exported from :mod:`reset_sde.clocks`), trajectories and ensembles,
 plus validation, unit-diffusivity rescaling and the wire formats."""
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 import math
 
@@ -19,7 +20,7 @@ from .clocks import (  # noqa: F401  (re-exported)
     clock_from_json,
     validate_clock,
 )
-from .errors import DomainError, NumericalError, SpecError  # noqa: F401
+from .errors import DomainError, NumericalError, SpecError, as_number  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +175,9 @@ def spec_from_json(doc: dict) -> ProcessSpec:
     """Parse and validate the CLI wire format."""
     try:
         spec = ProcessSpec(
-            diffusivity=float(doc["diffusivity"]),
-            x0=float(doc["x0"]),
-            x_reset=float(doc["xR"]),
+            diffusivity=as_number(doc["diffusivity"], "diffusivity"),
+            x0=as_number(doc["x0"], "x0"),
+            x_reset=as_number(doc["xR"], "xR"),
             clock=clock_from_json(doc["clock"]),
         )
     except KeyError as exc:
@@ -210,9 +211,20 @@ def write_table(path, header, blocks) -> None:
     separator.  Blocks are formatted one at a time, so memory stays bounded
     by the largest block, not the table.
     """
+    with open_table(path, header) as write:
+        for block in blocks:
+            write(block)
+
+
+@contextmanager
+def open_table(path, header):
+    """Write the header row of a CSV table and give a function that
+    writes one block of rows (see ``write_table``), so that several
+    tables can be written side by side."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for block in blocks:
+
+        def write(block):
             lead = 0
             while lead < len(block) and not isinstance(block[lead], (list, np.ndarray)):
                 lead += 1
@@ -220,8 +232,10 @@ def write_table(path, header, blocks) -> None:
             if len({len(col) for col in columns}) != 1:
                 raise SpecError("a block needs columns of equal length after its scalars")
             if not len(columns[0]):
-                continue
+                return
             prefix = "".join(_cells(col) + "," for col in block[:lead])
             cells = [_cells(col) for col in columns]
             rows = cells[0] if len(cells) == 1 else map(",".join, zip(*cells))
             fh.write(prefix + ("\r\n" + prefix).join(rows) + "\r\n")
+
+        yield write

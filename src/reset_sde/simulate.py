@@ -10,7 +10,9 @@ point is represented without discretisation error.
 Ensembles derive one RNG substream per trajectory from (seed, index), so
 any process can simulate any range of indices: ``ensemble_csv`` splits an
 ensemble over worker processes and writes the same bytes for any worker
-count.
+count.  Trajectories are simulated in blocks: one merge of the resets
+into the grid, one walk and one CSV write per block, with each
+trajectory's bits those of a run of its own.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -21,7 +23,7 @@ import multiprocessing
 import os
 import shutil
 import time
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -32,6 +34,7 @@ from .core import (
     ProcessSpec,
     SpecError,
     Trajectory,
+    open_table,
     spec_to_json,
     time_atol,
     validate_spec,
@@ -53,6 +56,12 @@ RESETS_CSV = "resets.csv"
 # broke even with one near 128 trajectories of 257 rows (2-vCPU VM).
 _MIN_SHARDED_ROWS = 128 * DEFAULT_EXACT_POINTS
 
+# Trajectories are simulated and written in blocks of this many: one
+# merge, one walk and one CSV write per block.  Memory grows with the
+# block, not the shard; blocks of 250 raised the benchmark's peak RSS
+# from 86 to 98 MiB.
+_BLOCK = 32
+
 
 @dataclass(frozen=True)
 class EulerScheme:
@@ -70,14 +79,6 @@ class SchemeConfig:
     scheme: Union[EulerScheme, ExactScheme]
     horizon: float
     grid: Optional[np.ndarray] = None
-
-
-@dataclass(frozen=True)
-class _Prepared(SchemeConfig):
-    """A config already validated for its spec, with the per-trajectory
-    sampler that ``_shard`` built from it, so that ``simulate_exact`` and
-    ``simulate_euler`` skip validation and set-up on every trajectory."""
-    sample: Optional[Callable] = None
 
 
 def validate_scheme(spec: ProcessSpec, cfg: SchemeConfig) -> SchemeConfig:
@@ -124,33 +125,20 @@ def simulate_euler(spec: ProcessSpec, cfg: SchemeConfig, rng, drift: float = 0.0
     ``drift`` adds a constant drift*dt to the diffusive branch; it exists
     for checking the generalised chain rule and has no analytic support.
     """
-    if isinstance(cfg, _Prepared) and drift == 0.0:
-        return cfg.sample(rng)
-    validate_scheme(spec, cfg)
-    if not isinstance(cfg.scheme, EulerScheme):
-        raise SpecError("simulate_euler requires an Euler scheme config")
-    return _euler_sampler(spec, cfg, drift)[1](rng)
+    if not isinstance(cfg, _Plan):
+        validate_scheme(spec, cfg)
+        if not isinstance(cfg.scheme, EulerScheme):
+            raise SpecError("simulate_euler requires an Euler scheme config")
+        cfg = _plan(spec, cfg)
+    return _only(_block(cfg, [rng], drift))
 
 
-def _euler_sampler(spec, cfg, drift=0.0):
-    """(lattice, rng -> one Euler trajectory) of a validated config; the
-    lattice and the reset probabilities are computed once and shared."""
-    dt = cfg.scheme.dt
-    n_steps = int(math.ceil(cfg.horizon / dt - 1e-12))
-    times = np.arange(n_steps + 1) * dt
-    p = _euler_reset_probs(spec.clock, times[:-1], dt)
-    scale = math.sqrt(2.0 * spec.diffusivity * dt)
-
-    def sample(rng):
-        u = rng.random(n_steps)
-        z = rng.standard_normal(n_steps)
-        increments = drift * dt + scale * z
-        flags = u < p
-        positions = _kernels.walk(spec.x0, spec.x_reset, increments, flags)
-        return Trajectory(times=times, positions=positions,
-                          reset_times=times[1:][flags])
-
-    return times, sample
+def simulate_exact(spec: ProcessSpec, cfg: SchemeConfig, rng) -> Trajectory:
+    """One event-driven trajectory; reset epochs are inserted into the grid."""
+    if not isinstance(cfg, _Plan):
+        validate_scheme(spec, cfg)
+        cfg = _Plan(spec, cfg, _resolve_exact_grid(cfg))
+    return _only(_block(cfg, [rng]))
 
 
 def _resolve_exact_grid(cfg: SchemeConfig) -> np.ndarray:
@@ -162,41 +150,129 @@ def _resolve_exact_grid(cfg: SchemeConfig) -> np.ndarray:
     return np.linspace(0.0, cfg.horizon, DEFAULT_EXACT_POINTS)
 
 
-def simulate_exact(spec: ProcessSpec, cfg: SchemeConfig, rng) -> Trajectory:
-    """One event-driven trajectory; reset epochs are inserted into the grid."""
-    if isinstance(cfg, _Prepared):
-        return cfg.sample(rng)
-    validate_scheme(spec, cfg)
-    return _exact_sampler(spec, cfg)[1](rng)
+# ---------------------------------------------------------------------------
+# Blocks of trajectories
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Plan:
+    """What every trajectory of a validated config shares: ``times``, the
+    rows it has besides its own reset epochs (the grid, or for Euler the
+    dt lattice, with ``probs`` its per-step reset probabilities).
+    ``simulate_exact`` and ``simulate_euler`` take a plan in place of the
+    config, which ``run_ensemble`` validates and plans once."""
+    spec: ProcessSpec
+    cfg: SchemeConfig
+    times: np.ndarray
+    probs: Optional[np.ndarray] = None
 
 
-def _exact_sampler(spec, cfg):
-    """(output grid, rng -> one exact trajectory) of a validated config;
-    the grid is resolved once and shared."""
-    grid = _resolve_exact_grid(cfg)
-    two_d = 2.0 * spec.diffusivity
+def _plan(spec, cfg):
+    if not isinstance(cfg.scheme, EulerScheme):
+        return _Plan(spec, cfg, _resolve_exact_grid(cfg))
+    dt = cfg.scheme.dt
+    n_steps = int(math.ceil(cfg.horizon / dt - 1e-12))
+    lattice = np.arange(n_steps + 1) * dt
+    return _Plan(spec, cfg, lattice, _euler_reset_probs(spec.clock, lattice[:-1], dt))
 
-    def sample(rng):
-        resets = sample_reset_times(spec.clock, cfg.horizon, rng)
-        slots = np.searchsorted(grid, resets)
-        if (grid[slots.clip(max=len(grid) - 1)] == resets).any():
-            # a reset on a grid time shares its row
-            merged = np.union1d(grid, resets)
-            flags = np.isin(merged[1:], resets)
-        else:
-            at = slots + np.arange(len(resets))
-            is_reset = np.zeros(len(grid) + len(resets), dtype=bool)
-            is_reset[at] = True
-            merged = np.empty(len(is_reset))
-            merged[at] = resets
-            merged[~is_reset] = grid
-            flags = is_reset[1:]
-        z = rng.standard_normal(len(merged) - 1)
-        increments = np.sqrt(two_d * (merged[1:] - merged[:-1])) * z
-        positions = _kernels.walk(spec.x0, spec.x_reset, increments, flags)
-        return Trajectory(times=merged, positions=positions, reset_times=resets)
 
-    return grid, sample
+@dataclass(frozen=True)
+class _Block:
+    """Consecutive trajectories, one per row of (rows, longest) arrays.
+
+    Row k holds ``lengths[k]`` times and positions, where ``valid`` is
+    set, then repeats its last time and position.  ``resets`` holds every
+    row's epochs in turn, ``counts[k]`` of them for row k; ``own_rows``
+    marks the entries that are an epoch off the shared times.
+    """
+    times: np.ndarray
+    positions: np.ndarray
+    lengths: np.ndarray
+    valid: np.ndarray
+    resets: np.ndarray
+    counts: np.ndarray
+    own_rows: np.ndarray
+
+
+def _rng(entropy, i):
+    """The generator of trajectory i: ``SeedSequence(entropy,
+    spawn_key=(i,))``, child i of the root ``SeedSequence(entropy)``, so
+    any range of trajectories needs nothing from the others."""
+    return np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(i,)))
+
+
+def _walk(spec, increments, flags):
+    """Row-wise walk positions.  A block of one, as ``simulate_exact`` and
+    ``simulate_euler`` give, goes to the 1-D ``_kernels.walk``: the same
+    bits, and one kernel call per trajectory."""
+    if len(increments) == 1:
+        return _kernels.walk(spec.x0, spec.x_reset, increments[0], flags[0])[None]
+    return _kernels.walk_batch(spec.x0, spec.x_reset, increments, flags)
+
+
+def _block(plan, rngs, drift=0.0):
+    """One trajectory per generator, each drawing in the order of a
+    single run: resets then normals (exact), uniforms then normals
+    (Euler).  Padding adds zero increments, and the walk's row-wise
+    cumulative sums keep every bit of an unpadded row."""
+    spec = plan.spec
+    if plan.probs is not None:
+        lattice, dt = plan.times, plan.cfg.scheme.dt
+        u = np.empty((len(rngs), len(plan.probs)))
+        z = np.empty_like(u)
+        for k, rng in enumerate(rngs):
+            rng.random(out=u[k])
+            rng.standard_normal(out=z[k])
+        flags = u < plan.probs
+        positions = _walk(spec, drift * dt + math.sqrt(2.0 * spec.diffusivity * dt) * z, flags)
+        times = np.broadcast_to(lattice, positions.shape)
+        return _Block(times, positions, np.full(len(rngs), len(lattice)),
+                      np.ones(times.shape, dtype=bool), times[:, 1:][flags],
+                      flags.sum(axis=1), np.zeros(times.shape, dtype=bool))
+    grid = plan.times
+    per_row = [sample_reset_times(spec.clock, plan.cfg.horizon, rng) for rng in rngs]
+    counts = np.fromiter(map(len, per_row), int, len(rngs))
+    resets = np.concatenate(per_row)
+    row = np.arange(len(rngs)).repeat(counts)
+    slot = np.searchsorted(grid, resets)
+    hit = grid[np.minimum(slot, len(grid) - 1)] == resets
+    own = ~hit
+    if hit.any():
+        # As np.union1d merges them, a reset on a grid time shares its
+        # row, and in a row with such a reset so do equal epochs; each
+        # other epoch has a row of its own, as an insertion gives it.
+        shared = np.zeros(len(rngs), dtype=bool)
+        shared[row[hit]] = True
+        own[1:] &= ~((resets[1:] == resets[:-1]) & (row[1:] == row[:-1]) & shared[row[1:]])
+    # an epoch's row: its grid slot plus the earlier own rows of its
+    # trajectory (the inclusive count, less one off the grid), so a
+    # dropped repeat shares the row before
+    own_row = row[own]
+    own_count = np.bincount(own_row, minlength=len(rngs))
+    at = slot + own.cumsum() - (own_count.cumsum() - own_count)[row] - ~hit
+    lengths = len(grid) + own_count
+    shape = (len(rngs), lengths.max())
+    own_rows = np.zeros(shape, dtype=bool)
+    own_rows[own_row, at[own]] = True
+    flags = np.zeros(shape, dtype=bool)
+    flags[row, at] = True
+    valid = np.arange(shape[1]) < lengths[:, None]
+    times = np.empty(shape)
+    times[own_rows] = resets[own]
+    times[valid ^ own_rows] = grid[None].repeat(len(rngs), axis=0).ravel()
+    if lengths.min() < shape[1]:
+        times[~valid] = times[np.arange(len(rngs)), lengths - 1].repeat(shape[1] - lengths)
+    z = np.zeros((shape[0], shape[1] - 1))
+    for k, rng in enumerate(rngs):
+        rng.standard_normal(out=z[k, :lengths[k] - 1])
+    increments = np.sqrt(2.0 * spec.diffusivity * (times[:, 1:] - times[:, :-1])) * z
+    positions = _walk(spec, increments, flags[:, 1:])
+    return _Block(times, positions, lengths, valid, resets, counts, own_rows)
+
+
+def _only(block):
+    """The trajectory of a block of one, which has no padding."""
+    return Trajectory(block.times[0], block.positions[0], block.resets)
 
 
 # ---------------------------------------------------------------------------
@@ -321,36 +397,21 @@ def run_ensemble(spec: ProcessSpec, cfg: SchemeConfig, n: int, seed,
         raise SpecError("ensemble size must be at least 1")
     if keep not in ("full", "grid"):
         raise SpecError("keep must be 'full' or 'grid'")
-    root = np.random.SeedSequence(seed)
-    grid, trajectories = _shard(spec, cfg, root.entropy, 0, n, keep)
-    return Ensemble(spec=spec, scheme=cfg, seed=root.entropy,
-                    trajectories=trajectories, grid=grid)
-
-
-def _shard(spec, cfg, entropy, start, stop, keep="full"):
-    """(output grid, trajectories start..stop-1) of a validated config.
-
-    Trajectory i draws from ``SeedSequence(entropy, spawn_key=(i,))``,
-    which is child i of the root ``SeedSequence(entropy)``, so a shard
-    needs nothing from the others.
-    """
+    entropy = np.random.SeedSequence(seed).entropy
+    plan = _plan(spec, cfg)
     if isinstance(cfg.scheme, EulerScheme):
-        simulate = simulate_euler
-        lattice, sample = _euler_sampler(spec, cfg)
-        grid = lattice if cfg.grid is None else np.asarray(cfg.grid, dtype=float)
+        one = simulate_euler
+        grid = plan.times if cfg.grid is None else np.asarray(cfg.grid, dtype=float)
     else:
-        simulate = simulate_exact
-        grid, sample = _exact_sampler(spec, cfg)
-    prepared = _Prepared(cfg.scheme, cfg.horizon, cfg.grid, sample)
+        one, grid = simulate_exact, plan.times
     trajectories = []
-    for i in range(start, stop):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(i,)))
-        tr = simulate(spec, prepared, rng)
+    for i in range(n):
+        tr = one(spec, plan, _rng(entropy, i))
         if keep == "grid":
-            tr = Trajectory(times=grid, positions=tr.at(grid),
-                            reset_times=tr.reset_times)
+            tr = Trajectory(times=grid, positions=tr.at(grid), reset_times=tr.reset_times)
         trajectories.append(tr)
-    return grid, trajectories
+    return Ensemble(spec=spec, scheme=cfg, seed=entropy,
+                    trajectories=trajectories, grid=grid)
 
 
 def resolve_workers(n: int, workers=None, rows=DEFAULT_EXACT_POINTS) -> int:
@@ -370,8 +431,7 @@ def resolve_workers(n: int, workers=None, rows=DEFAULT_EXACT_POINTS) -> int:
 def _rows_per_trajectory(spec, cfg):
     """Rows one trajectory is expected to walk: its grid or lattice plus
     the clock's expected resets (none for renewal clocks)."""
-    sampler = _euler_sampler if isinstance(cfg.scheme, EulerScheme) else _exact_sampler
-    return len(sampler(spec, cfg)[0]) + (expected_resets(spec.clock, cfg.horizon) or 0.0)
+    return len(_plan(spec, cfg).times) + (expected_resets(spec.clock, cfg.horizon) or 0.0)
 
 
 def _usable_cpus():
@@ -399,7 +459,9 @@ def ensemble_csv(spec: ProcessSpec, cfg: SchemeConfig, n: int, seed, out,
     (see ``resolve_workers``).  The indices are split into contiguous
     shards, one per worker; the calling process runs shard 0 and worker
     processes the others, each writing its own part files, which are then
-    appended, without their headers, to shard 0's and deleted.  An error
+    appended, without their headers, to shard 0's and deleted.  A shard
+    simulates and writes its trajectories a block at a time, so memory
+    is bounded by the block, not the shard.  An error
     in any shard is raised here once every worker has stopped, and no
     part file is left behind; a worker that dies raises
     ``ChildProcessError``.
@@ -444,17 +506,31 @@ def ensemble_csv(spec: ProcessSpec, cfg: SchemeConfig, n: int, seed, out,
 
 def _write_shard(spec, cfg, entropy, start, stop, paths):
     """Simulate trajectories start..stop-1 and write both CSVs of them to
-    ``paths``; return the shard's counts and stage times."""
+    ``paths``, a block at a time; return the shard's counts and stage
+    times."""
     clock = time.perf_counter()
-    grid, trajectories = _shard(spec, cfg, entropy, start, stop)
+    plan = _plan(spec, cfg)
+    time_cells = np.array(list(map(repr, plan.times.tolist())), dtype=object)
+    rows = resets = 0
     ensemble_s = time.perf_counter() - clock
-    clock = time.perf_counter()
-    _trajectories_to_csv(trajectories, grid, start, paths[0])
-    _resets_to_csv(trajectories, start, paths[1])
-    return {"rows": sum(len(tr.times) for tr in trajectories),
-            "resets_drawn": sum(len(tr.reset_times) for tr in trajectories),
-            "ensemble_s": ensemble_s,
-            "write_s": time.perf_counter() - clock}
+    with open_table(paths[0], ("traj", "t", "x")) as write_rows, \
+            open_table(paths[1], ("traj", "reset_time")) as write_resets:
+        for lo in range(start, stop, _BLOCK):
+            tick = time.perf_counter()
+            block = _block(plan, [_rng(entropy, i) for i in range(lo, min(lo + _BLOCK, stop))])
+            ensemble_s += time.perf_counter() - tick
+            ids = np.array([str(i) for i in range(lo, lo + len(block.lengths))], dtype=object)
+            write_resets((np.repeat(ids, block.counts).tolist(), block.resets))
+            own = block.own_rows[block.valid]
+            cells = np.empty(len(own), dtype=object)
+            cells[~own] = np.tile(time_cells, len(ids))
+            cells[own] = list(map(repr, block.times[block.own_rows].tolist()))
+            write_rows((np.repeat(ids, block.lengths).tolist(), cells.tolist(),
+                        block.positions[block.valid]))
+            rows += len(cells)
+            resets += len(block.resets)
+    return {"rows": rows, "resets_drawn": resets, "ensemble_s": ensemble_s,
+            "write_s": time.perf_counter() - clock - ensemble_s}
 
 
 def _append_parts(path, parts):
@@ -470,56 +546,29 @@ def _append_parts(path, parts):
 # Exports
 # ---------------------------------------------------------------------------
 
-def _time_cells(grid):
-    """times -> their CSV cells, with each shared grid time formatted once.
-
-    Times that hold every grid time reuse the grid's cells and format only
-    their other times (the resets); any other times pass through as they
-    are.  Grid times are matched by their bits, not their values, so a
-    grid -0.0 never stands in for a 0.0.
-    """
-    if grid is None:
-        return lambda times: times
-    grid = np.asarray(grid, dtype=np.float64)
-    bits = grid.view(np.int64)
-    cells = np.array(list(map(repr, grid.tolist())), dtype=object)
-
-    def format_times(times):
-        if times.dtype != np.float64 or not len(times):
-            return times
-        slots = np.searchsorted(times, grid).clip(max=len(times) - 1)
-        if (times[slots].view(np.int64) != bits).any():
-            return times
-        out = np.empty(len(times), dtype=object)
-        out[slots] = cells
-        other = np.ones(len(times), dtype=bool)
-        other[slots] = False
-        out[other] = list(map(repr, times[other].tolist()))
-        return out.tolist()
-
-    return format_times
-
-
 def ensemble_to_csv(ensemble: Ensemble, path) -> None:
-    """Every trajectory's (t, x) rows, grouped by trajectory in index order."""
-    _trajectories_to_csv(ensemble.trajectories, ensemble.grid, 0, path)
+    """Every trajectory's (t, x) rows, grouped by trajectory in index order.
+
+    The grid's cells are formatted once: a time with the bits of a grid
+    time takes its cell, so a grid -0.0 never stands in for a 0.0.
+    """
+    grid = np.asarray(() if ensemble.grid is None else ensemble.grid, dtype=np.float64)
+    known = dict(zip(grid.view(np.int64).tolist(), map(repr, grid.tolist())))
+
+    def cells(times):
+        if times.dtype != np.float64:
+            return times
+        return [known.get(b) or repr(t)
+                for b, t in zip(times.view(np.int64).tolist(), times.tolist())]
+
+    write_table(path, ("traj", "t", "x"), ((i, cells(tr.times), tr.positions)
+                                           for i, tr in enumerate(ensemble.trajectories)))
 
 
 def resets_to_csv(ensemble: Ensemble, path) -> None:
     """Every trajectory's reset epochs, grouped by trajectory in index order."""
-    _resets_to_csv(ensemble.trajectories, 0, path)
-
-
-def _trajectories_to_csv(trajectories, grid, start, path):
-    format_times = _time_cells(grid)
-    write_table(path, ("traj", "t", "x"),
-                ((i, format_times(tr.times), tr.positions)
-                 for i, tr in enumerate(trajectories, start)))
-
-
-def _resets_to_csv(trajectories, start, path):
-    write_table(path, ("traj", "reset_time"),
-                ((i, tr.reset_times) for i, tr in enumerate(trajectories, start)))
+    write_table(path, ("traj", "reset_time"), ((i, tr.reset_times)
+                                               for i, tr in enumerate(ensemble.trajectories)))
 
 
 def scheme_to_json(cfg: SchemeConfig) -> dict:

@@ -175,6 +175,29 @@ class TestSimulateCommand:
         assert manifest["config"]["spec"]["clock"]["r"] == 1.0
         assert manifest["config"]["spec"]["xR"] == 4.0
 
+    @pytest.mark.parametrize("doc, field", [
+        ({"n": "many"}, "n must be an integer"),
+        ({"horizon": "long"}, "horizon must be a number"),
+        ({"seed": "lucky"}, "seed must be an integer"),
+        ({"scheme": "euler", "dt": "fine"}, "dt must be a number"),
+        ({"grid-points": "dense"}, "grid-points must be an integer"),
+        ({"n": 1e400}, "n must be an integer"),
+        ({"clock": {"type": "poisson", "r": "abc"}}, "clock.r must be a number"),
+        ({"clock": {"type": "npp", "r": 1.0, "p": None}}, "clock.p must be a number"),
+        ({"clock": {"type": "renewal",
+                    "renewal_law": {"name": "deterministic", "gap": "soon"}}},
+         "clock.renewal_law.gap must be a number"),
+    ], ids=["n", "horizon", "seed", "dt", "grid-points", "n-infinite", "clock-r",
+            "clock-p", "law-gap"])
+    def test_config_value_that_is_not_a_number_exits_2(self, tmp_path, capsys,
+                                                         doc, field):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(doc))
+        assert run(["simulate", "--config", config, "--out", tmp_path / "v"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: {field}; got ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_euler_refuses_grid_points(self, tmp_path, capsys):
         # the Euler scheme writes its dt lattice; a grid would be dropped
         assert run(["simulate", "--scheme", "euler", "--dt", 0.1, "--horizon", 1,
@@ -241,7 +264,7 @@ class TestSimulateCommand:
         # Forked workers inherit the patch.  A ".partN" suffix fails the
         # worker that writes shard N; ".csv" fails shard 0, which the
         # calling process runs while the workers finish theirs.
-        real = simulate.write_table
+        real = simulate.open_table
 
         def failing(path, *rest):
             if os.fspath(path).endswith(suffix):
@@ -250,7 +273,7 @@ class TestSimulateCommand:
                 raise error
             return real(path, *rest)
 
-        monkeypatch.setattr(simulate, "write_table", failing)
+        monkeypatch.setattr(simulate, "open_table", failing)
         out = tmp_path / "fail"
         assert run(["simulate", "--r", 1, "--horizon", 2, "--n", 12,
                     "--seed", 5, "--workers", 3, "--out", out]) == code

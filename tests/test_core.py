@@ -202,6 +202,24 @@ class TestJsonWireFormat:
                             "clock": {"type": "renewal",
                                       "renewal_law": {"name": "cauchy"}}})
 
+    def test_clock_that_is_not_an_object_is_a_spec_error(self):
+        with pytest.raises(SpecError, match="clock must be an object"):
+            spec_from_json({"diffusivity": 0.5, "x0": 0.0, "xR": 0.0, "clock": 5})
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"diffusivity": "slow", "x0": 0.0, "xR": 0.0}, "diffusivity"),
+        ({"diffusivity": 0.5, "x0": 0.0, "xR": 0.0,
+          "clock": {"type": "npp", "r": 1.0, "p": "steep"}}, "clock.p"),
+        ({"diffusivity": 0.5, "x0": 0.0, "xR": 0.0,
+          "clock": {"type": "renewal",
+                    "renewal_law": {"name": "pareto", "alpha": [1], "xm": 0.1}}},
+         "clock.renewal_law.alpha"),
+    ], ids=["diffusivity", "npp-p", "pareto-alpha"])
+    def test_value_that_is_not_a_number_is_named(self, doc, field):
+        doc.setdefault("clock", {"type": "poisson", "r": 1.0})
+        with pytest.raises(SpecError, match=f"{field} must be a number"):
+            spec_from_json(doc)
+
 
 class TestClockJson:
     @pytest.mark.parametrize("doc, field", [

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,6 +50,47 @@ def same_bits(a, b):
 
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def union_reference(grid, resets, rng, spec):
+    """(times, positions) of one exact trajectory, built on its own: grid
+    and resets merged by np.union1d when a reset sits on a grid time,
+    else by insertion, which keeps equal epochs apart."""
+    slots = np.searchsorted(grid, resets)
+    if (grid[slots.clip(max=len(grid) - 1)] == resets).any():
+        times = np.union1d(grid, resets)
+        flags = np.isin(times[1:], resets)
+    else:
+        times = np.sort(np.concatenate((grid, resets)), kind="stable")
+        flags = np.zeros(len(times), dtype=bool)
+        flags[slots + np.arange(len(resets))] = True
+        flags = flags[1:]
+    z = rng.standard_normal(len(times) - 1)
+    increments = np.sqrt(2.0 * spec.diffusivity * np.diff(times)) * z
+    return times, _kernels.walk(spec.x0, spec.x_reset, increments, flags)
+
+
+BLOCK = simulate_module._BLOCK
+
+# (spec, cfg, n) at the edges of the blocks a run is simulated in: block
+# boundaries, a block without resets, rows of very different lengths,
+# resets on grid times (trajectory BLOCK - 1 ends the first block), and
+# Euler with and without a grid
+BLOCK_CASES = [
+    *[(poisson_spec(1.0, 0.0, 2.0), SchemeConfig(ExactScheme(), horizon=3.0), n)
+      for n in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3)],
+    (poisson_spec(0.0, 0.3, 2.0), SchemeConfig(ExactScheme(), horizon=3.0), BLOCK + 1),
+    (ProcessSpec(0.5, 0.0, 1.0, RenewalClock(ParetoGaps(0.5, 1e-4))),
+     SchemeConfig(ExactScheme(), horizon=1.0, grid=np.linspace(0.0, 1.0, 21)), BLOCK + 1),
+    (ProcessSpec(0.5, 0.0, 1.0, RenewalClock(DeterministicGaps(0.5))),
+     SchemeConfig(ExactScheme(), horizon=5.0, grid=np.linspace(0.0, 5.0, 11)), BLOCK + 1),
+    (poisson_spec(1.0, 0.0, 2.0), SchemeConfig(EulerScheme(0.05), horizon=1.0), BLOCK + 1),
+    (poisson_spec(1.0, 0.0, 2.0),
+     SchemeConfig(EulerScheme(0.05), horizon=1.0, grid=[0.0, 0.5, 1.0]), BLOCK + 1),
+]
+BLOCK_IDS = [f"block-n={n}" for n in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3)] + [
+    "block-rate-0", "block-pareto", "block-resets-on-grid", "block-euler", "block-euler-grid"]
+
 
 
 class TestSchemeValidation:
@@ -364,21 +406,25 @@ class TestEnsemble:
             assert np.array_equal(a.at(grid), b.positions)
             assert np.array_equal(a.reset_times, b.reset_times)
 
-    @pytest.mark.parametrize("spec, cfg", [
-        (poisson_spec(1.0, 0.0, 2.0), SchemeConfig(ExactScheme(), horizon=3.0)),
+    @pytest.mark.parametrize("spec, cfg, n", [
+        (poisson_spec(1.0, 0.0, 2.0), SchemeConfig(ExactScheme(), horizon=3.0), 12),
         (ProcessSpec(0.5, 0.0, 1.0, RenewalClock(DeterministicGaps(0.5))),
-         SchemeConfig(ExactScheme(), horizon=5.0, grid=np.linspace(0.0, 5.0, 11))),
-        (poisson_spec(1.0, 0.0, 2.0), SchemeConfig(EulerScheme(0.01), horizon=1.0)),
-    ], ids=["exact", "resets-on-grid", "euler"])
-    def test_trajectory_i_is_a_single_run_on_child_i(self, spec, cfg):
-        ens = run_ensemble(spec, cfg, 12, seed=21)
+         SchemeConfig(ExactScheme(), horizon=5.0, grid=np.linspace(0.0, 5.0, 11)), 12),
+        (poisson_spec(1.0, 0.0, 2.0), SchemeConfig(EulerScheme(0.01), horizon=1.0), 12),
+        *BLOCK_CASES,
+    ], ids=["exact", "resets-on-grid", "euler", *BLOCK_IDS])
+    def test_trajectory_i_is_a_single_run_on_child_i(self, spec, cfg, n):
+        ens = run_ensemble(spec, cfg, n, seed=21)
+        slim = run_ensemble(spec, cfg, n, seed=21, keep="grid")
         one = simulate_euler if isinstance(cfg.scheme, EulerScheme) else simulate_exact
-        children = np.random.SeedSequence(21).spawn(12)
-        for child, tr in zip(children, ens.trajectories):
+        children = np.random.SeedSequence(21).spawn(n)
+        for child, tr, kept in zip(children, ens.trajectories, slim.trajectories):
             ref = one(spec, cfg, np.random.default_rng(child))
             assert same_bits(tr.times, ref.times)
             assert same_bits(tr.positions, ref.positions)
             assert same_bits(tr.reset_times, ref.reset_times)
+            assert same_bits(kept.positions, ref.at(slim.grid))
+            assert same_bits(kept.reset_times, ref.reset_times)
 
     @pytest.mark.parametrize("spec, horizon, grid", [
         (poisson_spec(1.3, 0.2, -1.0, 0.7), 4.0, None),
@@ -391,21 +437,25 @@ class TestEnsemble:
          np.array([0.0, 0.5, 1.0])),
     ], ids=["poisson", "power-law", "deterministic-on-grid", "short-grid"])
     def test_exact_path_matches_union_reference(self, spec, horizon, grid):
-        # reference: the union of grid and resets, reset rows by membership
         cfg = SchemeConfig(ExactScheme(), horizon=horizon, grid=grid)
         resolved = simulate_module._resolve_exact_grid(cfg)
         for seed in range(20):
             tr = simulate_exact(spec, cfg, np.random.default_rng(seed))
             rng = np.random.default_rng(seed)
             resets = sample_reset_times(spec.clock, horizon, rng)
-            merged = np.union1d(resolved, resets)
-            flags = np.isin(merged[1:], resets)
-            z = rng.standard_normal(len(merged) - 1)
-            increments = np.sqrt(2.0 * spec.diffusivity * np.diff(merged)) * z
-            positions = _kernels.walk(spec.x0, spec.x_reset, increments, flags)
+            merged, positions = union_reference(resolved, resets, rng, spec)
             assert same_bits(tr.times, merged)
             assert same_bits(tr.positions, positions)
             assert same_bits(tr.reset_times, resets)
+
+    def test_simulate_exact_runs_the_exact_scheme_for_any_config(self):
+        spec = poisson_spec(1.0, 0.0, 1.0)
+        euler = simulate_exact(spec, SchemeConfig(EulerScheme(0.1), horizon=1.0),
+                               np.random.default_rng(0))
+        exact = simulate_exact(spec, SchemeConfig(ExactScheme(), horizon=1.0),
+                               np.random.default_rng(0))
+        assert same_bits(euler.times, exact.times)
+        assert same_bits(euler.positions, exact.positions)
 
     def test_seed_none_records_entropy_that_reproduces_the_run(self):
         spec = poisson_spec(1.0, 0.0, 2.0)
@@ -469,21 +519,23 @@ class TestExport:
         assert sha256(slim) == (
             "7618eaf075799fe963513d5c9eefa5632635f7fd439ddd05f2d4fe3609710bf3")
 
-    @pytest.mark.parametrize("spec, cfg", [
-        (poisson_spec(1.0, 0.0, 2.0), SchemeConfig(ExactScheme(), horizon=3.0)),
+    @pytest.mark.parametrize("spec, cfg, n", [
+        (poisson_spec(1.0, 0.0, 2.0), SchemeConfig(ExactScheme(), horizon=3.0), 7),
         (ProcessSpec(0.5, 0.0, 1.0, RenewalClock(DeterministicGaps(0.5))),
-         SchemeConfig(ExactScheme(), horizon=5.0, grid=np.linspace(0.0, 5.0, 11))),
+         SchemeConfig(ExactScheme(), horizon=5.0, grid=np.linspace(0.0, 5.0, 11)), 7),
         (poisson_spec(1.0, 0.0, 2.0),
-         SchemeConfig(EulerScheme(0.1), horizon=1.0, grid=[-0.0, 0.5, 1.0])),
-    ], ids=["exact", "resets-on-grid", "euler-signed-zero-grid"])
-    def test_sharded_csv_equals_the_ensemble_writers(self, tmp_path, spec, cfg):
-        ens = run_ensemble(spec, cfg, 7, seed=3)
+         SchemeConfig(EulerScheme(0.1), horizon=1.0, grid=[-0.0, 0.5, 1.0]), 7),
+        *BLOCK_CASES,
+    ], ids=["exact", "resets-on-grid", "euler-signed-zero-grid", *BLOCK_IDS])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # padding walks no nan
+    def test_sharded_csv_equals_the_ensemble_writers(self, tmp_path, spec, cfg, n):
+        ens = run_ensemble(spec, cfg, n, seed=3)
         ensemble_to_csv(ens, tmp_path / "t.csv")
         resets_to_csv(ens, tmp_path / "r.csv")
         for workers in (1, 2, 3):
             out = tmp_path / str(workers)
             out.mkdir()
-            counts = ensemble_csv(spec, cfg, 7, 3, out, workers=workers)
+            counts = ensemble_csv(spec, cfg, n, 3, out, workers=workers)
             assert (out / "trajectories.csv").read_bytes() == (tmp_path / "t.csv").read_bytes()
             assert (out / "resets.csv").read_bytes() == (tmp_path / "r.csv").read_bytes()
             assert sorted(os.listdir(out)) == ["resets.csv", "trajectories.csv"]
@@ -525,3 +577,43 @@ class TestExport:
         assert doc["run"] == {"horizon": 3.0, "scheme": "euler", "dt": 1e-2,
                               "n": 2, "seed": 11}
         assert doc["spec"]["clock"]["r"] == 2.0
+
+
+class TestBlocks:
+    def test_mixed_rows_merge_as_union_or_insertion(self, monkeypatch, tmp_path):
+        # rows with and without a reset on the grid share blocks; equal
+        # epochs share one row only where a reset sits on the grid
+        choices = [np.array([0.3, 0.7]), np.array([0.5, 0.5, 0.7, 0.7, 1.0]),
+                   np.array([0.2, 0.2, 1.1]), np.empty(0), np.array([0.0, 0.25])]
+        monkeypatch.setattr(simulate_module, "sample_reset_times",
+                            lambda clock, horizon, rng: choices[rng.integers(len(choices))])
+        spec = poisson_spec(1.0, 0.5, -1.0)
+        grid = np.linspace(0.0, 1.0, 5)
+        cfg = SchemeConfig(ExactScheme(), horizon=1.2, grid=grid)
+        n = 2 * BLOCK + 3
+        ens = run_ensemble(spec, cfg, n, seed=8)
+        for i, child in enumerate(np.random.SeedSequence(8).spawn(n)):
+            rng = np.random.default_rng(child)
+            resets = choices[rng.integers(len(choices))]
+            times, positions = union_reference(grid, resets, rng, spec)
+            assert same_bits(ens.trajectories[i].times, times)
+            assert same_bits(ens.trajectories[i].positions, positions)
+            assert same_bits(ens.trajectories[i].reset_times, resets)
+        ensemble_to_csv(ens, tmp_path / "t.csv")
+        ensemble_csv(spec, cfg, n, 8, tmp_path, workers=1)
+        assert (tmp_path / "trajectories.csv").read_bytes() == (tmp_path / "t.csv").read_bytes()
+
+    def test_memory_is_bounded_by_the_block_not_the_shard(self, tmp_path):
+        spec = poisson_spec(1.0, 0.0, 2.0)
+        cfg = SchemeConfig(ExactScheme(), horizon=10.0)
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                ensemble_csv(spec, cfg, n, 1, tmp_path, workers=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(BLOCK)  # first-call allocations
+        assert peak(32 * BLOCK) <= 1.5 * peak(4 * BLOCK)
