@@ -139,7 +139,11 @@ def mgf(spec: ProcessSpec, s: float, t: float) -> float:
     if t < 0:
         raise DomainError("t must be nonnegative")
     a, b, c = _unit(spec)
-    return _mgf_unit(a, b, rate, c * s, t)
+    try:
+        return _mgf_unit(a, b, rate, c * s, t)
+    except OverflowError:
+        raise NumericalError(f"the moment generating function at s = {s:g}, "
+                             f"t = {t:g} overflows a double") from None
 
 
 def _mgf_unit(x0, xr, rate, s, t):
@@ -388,11 +392,15 @@ def nth_moment(spec: ProcessSpec, n: int, t: float) -> float:
     if not t > 0:
         raise DomainError("t must be positive")
     a, _, c = _unit(spec)
+    try:
+        scale = c ** n
+    except OverflowError:
+        raise NumericalError(f"moment {n} overflows a double") from None
     if rate == 0.0:
-        return c ** n * gaussian_moment(n, a, t)
+        return scale * gaussian_moment(n, a, t)
     unit = (laplace_moment(n, rate)
             + math.exp(-rate * t) * (gaussian_moment(n, a, t) - sum_moment(n, t, rate)))
-    return c ** n * unit
+    return scale * unit
 
 
 def _fd_weights(offsets: np.ndarray, order: int) -> np.ndarray:
@@ -482,6 +490,16 @@ def quadrature(integrand, lo, hi, points=None, vector=False, **opts):
     return value
 
 
+def _intensity_at(f: IntensityFunction, t: float) -> float:
+    """f(t), which the quadratures below need finite: their breakpoints
+    are geometric from 1/f(t)."""
+    with np.errstate(over="ignore"):
+        rate_t = float(f(t))
+    if not rate_t < math.inf:
+        raise DomainError(f"the reset intensity overflows a double at t = {t:g}")
+    return rate_t
+
+
 def _intensity_since(f: IntensityFunction, t: float, age: float) -> float:
     """R(t) - R(t - age), the mean number of events in (t - age, t].
 
@@ -562,13 +580,14 @@ def npp_pdf(spec: ProcessSpec, x, t: float):
 
 def _npp_pdf_unit(rate, p, x, t) -> np.ndarray:
     f = IntensityFunction(rate, p)
+    rate_t = _intensity_at(f, t)
     total = cumulative_intensity(f, t)
     half_x2 = 0.5 * x * x
     front = 2.0 / math.sqrt(2.0 * math.pi)
 
     def integrand(v):
         if v == 0.0:
-            return np.where(x == 0.0, front * float(f(t)), 0.0)
+            return np.where(x == 0.0, front * rate_t, 0.0)
         w = t - v * v
         expo = -_intensity_since(f, t, v * v) - half_x2 / (v * v)
         return np.where(expo < -_EXP_CUTOFF, 0.0, front * float(f(w)) * np.exp(expo))
@@ -577,7 +596,7 @@ def _npp_pdf_unit(rate, p, x, t) -> np.ndarray:
     # The integrand lives in a layer of width ~ layer next to v = 0 (last
     # reset just before t).  Geometric breakpoints layer * 4^k up to top
     # keep that layer sampled however much wider [0, top] is.
-    layer = 1.0 / math.sqrt(float(f(t)) + 1.0)
+    layer = 1.0 / math.sqrt(rate_t + 1.0)
     breaks = {top / 2.0}
     while layer < top:
         breaks.add(layer)
@@ -617,7 +636,7 @@ def _npp_msd_unit(rate, p, t) -> float:
     # When resets near t are frequent (f(t) t > 1) the survival decays
     # within ~1/f(t) of age 0; geometric breakpoints from there up to t
     # keep that layer sampled.
-    rate_t = float(f(t))
+    rate_t = _intensity_at(f, t)
     breaks = []
     age = 1.0 / rate_t if rate_t * t > 1.0 else t
     while age < t:

@@ -6,8 +6,10 @@ solves), and ``validate`` (reduced-scale consistency suites for CI).
 
 Every command writes a ``manifest.json`` with the fully resolved
 configuration, seed, tool version and wall time, sufficient to reproduce
-its outputs exactly.  Exit codes: 0 success, 1 validation failure,
-2 configuration error, 3 I/O error, 4 numerical failure.
+its outputs exactly, and the kernel backend and library versions it ran
+on (``validate`` records these in ``report.json``).  Exit codes: 0
+success, 1 validation failure, 2 configuration error, 3 I/O error,
+4 numerical failure.
 
 ``analytic``, ``fpe`` and ``stats`` load scipy, so only the commands that
 use them import them; ``simulate`` runs on numpy alone.
@@ -17,12 +19,13 @@ import argparse
 import json
 import math
 import os
+import platform
 import sys
 import time
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _kernels
 from .clocks import clock_from_json, expected_resets
 from .errors import as_number
 from .core import (
@@ -216,6 +219,15 @@ def _out_dir(args):
     return out
 
 
+def _run_record():
+    """The walk kernel's backend and the library versions of this run;
+    scipy only when the run has loaded it, so recording imports nothing."""
+    versions = {"python": platform.python_version(), "numpy": np.__version__}
+    if "scipy" in sys.modules:
+        versions["scipy"] = sys.modules["scipy"].__version__
+    return {"backend": _kernels.BACKEND, "versions": versions}
+
+
 def _write_manifest(out_dir, command, config, seed, outputs, started, **extra):
     manifest = {
         "command": command,
@@ -224,6 +236,7 @@ def _write_manifest(out_dir, command, config, seed, outputs, started, **extra):
         "version": __version__,
         "wall_time_s": round(time.time() - started, 3),
         "outputs": sorted(outputs),
+        **_run_record(),
         **extra,
     }
     path = os.path.join(out_dir, "manifest.json")
@@ -259,6 +272,8 @@ def _cmd_simulate(args) -> int:
     else:
         scheme = ExactScheme()
         if grid_points is not None:
+            if grid_points < 1:
+                raise SpecError("grid-points must be at least 1")
             grid = np.linspace(0.0, horizon, grid_points)
     cfg = SchemeConfig(scheme=scheme, horizon=horizon, grid=grid)
 
@@ -629,6 +644,7 @@ def _cmd_validate(args) -> int:
             all_pass &= check["pass"]
     report["pass"] = all_pass
     report["elapsed_s"] = round(time.time() - started, 3)
+    report.update(_run_record())
     out = _out_dir(args)
     with open(os.path.join(out, "report.json"), "w") as fh:
         json.dump(report, fh, sort_keys=True, indent=2)

@@ -134,16 +134,18 @@ def _accumulate_gaps(law, horizon, rng):
     chunks = []
     while True:
         gaps = law.draw(rng, block)
-        if np.any(gaps <= 0):
+        if (gaps <= 0).any():
             raise SpecError("renewal law produced a non-positive gap")
-        times = total + np.cumsum(gaps)
+        times = gaps.cumsum()
+        if total:
+            times += total
         chunks.append(times)
         total = times[-1]
         if total > horizon:
             break
         block = int(1.5 * block) + 16
-    events = np.concatenate(chunks)
-    return events[events <= horizon]
+    events = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    return events[:events.searchsorted(horizon, "right")]
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +217,8 @@ class NonhomogeneousPoissonClock(_PowerLawClock):
         budget = self.cumulative(horizon)
         if not budget > 0:
             return np.empty(0)
+        if budget == math.inf:
+            raise SpecError(f"R(horizon) overflows a double at horizon {horizon:g}")
         return self.inverse_cumulative(_accumulate_gaps(ExponentialGaps(1.0), budget, rng))
 
 
@@ -293,6 +297,21 @@ def expected_resets(clock, horizon):
     """Mean number of resets in [0, horizon], R(horizon), for Poisson and
     power-law clocks; None for renewal clocks, which have no closed form."""
     return None if clock.base_rate is None else clock.cumulative(horizon)
+
+
+def likely_resets(clock, horizon) -> float:
+    """About how many resets ``clock`` makes in [0, horizon], for sizing a
+    run: R(horizon) for Poisson and power-law clocks (inf where it
+    overflows), horizon over the mean gap for renewal clocks, and
+    (horizon / xm)**alpha for Pareto gaps of infinite mean, whose count
+    grows as that power."""
+    if clock.base_rate is not None:
+        with np.errstate(over="ignore"):
+            return clock.cumulative(horizon)
+    law = clock.law
+    if math.isfinite(law.mean_gap):
+        return horizon / law.mean_gap
+    return (horizon / law.xm) ** law.alpha
 
 
 def sample_reset_times(clock, horizon, rng) -> np.ndarray:

@@ -45,8 +45,8 @@ _REAL_TYPES = (float, int, np.floating, np.integer)
 def validate_spec(spec: ProcessSpec) -> ProcessSpec:
     """Return ``spec`` unchanged if all invariants hold, else raise SpecError."""
     d = spec.diffusivity
-    if isinstance(d, bool) or not (isinstance(d, _REAL_TYPES) and d > 0):
-        raise SpecError("diffusivity must be positive")
+    if isinstance(d, bool) or not (isinstance(d, _REAL_TYPES) and 0 < d < math.inf):
+        raise SpecError("diffusivity must be positive and finite")
     for name in ("x0", "x_reset"):
         value = getattr(spec, name)
         if (isinstance(value, bool) or not isinstance(value, _REAL_TYPES)
@@ -190,13 +190,28 @@ def spec_from_json(doc: dict) -> ProcessSpec:
 # ---------------------------------------------------------------------------
 
 def _cells(col):
-    """``str`` of integers, ``repr`` of floats, and strings as they are: the
-    cells of a column, or the one cell of a scalar."""
+    """The bytes cells of a column, or the one cell of a scalar: ``%d`` of
+    integers, ``repr`` of floats (see ``_float_cells``), and a list of
+    cells as it is."""
     if isinstance(col, list):
         return col
     col = np.asarray(col)
-    fmt = str if col.dtype.kind in "iu" else repr
-    return fmt(col.item()) if col.ndim == 0 else map(fmt, col.tolist())
+    if col.dtype.kind in "iu":
+        return b"%d" % col.item() if col.ndim == 0 else [b"%d" % v for v in col.tolist()]
+    return _float_cells(col)[0] if col.ndim == 0 else _float_cells(col)
+
+
+def _float_cells(col):
+    """``repr(float(v)).encode()`` of every element of a float array,
+    byte for byte; see ``_floatcells``, imported on first use so that
+    importing the package does not compile it."""
+    from ._floatcells import float_cells
+    return float_cells(col)
+
+
+# Rows formatted and written at a time: bytes.join also holds an 80-byte
+# buffer view of every line it joins.
+_SLICE_ROWS = 4096
 
 
 def write_table(path, header, blocks) -> None:
@@ -204,12 +219,13 @@ def write_table(path, header, blocks) -> None:
 
     A block is a tuple of columns: first any scalars, which repeat on every
     row of the block, then one or more equal-length columns, each a numpy
-    array or a list of cells already formatted as strings.  Integers are
+    array or a list of cells already formatted as bytes.  Integers are
     written as ``str(int)`` and floats as ``repr(float)``, the shortest
     string that round-trips; lines end in CRLF, as in the csv module's
     default dialect.  A block's scalars are formatted once, into the row
-    separator.  Blocks are formatted one at a time, so memory stays bounded
-    by the largest block, not the table.
+    separator.  Each block is formatted and written a slice of at most
+    ``_SLICE_ROWS`` rows at a time, so the cells held at once are one
+    slice's, however long the block or the table.
     """
     with open_table(path, header) as write:
         for block in blocks:
@@ -221,8 +237,8 @@ def open_table(path, header):
     """Write the header row of a CSV table and give a function that
     writes one block of rows (see ``write_table``), so that several
     tables can be written side by side."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode() + b"\r\n")
 
         def write(block):
             lead = 0
@@ -233,9 +249,14 @@ def open_table(path, header):
                 raise SpecError("a block needs columns of equal length after its scalars")
             if not len(columns[0]):
                 return
-            prefix = "".join(_cells(col) + "," for col in block[:lead])
-            cells = [_cells(col) for col in columns]
-            rows = cells[0] if len(cells) == 1 else map(",".join, zip(*cells))
-            fh.write(prefix + ("\r\n" + prefix).join(rows) + "\r\n")
+            prefix = b"".join(_cells(col) + b"," for col in block[:lead])
+            sep = b"\r\n" + prefix
+            n = len(columns[0])
+            k = -(-n // _SLICE_ROWS)
+            bounds = [i * n // k for i in range(k + 1)]
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                cells = [_cells(col[lo:hi]) for col in columns]
+                rows = cells[0] if len(cells) == 1 else map(b",".join, zip(*cells))
+                fh.write(prefix + sep.join(rows) + b"\r\n")
 
         yield write

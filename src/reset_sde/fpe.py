@@ -36,6 +36,9 @@ from .analytic import DensityCurve, _poisson_rate, spatial_scale
 MASS_TOLERANCE = 1e-3
 BOUNDARY_MARGIN_SCALES = 5.0
 DEFAULT_PAD_SCALES = 8.0
+# Grids above this many nodes are refused before any array is allocated:
+# each costs a handful of float arrays of its length per step.
+MAX_NODES = 10 ** 6
 
 
 class MassConservationError(NumericalError):
@@ -54,6 +57,8 @@ class FpeGrid:
     boundary: str = "reflecting"
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x_lo, self.x_hi, self.h, self.dt))):
+            raise SpecError("x_lo, x_hi, h and dt must be finite")
         if not self.h > 0 or not self.dt > 0:
             raise SpecError("h and dt must be positive")
         if self.x_hi <= self.x_lo:
@@ -63,6 +68,9 @@ class FpeGrid:
         if self.boundary not in ("reflecting", "absorbing"):
             raise SpecError("boundary must be 'reflecting' or 'absorbing'")
         n = (self.x_hi - self.x_lo) / self.h
+        if not n < MAX_NODES:
+            raise SpecError(f"the grid would have {n + 1:.3g} nodes, above the "
+                            f"{MAX_NODES} allowed; raise h or narrow the range")
         if abs(n - round(n)) > 1e-8:
             raise SpecError("(x_hi - x_lo) must be a multiple of h")
 
@@ -78,8 +86,10 @@ def default_grid(spec: ProcessSpec, t_final: float, h: float = 1e-2,
     points; the stationary tails decay fast enough that the truncation
     error is negligible at that range.  ``t_final=None`` sizes the grid
     for the stationary law."""
-    if t_final is not None and not t_final >= 0:
-        raise DomainError("t_final must be nonnegative")
+    if t_final is not None and not 0 <= t_final < math.inf:
+        raise DomainError("t_final must be nonnegative and finite")
+    if not 0 < h < math.inf:
+        raise SpecError("h must be positive and finite")
     pad = DEFAULT_PAD_SCALES * max(spatial_scale(spec, t_final or 0.0), 10 * h)
     lo = min(spec.x0, spec.x_reset) - pad
     hi = max(spec.x0, spec.x_reset) + pad
@@ -137,8 +147,8 @@ def _apply_tridiag(lower, main, upper, p):
 
 def _solve_transient(spec, grid, t_final, source_coeff):
     rate = _poisson_rate(spec)
-    if not t_final > 0:
-        raise DomainError("t_final must be positive")
+    if not 0 < t_final < math.inf:
+        raise DomainError("t_final must be positive and finite")
     _check_margins(spec, grid, t_final)
     xs = grid.xs
     n = len(xs)

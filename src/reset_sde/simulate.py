@@ -34,19 +34,25 @@ from .core import (
     ProcessSpec,
     SpecError,
     Trajectory,
+    _float_cells,
     open_table,
     spec_to_json,
     time_atol,
     validate_spec,
     write_table,
 )
-from .clocks import expected_resets, sample_reset_times
+from .clocks import likely_resets, sample_reset_times
 
 # Per-step reset probability must stay a small probability; the boundary
 # value 0.1 is admitted so dt = 0.1 at unit rate is a valid step.
 MAX_EULER_RESET_PROB = 0.1
 
 DEFAULT_EXACT_POINTS = 257
+
+# A run expected to walk more rows than this, over all its trajectories
+# (grid or lattice points plus resets), is refused before any work: a row
+# costs 8 bytes of each array a trajectory walks, and about 25 of CSV.
+MAX_RUN_ROWS = 10 ** 8
 
 TRAJECTORIES_CSV = "trajectories.csv"
 RESETS_CSV = "resets.csv"
@@ -81,10 +87,12 @@ class SchemeConfig:
     grid: Optional[np.ndarray] = None
 
 
-def validate_scheme(spec: ProcessSpec, cfg: SchemeConfig) -> SchemeConfig:
+def validate_scheme(spec: ProcessSpec, cfg: SchemeConfig, n: int = 1) -> SchemeConfig:
+    """Check ``cfg`` for ``spec``, and that n of its trajectories stay
+    within ``MAX_RUN_ROWS``."""
     validate_spec(spec)
-    if not cfg.horizon > 0:
-        raise SpecError("horizon must be positive")
+    if not 0 < cfg.horizon < math.inf:
+        raise SpecError("horizon must be positive and finite")
     grid = None
     if cfg.grid is not None:
         grid = np.asarray(cfg.grid, dtype=float)
@@ -94,8 +102,8 @@ def validate_scheme(spec: ProcessSpec, cfg: SchemeConfig) -> SchemeConfig:
             raise SpecError("grid must lie within [0, horizon]")
     if isinstance(cfg.scheme, EulerScheme):
         dt = cfg.scheme.dt
-        if not dt > 0:
-            raise SpecError("dt must be positive")
+        if not 0 < dt < math.inf:
+            raise SpecError("dt must be positive and finite")
         rate = spec.clock.base_rate
         if rate is None:
             raise SpecError("the Euler scheme supports Poisson clocks only; "
@@ -108,6 +116,10 @@ def validate_scheme(spec: ProcessSpec, cfg: SchemeConfig) -> SchemeConfig:
             raise SpecError("requested times must be multiples of dt")
     elif not isinstance(cfg.scheme, ExactScheme):
         raise SpecError(f"unknown scheme: {type(cfg.scheme).__name__}")
+    rows = n * _rows_per_trajectory(spec, cfg)
+    if not rows <= MAX_RUN_ROWS:
+        raise SpecError(f"the run would walk about {rows:.3g} rows, above the budget "
+                        f"of {MAX_RUN_ROWS:.0e}; lower n, the horizon or the reset rate")
     return cfg
 
 
@@ -192,6 +204,14 @@ class _Block:
     resets: np.ndarray
     counts: np.ndarray
     own_rows: np.ndarray
+
+
+def _entropy(seed):
+    """The root entropy of a run: ``seed``, or entropy from the OS for None."""
+    try:
+        return np.random.SeedSequence(seed).entropy
+    except (TypeError, ValueError):
+        raise SpecError(f"seed must be a non-negative integer or None; got {seed!r}") from None
 
 
 def _rng(entropy, i):
@@ -392,12 +412,12 @@ def run_ensemble(spec: ProcessSpec, cfg: SchemeConfig, n: int, seed,
     stores positions only at the common output grid (resets still
     recorded), which keeps large exact-scheme ensembles small.
     """
-    validate_scheme(spec, cfg)
+    validate_scheme(spec, cfg, n)
     if not n >= 1:
         raise SpecError("ensemble size must be at least 1")
     if keep not in ("full", "grid"):
         raise SpecError("keep must be 'full' or 'grid'")
-    entropy = np.random.SeedSequence(seed).entropy
+    entropy = _entropy(seed)
     plan = _plan(spec, cfg)
     if isinstance(cfg.scheme, EulerScheme):
         one = simulate_euler
@@ -429,9 +449,14 @@ def resolve_workers(n: int, workers=None, rows=DEFAULT_EXACT_POINTS) -> int:
 
 
 def _rows_per_trajectory(spec, cfg):
-    """Rows one trajectory is expected to walk: its grid or lattice plus
-    the clock's expected resets (none for renewal clocks)."""
-    return len(_plan(spec, cfg).times) + (expected_resets(spec.clock, cfg.horizon) or 0.0)
+    """Rows one trajectory of a checked config is expected to walk: its
+    grid or dt lattice plus the clock's likely resets."""
+    if isinstance(cfg.scheme, EulerScheme):
+        points = cfg.horizon / cfg.scheme.dt + 1.0
+    else:
+        grid = cfg.grid
+        points = DEFAULT_EXACT_POINTS if grid is None else len(grid) + (grid[0] != 0.0)
+    return points + likely_resets(spec.clock, cfg.horizon)
 
 
 def _usable_cpus():
@@ -470,11 +495,11 @@ def ensemble_csv(spec: ProcessSpec, cfg: SchemeConfig, n: int, seed, out,
     each summed over the shards (so the times are process seconds, and
     may exceed the wall time), and ``workers``, the number of shards.
     """
-    validate_scheme(spec, cfg)
+    validate_scheme(spec, cfg, n)
     if not n >= 1:
         raise SpecError("ensemble size must be at least 1")
     k = resolve_workers(n, workers, _rows_per_trajectory(spec, cfg))
-    entropy = np.random.SeedSequence(seed).entropy
+    entropy = _entropy(seed)
     bounds = [i * n // k for i in range(k + 1)]
     paths = [os.path.join(out, name) for name in (TRAJECTORIES_CSV, RESETS_CSV)]
     parts = [[f"{path}.part{i}" for path in paths] for i in range(1, k)]
@@ -510,7 +535,7 @@ def _write_shard(spec, cfg, entropy, start, stop, paths):
     times."""
     clock = time.perf_counter()
     plan = _plan(spec, cfg)
-    time_cells = np.array(list(map(repr, plan.times.tolist())), dtype=object)
+    time_cells = np.array(_float_cells(plan.times), dtype=object)
     rows = resets = 0
     ensemble_s = time.perf_counter() - clock
     with open_table(paths[0], ("traj", "t", "x")) as write_rows, \
@@ -519,12 +544,12 @@ def _write_shard(spec, cfg, entropy, start, stop, paths):
             tick = time.perf_counter()
             block = _block(plan, [_rng(entropy, i) for i in range(lo, min(lo + _BLOCK, stop))])
             ensemble_s += time.perf_counter() - tick
-            ids = np.array([str(i) for i in range(lo, lo + len(block.lengths))], dtype=object)
+            ids = np.array([b"%d" % i for i in range(lo, lo + len(block.lengths))], dtype=object)
             write_resets((np.repeat(ids, block.counts).tolist(), block.resets))
             own = block.own_rows[block.valid]
             cells = np.empty(len(own), dtype=object)
             cells[~own] = np.tile(time_cells, len(ids))
-            cells[own] = list(map(repr, block.times[block.own_rows].tolist()))
+            cells[own] = _float_cells(block.times[block.own_rows])
             write_rows((np.repeat(ids, block.lengths).tolist(), cells.tolist(),
                         block.positions[block.valid]))
             rows += len(cells)
@@ -553,12 +578,12 @@ def ensemble_to_csv(ensemble: Ensemble, path) -> None:
     time takes its cell, so a grid -0.0 never stands in for a 0.0.
     """
     grid = np.asarray(() if ensemble.grid is None else ensemble.grid, dtype=np.float64)
-    known = dict(zip(grid.view(np.int64).tolist(), map(repr, grid.tolist())))
+    known = dict(zip(grid.view(np.int64).tolist(), _float_cells(grid)))
 
     def cells(times):
         if times.dtype != np.float64:
             return times
-        return [known.get(b) or repr(t)
+        return [known.get(b) or repr(t).encode()
                 for b, t in zip(times.view(np.int64).tolist(), times.tolist())]
 
     write_table(path, ("traj", "t", "x"), ((i, cells(tr.times), tr.positions)

@@ -600,8 +600,14 @@ class TestTypedErrors:
         (lambda: analytic._fd_weights(np.array([-1.0, 1.0]), 2), SpecError),
         (lambda: analytic.moment_from_mgf(ProcessSpec(0.5, 1.0, 0.0, PoissonClock(1.0)),
                                           3, 1.0, points=3), SpecError),
+        (lambda: mgf(spec_poisson(1.0, x0=1e9), 0.5, 1.0), NumericalError),
+        (lambda: mgf(spec_poisson(0.0, x0=1e9), 0.5, 1.0), NumericalError),
+        (lambda: nth_moment(spec_poisson(1.0, d=1e300), 6, 1.0), NumericalError),
+        (lambda: npp_msd(spec_npp(1.0, 1e9), 1.0), DomainError),
+        (lambda: npp_pdf(spec_npp(1.0, 1e9), 0.0, 1.0), DomainError),
     ], ids=["provenance", "laplace", "gaussian", "sum", "nth", "fd-weights",
-            "mgf-stencil"])
+            "mgf-stencil", "mgf-overflow", "mgf-overflow-rate-0", "moment-overflow",
+            "npp-msd-overflow", "npp-pdf-overflow"])
     def test_bad_arguments_raise_typed_errors(self, call, error):
         with pytest.raises(error):
             call()

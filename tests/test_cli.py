@@ -1,17 +1,22 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import multiprocessing
 import os
+import platform
 import subprocess
 import sys
+import tempfile
 
+from hypothesis import given, settings, strategies as hs
 import numpy as np
 import pytest
 
 import reset_sde
-from reset_sde import analytic, cli, simulate
+from reset_sde import _kernels, analytic, cli, simulate
 from reset_sde.core import DomainError, NumericalError, PoissonClock, ProcessSpec
 
 
@@ -285,10 +290,12 @@ class TestSimulateCommand:
 
     def test_simulate_imports_no_scipy(self, tmp_path):
         src = os.path.dirname(os.path.dirname(reset_sde.__file__))
-        code = ("import sys\n"
+        code = ("import json, os, sys\n"
                 "from reset_sde import cli\n"
                 f"assert cli.main(['simulate', '--n', '3', '--horizon', '1', "
                 f"'--out', {str(tmp_path)!r}]) == 0\n"
+                f"print(sorted(json.load(open(os.path.join({str(tmp_path)!r}, "
+                "'manifest.json')))['versions']))\n"
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
@@ -296,6 +303,8 @@ class TestSimulateCommand:
                 p for p in (src, os.environ.get("PYTHONPATH")) if p)))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
+        # the run record names no scipy version, and loads no scipy for it
+        assert proc.stdout.splitlines()[-2] == "['numpy', 'python']"
 
 
 class TestAnalyticCommand:
@@ -481,7 +490,142 @@ class TestDomainErrors:
         assert not list(out.glob("*.csv"))
 
 
+class TestRunRecord:
+    COMMON = {"command", "config", "seed", "version", "wall_time_s", "outputs",
+              "backend", "versions"}
+
+    def check_record(self, doc):
+        assert doc["backend"] == _kernels.BACKEND
+        versions = doc["versions"]
+        assert versions["python"] == platform.python_version()
+        assert versions["numpy"] == np.__version__
+        assert set(versions) == {"python", "numpy"} | (
+            {"scipy"} if "scipy" in sys.modules else set())
+
+    @pytest.mark.parametrize("args, extra", [
+        (["simulate", "--n", 3, "--horizon", 1], {"stages", "counters"}),
+        (["analytic", "mean", "--points", 5], set()),
+        (["fpe", "--h", 0.1, "--t", 0.5], set()),
+    ], ids=["simulate", "analytic", "fpe"])
+    def test_manifest_keys(self, tmp_path, args, extra):
+        assert run(args + ["--out", tmp_path]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert set(manifest) == self.COMMON | extra
+        self.check_record(manifest)
+
+    def test_report_keys(self, tmp_path):
+        assert run(["validate", "--suite", "dynkin", "--out", tmp_path]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert set(report) == {"suites", "suite_seconds", "seed", "version", "pass",
+                               "elapsed_s", "backend", "versions"}
+        self.check_record(report)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--horizon", "inf"],
+        ["simulate", "--seed", "-1"],
+        ["simulate", "--grid-points", "-3"],
+        ["simulate", "--d", "inf"],
+        ["fpe", "--t", "inf"],
+        ["fpe", "--h", "0"],
+        ["fpe", "--x-lo", "nan", "--x-hi", "2"],
+        ["simulate", "--scheme", "euler", "--dt", "inf", "--r", "0"],
+    ], ids=["horizon-inf", "seed-negative", "grid-points-negative", "d-inf",
+            "fpe-t-inf", "fpe-h-zero", "fpe-x-lo-nan", "euler-dt-inf"])
+    def test_exit_2_with_one_error_line(self, tmp_path, capsys, args):
+        assert run(args + ["--out", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and err.count("\n") == 1
+
+
+class TestOversizedInputs:
+    @pytest.mark.parametrize("args", [
+        ["fpe", "--x0", "1e9"],
+        ["simulate", "--r", "1e9"],
+        ["simulate", "--horizon", "1e9"],
+        ["simulate", "--p", "1e9"],
+        ["simulate", "--scheme", "euler", "--dt", "1e-9"],
+        ["analytic", "msd", "--p", "1e9"],
+        ["analytic", "pdf", "--p", "1e9"],
+    ], ids=["fpe-x0", "simulate-rate", "simulate-horizon", "simulate-npp-overflow",
+            "simulate-euler-lattice", "analytic-npp-msd", "analytic-npp-pdf"])
+    def test_refused_with_exit_2_before_the_work(self, tmp_path, capsys, args):
+        assert run(args + ["--out", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and err.count("\n") == 1
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_overflowing_mgf_exits_4(self, tmp_path, capsys):
+        assert run(["analytic", "mgf", "--x0", "1e9", "--out", tmp_path]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical:") and err.count("\n") == 1
+
+
 class TestVersionFlag:
     def test_version_exits_zero(self, capsys):
         assert run(["--version"]) == 0
         assert capsys.readouterr().out.strip()
+
+
+_NUMBER = hs.sampled_from(["0", "-1", "0.5", "1", "2", "1e9", "-1e9", "1e300", "nan", "inf",
+                           "-inf", "x", ""])
+_SPEC_FLAGS = {
+    "--r": _NUMBER, "--p": _NUMBER, "--x0": _NUMBER, "--xr": _NUMBER, "--d": _NUMBER,
+    "--clock": hs.sampled_from(["poisson", "npp", "renewal", "other"]),
+    "--renewal-law": hs.sampled_from([
+        '{"name":"pareto","alpha":1.5,"xm":0.2}', '{"name":"deterministic","gap":0.5}',
+        '{"name":"exponential","mean":-1}', '{"name":"other"}', "[]", "{"]),
+}
+# tiny sizes and horizons, so that every run the parser accepts is quick
+_COMMAND_FLAGS = {
+    "simulate": dict(_SPEC_FLAGS, **{
+        "--scheme": hs.sampled_from(["exact", "euler", "other"]),
+        "--dt": hs.sampled_from(["0.01", "0.1", "0", "-1", "nan", "1"]),
+        "--horizon": hs.sampled_from(["0.5", "2", "0", "-1", "nan", "inf"]),
+        "--n": hs.sampled_from(["1", "3", "0", "-2", "x"]),
+        "--seed": hs.sampled_from(["0", "-1", "7", "x"]),
+        "--grid-points": hs.sampled_from(["1", "2", "11", "0", "-3"]),
+        "--workers": hs.sampled_from(["1", "2", "0", "-1"]),
+    }),
+    "analytic": dict(_SPEC_FLAGS, **{
+        "--t": _NUMBER, "--x-lo": _NUMBER, "--x-hi": _NUMBER, "--s-lo": _NUMBER,
+        "--s-hi": _NUMBER, "--t-lo": _NUMBER, "--t-hi": _NUMBER,
+        "--points": hs.sampled_from(["2", "5", "1", "0", "-1"]),
+        "--n-max": hs.sampled_from(["0", "2", "-1"]),
+    }),
+    "fpe": dict(_SPEC_FLAGS, **{
+        "--form": hs.sampled_from(["evans", "delta-fl", "stationary", "other"]),
+        "--t": hs.sampled_from(["0.1", "0.5", "0", "-1", "nan", "inf"]),
+        "--x-lo": hs.sampled_from(["-2", "0", "2", "nan"]),
+        "--x-hi": hs.sampled_from(["-2", "0", "2", "inf"]),
+        "--h": hs.sampled_from(["0.1", "0.25", "0", "-1", "nan"]),
+        "--dt": hs.sampled_from(["0.01", "0.05", "0", "-1", "nan"]),
+        "--boundary": hs.sampled_from(["reflecting", "absorbing", "other"]),
+    }),
+}
+_ANALYTIC_WHAT = ["pdf", "cf", "mgf", "mean", "moments", "msd", "stationary", "regime"]
+
+
+@hs.composite
+def _cli_args(draw):
+    command = draw(hs.sampled_from(sorted(_COMMAND_FLAGS)))
+    flags = _COMMAND_FLAGS[command]
+    args = [command]
+    if command == "analytic":
+        args.append(draw(hs.sampled_from(_ANALYTIC_WHAT)))
+    for flag in draw(hs.lists(hs.sampled_from(sorted(flags)), max_size=6, unique=True)):
+        args += [flag, draw(flags[flag])]
+    return args
+
+
+class TestCliFuzz:
+    @settings(max_examples=40, deadline=None)
+    @given(_cli_args())
+    def test_documented_exit_code_and_no_traceback(self, args):
+        stderr = io.StringIO()
+        with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(stderr), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(args + ["--out", out])
+        assert code in (0, 2, 3, 4), (args, stderr.getvalue())
+        assert "Traceback" not in stderr.getvalue()

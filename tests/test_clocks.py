@@ -23,6 +23,7 @@ from reset_sde.clocks import (
     cumulative_intensity,
     expected_resets,
     inverse_cumulative_intensity,
+    likely_resets,
     sample_reset_times,
 )
 
@@ -198,6 +199,16 @@ class TestClockInterface:
         clock = RenewalClock(DeterministicGaps(0.5))
         assert clock.base_rate is None
         assert expected_resets(clock, 5.0) is None
+
+    @pytest.mark.parametrize("clock, horizon, count", [
+        (PoissonClock(2.0), 5.0, 10.0),
+        (NonhomogeneousPoissonClock(1.0, 1e9), 1.0, math.inf),
+        (RenewalClock(DeterministicGaps(0.5)), 5.0, 10.0),
+        (RenewalClock(ParetoGaps(0.5, 1e-4)), 1.0, 100.0),
+    ], ids=["poisson", "npp-overflow", "deterministic", "pareto-infinite-mean"])
+    def test_likely_resets_sizes_every_clock(self, clock, horizon, count):
+        with np.errstate(over="raise"):
+            assert likely_resets(clock, horizon) == pytest.approx(count)
 
     @pytest.mark.parametrize("law, mean_gap", [
         (ExponentialGaps(2.0), 2.0), (DeterministicGaps(0.3), 0.3),

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hs
+from hypothesis.extra import numpy as hnp
 
 from reset_sde import (
     DeterministicGaps,
@@ -23,6 +24,7 @@ from reset_sde import (
     spec_to_json,
     validate_spec,
 )
+from reset_sde import _floatcells, core
 from reset_sde.core import clock_from_json, write_table
 from reset_sde.simulate import (
     ExactScheme,
@@ -300,7 +302,7 @@ class TestCsvWireFormat:
         xs = np.array([1e16, np.nan, 1 / 3])
         ids = np.array([2 ** 62] * 3, dtype=np.int64)
         write_table(tmp_path / "new.csv", ("traj", "t", "x"),
-                    [(np.int64(2 ** 62), [repr(t) for t in times.tolist()], xs),
+                    [(np.int64(2 ** 62), [repr(t).encode() for t in times.tolist()], xs),
                      (7, np.array([0.25]), np.array([-1.0])),
                      (8, np.array([]), np.array([]))])
         csv_reference(tmp_path / "ref.csv", ("traj", "t", "x"),
@@ -318,6 +320,82 @@ class TestCsvWireFormat:
         with pytest.raises(ValueError, match="equal length"):
             write_table(tmp_path / "bad.csv", ("a", "b"),
                         [(np.zeros(2), np.zeros(3))])
+
+
+def repr_cells(col):
+    return [repr(float(v)).encode() for v in np.asarray(col).tolist()]
+
+
+def sweep_values():
+    """About 1.1 million doubles: random bit patterns, 25,000 a decade from
+    1e-6 to 1e18 of both signs, 50 steps of nextafter either side of each
+    power of 10 and of 2, and short decimals k / 10**d and k * 10**d."""
+    rng = np.random.default_rng(20240915)
+    bits = rng.integers(0, 2 ** 64, 300_000, dtype=np.uint64).view(np.float64)
+    decades = [rng.choice([-1.0, 1.0], 25_000) * 10.0 ** rng.uniform(k, k + 1, 25_000)
+               for k in range(-6, 18)]
+    powers = np.array([10.0 ** k for k in range(-8, 20)] + [2.0 ** k for k in range(-30, 60)])
+    near, up, down = [powers], powers, powers
+    for _ in range(50):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+        near += [up, down]
+    near = np.concatenate(near)
+    k = rng.integers(1, 10 ** 6, 200_000).astype(float)
+    d = rng.integers(0, 17, 200_000).astype(float)
+    short = np.concatenate([k / 10.0 ** d, k * 10.0 ** (d - 6)])
+    return np.concatenate([bits, *decades, near, -near, short])
+
+
+class TestFloatCells:
+    """``core._float_cells`` (``_floatcells.float_cells``) writes exactly
+    what ``repr`` writes."""
+
+    def test_sweep_of_a_million_doubles_matches_repr(self):
+        values = sweep_values()
+        assert len(values) >= 10 ** 6
+        assert core._float_cells(values) == repr_cells(values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(hnp.arrays(np.float64, hs.integers(0, 1200),
+                      elements=hs.floats(allow_nan=True, allow_infinity=True,
+                                         allow_subnormal=True)))
+    def test_any_doubles_match_repr(self, values):
+        assert core._float_cells(values) == repr_cells(values)
+        # the same values again, as one array above the size threshold
+        big = np.resize(values, _floatcells._FAST_MIN + 1) if len(values) else values
+        assert core._float_cells(big) == repr_cells(big)
+
+    def test_specials_float32_and_scalars(self):
+        specials = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324,
+                             2.2250738585072014e-308, 1e-4, 9.999999999999999e-05,
+                             1e16, 9999999999999998.0, 0.1, 0.3, 2.0 / 3.0, 1e15 + 0.5])
+        col = np.tile(specials, 40)
+        assert core._float_cells(col) == repr_cells(col)
+        assert core._float_cells(col.astype(np.float32)) == repr_cells(col.astype(np.float32))
+        assert core._float_cells(np.float64(0.1)) == [b"0.1"]
+
+    def test_ties_and_edges_go_to_repr(self, monkeypatch):
+        # 1 + 2**-17 scales to ...312.5, halfway between two 17-digit
+        # candidates: the fast path must not choose between them
+        tie = np.array([1 + 2.0 ** -17, 0.5, 1.5])
+        sure = _floatcells._shortest(tie)[3]
+        assert sure.tolist() == [False, True, True]
+        col = np.repeat(tie, _floatcells._FAST_MIN)
+        assert core._float_cells(col) == repr_cells(col)
+        # with a margin wider than any interval nothing is sure, and every
+        # cell comes from repr
+        values = np.random.default_rng(5).standard_normal(3000)
+        monkeypatch.setattr(_floatcells, "_MARGIN", 100.0)
+        assert not _floatcells._shortest(np.abs(values))[3].any()
+        assert core._float_cells(values) == repr_cells(values)
+
+    def test_chunks_and_short_arrays(self):
+        chunk = _floatcells._FAST_CHUNK
+        values = np.random.default_rng(6).standard_normal(2 * chunk + 7) * 50
+        values[::97] = 0.0
+        values[1::101] = -0.0
+        for n in (0, 1, _floatcells._FAST_MIN - 1, _floatcells._FAST_MIN, len(values)):
+            assert core._float_cells(values[:n]) == repr_cells(values[:n])
 
 
 class TestTypedErrors:

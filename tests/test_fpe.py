@@ -12,6 +12,7 @@ from reset_sde import (
 )
 from reset_sde import analytic
 from reset_sde.fpe import (
+    MAX_NODES,
     FpeGrid,
     MassConservationError,
     apply_adjoint,
@@ -45,6 +46,15 @@ class TestGridValidation:
     def test_span_must_be_multiple_of_h(self):
         with pytest.raises(SpecError, match="multiple"):
             FpeGrid(0.0, 1.005, h=1e-2, dt=1e-3)
+
+    def test_node_count_is_capped_before_any_array(self):
+        FpeGrid(0.0, (MAX_NODES - 1) * 1e-2, h=1e-2, dt=1e-3)
+        with pytest.raises(SpecError, match="nodes"):
+            FpeGrid(0.0, MAX_NODES * 1e-2, h=1e-2, dt=1e-3)
+        with pytest.raises(SpecError, match="nodes"):
+            FpeGrid(-1e308, 1e308, h=1.0, dt=1.0)
+        with pytest.raises(SpecError, match="nodes"):
+            default_grid(spec_poisson(1.0, 1e9, 0.0), 1.0)
 
     def test_boundary_choices(self):
         with pytest.raises(SpecError, match="boundary"):

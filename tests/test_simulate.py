@@ -140,6 +140,42 @@ class TestSchemeValidation:
             run_ensemble(poisson_spec(1.0), cfg, 5, seed=1, keep="grid")
         assert calls == []
 
+    @pytest.mark.parametrize("spec, cfg, n", [
+        (poisson_spec(1e9), SchemeConfig(ExactScheme(), 0.5), 1),
+        (poisson_spec(1.0), SchemeConfig(ExactScheme(), 1e9), 1),
+        (poisson_spec(1.0), SchemeConfig(EulerScheme(1e-2), 1e9), 1),
+        (ProcessSpec(0.5, 0.0, 0.0, NonhomogeneousPoissonClock(1.0, 1e9)),
+         SchemeConfig(ExactScheme(), 1.0), 1),
+        (ProcessSpec(0.5, 0.0, 0.0, RenewalClock(ParetoGaps(0.5, 1e-12))),
+         SchemeConfig(ExactScheme(), 10.0), 10 ** 3),
+        (poisson_spec(1.0), SchemeConfig(ExactScheme(), 10.0), 10 ** 6),
+    ], ids=["rate", "horizon", "euler-lattice", "npp-overflow", "pareto-infinite-mean",
+            "many-trajectories"])
+    def test_runs_above_the_row_budget_are_refused_before_any_draw(self, monkeypatch,
+                                                                   spec, cfg, n):
+        calls = []
+        monkeypatch.setattr(simulate_module, "_block", lambda *a, **k: calls.append(a))
+        with pytest.raises(SpecError, match="budget"):
+            run_ensemble(spec, cfg, n, seed=1)
+        with pytest.raises(SpecError, match="budget"):
+            ensemble_csv(spec, cfg, n, 1, "unused-directory")
+        assert calls == []
+
+    def test_row_budget_admits_the_runs_it_bounds(self):
+        spec = ProcessSpec(0.5, 0.0, 0.0, RenewalClock(ParetoGaps(0.5, 1e-4)))
+        validate_scheme(spec, SchemeConfig(ExactScheme(), 10.0), 10 ** 5)
+        budget = simulate_module.MAX_RUN_ROWS
+        cfg = SchemeConfig(ExactScheme(), 10.0)
+        per_path = simulate_module.DEFAULT_EXACT_POINTS + 10.0
+        validate_scheme(poisson_spec(1.0), cfg, int(budget // per_path))
+        with pytest.raises(SpecError, match="budget"):
+            validate_scheme(poisson_spec(1.0), cfg, int(budget // per_path) + 1)
+
+    def test_npp_events_refuse_an_overflowing_mean_count(self):
+        clock = NonhomogeneousPoissonClock(1.0, 1e9)
+        with np.errstate(over="ignore"), pytest.raises(SpecError, match="overflows"):
+            sample_reset_times(clock, 1.0, np.random.default_rng(0))
+
     def test_grid_must_be_increasing_and_inside(self):
         with pytest.raises(SpecError, match="increasing"):
             validate_scheme(poisson_spec(),
