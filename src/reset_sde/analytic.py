@@ -531,8 +531,8 @@ def npp_char_fn(spec: ProcessSpec, s, t: float) -> complex:
     largest one (large |s|) carry that absolute accuracy, not a relative one.
     """
     rate, p = _npp_params(spec)
-    if not t >= 0:
-        raise DomainError("t must be nonnegative")
+    if not 0 <= t < math.inf:
+        raise DomainError("t must be nonnegative and finite")
     _, _, c = _unit(spec)
     s_arr = np.atleast_1d(np.asarray(s, dtype=float)) * c
     out = _npp_cf_unit(rate, p, s_arr, t).astype(complex)
@@ -570,8 +570,8 @@ def npp_pdf(spec: ProcessSpec, x, t: float):
     accuracy, not a relative one.
     """
     rate, p = _npp_params(spec)
-    if not t > 0:
-        raise DomainError("t must be positive")
+    if not 0 < t < math.inf:
+        raise DomainError("t must be positive and finite")
     _, _, c = _unit(spec)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float)) / c
     out = _npp_pdf_unit(rate, p, x_arr, t) / c
@@ -618,8 +618,8 @@ def npp_msd(spec: ProcessSpec, t: float) -> float:
     directly.  Scales as 2 D times the unit-frame value.
     """
     rate, p = _npp_params(spec)
-    if not t >= 0:
-        raise DomainError("t must be nonnegative")
+    if not 0 <= t < math.inf:
+        raise DomainError("t must be nonnegative and finite")
     return 2.0 * spec.diffusivity * _npp_msd_unit(rate, p, t)
 
 
@@ -635,11 +635,12 @@ def _npp_msd_unit(rate, p, t) -> float:
 
     # When resets near t are frequent (f(t) t > 1) the survival decays
     # within ~1/f(t) of age 0; geometric breakpoints from there up to t
-    # keep that layer sampled.
+    # keep that layer sampled.  At most half the quadrature's subintervals
+    # go to them: beyond 4^100 / f(t) the survival is below exp(-4^99).
     rate_t = _intensity_at(f, t)
     breaks = []
     age = 1.0 / rate_t if rate_t * t > 1.0 else t
-    while age < t:
+    while age < t and len(breaks) < _QUAD_OPTS["limit"] // 2:
         breaks.append(age)
         age *= 4.0
     return quadrature(integrand, 0.0, t, points=breaks or None)

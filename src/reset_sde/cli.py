@@ -46,7 +46,6 @@ from .simulate import (
     ExactScheme,
     SchemeConfig,
     ensemble_csv,
-    euler_marginal_samples,
     marginal_samples,
     run_metadata,
 )
@@ -457,61 +456,35 @@ def _check(name, value, tolerance, ok=None):
 
 
 def _suite_pdf_ks(seed):
-    from . import analytic, stats
+    from . import checks
     spec = ProcessSpec(0.5, 0.0, 3.0, PoissonClock(1.0))
-    checks = []
-    xs = marginal_samples(spec, 0.1, 30000, seed=seed)
-    checks.append(_check(
-        "exact marginals vs closed-form cdf (t=0.1)",
-        stats.ks_distance(xs, lambda v: stats.analytic_cdf(spec, v, 0.1)), 0.012))
-    eu = euler_marginal_samples(spec, 0.1, 1e-3, 30000, seed=seed + 1)
-    checks.append(_check(
-        "euler marginals vs closed-form cdf (dt=1e-3)",
-        stats.ks_distance(eu, lambda v: stats.analytic_cdf(spec, v, 0.1)), 0.015))
     npp = ProcessSpec(0.5, 0.0, 0.0, NonhomogeneousPoissonClock(1.0, -0.5))
-    samples = marginal_samples(npp, 5.0, 20000, seed=seed + 2)
-    curve = analytic.npp_density_curve(npp, 5.0,
-                                       np.linspace(-10.0, 10.0, 1601))
-    checks.append(_check(
-        "nonhomogeneous marginals vs quadrature density (p=-0.5, t=5)",
-        stats.ks_distance(samples, stats.cdf_from_density_curve(curve)), 0.025))
-    return checks
+    return [
+        _check("exact marginals vs closed-form cdf (t=0.1)",
+               checks.marginal_ks(spec, 0.1, 30000, seed), 0.012),
+        _check("euler marginals vs closed-form cdf (dt=1e-3)",
+               checks.marginal_ks(spec, 0.1, 30000, seed + 1, dt=1e-3), 0.015),
+        _check("nonhomogeneous marginals vs quadrature density (p=-0.5, t=5)",
+               checks.npp_marginal_ks(npp, 5.0, 20000, seed + 2,
+                                      np.linspace(-10.0, 10.0, 1601)), 0.025),
+    ]
 
 
 def _suite_moments(seed):
-    from . import analytic
+    from . import checks
     spec = ProcessSpec(0.5, 1.0, 0.0, PoissonClock(1.0))
-    t = 0.7
-    checks = []
-    worst_quad = worst_fd = 0.0
-    for n in range(1, 7):
-        closed = analytic.nth_moment(spec, n, t)
-        # scipy's default quad tolerances; the check's bound is 1e-6
-        quad = analytic.quadrature(lambda x, n=n: x ** n * analytic.pdf(spec, x, t),
-                                   -np.inf, np.inf, epsabs=1.49e-8, epsrel=1.49e-8,
-                                   limit=300)
-        worst_quad = max(worst_quad, abs(closed - quad) / abs(quad))
-        fd = analytic.moment_from_mgf(spec, n, t)
-        worst_fd = max(worst_fd, abs(closed - fd) / abs(closed))
-    checks.append(_check("closed-form vs quadrature moments (n=1..6)",
-                         worst_quad, 1e-6))
-    checks.append(_check("closed-form vs mgf-derivative moments (n=1..6)",
-                         worst_fd, 1e-4))
-    samples = marginal_samples(spec, t, 200000, seed=seed)
-    worst_z = 0.0
-    for n in range(1, 5):
-        vals = samples ** n
-        se = vals.std() / math.sqrt(len(vals))
-        worst_z = max(worst_z,
-                      abs(vals.mean() - analytic.nth_moment(spec, n, t)) / se)
-    checks.append(_check("monte carlo moments within 3 se (n=1..4)",
-                         worst_z, 3.0))
-    return checks
+    quad, fd = zip(*checks.moment_errors(spec, 0.7, range(1, 7)))
+    z = checks.moment_z_scores(spec, 0.7, 200000, seed, range(1, 5))
+    return [
+        _check("closed-form vs quadrature moments (n=1..6)", max(quad), 1e-6),
+        _check("closed-form vs mgf-derivative moments (n=1..6)", max(fd), 1e-4),
+        _check("monte carlo moments within 3 se (n=1..4)", max(map(abs, z)), 3.0),
+    ]
 
 
 def _suite_msd_exponents(seed):
     from statistics import NormalDist
-    from . import analytic, stats
+    from . import analytic, checks, stats
     # Each check fails a correct program with probability about false_alarm.
     # From n samples an MSD has relative standard error sqrt(5 / n) for a
     # Laplace law (kurtosis 6), less for the others: 5.8% at n = 1500, where
@@ -526,95 +499,51 @@ def _suite_msd_exponents(seed):
         xs = marginal_samples(spec, grid, n, seed)
         return stats.MsdSeries(ts=grid, msd=np.mean(xs ** 2, axis=0), n_samples=n)
 
-    checks = []
+    results = []
     for i, p in enumerate((-0.5, -1.0, -1.5, 0.0)):
         spec = ProcessSpec(0.5, 0.0, 0.0, NonhomogeneousPoissonClock(1.0, p))
         series = msd_series(spec, seed + i)
         mu = stats.fit_power_law_exponent(series)
         mu_alt = stats.fit_power_law_exponent(series, window=(25.0, 100.0))
         target = analytic.classify_regime(p).exponent
-        checks.append(_check(
+        results.append(_check(
             f"msd exponent p={p:g} (fit {mu:+.3f} / alt window {mu_alt:+.3f})",
             abs(mu - target), tolerance))
     spec = ProcessSpec(0.5, 0.0, 0.0, NonhomogeneousPoissonClock(1.0, 0.5))
-    series = msd_series(spec, seed + 9)
-    tail = series.msd[-1]
-    target = analytic.npp_msd(spec, 100.0)
-    checks.append(_check("msd p=0.5 at horizon vs quadrature",
-                         abs(tail - target) / target, tolerance))
-    checks.append(_check("msd p=0.5 decreasing over last decade",
-                         series.msd[-1] - np.interp(10.0, series.ts, series.msd),
-                         0.0))
-    return checks
+    rel, change = checks.msd_tail(spec, msd_series(spec, seed + 9))
+    results.append(_check("msd p=0.5 at horizon vs quadrature", rel, tolerance))
+    results.append(_check("msd p=0.5 decreasing over last decade", change, 0.0))
+    return results
 
 
 def _suite_fpe_agreement(seed):
-    from . import analytic, fpe
-    checks = []
-    spec = ProcessSpec(0.5, 0.0, 3.0, PoissonClock(1.0))
-    grid = fpe.default_grid(spec, 0.5, h=2e-2, dt=2e-3)
-    ev = fpe.solve_fpe_evans(spec, grid, 0.5)
-    fl = fpe.solve_fpe_delta_fl(spec, grid, 0.5)
-    checks.append(_check(
-        "plain vs stationary-weighted source, L1",
-        np.trapezoid(np.abs(ev.values - fl.values), ev.xs), 1e-3))
-    ref = analytic.pdf(spec, ev.xs, 0.5)
-    checks.append(_check(
-        "transient solve vs closed form, L1",
-        np.trapezoid(np.abs(ev.values - ref), ev.xs), 1e-2))
-    spec0 = ProcessSpec(0.5, 0.0, 0.0, PoissonClock(1.0))
-    sgrid = fpe.default_grid(spec0, None, h=1e-2)
-    st_curve = fpe.stationary_fpe(spec0, sgrid)
-    checks.append(_check(
-        "stationary solve vs laplace density, Linf",
-        np.max(np.abs(st_curve.values - analytic.stationary_pdf(spec0, st_curve.xs))),
-        1e-3))
-    return checks
+    from . import checks
+    forms, plain, _ = checks.fpe_l1_distances(
+        ProcessSpec(0.5, 0.0, 3.0, PoissonClock(1.0)), 0.5, h=2e-2, dt=2e-3)
+    return [
+        _check("plain vs stationary-weighted source, L1", forms, 1e-3),
+        _check("transient solve vs closed form, L1", plain, 1e-2),
+        _check("stationary solve vs laplace density, Linf",
+               checks.stationary_linf(ProcessSpec(0.5, 0.0, 0.0, PoissonClock(1.0)),
+                                      h=1e-2), 1e-3),
+    ]
 
 
 def _suite_dynkin(seed):
-    from . import analytic, fpe
-    checks = []
+    from . import checks, fpe
     spec = ProcessSpec(0.5, 0.0, 2.0, PoissonClock(1.0))
-    xs = np.arange(-8.0, 10.0 + 1e-9, 1e-2)
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal(len(xs))
-    f = rng.standard_normal(len(xs))
-    h = xs[1] - xs[0]
-    lhs = h * np.dot(fpe.apply_generator(g, xs, spec), f)
-    rhs = h * np.dot(g, fpe.apply_adjoint(f, xs, spec))
-    checks.append(_check("generator/adjoint duality residual",
-                         abs(lhs - rhs), 1e-8))
-    worst_z = 0.0
-    for t in (0.3, 0.8):
-        z = _dynkin_z(spec, t, 30000, seed)
-        worst_z = max(worst_z, abs(z))
-    checks.append(_check("observable-average drift (x^2) within 3 se",
-                         worst_z, 3.0))
     spec3 = ProcessSpec(0.5, 0.0, 3.0, PoissonClock(1.0))
-    grid = fpe.default_grid(spec3, 1.0, h=1e-2)
-    d = 1e-5
-    p_mid = analytic.pdf(spec3, grid.xs, 0.5)
-    dpdt = (analytic.pdf(spec3, grid.xs, 0.5 + d)
-            - analytic.pdf(spec3, grid.xs, 0.5 - d)) / (2 * d)
-    checks.append(_check(
-        "time derivative of closed-form density vs adjoint action, L1",
-        np.trapezoid(np.abs(dpdt - fpe.apply_adjoint(p_mid, grid.xs, spec3)),
-                     grid.xs), 1e-2))
-    return checks
-
-
-def _dynkin_z(spec, t, n, seed, delta=1e-3):
-    """z-score of d/dt E[x^2] against the generator prediction, using
-    common random numbers across the three time points."""
-    lo = marginal_samples(spec, t - delta, n, seed=seed)
-    mid = marginal_samples(spec, t, n, seed=seed)
-    hi = marginal_samples(spec, t + delta, n, seed=seed)
-    drift = (hi ** 2 - lo ** 2) / (2 * delta)
-    generator = (2.0 * spec.diffusivity
-                 + spec.clock.rate * (spec.x_reset ** 2 - mid ** 2))
-    residual = drift - generator
-    return residual.mean() / (residual.std() / math.sqrt(n))
+    xs = np.arange(-8.0, 10.0 + 1e-9, 1e-2)
+    return [
+        _check("generator/adjoint duality residual",
+               checks.duality_residual(spec, xs, np.random.default_rng(seed)), 1e-8),
+        _check("observable-average drift (x^2) within 3 se",
+               max(abs(checks.dynkin_z(spec, t, 30000, seed)) for t in (0.3, 0.8)),
+               3.0),
+        _check("time derivative of closed-form density vs adjoint action, L1",
+               checks.adjoint_l1(spec3, fpe.default_grid(spec3, 1.0, h=1e-2).xs, 0.5),
+               1e-2),
+    ]
 
 
 _SUITES = {

@@ -195,7 +195,8 @@ class _Block:
     Row k holds ``lengths[k]`` times and positions, where ``valid`` is
     set, then repeats its last time and position.  ``resets`` holds every
     row's epochs in turn, ``counts[k]`` of them for row k; ``own_rows``
-    marks the entries that are an epoch off the shared times.
+    marks the entries that are an epoch off the shared times, and
+    ``own_epochs`` the epochs they hold, in the same order.
     """
     times: np.ndarray
     positions: np.ndarray
@@ -204,6 +205,7 @@ class _Block:
     resets: np.ndarray
     counts: np.ndarray
     own_rows: np.ndarray
+    own_epochs: np.ndarray
 
 
 def _entropy(seed):
@@ -248,7 +250,8 @@ def _block(plan, rngs, drift=0.0):
         times = np.broadcast_to(lattice, positions.shape)
         return _Block(times, positions, np.full(len(rngs), len(lattice)),
                       np.ones(times.shape, dtype=bool), times[:, 1:][flags],
-                      flags.sum(axis=1), np.zeros(times.shape, dtype=bool))
+                      flags.sum(axis=1), np.zeros(times.shape, dtype=bool),
+                      np.zeros(int(flags.sum()), dtype=bool))
     grid = plan.times
     per_row = [sample_reset_times(spec.clock, plan.cfg.horizon, rng) for rng in rngs]
     counts = np.fromiter(map(len, per_row), int, len(rngs))
@@ -287,7 +290,7 @@ def _block(plan, rngs, drift=0.0):
         rng.standard_normal(out=z[k, :lengths[k] - 1])
     increments = np.sqrt(2.0 * spec.diffusivity * (times[:, 1:] - times[:, :-1])) * z
     positions = _walk(spec, increments, flags[:, 1:])
-    return _Block(times, positions, lengths, valid, resets, counts, own_rows)
+    return _Block(times, positions, lengths, valid, resets, counts, own_rows, own)
 
 
 def _only(block):
@@ -307,8 +310,14 @@ def _chain(spec, times, ages, n, seed, unit=1.0, drift=None):
     says which samples saw no reset since the previous time, and how long
     each has diffused since then or since its last reset: a Normal step of
     mean drift*unit*age (no term at all for None) and variance
-    2*D*unit*age, times being in units of ``unit``.
+    2*D*unit*age, times being in units of ``unit``.  An output of more
+    than ``MAX_RUN_ROWS`` values is refused before any array is made.
     """
+    if not n >= 1:
+        raise SpecError("n must be at least 1")
+    if not n * len(times) <= MAX_RUN_ROWS:
+        raise SpecError(f"{n} samples at {len(times)} times exceed the budget of "
+                        f"{MAX_RUN_ROWS:.0e} values; lower n or the number of times")
     rng = np.random.default_rng(seed)
     var = 2.0 * spec.diffusivity * unit
     out = np.empty((n, len(times)))
@@ -357,8 +366,6 @@ def marginal_samples(spec: ProcessSpec, t, n: int, seed) -> np.ndarray:
     times = np.unique(np.asarray(t, dtype=float))
     if not np.all(times > 0):
         raise DomainError("t must be positive")
-    if not n >= 1:
-        raise SpecError("n must be at least 1")
     clock = spec.clock
     if clock.base_rate is not None:
         ages = _hazard_ages(times, [clock.cumulative(s) for s in times],
@@ -545,11 +552,13 @@ def _write_shard(spec, cfg, entropy, start, stop, paths):
             block = _block(plan, [_rng(entropy, i) for i in range(lo, min(lo + _BLOCK, stop))])
             ensemble_s += time.perf_counter() - tick
             ids = np.array([b"%d" % i for i in range(lo, lo + len(block.lengths))], dtype=object)
-            write_resets((np.repeat(ids, block.counts).tolist(), block.resets))
+            # each epoch is formatted once, for resets.csv and for its own row
+            reset_cells = np.array(_float_cells(block.resets), dtype=object)
+            write_resets((np.repeat(ids, block.counts).tolist(), reset_cells.tolist()))
             own = block.own_rows[block.valid]
             cells = np.empty(len(own), dtype=object)
             cells[~own] = np.tile(time_cells, len(ids))
-            cells[own] = _float_cells(block.times[block.own_rows])
+            cells[own] = reset_cells[block.own_epochs]
             write_rows((np.repeat(ids, block.lengths).tolist(), cells.tolist(),
                         block.positions[block.valid]))
             rows += len(cells)

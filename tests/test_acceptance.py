@@ -23,7 +23,7 @@ from reset_sde import (
     run_ensemble,
 )
 from reset_sde.simulate import ExactScheme, SchemeConfig
-from reset_sde import analytic, fpe, stats
+from reset_sde import analytic, checks, fpe, stats
 
 
 def report(number, name, checks):
@@ -46,9 +46,7 @@ def spec_npp(p, rate=1.0):
 
 def test_criterion_01_pdf_agreement():
     started = time.time()
-    spec = spec_poisson(1.0, 0.0, 3.0)
-    samples = marginal_samples(spec, 0.1, 100000, seed=20240101)
-    ks = stats.ks_distance(samples, lambda v: stats.analytic_cdf(spec, v, 0.1))
+    ks = checks.marginal_ks(spec_poisson(1.0, 0.0, 3.0), 0.1, 100000, 20240101)
     elapsed = time.time() - started
     report(1, "density vs 1e5 exact samples (start 0, reset 3, rate 1, t=0.1)", [
         ("KS distance < 0.01", ks < 0.01, f"KS = {ks:.5f}"),
@@ -84,87 +82,49 @@ def test_criterion_03_stationary_law():
 
 def test_criterion_04_moment_triangle():
     spec = spec_poisson(1.0, 1.0, 0.0)
-    t = 0.7
-    checks = []
-    samples = marginal_samples(spec, t, 1000000, seed=42)
-    for n in range(1, 7):
-        closed = analytic.nth_moment(spec, n, t)
-        quad, _ = integrate.quad(lambda x, n=n: x ** n * analytic.pdf(spec, x, t),
-                                 -np.inf, np.inf, limit=300)
-        rel_quad = abs(closed - quad) / abs(quad)
-        checks.append((f"n={n} closed vs quadrature (rel < 1e-6)",
-                       rel_quad < 1e-6, f"rel = {rel_quad:.2e}"))
-        fd = analytic.moment_from_mgf(spec, n, t)
-        rel_fd = abs(closed - fd) / abs(closed)
-        checks.append((f"n={n} closed vs mgf derivative (rel < 1e-4)",
-                       rel_fd < 1e-4, f"rel = {rel_fd:.2e}"))
+    rows = []
+    zs = checks.moment_z_scores(spec, 0.7, 1000000, 42, range(1, 5))
+    for n, (rel_quad, rel_fd) in enumerate(checks.moment_errors(spec, 0.7, range(1, 7)), 1):
+        rows.append((f"n={n} closed vs quadrature (rel < 1e-6)",
+                     rel_quad < 1e-6, f"rel = {rel_quad:.2e}"))
+        rows.append((f"n={n} closed vs mgf derivative (rel < 1e-4)",
+                     rel_fd < 1e-4, f"rel = {rel_fd:.2e}"))
         if n <= 4:
-            vals = samples ** n
-            z = (vals.mean() - closed) / (vals.std() / math.sqrt(len(vals)))
-            checks.append((f"n={n} closed vs monte carlo (|z| < 3)",
-                           abs(z) < 3.0, f"z = {z:+.2f}"))
+            z = zs[n - 1]
+            rows.append((f"n={n} closed vs monte carlo (|z| < 3)",
+                         abs(z) < 3.0, f"z = {z:+.2f}"))
     report(4, "moment triangle at (x0, r, t) = (1, 1, 0.7), reset point 0",
-           checks)
+           rows)
 
 
 def test_criterion_05_fpe_cross_validation():
     spec = spec_poisson(1.0, 0.0, 3.0)
-    checks = []
+    rows = []
     for t in (0.1, 1.0):
-        grid = fpe.default_grid(spec, t, h=1e-2, dt=1e-3)
         started = time.time()
-        ev = fpe.solve_fpe_evans(spec, grid, t)
-        fl = fpe.solve_fpe_delta_fl(spec, grid, t)
+        l1_forms, l1_ev, l1_fl = checks.fpe_l1_distances(spec, t, h=1e-2, dt=1e-3)
         elapsed = time.time() - started
-        ref = analytic.pdf(spec, ev.xs, t)
-        l1_forms = np.trapezoid(np.abs(ev.values - fl.values), ev.xs)
-        l1_ev = np.trapezoid(np.abs(ev.values - ref), ev.xs)
-        l1_fl = np.trapezoid(np.abs(fl.values - ref), fl.xs)
-        checks.append((f"t={t}: source forms agree (L1 < 1e-3)",
+        rows.append((f"t={t}: source forms agree (L1 < 1e-3)",
                        l1_forms < 1e-3, f"L1 = {l1_forms:.2e}"))
-        checks.append((f"t={t}: plain-source solve vs closed form (L1 < 1e-2)",
+        rows.append((f"t={t}: plain-source solve vs closed form (L1 < 1e-2)",
                        l1_ev < 1e-2, f"L1 = {l1_ev:.2e}"))
-        checks.append((f"t={t}: weighted-source solve vs closed form (L1 < 1e-2)",
+        rows.append((f"t={t}: weighted-source solve vs closed form (L1 < 1e-2)",
                        l1_fl < 1e-2, f"L1 = {l1_fl:.2e}"))
-        checks.append((f"t={t}: runtime < 60 s per solve",
+        rows.append((f"t={t}: runtime < 60 s per solve",
                        elapsed / 2 < 60.0, f"{elapsed / 2:.2f} s"))
-    spec0 = spec_poisson(1.0, 0.0, 0.0)
-    sgrid = fpe.default_grid(spec0, None, h=1e-2)
-    st_curve = fpe.stationary_fpe(spec0, sgrid)
-    linf = np.max(np.abs(st_curve.values
-                         - analytic.stationary_pdf(spec0, st_curve.xs)))
-    checks.append(("stationary solve vs laplace density (Linf < 1e-3)",
-                   linf < 1e-3, f"Linf = {linf:.2e}"))
-    report(5, "finite-difference solvers vs closed forms", checks)
+    linf = checks.stationary_linf(spec_poisson(1.0, 0.0, 0.0), h=1e-2)
+    rows.append(("stationary solve vs laplace density (Linf < 1e-3)",
+                 linf < 1e-3, f"Linf = {linf:.2e}"))
+    report(5, "finite-difference solvers vs closed forms", rows)
 
 
 def test_criterion_06_generator_adjoint():
     spec = spec_poisson(1.0, 0.0, 2.0)
     xs = np.arange(-8.0, 10.0 + 1e-12, 1e-2)
-    h = 1e-2
-    rng = np.random.default_rng(606)
-    worst = 0.0
-    for _ in range(5):
-        g = rng.standard_normal(len(xs))
-        f = rng.standard_normal(len(xs))
-        lhs = h * np.dot(fpe.apply_generator(g, xs, spec), f)
-        rhs = h * np.dot(g, fpe.apply_adjoint(f, xs, spec))
-        worst = max(worst, abs(lhs - rhs))
-    n, t, delta = 100000, 0.5, 1e-3
-    lo = marginal_samples(spec, t - delta, n, seed=2718)
-    mid = marginal_samples(spec, t, n, seed=2718)
-    hi = marginal_samples(spec, t + delta, n, seed=2718)
-    resid = (hi ** 2 - lo ** 2) / (2 * delta) \
-        - (2 * spec.diffusivity + spec.clock.rate * (spec.x_reset ** 2 - mid ** 2))
-    z = resid.mean() / (resid.std() / math.sqrt(n))
+    worst = checks.duality_residual(spec, xs, np.random.default_rng(606), draws=5)
+    z = checks.dynkin_z(spec, 0.5, 100000, 2718)
     spec3 = spec_poisson(1.0, 0.0, 3.0)
-    grid = fpe.default_grid(spec3, 1.0, h=1e-2)
-    d = 1e-5
-    p_mid = analytic.pdf(spec3, grid.xs, 0.5)
-    dpdt = (analytic.pdf(spec3, grid.xs, 0.5 + d)
-            - analytic.pdf(spec3, grid.xs, 0.5 - d)) / (2 * d)
-    l1 = np.trapezoid(np.abs(dpdt - fpe.apply_adjoint(p_mid, grid.xs, spec3)),
-                      grid.xs)
+    l1 = checks.adjoint_l1(spec3, fpe.default_grid(spec3, 1.0, h=1e-2).xs, 0.5)
     report(6, "generator and adjoint consistency", [
         ("discrete duality residual < 1e-8", worst < 1e-8, f"{worst:.2e}"),
         ("drift of E[x^2] matches generator (|z| < 3, 1e5 samples)",
@@ -179,33 +139,29 @@ def test_criterion_07_npp_msd_exponents():
     grid = np.geomspace(0.1, 100.0, 48)
     cfg = SchemeConfig(scheme=ExactScheme(), horizon=100.0, grid=grid)
     targets = {-0.5: 0.5, -1.0: 1.0, -1.5: 1.0, 0.0: 0.0}
-    checks = []
+    rows = []
     for i, p in enumerate((-0.5, -1.0, -1.5, 0.0, 0.5)):
         ens = run_ensemble(spec_npp(p), cfg, 10000, seed=4200 + i, keep="grid")
         series = stats.empirical_msd(ens)
         if p in targets:
             mu = stats.fit_power_law_exponent(series)
-            checks.append((f"p={p:g}: exponent within 0.1 of {targets[p]:g}",
-                           abs(mu - targets[p]) < 0.1, f"mu = {mu:+.3f}"))
+            rows.append((f"p={p:g}: exponent within 0.1 of {targets[p]:g}",
+                         abs(mu - targets[p]) < 0.1, f"mu = {mu:+.3f}"))
         else:
-            target = analytic.npp_msd(spec_npp(p), 100.0)
-            rel = abs(series.msd[-1] - target) / target
-            msd10 = float(np.interp(10.0, series.ts, series.msd))
-            checks.append(("p=0.5: msd at horizon within 10% of quadrature",
-                           rel < 0.10, f"rel = {rel:.3f}"))
-            checks.append(("p=0.5: msd decreases over the last decade",
-                           series.msd[-1] < msd10,
-                           f"{series.msd[-1]:.4f} < {msd10:.4f}"))
+            rel, change = checks.msd_tail(spec_npp(p), series)
+            msd10 = series.msd[-1] - change
+            rows.append(("p=0.5: msd at horizon within 10% of quadrature",
+                         rel < 0.10, f"rel = {rel:.3f}"))
+            rows.append(("p=0.5: msd decreases over the last decade",
+                         change < 0.0, f"{series.msd[-1]:.4f} < {msd10:.4f}"))
     elapsed = time.time() - started
-    checks.append(("total runtime < 10 min", elapsed < 600.0, f"{elapsed:.0f} s"))
-    report(7, "anomalous-diffusion exponents (1e4 paths, horizon 1e2)", checks)
+    rows.append(("total runtime < 10 min", elapsed < 600.0, f"{elapsed:.0f} s"))
+    report(7, "anomalous-diffusion exponents (1e4 paths, horizon 1e2)", rows)
 
 
 def test_criterion_08_npp_density_consistency():
-    spec = spec_npp(-0.5)
-    samples = marginal_samples(spec, 5.0, 100000, seed=808)
-    curve = analytic.npp_density_curve(spec, 5.0, np.linspace(-12.0, 12.0, 2401))
-    ks = stats.ks_distance(samples, stats.cdf_from_density_curve(curve))
+    ks = checks.npp_marginal_ks(spec_npp(-0.5), 5.0, 100000, 808,
+                                np.linspace(-12.0, 12.0, 2401))
     worst = 0.0
     hom = spec_poisson(1.0)
     npp0 = spec_npp(0.0)

@@ -11,7 +11,7 @@ import subprocess
 import sys
 import tempfile
 
-from hypothesis import given, settings, strategies as hs
+from hypothesis import example, given, settings, strategies as hs
 import numpy as np
 import pytest
 
@@ -296,6 +296,7 @@ class TestSimulateCommand:
                 f"'--out', {str(tmp_path)!r}]) == 0\n"
                 f"print(sorted(json.load(open(os.path.join({str(tmp_path)!r}, "
                 "'manifest.json')))['versions']))\n"
+                "print('reset_sde.checks' in sys.modules)\n"
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
@@ -303,8 +304,10 @@ class TestSimulateCommand:
                 p for p in (src, os.environ.get("PYTHONPATH")) if p)))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
+        # nor does it load the cross-checks that the validate suites share
+        assert proc.stdout.splitlines()[-2] == "False"
         # the run record names no scipy version, and loads no scipy for it
-        assert proc.stdout.splitlines()[-2] == "['numpy', 'python']"
+        assert proc.stdout.splitlines()[-3] == "['numpy', 'python']"
 
 
 class TestAnalyticCommand:
@@ -622,6 +625,8 @@ def _cli_args(draw):
 class TestCliFuzz:
     @settings(max_examples=40, deadline=None)
     @given(_cli_args())
+    @example(["analytic", "pdf", "--clock", "npp", "--t", "inf"])
+    @example(["analytic", "pdf", "--clock", "npp", "--r", "1e300"])
     def test_documented_exit_code_and_no_traceback(self, args):
         stderr = io.StringIO()
         with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(stderr), \

@@ -167,27 +167,6 @@ class TestOperators:
         interior = slice(2, -2)
         assert np.allclose(out[interior], -1.5 * xs[interior], atol=1e-9)
 
-    def test_duality_identity(self):
-        spec = spec_poisson(1.0, 0.0, 2.0)
-        xs = np.arange(-8.0, 10.0 + 1e-12, 1e-2)
-        h = xs[1] - xs[0]
-        rng = np.random.default_rng(77)
-        for _ in range(5):
-            g = rng.standard_normal(len(xs))
-            f = rng.standard_normal(len(xs))
-            lhs = h * np.dot(apply_generator(g, xs, spec), f)
-            rhs = h * np.dot(g, apply_adjoint(f, xs, spec))
-            assert abs(lhs - rhs) < 1e-8
-
-    def test_adjoint_drives_the_density(self):
-        spec = FIG3
-        grid = default_grid(spec, 1.0, h=1e-2)
-        d = 1e-5
-        p_mid = analytic.pdf(spec, grid.xs, 0.5)
-        dpdt = (analytic.pdf(spec, grid.xs, 0.5 + d)
-                - analytic.pdf(spec, grid.xs, 0.5 - d)) / (2 * d)
-        assert l1(grid.xs, dpdt, apply_adjoint(p_mid, grid.xs, spec)) < 1e-2
-
     def test_source_term_deposits_mass_r_for_a_density(self):
         spec = spec_poisson(1.7, 0.0, 1.0)
         grid = default_grid(spec, 1.0, h=1e-2)

@@ -370,6 +370,27 @@ class TestMarginalSampler:
         with pytest.raises(SpecError, match="n must be at least 1"):
             marginal_samples(poisson_spec(1.0), 1.0, 0, seed=1)
 
+    @pytest.mark.parametrize("draw", [
+        lambda n: marginal_samples(poisson_spec(1.0), [1.0, 2.0], n, seed=1),
+        lambda n: euler_marginal_samples(poisson_spec(1.0), [0.5, 1.0], 0.1, n, seed=1),
+    ], ids=["exact", "euler"])
+    def test_outputs_above_the_budget_are_refused_before_any_array(self, draw):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SpecError, match="budget"):
+                draw(simulate_module.MAX_RUN_ROWS // 2 + 1)  # an output of 1.6 GB
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_output_budget_admits_its_edge(self, monkeypatch):
+        monkeypatch.setattr(simulate_module, "MAX_RUN_ROWS", 100)
+        assert euler_marginal_samples(poisson_spec(1.0), [0.5, 1.0], 0.1, 50, seed=1).shape \
+            == (50, 2)
+        with pytest.raises(SpecError, match="budget"):
+            marginal_samples(poisson_spec(1.0), [1.0, 2.0], 51, seed=1)
+
     def test_euler_marginals_reject_off_lattice_times(self):
         with pytest.raises(SpecError, match="multiples of dt"):
             euler_marginal_samples(poisson_spec(1.0), [0.1, 0.15], 0.1, 10, seed=1)
