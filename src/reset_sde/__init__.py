@@ -19,7 +19,6 @@ from .core import (
     PoissonClock,
     ProcessSpec,
     RenewalClock,
-    SpaceScaling,
     SpecError,
     Trajectory,
     rescale_to_unit,

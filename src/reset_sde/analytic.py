@@ -118,8 +118,8 @@ def _npp_params(spec: ProcessSpec):
 
 
 def _unit(spec: ProcessSpec):
-    scaled, mapping = rescale_to_unit(spec)
-    return scaled.x0, scaled.x_reset, mapping.factor
+    scaled, c = rescale_to_unit(spec)
+    return scaled.x0, scaled.x_reset, c
 
 
 def _norm_pdf(x, mean, var):
@@ -433,22 +433,22 @@ def _fd_weights(offsets: np.ndarray, order: int) -> np.ndarray:
     return weights[:, order]
 
 
-def moment_from_mgf(spec: ProcessSpec, n: int, t: float,
-                    step: float = None, points: int = 13) -> float:
+def moment_from_mgf(spec: ProcessSpec, n: int, t: float) -> float:
     """n-th moment as the n-th derivative of the MGF at s = 0, by a
-    high-order central finite-difference stencil.
+    13-point central finite-difference stencil of step 0.05, narrowed to
+    stay within 0.4 sqrt(r / D) of 0, inside the MGF's domain.
 
     This is the independent cross-check route for :func:`nth_moment`.
     """
     rate = _poisson_rate(spec)
+    points = 13
     if points <= n:
         raise SpecError("stencil must have more points than the order")
-    if step is None:
-        step = 0.05
-        if rate > 0:
-            c = math.sqrt(2.0 * spec.diffusivity)
-            s_max = math.sqrt(2.0 * rate) / c
-            step = min(step, 0.8 * s_max / (points - 1))
+    step = 0.05
+    if rate > 0:
+        c = math.sqrt(2.0 * spec.diffusivity)
+        s_max = math.sqrt(2.0 * rate) / c
+        step = min(step, 0.8 * s_max / (points - 1))
     offsets = (np.arange(points) - (points - 1) / 2.0) * step
     values = np.array([mgf(spec, s, t) for s in offsets])
     return float(_fd_weights(offsets, n) @ values)
@@ -593,6 +593,11 @@ def _npp_pdf_unit(rate, p, x, t) -> np.ndarray:
         return np.where(expo < -_EXP_CUTOFF, 0.0, front * float(f(w)) * np.exp(expo))
 
     top = math.sqrt(t)
+    # f is monotone, so at v the survival factor is below
+    # exp(-v^2 min(f(0), f(t))): nothing is left past e^-700.
+    slowest = min(rate, rate_t)
+    if slowest > 0.0:
+        top = min(top, math.sqrt(_EXP_CUTOFF / slowest))
     # The integrand lives in a layer of width ~ layer next to v = 0 (last
     # reset just before t).  Geometric breakpoints layer * 4^k up to top
     # keep that layer sampled however much wider [0, top] is.
@@ -695,11 +700,10 @@ def spatial_scale(spec: ProcessSpec, t: float) -> float:
 _NPP_SUPPORT_RMS = 12.0  # half-width of the power-law grid, in rms displacements
 
 
-def default_support(spec: ProcessSpec, t: float, span: float = 8.0,
-                    points: int = 1001) -> np.ndarray:
+def default_support(spec: ProcessSpec, t: float, points: int = 1001) -> np.ndarray:
     """Even grid that holds the law at time t.
 
-    The half-width beyond the start and reset points is ``span`` times
+    The half-width beyond the start and reset points is 8 times
     :func:`spatial_scale`.  Under power-law resetting it is instead 12
     root mean squared displacements (:func:`npp_msd`), since a growing
     intensity confines the law far inside the base-rate scale.
@@ -707,7 +711,7 @@ def default_support(spec: ProcessSpec, t: float, span: float = 8.0,
     if isinstance(spec.clock, NonhomogeneousPoissonClock):
         half = _NPP_SUPPORT_RMS * math.sqrt(npp_msd(spec, t))
     else:
-        half = span * spatial_scale(spec, t)
+        half = 8.0 * spatial_scale(spec, t)
     lo = min(spec.x0, spec.x_reset) - half
     hi = max(spec.x0, spec.x_reset) + half
     return np.linspace(lo, hi, points)

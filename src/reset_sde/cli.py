@@ -136,7 +136,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _dispatch(args)
+        return _COMMANDS[args.command](args)
     except (SpecError, DomainError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -146,18 +146,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return EXIT_IO
-
-
-def _dispatch(args) -> int:
-    if args.command == "simulate":
-        return _cmd_simulate(args)
-    if args.command == "analytic":
-        return _cmd_analytic(args)
-    if args.command == "fpe":
-        return _cmd_fpe(args)
-    if args.command == "validate":
-        return _cmd_validate(args)
-    raise SpecError(f"unknown command {args.command!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +215,13 @@ def _run_record():
     return {"backend": _kernels.BACKEND, "versions": versions}
 
 
+def _write_json(path, doc):
+    with open(path, "w") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+    return path
+
+
 def _write_manifest(out_dir, command, config, seed, outputs, started, **extra):
     manifest = {
         "command": command,
@@ -238,11 +233,7 @@ def _write_manifest(out_dir, command, config, seed, outputs, started, **extra):
         **_run_record(),
         **extra,
     }
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    return path
+    return _write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +311,7 @@ def _cmd_analytic(args) -> int:
         if args.p is None:
             raise SpecError("regime requires --p")
         info = analytic.classify_regime(args.p).as_json()
-        path = os.path.join(out, "regime.json")
-        with open(path, "w") as fh:
-            json.dump(info, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_json(os.path.join(out, "regime.json"), info)
         print(json.dumps(info, sort_keys=True))
         outputs.append("regime.json")
     elif what in ("pdf", "stationary"):
@@ -574,11 +562,12 @@ def _cmd_validate(args) -> int:
     report["pass"] = all_pass
     report["elapsed_s"] = round(time.time() - started, 3)
     report.update(_run_record())
-    out = _out_dir(args)
-    with open(os.path.join(out, "report.json"), "w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(os.path.join(_out_dir(args), "report.json"), report)
     return EXIT_OK if all_pass else EXIT_VALIDATION
+
+
+_COMMANDS = {"simulate": _cmd_simulate, "analytic": _cmd_analytic, "fpe": _cmd_fpe,
+             "validate": _cmd_validate}
 
 
 if __name__ == "__main__":

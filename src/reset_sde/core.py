@@ -63,24 +63,10 @@ def validate_spec(spec: ProcessSpec) -> ProcessSpec:
 UNIT_DIFFUSIVITY = 0.5
 
 
-@dataclass(frozen=True)
-class SpaceScaling:
-    """Affine map between user coordinates and the unit-diffusivity frame.
-
-    With c = sqrt(2 D), a path at diffusivity D equals c times the unit
-    path started at x0/c, so rescaled results map back exactly.
-    """
-    factor: float
-
-    def to_user(self, x):
-        return self.factor * np.asarray(x) if np.ndim(x) else self.factor * x
-
-    def to_unit(self, x):
-        return np.asarray(x) / self.factor if np.ndim(x) else x / self.factor
-
-
 def rescale_to_unit(spec: ProcessSpec):
-    """Return ``(spec at D = 1/2, SpaceScaling back to user coordinates)``."""
+    """Return ``(spec at D = 1/2, c)`` with c = sqrt(2 D): a path at
+    diffusivity D equals c times the unit path started at x0/c, so
+    rescaled results map back exactly."""
     validate_spec(spec)
     c = math.sqrt(2.0 * spec.diffusivity)
     scaled = ProcessSpec(
@@ -89,7 +75,7 @@ def rescale_to_unit(spec: ProcessSpec):
         x_reset=spec.x_reset / c,
         clock=spec.clock,
     )
-    return scaled, SpaceScaling(factor=c)
+    return scaled, c
 
 
 # ---------------------------------------------------------------------------

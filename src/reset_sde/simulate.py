@@ -88,8 +88,8 @@ class SchemeConfig:
 
 
 def validate_scheme(spec: ProcessSpec, cfg: SchemeConfig, n: int = 1) -> SchemeConfig:
-    """Check ``cfg`` for ``spec``, and that n of its trajectories stay
-    within ``MAX_RUN_ROWS``."""
+    """Check ``cfg`` for ``spec``, and that n, at least 1, of its
+    trajectories stay within ``MAX_RUN_ROWS``."""
     validate_spec(spec)
     if not 0 < cfg.horizon < math.inf:
         raise SpecError("horizon must be positive and finite")
@@ -120,6 +120,8 @@ def validate_scheme(spec: ProcessSpec, cfg: SchemeConfig, n: int = 1) -> SchemeC
     if not rows <= MAX_RUN_ROWS:
         raise SpecError(f"the run would walk about {rows:.3g} rows, above the budget "
                         f"of {MAX_RUN_ROWS:.0e}; lower n, the horizon or the reset rate")
+    if not n >= 1:
+        raise SpecError("ensemble size must be at least 1")
     return cfg
 
 
@@ -420,8 +422,6 @@ def run_ensemble(spec: ProcessSpec, cfg: SchemeConfig, n: int, seed,
     recorded), which keeps large exact-scheme ensembles small.
     """
     validate_scheme(spec, cfg, n)
-    if not n >= 1:
-        raise SpecError("ensemble size must be at least 1")
     if keep not in ("full", "grid"):
         raise SpecError("keep must be 'full' or 'grid'")
     entropy = _entropy(seed)
@@ -461,8 +461,7 @@ def _rows_per_trajectory(spec, cfg):
     if isinstance(cfg.scheme, EulerScheme):
         points = cfg.horizon / cfg.scheme.dt + 1.0
     else:
-        grid = cfg.grid
-        points = DEFAULT_EXACT_POINTS if grid is None else len(grid) + (grid[0] != 0.0)
+        points = len(_resolve_exact_grid(cfg))
     return points + likely_resets(spec.clock, cfg.horizon)
 
 
@@ -503,8 +502,6 @@ def ensemble_csv(spec: ProcessSpec, cfg: SchemeConfig, n: int, seed, out,
     may exceed the wall time), and ``workers``, the number of shards.
     """
     validate_scheme(spec, cfg, n)
-    if not n >= 1:
-        raise SpecError("ensemble size must be at least 1")
     k = resolve_workers(n, workers, _rows_per_trajectory(spec, cfg))
     entropy = _entropy(seed)
     bounds = [i * n // k for i in range(k + 1)]
@@ -615,12 +612,6 @@ def scheme_to_json(cfg: SchemeConfig) -> dict:
     if cfg.grid is not None:
         doc["grid"] = [float(g) for g in np.asarray(cfg.grid)]
     return doc
-
-
-def ensemble_metadata(ensemble: Ensemble) -> dict:
-    """JSON document sufficient to regenerate the ensemble."""
-    return run_metadata(ensemble.spec, ensemble.scheme, len(ensemble),
-                        ensemble.seed)
 
 
 def run_metadata(spec: ProcessSpec, cfg: SchemeConfig, n: int, seed) -> dict:

@@ -4,7 +4,7 @@ exponent fits, Kolmogorov-Smirnov distances, and empirical
 characteristic functions."""
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple
 import math
 
 import numpy as np
@@ -25,12 +25,10 @@ from .analytic import DensityCurve
 
 @dataclass(frozen=True)
 class MsdSeries:
-    """Mean squared displacement on a time grid, with optional fit."""
+    """Mean squared displacement on a time grid."""
     ts: np.ndarray
     msd: np.ndarray
     n_samples: int
-    fitted_exponent: Optional[float] = None
-    fit_window: Optional[Tuple[float, float]] = None
 
     def to_csv(self, path) -> None:
         write_table(path, ("t", "msd"), [(np.asarray(self.ts, dtype=float),
@@ -108,16 +106,6 @@ def fit_power_law_exponent(series: MsdSeries, window=None) -> float:
     return float(slope)
 
 
-def with_fit(series: MsdSeries, window=None) -> MsdSeries:
-    """Copy of the series carrying its fitted exponent."""
-    ts = np.asarray(series.ts, dtype=float)
-    if window is None:
-        window = (ts.max() / 10.0, ts.max())
-    mu = fit_power_law_exponent(series, window)
-    return MsdSeries(ts=series.ts, msd=series.msd, n_samples=series.n_samples,
-                     fitted_exponent=mu, fit_window=tuple(window))
-
-
 def ks_distance(samples, cdf_evaluator) -> float:
     """One-sample Kolmogorov-Smirnov statistic against a supplied CDF."""
     samples = np.sort(np.asarray(samples, dtype=float))
@@ -169,8 +157,8 @@ def analytic_cdf(spec: ProcessSpec, x, t: float):
     rate = analytic._poisson_rate(spec)
     if not t > 0:
         raise DomainError("t must be positive")
-    scaled, mapping = rescale_to_unit(spec)
-    y = np.asarray(x, dtype=float) / mapping.factor
+    scaled, c = rescale_to_unit(spec)
+    y = np.asarray(x, dtype=float) / c
     if rate == 0.0:
         out = _norm_cdf((y - scaled.x0) / math.sqrt(t))
     else:

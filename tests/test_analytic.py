@@ -385,6 +385,16 @@ class TestNppPdf:
         xs = np.linspace(-half, half, 8001)
         assert np.trapezoid(npp_pdf(spec, xs, t), xs) == pytest.approx(1.0, abs=1e-3)
 
+    @pytest.mark.parametrize("rate, p, t", [(1e300, 0.0, 1.0), (1e300, -0.5, 1.0),
+                                            (1e200, 0.5, 2.0)])
+    def test_huge_intensity_is_the_laplace_law_at_r_t(self, rate, p, t):
+        # the last reset is within ~1/r(t) of t, so the law is Laplace at
+        # rate r(t); the quadrature stops where the survival passes e^-700
+        rate_t = rate * (t + 1.0) ** p
+        xs = np.linspace(-10.0, 10.0, 41) / math.sqrt(2.0 * rate_t)
+        ref = laplace_pdf(xs, rate_t, 0.0)
+        assert np.max(np.abs(npp_pdf(spec_npp(rate, p), xs, t) / ref - 1.0)) < 1e-10
+
 
 
 def _oracle_cumulative(rate, p, t):
@@ -588,7 +598,7 @@ class TestTypedErrors:
                                      -1, 1.0), DomainError),
         (lambda: analytic._fd_weights(np.array([-1.0, 1.0]), 2), SpecError),
         (lambda: analytic.moment_from_mgf(ProcessSpec(0.5, 1.0, 0.0, PoissonClock(1.0)),
-                                          3, 1.0, points=3), SpecError),
+                                          13, 1.0), SpecError),
         (lambda: mgf(spec_poisson(1.0, x0=1e9), 0.5, 1.0), NumericalError),
         (lambda: mgf(spec_poisson(0.0, x0=1e9), 0.5, 1.0), NumericalError),
         (lambda: nth_moment(spec_poisson(1.0, d=1e300), 6, 1.0), NumericalError),

@@ -377,6 +377,16 @@ class TestAnalyticCommand:
         assert v == pytest.approx(analytic.npp_pdf(spec, x, 1.0), rel=1e-8)
 
 
+    def test_npp_pdf_at_huge_intensity(self, tmp_path):
+        out = tmp_path / "huge"
+        assert run(["analytic", "pdf", "--clock", "npp", "--r", "1e300",
+                    "--out", out]) == 0
+        _, rows = read_csv(out / "curve.csv")
+        xs, values = np.array(rows, dtype=float).T
+        ref = analytic.laplace_pdf(xs, 1e300, 0.0)
+        assert np.all(ref > 0)
+        assert np.max(np.abs(values / ref - 1.0)) < 1e-10
+
     def test_npp_default_grid_holds_growing_intensity_law(self, tmp_path, capsys):
         # The default grid must follow the law's own spread: under growing
         # intensity it is far narrower than the base-rate scale.

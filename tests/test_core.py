@@ -104,36 +104,34 @@ class TestValidateSpec:
 class TestRescale:
     def test_identity_at_unit_diffusivity(self):
         spec = fig1_spec()
-        scaled, mapping = rescale_to_unit(spec)
+        scaled, c = rescale_to_unit(spec)
         assert scaled == spec
-        assert mapping.factor == 1.0
+        assert c == 1.0
 
     def test_example_values(self):
         spec = ProcessSpec(2.0, 4.0, 1.0, PoissonClock(1.0))
-        scaled, mapping = rescale_to_unit(spec)
+        scaled, c = rescale_to_unit(spec)
         assert scaled.diffusivity == 0.5
         assert scaled.x0 == 2.0
-        assert mapping.to_user(1.0) == 2.0
-        assert mapping.to_user(scaled.x_reset) == pytest.approx(1.0, rel=1e-15)
+        assert c * 1.0 == 2.0
+        assert c * scaled.x_reset == pytest.approx(1.0, rel=1e-15)
 
     @given(d=hs.floats(1e-3, 1e3), x0=hs.floats(-1e3, 1e3),
            xr=hs.floats(-1e3, 1e3))
     @settings(max_examples=60, deadline=None)
     def test_roundtrip_is_identity(self, d, x0, xr):
         spec = ProcessSpec(d, x0, xr, PoissonClock(1.0))
-        scaled, mapping = rescale_to_unit(spec)
-        assert mapping.to_user(scaled.x0) == pytest.approx(x0, rel=1e-12, abs=1e-12)
-        assert mapping.to_user(scaled.x_reset) == pytest.approx(xr, rel=1e-12, abs=1e-12)
-        assert mapping.to_unit(mapping.to_user(0.37)) == pytest.approx(0.37, rel=1e-12)
+        scaled, c = rescale_to_unit(spec)
+        assert c * scaled.x0 == pytest.approx(x0, rel=1e-12, abs=1e-12)
+        assert c * scaled.x_reset == pytest.approx(xr, rel=1e-12, abs=1e-12)
 
     def test_rescaled_euler_matches_direct_simulation(self):
         # variance at t=1 for D=1 directly vs rescaled-to-unit and mapped back
         n = 100000
         direct_spec = ProcessSpec(1.0, 0.0, 1.0, PoissonClock(1.0))
         direct = euler_marginal_samples(direct_spec, 1.0, 1e-3, n, seed=101)
-        scaled, mapping = rescale_to_unit(direct_spec)
-        mapped = mapping.to_user(
-            euler_marginal_samples(scaled, 1.0, 1e-3, n, seed=202))
+        scaled, c = rescale_to_unit(direct_spec)
+        mapped = c * euler_marginal_samples(scaled, 1.0, 1e-3, n, seed=202)
         se = math.sqrt(direct.var() ** 2 * 5.0 / n) * math.sqrt(2.0)
         assert abs(direct.var() - mapped.var()) < 3 * se
 

@@ -23,13 +23,13 @@ from reset_sde.simulate import (
     ExactScheme,
     SchemeConfig,
     ensemble_csv,
-    ensemble_metadata,
     ensemble_to_csv,
     euler_marginal_samples,
     marginal_samples,
     resets_to_csv,
     resolve_workers,
     run_ensemble,
+    run_metadata,
     simulate_euler,
     simulate_exact,
     validate_scheme,
@@ -519,7 +519,8 @@ class TestEnsemble:
         cfg = SchemeConfig(ExactScheme(), horizon=2.0)
         first = run_ensemble(spec, cfg, 6, seed=None)
         assert isinstance(first.seed, int)
-        doc = json.loads(json.dumps(ensemble_metadata(first)))
+        doc = json.loads(json.dumps(
+            run_metadata(first.spec, first.scheme, len(first), first.seed)))
         assert doc["run"]["seed"] == first.seed
         again = run_ensemble(spec, cfg, 6, seed=doc["run"]["seed"])
         for a, b in zip(first.trajectories, again.trajectories):
@@ -630,7 +631,7 @@ class TestExport:
         spec = poisson_spec(2.0, 1.0, -1.0)
         cfg = SchemeConfig(EulerScheme(1e-2), horizon=3.0)
         ens = run_ensemble(spec, cfg, 2, seed=11)
-        doc = json.loads(json.dumps(ensemble_metadata(ens)))
+        doc = json.loads(json.dumps(run_metadata(ens.spec, ens.scheme, len(ens), ens.seed)))
         assert doc["run"] == {"horizon": 3.0, "scheme": "euler", "dt": 1e-2,
                               "n": 2, "seed": 11}
         assert doc["spec"]["clock"]["r"] == 2.0

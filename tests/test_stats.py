@@ -26,7 +26,6 @@ from reset_sde.stats import (
     fit_power_law_exponent,
     histogram_density,
     ks_distance,
-    with_fit,
 )
 
 
@@ -71,8 +70,8 @@ class TestEmpiricalMsd:
         grid = np.geomspace(0.05, 10.0, 40)
         cfg = SchemeConfig(ExactScheme(), horizon=10.0, grid=grid)
         ens = run_ensemble(spec, cfg, 2000, seed=60, keep="grid")
-        series = with_fit(empirical_msd(ens))
-        assert series.fitted_exponent == pytest.approx(1.0, abs=0.05)
+        series = empirical_msd(ens)
+        assert fit_power_law_exponent(series) == pytest.approx(1.0, abs=0.05)
         # diffusive level: msd(t) = 2 D t
         assert series.msd[-1] == pytest.approx(10.0, rel=0.1)
 
@@ -81,8 +80,8 @@ class TestEmpiricalMsd:
         grid = np.geomspace(0.1, 30.0, 40)
         cfg = SchemeConfig(ExactScheme(), horizon=30.0, grid=grid)
         ens = run_ensemble(spec, cfg, 3000, seed=61, keep="grid")
-        series = with_fit(empirical_msd(ens))
-        assert abs(series.fitted_exponent) < 0.05
+        series = empirical_msd(ens)
+        assert abs(fit_power_law_exponent(series)) < 0.05
         assert series.msd[-1] == pytest.approx(1.0, rel=0.1)
 
     def test_subdiffusive_regime_exponent(self):
