@@ -125,6 +125,14 @@ RenewalLaw = Union[ExponentialGaps, DeterministicGaps, ParetoGaps]
 _GAP_LAWS = {law.name: law for law in (ExponentialGaps, DeterministicGaps, ParetoGaps)}
 
 
+def _draw_gaps(law, rng, size):
+    """``law.draw(rng, size)``, refused unless every gap is positive."""
+    gaps = law.draw(rng, size)
+    if (gaps <= 0).any():
+        raise SpecError("renewal law produced a non-positive gap")
+    return gaps
+
+
 def _accumulate_gaps(law, horizon, rng):
     """Cumulative sums of positive gaps drawn from ``law``, truncated at
     ``horizon``."""
@@ -133,10 +141,7 @@ def _accumulate_gaps(law, horizon, rng):
     total = 0.0
     chunks = []
     while True:
-        gaps = law.draw(rng, block)
-        if (gaps <= 0).any():
-            raise SpecError("renewal law produced a non-positive gap")
-        times = gaps.cumsum()
+        times = _draw_gaps(law, rng, block).cumsum()
         if total:
             times += total
         chunks.append(times)

@@ -190,7 +190,7 @@ def _solve_transient(spec, grid, t_final, source_coeff):
             + 0.5 * dt * diff * _apply_tridiag(lower, main, upper, p) \
             + dt * source
         p = check_mass(solve_banded((1, 1), ab_cn, rhs))
-    return DensityCurve(xs=xs, values=p, t=t_final, provenance="fpe")
+    return DensityCurve(xs=xs, values=p, t=t_final)
 
 
 def solve_fpe_evans(spec: ProcessSpec, grid: FpeGrid, t_final: float) -> DensityCurve:
@@ -235,7 +235,7 @@ def stationary_fpe(spec: ProcessSpec, grid: FpeGrid) -> DensityCurve:
     mass = h * p.sum()
     if not mass > 0:
         raise NumericalError("stationary solve produced nonpositive mass")
-    return DensityCurve(xs=xs, values=p / mass, t=math.inf, provenance="fpe")
+    return DensityCurve(xs=xs, values=p / mass, t=math.inf)
 
 
 # ---------------------------------------------------------------------------

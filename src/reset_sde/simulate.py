@@ -41,7 +41,7 @@ from .core import (
     validate_spec,
     write_table,
 )
-from .clocks import likely_resets, sample_reset_times
+from .clocks import _draw_gaps, likely_resets, sample_reset_times
 
 # Per-step reset probability must stay a small probability; the boundary
 # value 0.1 is admitted so dt = 0.1 at unit rate is a valid step.
@@ -133,18 +133,14 @@ def _euler_reset_probs(clock, times_left, dt):
     return p
 
 
-def simulate_euler(spec: ProcessSpec, cfg: SchemeConfig, rng, drift: float = 0.0) -> Trajectory:
-    """One grid-Euler trajectory tabulated on the dt lattice.
-
-    ``drift`` adds a constant drift*dt to the diffusive branch; it exists
-    for checking the generalised chain rule and has no analytic support.
-    """
+def simulate_euler(spec: ProcessSpec, cfg: SchemeConfig, rng) -> Trajectory:
+    """One grid-Euler trajectory tabulated on the dt lattice."""
     if not isinstance(cfg, _Plan):
         validate_scheme(spec, cfg)
         if not isinstance(cfg.scheme, EulerScheme):
             raise SpecError("simulate_euler requires an Euler scheme config")
         cfg = _plan(spec, cfg)
-    return _only(_block(cfg, [rng], drift))
+    return _only(_block(cfg, [rng]))
 
 
 def simulate_exact(spec: ProcessSpec, cfg: SchemeConfig, rng) -> Trajectory:
@@ -234,7 +230,7 @@ def _walk(spec, increments, flags):
     return _kernels.walk_batch(spec.x0, spec.x_reset, increments, flags)
 
 
-def _block(plan, rngs, drift=0.0):
+def _block(plan, rngs):
     """One trajectory per generator, each drawing in the order of a
     single run: resets then normals (exact), uniforms then normals
     (Euler).  Padding adds zero increments, and the walk's row-wise
@@ -248,7 +244,7 @@ def _block(plan, rngs, drift=0.0):
             rng.random(out=u[k])
             rng.standard_normal(out=z[k])
         flags = u < plan.probs
-        positions = _walk(spec, drift * dt + math.sqrt(2.0 * spec.diffusivity * dt) * z, flags)
+        positions = _walk(spec, math.sqrt(2.0 * spec.diffusivity * dt) * z, flags)
         times = np.broadcast_to(lattice, positions.shape)
         return _Block(times, positions, np.full(len(rngs), len(lattice)),
                       np.ones(times.shape, dtype=bool), times[:, 1:][flags],
@@ -304,16 +300,16 @@ def _only(block):
 # Marginal samplers
 # ---------------------------------------------------------------------------
 
-def _chain(spec, times, ages, n, seed, unit=1.0, drift=None):
+def _chain(spec, times, ages, n, seed, unit=1.0):
     """(n, len(times)) positions at the increasing ``times``, without paths.
 
-    Each time is drawn given the previous one (Markov property) from one
-    uniform u, then one normal z, per sample.  ``ages(j, log_u, rng)``
-    says which samples saw no reset since the previous time, and how long
-    each has diffused since then or since its last reset: a Normal step of
-    mean drift*unit*age (no term at all for None) and variance
-    2*D*unit*age, times being in units of ``unit``.  An output of more
-    than ``MAX_RUN_ROWS`` values is refused before any array is made.
+    Each time is drawn given the previous one (Markov property).
+    ``ages(j, n, rng)`` draws which samples saw no reset since the previous
+    time, and how long each has diffused since then or since its last
+    reset; then one normal z per sample gives a centred Normal step of
+    variance 2*D*unit*age, times being in units of ``unit``.  An output
+    of more than ``MAX_RUN_ROWS`` values is refused before any array is
+    made.
     """
     if not n >= 1:
         raise SpecError("n must be at least 1")
@@ -325,14 +321,12 @@ def _chain(spec, times, ages, n, seed, unit=1.0, drift=None):
     out = np.empty((n, len(times)))
     x, x_reset = float(spec.x0), float(spec.x_reset)
     for j in range(len(times)):
-        log_u = np.log(rng.random(n))
+        survived, age = ages(j, n, rng)
         z = rng.standard_normal(n)
-        survived, age = ages(j, log_u, rng)
         center = np.where(survived, x, x_reset)
-        if drift is not None:
-            center = center + drift * unit * age
         # center + sqrt(var age) z in place: at large n temporaries set the peak memory
-        step = np.sqrt(np.multiply(var, age, out=log_u), out=log_u)
+        step = var * age
+        np.sqrt(step, out=step)
         x = np.add(center, np.multiply(step, z, out=step), out=out[:, j])
     return out
 
@@ -341,13 +335,42 @@ def _hazard_ages(times, hazards, inverse, tick=0.0):
     """``ages`` of a Markov clock whose hazard H(t) = -log P(no reset in
     [0, t]) is ``hazards[j]`` at ``times[j]``, ``inverse(v)`` being the
     earliest time whose hazard reaches v.  A sample survives since t_prev
-    with probability exp(H(t_prev) - H(t)); else its last reset is at
+    when log u <= H(t_prev) - H(t), u uniform; else its last reset is at
     H^-1(H(t) + log u), at least ``tick`` after t_prev."""
-    def ages(j, log_u, rng):
+    def ages(j, n, rng):
+        log_u = np.log(rng.random(n))
         t, h = times[j], hazards[j]
         t_prev, h_prev = (times[j - 1], hazards[j - 1]) if j else (0.0, 0.0)
         survived = log_u <= h_prev - h
         last = np.maximum(inverse(np.maximum(h + log_u, h_prev)), t_prev + tick)
+        return survived, np.where(survived, t - t_prev, t - last)
+
+    return ages
+
+
+def _renewal_ages(times, law):
+    """``ages`` of a renewal clock.  Each sample carries its last reset
+    epoch (nan before the first) and its next, already drawn, so a gap in
+    progress at one time runs on to the next.  Samples whose next epoch
+    is not past a time draw rows of gaps, running sums from that epoch,
+    doubling in width (at most 2**20 draws a round) until it is; the rest
+    of a row is independent of the samples and dropped."""
+    last = nxt = None
+
+    def ages(j, n, rng):
+        nonlocal last, nxt
+        if j == 0:
+            last, nxt = np.full(n, np.nan), _draw_gaps(law, rng, n)
+        t, t_prev = times[j], (times[j - 1] if j else 0.0)
+        survived = nxt > t
+        stale, width = np.flatnonzero(~survived), 16
+        while len(stale):
+            width = max(1, min(width, 2 ** 20 // len(stale)))
+            gaps = _draw_gaps(law, rng, (len(stale), width))
+            epochs = np.hstack([nxt[stale, None], gaps]).cumsum(axis=1)
+            k, rows = (epochs <= t).sum(axis=1), np.arange(len(stale))
+            last[stale], nxt[stale] = epochs[rows, k - 1], epochs[rows, np.minimum(k, width)]
+            stale, width = stale[k > width], 2 * width
         return survived, np.where(survived, t - t_prev, t - last)
 
     return ages
@@ -360,31 +383,28 @@ def marginal_samples(spec: ProcessSpec, t, n: int, seed) -> np.ndarray:
 
     Conditioned on the last reset age a, the position is
     Normal(x_reset, 2*D*a); with no reset it is Normal(x0, 2*D*t).  The
-    last reset is drawn by inverting the clock's R(t); renewal clocks have
-    none, and draw each sample's events at one time only.
+    last reset is drawn by inverting the clock's R(t), or from a renewal
+    clock's gaps, unless n samples likely draw over ``MAX_RUN_ROWS``.
     Distributionally identical to exact-scheme marginals.
     """
     validate_spec(spec)
     times = np.unique(np.asarray(t, dtype=float))
-    if not np.all(times > 0):
-        raise DomainError("t must be positive")
+    if not np.all((times > 0) & (times < math.inf)):
+        raise DomainError("t must be positive and finite")
     clock = spec.clock
     if clock.base_rate is not None:
         ages = _hazard_ages(times, [clock.cumulative(s) for s in times],
                             clock.inverse_cumulative)
-    elif len(times) == 1:
-        def ages(j, log_u, rng):
-            events = (sample_reset_times(clock, times[0], rng) for _ in range(n))
-            last = np.array([e[-1] if len(e) else np.nan for e in events])
-            none = np.isnan(last)
-            return none, np.where(none, times[0], times[0] - last)
     else:
-        raise SpecError("renewal clocks give marginals at one time per call")
+        gaps = n * likely_resets(clock, float(times.max(initial=0.0)))
+        if not gaps <= MAX_RUN_ROWS:
+            raise SpecError(f"{n} samples would draw about {gaps:.3g} gaps, above the "
+                            f"budget of {MAX_RUN_ROWS:.0e}; lower n or the last time")
+        ages = _renewal_ages(times, clock.law)
     return _chain(spec, times, ages, n, seed)[:, np.searchsorted(times, t)]
 
 
-def euler_marginal_samples(spec: ProcessSpec, ts, dt: float, n: int, seed,
-                           drift: float = 0.0) -> np.ndarray:
+def euler_marginal_samples(spec: ProcessSpec, ts, dt: float, n: int, seed) -> np.ndarray:
     """n Euler-scheme positions at each time in ts, without simulating paths.
 
     All requested times must sit on the dt lattice.  Returns shape
@@ -401,7 +421,7 @@ def euler_marginal_samples(spec: ProcessSpec, ts, dt: float, n: int, seed,
     # in step m-1 puts the chain at the reset point at lattice index m
     hazard = np.concatenate(([0.0], -np.cumsum(np.log1p(-p))))
     ages = _hazard_ages(ks, hazard[ks], lambda v: np.searchsorted(hazard, v), tick=1)
-    cols = _chain(spec, ks, ages, n, seed, unit=dt, drift=drift)
+    cols = _chain(spec, ks, ages, n, seed, unit=dt)
     return cols[:, np.searchsorted(lattice, ts)]
 
 

@@ -17,7 +17,6 @@ from .core import (
     ProcessSpec,
     SpecError,
     rescale_to_unit,
-    write_table,
 )
 from . import analytic
 from .analytic import DensityCurve
@@ -29,10 +28,6 @@ class MsdSeries:
     ts: np.ndarray
     msd: np.ndarray
     n_samples: int
-
-    def to_csv(self, path) -> None:
-        write_table(path, ("t", "msd"), [(np.asarray(self.ts, dtype=float),
-                                          np.asarray(self.msd, dtype=float))])
 
 
 def histogram_density(samples, bin_spec=None, t: float = math.nan) -> DensityCurve:
@@ -47,8 +42,7 @@ def histogram_density(samples, bin_spec=None, t: float = math.nan) -> DensityCur
         raise DomainError("no samples")
     if samples.max() == samples.min():
         v = float(samples[0])
-        return DensityCurve(xs=np.array([v]), values=np.array([1.0]),
-                            t=t, provenance="histogram")
+        return DensityCurve(xs=np.array([v]), values=np.array([1.0]), t=t)
     if bin_spec is None:
         edges = np.histogram_bin_edges(samples, bins="fd")
     elif np.ndim(bin_spec) == 0:
@@ -60,7 +54,7 @@ def histogram_density(samples, bin_spec=None, t: float = math.nan) -> DensityCur
     mass = np.trapezoid(density, centers)
     if mass > 0:
         density = density / mass
-    return DensityCurve(xs=centers, values=density, t=t, provenance="histogram")
+    return DensityCurve(xs=centers, values=density, t=t)
 
 
 def _msd_center(spec: ProcessSpec, ts: np.ndarray, positions: np.ndarray):
@@ -134,20 +128,6 @@ def _laplace_cdf(x, rate, center):
     return np.where(y < 0, 0.5 * np.exp(lam * y), 1.0 - 0.5 * np.exp(-lam * y))
 
 
-def _conv_cdf(y, t, rate):
-    """CDF of Normal(0,t) + centred Laplace, via the same stabilised
-    erfcx pieces as the closed-form density."""
-    lam = math.sqrt(2.0 * rate)
-    y = np.asarray(y, dtype=float)
-    root = math.sqrt(2.0 * t)
-    gauss_exp = -(y * y) / (2.0 * t)
-    left = analytic._exp_times_erfcx(gauss_exp, (lam * t - y) / root,
-                                     0.5 * lam * lam * t - lam * y)
-    right = analytic._exp_times_erfcx(gauss_exp, (lam * t + y) / root,
-                                      0.5 * lam * lam * t + lam * y)
-    return _norm_cdf(y / math.sqrt(t)) - 0.25 * (left - right)
-
-
 def analytic_cdf(spec: ProcessSpec, x, t: float):
     """Distribution function of the resetting process at time t.
 
@@ -162,10 +142,12 @@ def analytic_cdf(spec: ProcessSpec, x, t: float):
     if rate == 0.0:
         out = _norm_cdf((y - scaled.x0) / math.sqrt(t))
     else:
+        z = y - scaled.x_reset
+        left, right = analytic._conv_terms(z, t, math.sqrt(2.0 * rate))
         out = (_laplace_cdf(y, rate, scaled.x_reset)
                + math.exp(-rate * t)
                * (_norm_cdf((y - scaled.x0) / math.sqrt(t))
-                  - _conv_cdf(y - scaled.x_reset, t, rate)))
+                  - (_norm_cdf(z / math.sqrt(t)) - 0.25 * (left - right))))
     out = np.clip(out, 0.0, 1.0)
     return float(out) if out.ndim == 0 else out
 

@@ -18,7 +18,6 @@ from reset_sde import analytic
 from reset_sde.core import NumericalError
 from reset_sde.analytic import (
     ConvergenceError,
-    DensityCurve,
     char_fn,
     classify_regime,
     density_curve,
@@ -567,7 +566,6 @@ class TestCurves:
     def test_density_curve_mass_invariant(self):
         curve = density_curve(spec_poisson(1.0, 0.0, 3.0), 0.5)
         assert abs(curve.mass() - 1.0) < 1e-3
-        assert curve.provenance == "analytic"
 
     def test_stationary_curve_matches_laplace(self):
         spec = spec_poisson(2.0, 0.0, 1.0)
@@ -582,15 +580,9 @@ class TestCurves:
         assert lines[0] == "x,value"
         assert len(lines) == len(curve.xs) + 1
 
-    def test_provenance_is_checked(self):
-        with pytest.raises(ValueError):
-            DensityCurve(np.array([0.0]), np.array([1.0]), 0.0, "guess")
-
 
 class TestTypedErrors:
     @pytest.mark.parametrize("call, error", [
-        (lambda: DensityCurve(np.array([0.0]), np.array([1.0]), 0.0, "guess"),
-         SpecError),
         (lambda: analytic.laplace_moment(-1, 1.0), DomainError),
         (lambda: gaussian_moment(-1, 0.0, 1.0), DomainError),
         (lambda: analytic.sum_moment(-1, 1.0, 1.0), DomainError),
@@ -607,7 +599,7 @@ class TestTypedErrors:
         (lambda: npp_msd(spec_npp(1.0, 0.0), math.inf), DomainError),
         (lambda: npp_pdf(spec_npp(1.0, 0.0), 0.0, math.inf), DomainError),
         (lambda: npp_char_fn(spec_npp(1.0, 0.0), 1.0, math.inf), DomainError),
-    ], ids=["provenance", "laplace", "gaussian", "sum", "nth", "fd-weights",
+    ], ids=["laplace", "gaussian", "sum", "nth", "fd-weights",
             "mgf-stencil", "mgf-overflow", "mgf-overflow-rate-0", "moment-overflow",
             "npp-msd-overflow", "npp-pdf-overflow", "npp-msd-infinite-t",
             "npp-pdf-infinite-t", "npp-cf-infinite-t"])

@@ -14,8 +14,10 @@ from reset_sde import (
     ParetoGaps,
     PoissonClock,
     DomainError,
+    ProcessSpec,
     RenewalClock,
     SpecError,
+    marginal_samples,
 )
 from reset_sde.clocks import (
     IntensityFunction,
@@ -168,6 +170,15 @@ class TestRenewalLaws:
             _accumulate_gaps(SimpleNamespace(draw=lambda rng, size: np.zeros(size),
                                              mean_gap=1.0),
                              1.0, np.random.default_rng(0))
+
+        class ZeroGaps(ExponentialGaps):
+            def draw(self, rng, size):
+                return np.zeros(size)
+
+        # the marginal chain would never pass t on zero gaps
+        spec = ProcessSpec(0.5, 0.0, 0.0, RenewalClock(ZeroGaps(1.0)))
+        with pytest.raises(SpecError, match="non-positive gap"):
+            marginal_samples(spec, [1.0, 2.0], 10, seed=1)
 
 
 class TestClockInterface:

@@ -222,15 +222,14 @@ class TestEuler:
         assert ks_2samp(paths[:, 1] - paths[:, 0],
                         cols[:, 1] - cols[:, 0]).pvalue > 0.01
 
-    def test_constant_drift_enters_observable_averages(self):
-        # generalised chain rule: d/dt E x^2 = E[2 mu x + 2 D] + r(b^2 - E x^2)
+    def test_dynkin_identity_on_the_euler_lattice(self):
+        # d/dt E x^2 = 2 D + r (b^2 - E x^2), three lattice times of one chain
         spec = poisson_spec(1.0, 0.0, 1.0)
-        mu, dt, t, n = 0.4, 1e-3, 0.5, 60000
+        dt, t, n = 1e-3, 0.5, 60000
         delta = 5 * dt
-        cols = euler_marginal_samples(spec, [t - delta, t, t + delta], dt, n,
-                                      seed=99, drift=mu)
+        cols = euler_marginal_samples(spec, [t - delta, t, t + delta], dt, n, seed=99)
         drift_est = (cols[:, 2] ** 2 - cols[:, 0] ** 2) / (2 * delta)
-        generator = 2 * mu * cols[:, 1] + 2 * spec.diffusivity \
+        generator = 2 * spec.diffusivity \
             + spec.clock.rate * (spec.x_reset ** 2 - cols[:, 1] ** 2)
         resid = drift_est - generator
         assert abs(resid.mean()) < 3 * resid.std() / math.sqrt(n)
@@ -345,11 +344,11 @@ class TestMarginalSampler:
                    ("power-law-0.5", NonhomogeneousPoissonClock(1.2, -0.5)),
                    ("power-law+0.5", NonhomogeneousPoissonClock(1.2, 0.5)),
                    ("pareto", RenewalClock(ParetoGaps(1.5, 0.2)))]}
-        # several times, unsorted and repeated, with a drift
+        # several times, unsorted and repeated
         for name, clock in [("euler-poisson", PoissonClock(1.5)),
                             ("euler-power-law", NonhomogeneousPoissonClock(1.2, 0.5))]:
             got[name] = digest(euler_marginal_samples(
-                spec(clock), [0.5, 0.1, 1.2, 0.5], 0.01, 400, seed=19, drift=0.4))
+                spec(clock), [0.5, 0.1, 1.2, 0.5], 0.01, 400, seed=19))
         assert got == {
             "poisson": "7fae1c24afedd23d4df24b4b9e87e181b5a206852e1a6c53eafc9d75a16e44d3",
             "rate-0": "cbc3b0ef44b58076dcba7a0050ece60a0c2005da264fbdfee186f6be24a34084",
@@ -357,11 +356,13 @@ class TestMarginalSampler:
                 "580014245f50cbb7140538b2ee4c584c6576107b418ae2203b25fcca3d331fea",
             "power-law+0.5":
                 "70a678fecfacf767dbf7af50d304d2bec0f454567074648b27ab856d35591b89",
-            "pareto": "bb1434d211e4062ebc96db7d9449a7ba8c9b0149f1df646fcbb96c97c57da163",
+            # the renewal chain's stream; test_several_times_match_exact_paths
+            # [pareto] checks its law against exact paths
+            "pareto": "db830a33f6e6fb4535e0e0cd7f22ab68a347dad2acdaeb148a71d46c5e305938",
             "euler-poisson":
-                "a38c394a24eab7995805e61623e9ea9de01f2ced8b326bcfdb37d576b0f15d21",
+                "7094b4f3c394505d8fd0395e4626ba62fe3ff90c30853e25db4bbce835af75f8",
             "euler-power-law":
-                "84db8f1d2f86f9664f0648b7167e0877c62c0e5d4468ead4b097f39c89ce1bf2",
+                "fc80e12490a22a0a7122fba27d9b9074d01db806d7114a055a8d87dcb5675310",
         }
 
     def test_typed_errors_for_bad_time_and_size(self):
@@ -369,6 +370,14 @@ class TestMarginalSampler:
             marginal_samples(poisson_spec(1.0), 0.0, 10, seed=1)
         with pytest.raises(SpecError, match="n must be at least 1"):
             marginal_samples(poisson_spec(1.0), 1.0, 0, seed=1)
+        renewal = ProcessSpec(0.5, 0.0, 1.0, RenewalClock(ParetoGaps(1.5, 0.3)))
+        for spec in (poisson_spec(1.0), renewal,
+                     ProcessSpec(0.5, 0.0, 1.0, NonhomogeneousPoissonClock(1.0, 0.5))):
+            for t in (math.inf, math.nan, [1.0, math.inf]):
+                with pytest.raises(DomainError, match="t must be positive and finite"):
+                    marginal_samples(spec, t, 10, seed=1)
+        with pytest.raises(SpecError, match="budget"):
+            marginal_samples(renewal, 1e300, 10, seed=1)
 
     @pytest.mark.parametrize("draw", [
         lambda n: marginal_samples(poisson_spec(1.0), [1.0, 2.0], n, seed=1),
@@ -390,14 +399,22 @@ class TestMarginalSampler:
             == (50, 2)
         with pytest.raises(SpecError, match="budget"):
             marginal_samples(poisson_spec(1.0), [1.0, 2.0], 51, seed=1)
+        # a renewal run also counts its likely gaps, n * t / mean gap
+        spec = ProcessSpec(0.5, 0.0, 1.0, RenewalClock(DeterministicGaps(1.0)))
+        assert marginal_samples(spec, 4.0, 25, seed=1).shape == (25,)
+        with pytest.raises(SpecError, match="budget"):
+            marginal_samples(spec, 4.0, 26, seed=1)
 
     def test_euler_marginals_reject_off_lattice_times(self):
         with pytest.raises(SpecError, match="multiples of dt"):
             euler_marginal_samples(poisson_spec(1.0), [0.1, 0.15], 0.1, 10, seed=1)
 
     @pytest.mark.parametrize("clock", [PoissonClock(1.0), PoissonClock(0.0),
-                                       NonhomogeneousPoissonClock(1.0, -0.5)],
-                             ids=["poisson", "rate-0", "power-law"])
+                                       NonhomogeneousPoissonClock(1.0, -0.5),
+                                       RenewalClock(ParetoGaps(1.5, 0.2)),
+                                       RenewalClock(DeterministicGaps(0.4))],
+                             ids=["poisson", "rate-0", "power-law", "pareto",
+                                  "deterministic"])
     def test_one_time_of_many_is_the_scalar_draw(self, clock):
         spec = ProcessSpec(0.5, 0.3, -1.0, clock)
         cols = marginal_samples(spec, [1.5], 300, seed=5)
@@ -411,11 +428,16 @@ class TestMarginalSampler:
         assert cols.shape == (200, 4)
         assert same_bits(cols, sorted_cols[:, [2, 0, 2, 1]])
 
-    @pytest.mark.parametrize("p", [-0.5, 0.5])
-    def test_several_times_match_exact_paths(self, p):
+    @pytest.mark.parametrize("clock", [NonhomogeneousPoissonClock(1.0, -0.5),
+                                       NonhomogeneousPoissonClock(1.0, 0.5),
+                                       RenewalClock(ParetoGaps(1.5, 0.2)),
+                                       RenewalClock(DeterministicGaps(0.5))],
+                             ids=["-0.5", "0.5", "pareto", "deterministic"])
+    def test_several_times_match_exact_paths(self, clock):
         # the chain draws each time given the previous one (Markov
-        # property), so the marginals and the increments must match paths
-        spec = ProcessSpec(0.7, 1.0, -1.0, NonhomogeneousPoissonClock(1.0, p))
+        # property, for a renewal clock with each gap in progress carried
+        # on), so the marginals and the increments must match paths
+        spec = ProcessSpec(0.7, 1.0, -1.0, clock)
         times = np.array([0.3, 1.0, 4.0])
         cfg = SchemeConfig(ExactScheme(), horizon=4.0, grid=times)
         paths = run_ensemble(spec, cfg, 4000, seed=12, keep="grid").positions_at(times)
@@ -425,13 +447,24 @@ class TestMarginalSampler:
         assert ks_2samp(paths[:, 2] - paths[:, 1],
                         cols[:, 2] - cols[:, 1]).pvalue > 0.01
 
-    def test_renewal_clock_gives_one_time_per_call(self):
+    def test_renewal_clock_gives_several_times_per_call(self):
         spec = ProcessSpec(0.5, 0.0, 1.0, RenewalClock(ParetoGaps(1.5, 0.3)))
         assert marginal_samples(spec, [2.0], 50, seed=2).shape == (50, 1)
-        with pytest.raises(SpecError, match="one time"):
-            marginal_samples(spec, [1.0, 2.0], 50, seed=2)
+        assert marginal_samples(spec, [1.0, 2.0], 50, seed=2).shape == (50, 2)
         with pytest.raises(DomainError, match="t must be positive"):
-            marginal_samples(poisson_spec(1.0), [1.0, 0.0], 10, seed=1)
+            marginal_samples(spec, [1.0, 0.0], 10, seed=1)
+
+    def test_deterministic_clock_msd_is_a_sawtooth(self):
+        # x0 = x_R = 0: at t the age is t mod gap, so E x^2 = 2 D (t mod gap),
+        # exactly 0 at a gap multiple
+        gap, d, n = 0.5, 0.7, 20000
+        spec = ProcessSpec(d, 0.0, 0.0, RenewalClock(DeterministicGaps(gap)))
+        times = np.array([0.2, 0.5, 0.9, 1.0, 1.35, 2.0, 3.45])
+        squares = marginal_samples(spec, times, n, seed=23) ** 2
+        target = 2 * d * np.mod(times, gap)
+        se = squares.std(axis=0) / math.sqrt(n)
+        assert np.all(np.abs(squares.mean(axis=0) - target) <= 3 * se)
+        assert np.all(squares[:, [1, 3, 5]] == 0.0)
 
 
 class TestEnsemble:

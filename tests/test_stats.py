@@ -225,15 +225,6 @@ class TestEmpiricalCf:
             empirical_char_fn(np.zeros(50), 1.0)
 
 
-class TestCsvExports:
-    def test_msd_series_csv(self, tmp_path):
-        series = MsdSeries(ts=np.array([1.0, 2.0]), msd=np.array([0.5, 0.9]),
-                           n_samples=10)
-        path = tmp_path / "msd.csv"
-        series.to_csv(path)
-        assert path.read_text().splitlines() == ["t,msd", "1.0,0.5", "2.0,0.9"]
-
-
 class TestTypedErrors:
     @pytest.mark.parametrize("call, error", [
         (lambda: histogram_density(np.empty(0)), DomainError),
@@ -248,7 +239,7 @@ class TestTypedErrors:
         (lambda: ks_distance(np.linspace(0, 1, 100), lambda x: np.cos(10 * x)),
          SpecError),
         (lambda: cdf_from_density_curve(analytic.DensityCurve(
-            np.linspace(0.0, 1.0, 5), np.zeros(5), 0.0, "analytic")), DomainError),
+            np.linspace(0.0, 1.0, 5), np.zeros(5), 0.0)), DomainError),
         (lambda: empirical_char_fn(np.zeros(50), 1.0), DomainError),
     ], ids=["no-samples", "short-window", "nonpositive-msd", "few-ks-samples",
             "cdf-shape", "cdf-monotone", "no-mass", "few-cf-samples"])
