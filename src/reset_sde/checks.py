@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from . import analytic, stats
+from .core import DomainError
 from .simulate import euler_marginal_samples, marginal_samples
 
 
@@ -38,17 +39,28 @@ def npp_marginal_ks(spec, t, n, seed, xs):
 
 def moment_errors(spec, t, orders):
     """Per order n, the relative errors of ``nth_moment`` against the
-    quadrature of x^n p(x, t) and against ``moment_from_mgf``."""
-    errors = []
-    for n in orders:
-        closed = analytic.nth_moment(spec, n, t)
-        # scipy's default quad tolerances
-        quad = analytic.quadrature(lambda x, n=n: x ** n * analytic.pdf(spec, x, t),
-                                   -np.inf, np.inf, epsabs=1.49e-8, epsrel=1.49e-8,
-                                   limit=300)
-        fd = analytic.moment_from_mgf(spec, n, t)
-        errors.append((abs(closed - quad) / abs(quad), abs(closed - fd) / abs(closed)))
-    return errors
+    quadrature of x^n p(x, t) and against ``moment_from_mgf``.
+
+    One vectorised quadrature integrates every order.  Its error norm is
+    a max over the components, so order n is divided by
+    w_n = sqrt(E X^2n) >= |E X^n| (Cauchy-Schwarz), positive for D, t > 0:
+    each order is then held to the tolerance at its own scale, not at that
+    of the largest.  A moment of 0 has no relative error and raises
+    DomainError.
+    """
+    orders = list(orders)
+    closed = [analytic.nth_moment(spec, n, t) for n in orders]
+    for n, value in zip(orders, closed):
+        if value == 0.0:
+            raise DomainError(f"moment {n} is 0, so its relative error is undefined")
+    powers = np.array(orders)
+    w = np.sqrt([analytic.nth_moment(spec, 2 * n, t) for n in orders])
+    # scipy's default quad tolerances
+    quad = (w * analytic.quadrature(lambda x: x ** powers * analytic.pdf(spec, x, t) / w,
+                                    -np.inf, np.inf, vector=True, epsabs=1.49e-8,
+                                    epsrel=1.49e-8, limit=300)).tolist()
+    fd = [analytic.moment_from_mgf(spec, n, t) for n in orders]
+    return [(abs(c - q) / abs(q), abs(c - f) / abs(c)) for c, q, f in zip(closed, quad, fd)]
 
 
 def moment_z_scores(spec, t, n, seed, orders):

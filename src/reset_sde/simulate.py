@@ -15,11 +15,8 @@ into the grid, one walk and one CSV write per block, with each
 trajectory's bits those of a run of its own.
 """
 
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 import math
-import multiprocessing
 import os
 import shutil
 import time
@@ -383,20 +380,23 @@ def marginal_samples(spec: ProcessSpec, t, n: int, seed) -> np.ndarray:
 
     Conditioned on the last reset age a, the position is
     Normal(x_reset, 2*D*a); with no reset it is Normal(x0, 2*D*t).  The
-    last reset is drawn by inverting the clock's R(t), or from a renewal
-    clock's gaps, unless n samples likely draw over ``MAX_RUN_ROWS``.
-    Distributionally identical to exact-scheme marginals.
+    last reset is drawn by inverting the clock's R(t), refused where R(t)
+    overflows a double, or from a renewal clock's gaps, unless n samples
+    likely draw over ``MAX_RUN_ROWS``.  Distributionally identical to
+    exact-scheme marginals.
     """
     validate_spec(spec)
     times = np.unique(np.asarray(t, dtype=float))
     if not np.all((times > 0) & (times < math.inf)):
         raise DomainError("t must be positive and finite")
-    clock = spec.clock
+    clock, t_max = spec.clock, float(times.max(initial=0.0))
     if clock.base_rate is not None:
+        if not likely_resets(clock, t_max) < math.inf:
+            raise SpecError(f"R(t) overflows a double at t = {t_max:g}")
         ages = _hazard_ages(times, [clock.cumulative(s) for s in times],
                             clock.inverse_cumulative)
     else:
-        gaps = n * likely_resets(clock, float(times.max(initial=0.0)))
+        gaps = n * likely_resets(clock, t_max)
         if not gaps <= MAX_RUN_ROWS:
             raise SpecError(f"{n} samples would draw about {gaps:.3g} gaps, above the "
                             f"budget of {MAX_RUN_ROWS:.0e}; lower n or the last time")
@@ -496,6 +496,7 @@ def _pool_context():
     with the package already imported.  Elsewhere ``spawn``.  A fork
     copies only the calling thread, so a program that runs threads holding
     locks while it calls ``ensemble_csv`` should pass ``workers=1``."""
+    import multiprocessing
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
@@ -527,15 +528,21 @@ def ensemble_csv(spec: ProcessSpec, cfg: SchemeConfig, n: int, seed, out,
     bounds = [i * n // k for i in range(k + 1)]
     paths = [os.path.join(out, name) for name in (TRAJECTORIES_CSV, RESETS_CSV)]
     parts = [[f"{path}.part{i}" for path in paths] for i in range(1, k)]
-    pool = ProcessPoolExecutor(k - 1, mp_context=_pool_context()) if k > 1 else None
+    pool = None
+    if k > 1:
+        # imported here, not at the top: about 17 ms that a one-process
+        # run and every other command would pay without using it
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+        pool = ProcessPoolExecutor(k - 1, mp_context=_pool_context())
     try:
         futures = [pool.submit(_write_shard, spec, cfg, entropy, bounds[i],
                                bounds[i + 1], parts[i - 1]) for i in range(1, k)]
         counts = [_write_shard(spec, cfg, entropy, 0, bounds[1], paths)]
-        try:
-            counts += [f.result() for f in futures]
-        except BrokenProcessPool as exc:
-            raise ChildProcessError(f"a worker process died: {exc}") from exc
+        if pool is not None:
+            try:
+                counts += [f.result() for f in futures]
+            except BrokenProcessPool as exc:
+                raise ChildProcessError(f"a worker process died: {exc}") from exc
         clock = time.perf_counter()
         for path, its_parts in zip(paths, zip(*parts)):
             _append_parts(path, its_parts)

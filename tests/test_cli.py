@@ -309,6 +309,17 @@ class TestSimulateCommand:
         # the run record names no scipy version, and loads no scipy for it
         assert proc.stdout.splitlines()[-3] == "['numpy', 'python']"
 
+    def test_cli_import_leaves_the_process_pool_unloaded(self):
+        src = os.path.dirname(os.path.dirname(reset_sde.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, reset_sde.cli\n"
+             "print('concurrent.futures.process' in sys.modules)"],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                p for p in (src, os.environ.get("PYTHONPATH")) if p)))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
 
 class TestAnalyticCommand:
     def test_pdf_curve_matches_module(self, tmp_path):

@@ -378,6 +378,10 @@ class TestMarginalSampler:
                     marginal_samples(spec, t, 10, seed=1)
         with pytest.raises(SpecError, match="budget"):
             marginal_samples(renewal, 1e300, 10, seed=1)
+        # R(1e300) of a power-law clock overflows: refused, not NaN samples
+        with pytest.raises(SpecError, match="overflows"):
+            marginal_samples(ProcessSpec(0.5, 0.0, 1.0, NonhomogeneousPoissonClock(1.0, 0.5)),
+                             [1.0, 1e300], 10, seed=1)
 
     @pytest.mark.parametrize("draw", [
         lambda n: marginal_samples(poisson_spec(1.0), [1.0, 2.0], n, seed=1),
