@@ -431,8 +431,9 @@ def _fd_weights(offsets: np.ndarray, order: int) -> np.ndarray:
 
 def moment_from_mgf(spec: ProcessSpec, n: int, t: float) -> float:
     """n-th moment as the n-th derivative of the MGF at s = 0, by a
-    13-point central finite-difference stencil of step 0.05, narrowed to
-    stay within 0.4 sqrt(r / D) of 0, inside the MGF's domain.
+    13-point central finite-difference stencil of step 0.05 in the unit
+    frame's s sqrt(2D), at any length scale, narrowed to stay within
+    0.4 sqrt(r / D) of 0, inside the MGF's domain.
 
     This is the independent cross-check route for :func:`nth_moment`.
     """
@@ -440,10 +441,9 @@ def moment_from_mgf(spec: ProcessSpec, n: int, t: float) -> float:
     points = 13
     step = 0.05
     if rate > 0:
-        c = math.sqrt(2.0 * spec.diffusivity)
-        s_max = math.sqrt(2.0 * rate) / c
-        step = min(step, 0.8 * s_max / (points - 1))
-    offsets = (np.arange(points) - (points - 1) / 2.0) * step
+        step = min(step, 0.8 * math.sqrt(2.0 * rate) / (points - 1))
+    c = math.sqrt(2.0 * spec.diffusivity)
+    offsets = (np.arange(points) - (points - 1) / 2.0) * step / c
     values = np.array([mgf(spec, s, t) for s in offsets])
     return float(_fd_weights(offsets, n) @ values)
 

@@ -41,24 +41,29 @@ def moment_errors(spec, t, orders):
     """Per order n, the relative errors of ``nth_moment`` against the
     quadrature of x^n p(x, t) and against ``moment_from_mgf``.
 
-    One vectorised quadrature integrates every order.  Its error norm is
-    a max over the components, so order n is divided by
-    w_n = sqrt(E X^2n) >= |E X^n| (Cauchy-Schwarz), positive for D, t > 0:
-    each order is then held to the tolerance at its own scale, not at that
-    of the largest.  A moment of 0 has no relative error and raises
-    DomainError.
+    One vectorised quadrature integrates every order, over u = x / sqrt(2D),
+    so the density's width does not depend on D.  Its error norm is a max
+    over the components, so order n is divided by w_n = sqrt(E X^2n) >=
+    |E X^n| (Cauchy-Schwarz), positive for D, t > 0: each order is then
+    held to the tolerance at its own scale, not at that of the largest.  A
+    moment of 0 has no relative error and raises DomainError; a quadrature
+    of 0, which saw none of the density, raises ConvergenceError.
     """
     orders = list(orders)
     closed = [analytic.nth_moment(spec, n, t) for n in orders]
-    for n, value in zip(orders, closed):
-        if value == 0.0:
-            raise DomainError(f"moment {n} is 0, so its relative error is undefined")
+    if 0.0 in closed:
+        raise DomainError(f"moment {orders[closed.index(0.0)]} is 0, so its relative "
+                          "error is undefined")
     powers = np.array(orders)
     w = np.sqrt([analytic.nth_moment(spec, 2 * n, t) for n in orders])
-    # scipy's default quad tolerances
-    quad = (w * analytic.quadrature(lambda x: x ** powers * analytic.pdf(spec, x, t) / w,
-                                    -np.inf, np.inf, vector=True, epsabs=1.49e-8,
-                                    epsrel=1.49e-8, limit=300)).tolist()
+    scale = math.sqrt(2.0 * spec.diffusivity)
+    # scipy's default quad tolerances; dx = scale du
+    quad = (w * analytic.quadrature(
+        lambda u: (scale * u) ** powers * analytic.pdf(spec, scale * u, t) * scale / w,
+        -np.inf, np.inf, vector=True, epsabs=1.49e-8, epsrel=1.49e-8, limit=300)).tolist()
+    if 0.0 in quad:
+        raise analytic.ConvergenceError(f"the quadrature of moment {orders[quad.index(0.0)]} "
+                                        f"is 0: it saw none of the density at t = {t:g}")
     fd = [analytic.moment_from_mgf(spec, n, t) for n in orders]
     return [(abs(c - q) / abs(q), abs(c - f) / abs(c)) for c, q, f in zip(closed, quad, fd)]
 

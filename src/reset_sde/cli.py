@@ -152,13 +152,23 @@ def main(argv=None) -> int:
 # Config plumbing
 # ---------------------------------------------------------------------------
 
-def _load_config(path):
+# The config keys of the process, which every command with --config reads
+_SPEC_KEYS = ("clock", "d", "diffusivity", "x0", "xR", "xr")
+
+
+def _load_config(path, keys):
+    """The JSON object in the file ``path`` ({} for none), refusing a key
+    outside ``keys``: a misspelt key would leave its value at the default."""
     if not path:
         return {}
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise SpecError("config file must contain a JSON object")
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise SpecError(f"unknown key(s) {', '.join(map(repr, unknown))}; "
+                        f"this command reads {', '.join(keys)}")
     return doc
 
 
@@ -242,7 +252,8 @@ def _write_manifest(out_dir, command, config, seed, outputs, started, **extra):
 
 def _cmd_simulate(args) -> int:
     started = time.time()
-    config = _load_config(args.config)
+    config = _load_config(args.config, _SPEC_KEYS + (
+        "dt", "grid-points", "grid_points", "horizon", "n", "scheme", "seed", "workers"))
     spec = _build_spec(args, config)
     scheme_name = _merged(args, config, "scheme", "exact")
     horizon = _number(args, config, "horizon", 10.0)
@@ -396,7 +407,8 @@ def _transform_curve(args, spec, out, what):
 def _cmd_fpe(args) -> int:
     from . import fpe
     started = time.time()
-    config = _load_config(args.config)
+    config = _load_config(args.config, _SPEC_KEYS + (
+        "boundary", "dt", "form", "h", "t", "x-hi", "x-lo", "x_hi", "x_lo"))
     spec = _build_spec(args, config)
     h = _number(args, config, "h", 1e-2)
     dt = _number(args, config, "dt")
@@ -436,11 +448,9 @@ def _cmd_fpe(args) -> int:
 # validate
 # ---------------------------------------------------------------------------
 
-def _check(name, value, tolerance, ok=None):
-    if ok is None:
-        ok = bool(value < tolerance)
+def _check(name, value, tolerance):
     return {"name": name, "value": float(value), "tolerance": float(tolerance),
-            "pass": bool(ok)}
+            "pass": bool(value < tolerance)}
 
 
 def _suite_pdf_ks(seed):

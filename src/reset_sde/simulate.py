@@ -15,8 +15,9 @@ into the grid, one walk and one CSV write per block, with each
 trajectory's bits those of a run of its own.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import math
+import numbers
 import os
 import shutil
 import time
@@ -84,10 +85,36 @@ class SchemeConfig:
     grid: Optional[np.ndarray] = None
 
 
-def validate_scheme(spec: ProcessSpec, cfg: SchemeConfig, n: int = 1) -> SchemeConfig:
-    """Check ``cfg`` for ``spec``, and that n, at least 1, of its
-    trajectories stay within ``MAX_RUN_ROWS``."""
+@dataclass(frozen=True)
+class _Plan:
+    """A run as ``validate_scheme`` resolves it.  ``times`` are the rows
+    each trajectory has besides its own reset epochs: the grid with 0
+    prepended (257 points by default), or for Euler the dt lattice, with
+    ``probs`` its per-step reset probabilities (None for exact).  ``grid``
+    holds the times of ``keep="grid"``, and ``rows`` the rows a trajectory
+    is expected to walk.  ``simulate_exact`` and ``simulate_euler`` take a
+    plan in place of the config."""
+    spec: ProcessSpec
+    cfg: SchemeConfig
+    times: np.ndarray
+    probs: Optional[np.ndarray]
+    grid: np.ndarray
+    rows: float
+
+
+def _check_n(n):
+    """Refuse a size n that is not an integer of at least 1."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not n >= 1:
+        raise SpecError(f"n must be at least 1, an integer; got {n!r}")
+
+
+def validate_scheme(spec: ProcessSpec, cfg: SchemeConfig, n: int = 1) -> _Plan:
+    """Check ``cfg`` for ``spec`` and n trajectories and return the run's
+    ``_Plan``.  n must be an integer of at least 1, and a run expected to
+    walk more than ``MAX_RUN_ROWS`` rows is refused before any lattice is
+    made."""
     validate_spec(spec)
+    _check_n(n)
     if not 0 < cfg.horizon < math.inf:
         raise SpecError("horizon must be positive and finite")
     grid = None
@@ -111,77 +138,47 @@ def validate_scheme(spec: ProcessSpec, cfg: SchemeConfig, n: int = 1) -> SchemeC
         if grid is not None and np.any(
                 np.abs(np.rint(grid / dt) * dt - grid) > time_atol(cfg.horizon)):
             raise SpecError("requested times must be multiples of dt")
-    elif not isinstance(cfg.scheme, ExactScheme):
+        times, points = None, cfg.horizon / dt + 1.0
+    elif isinstance(cfg.scheme, ExactScheme):
+        if grid is None:
+            times = np.linspace(0.0, cfg.horizon, DEFAULT_EXACT_POINTS)
+        else:
+            times = grid if grid[0] == 0.0 else np.concatenate(([0.0], grid))
+        points = len(times)
+    else:
         raise SpecError(f"unknown scheme: {type(cfg.scheme).__name__}")
-    rows = n * _rows_per_trajectory(spec, cfg)
-    if not rows <= MAX_RUN_ROWS:
-        raise SpecError(f"the run would walk about {rows:.3g} rows, above the budget "
+    rows = points + likely_resets(spec.clock, cfg.horizon)
+    if not n * rows <= MAX_RUN_ROWS:
+        raise SpecError(f"the run would walk about {n * rows:.3g} rows, above the budget "
                         f"of {MAX_RUN_ROWS:.0e}; lower n, the horizon or the reset rate")
-    if not n >= 1:
-        raise SpecError("ensemble size must be at least 1")
-    return cfg
-
-
-def _euler_reset_probs(clock, times_left, dt):
-    """Per-step reset probabilities, left-endpoint intensity."""
-    p = clock.intensity(times_left) * dt
-    if np.any(p >= 1.0):
+    if times is not None:
+        return _Plan(spec, cfg, times, None, times, rows)
+    lattice = np.arange(int(math.ceil(cfg.horizon / dt - 1e-12)) + 1) * dt
+    probs = spec.clock.intensity(lattice[:-1]) * dt  # left-endpoint intensity
+    if np.any(probs >= 1.0):
         raise DomainError("time step too coarse: r(t)*dt >= 1 inside the horizon")
-    return p
+    return _Plan(spec, cfg, lattice, probs, lattice if grid is None else grid, rows)
 
 
 def simulate_euler(spec: ProcessSpec, cfg: SchemeConfig, rng) -> Trajectory:
     """One grid-Euler trajectory tabulated on the dt lattice."""
-    if not isinstance(cfg, _Plan):
-        validate_scheme(spec, cfg)
-        if not isinstance(cfg.scheme, EulerScheme):
-            raise SpecError("simulate_euler requires an Euler scheme config")
-        cfg = _plan(spec, cfg)
-    return _only(_block(cfg, [rng]))
+    plan = cfg if isinstance(cfg, _Plan) else validate_scheme(spec, cfg)
+    if plan.probs is None:
+        raise SpecError("simulate_euler requires an Euler scheme config")
+    return _only(_block(plan, [rng]))
 
 
 def simulate_exact(spec: ProcessSpec, cfg: SchemeConfig, rng) -> Trajectory:
-    """One event-driven trajectory; reset epochs are inserted into the grid."""
+    """One event-driven trajectory; reset epochs are inserted into the
+    grid.  Any config runs the exact scheme, on its horizon and grid."""
     if not isinstance(cfg, _Plan):
-        validate_scheme(spec, cfg)
-        cfg = _Plan(spec, cfg, _resolve_exact_grid(cfg))
+        cfg = validate_scheme(spec, replace(cfg, scheme=ExactScheme()))
     return _only(_block(cfg, [rng]))
-
-
-def _resolve_exact_grid(cfg: SchemeConfig) -> np.ndarray:
-    if cfg.grid is not None:
-        grid = np.asarray(cfg.grid, dtype=float)
-        if grid[0] != 0.0:
-            grid = np.concatenate(([0.0], grid))
-        return grid
-    return np.linspace(0.0, cfg.horizon, DEFAULT_EXACT_POINTS)
 
 
 # ---------------------------------------------------------------------------
 # Blocks of trajectories
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _Plan:
-    """What every trajectory of a validated config shares: ``times``, the
-    rows it has besides its own reset epochs (the grid, or for Euler the
-    dt lattice, with ``probs`` its per-step reset probabilities).
-    ``simulate_exact`` and ``simulate_euler`` take a plan in place of the
-    config, which ``run_ensemble`` validates and plans once."""
-    spec: ProcessSpec
-    cfg: SchemeConfig
-    times: np.ndarray
-    probs: Optional[np.ndarray] = None
-
-
-def _plan(spec, cfg):
-    if not isinstance(cfg.scheme, EulerScheme):
-        return _Plan(spec, cfg, _resolve_exact_grid(cfg))
-    dt = cfg.scheme.dt
-    n_steps = int(math.ceil(cfg.horizon / dt - 1e-12))
-    lattice = np.arange(n_steps + 1) * dt
-    return _Plan(spec, cfg, lattice, _euler_reset_probs(spec.clock, lattice[:-1], dt))
-
 
 @dataclass(frozen=True)
 class _Block:
@@ -308,8 +305,7 @@ def _chain(spec, times, ages, n, seed, unit=1.0):
     of more than ``MAX_RUN_ROWS`` values is refused before any array is
     made.
     """
-    if not n >= 1:
-        raise SpecError("n must be at least 1")
+    _check_n(n)
     if not n * len(times) <= MAX_RUN_ROWS:
         raise SpecError(f"{n} samples at {len(times)} times exceed the budget of "
                         f"{MAX_RUN_ROWS:.0e} values; lower n or the number of times")
@@ -386,6 +382,7 @@ def marginal_samples(spec: ProcessSpec, t, n: int, seed) -> np.ndarray:
     exact-scheme marginals.
     """
     validate_spec(spec)
+    _check_n(n)
     times = np.unique(np.asarray(t, dtype=float))
     if not np.all((times > 0) & (times < math.inf)):
         raise DomainError("t must be positive and finite")
@@ -414,12 +411,13 @@ def euler_marginal_samples(spec: ProcessSpec, ts, dt: float, n: int, seed) -> np
     tabulated log survival as its hazard.
     """
     lattice = np.unique(np.asarray(ts, dtype=float))
-    validate_scheme(spec, SchemeConfig(EulerScheme(dt), float(lattice[-1]), lattice))
+    if not len(lattice):
+        raise DomainError("ts must hold at least one time")
+    plan = validate_scheme(spec, SchemeConfig(EulerScheme(dt), float(lattice[-1]), lattice))
     ks = np.rint(lattice / dt).astype(int)
-    p = _euler_reset_probs(spec.clock, np.arange(ks[-1]) * dt, dt)
     # hazard[k] = -log P(no reset in steps 0..k-1), non-decreasing; a reset
     # in step m-1 puts the chain at the reset point at lattice index m
-    hazard = np.concatenate(([0.0], -np.cumsum(np.log1p(-p))))
+    hazard = np.concatenate(([0.0], -np.cumsum(np.log1p(-plan.probs[:ks[-1]]))))
     ages = _hazard_ages(ks, hazard[ks], lambda v: np.searchsorted(hazard, v), tick=1)
     cols = _chain(spec, ks, ages, n, seed, unit=dt)
     return cols[:, np.searchsorted(lattice, ts)]
@@ -441,24 +439,19 @@ def run_ensemble(spec: ProcessSpec, cfg: SchemeConfig, n: int, seed,
     stores positions only at the common output grid (resets still
     recorded), which keeps large exact-scheme ensembles small.
     """
-    validate_scheme(spec, cfg, n)
+    plan = validate_scheme(spec, cfg, n)
     if keep not in ("full", "grid"):
         raise SpecError("keep must be 'full' or 'grid'")
     entropy = _entropy(seed)
-    plan = _plan(spec, cfg)
-    if isinstance(cfg.scheme, EulerScheme):
-        one = simulate_euler
-        grid = plan.times if cfg.grid is None else np.asarray(cfg.grid, dtype=float)
-    else:
-        one, grid = simulate_exact, plan.times
+    one = simulate_exact if plan.probs is None else simulate_euler
     trajectories = []
     for i in range(n):
         tr = one(spec, plan, _rng(entropy, i))
         if keep == "grid":
-            tr = Trajectory(times=grid, positions=tr.at(grid), reset_times=tr.reset_times)
+            tr = Trajectory(plan.grid, tr.at(plan.grid), tr.reset_times)
         trajectories.append(tr)
     return Ensemble(spec=spec, scheme=cfg, seed=entropy,
-                    trajectories=trajectories, grid=grid)
+                    trajectories=trajectories, grid=plan.grid)
 
 
 def resolve_workers(n: int, workers=None, rows=DEFAULT_EXACT_POINTS) -> int:
@@ -473,16 +466,6 @@ def resolve_workers(n: int, workers=None, rows=DEFAULT_EXACT_POINTS) -> int:
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise SpecError("workers must be a positive integer")
     return max(1, min(workers, n))
-
-
-def _rows_per_trajectory(spec, cfg):
-    """Rows one trajectory of a checked config is expected to walk: its
-    grid or dt lattice plus the clock's likely resets."""
-    if isinstance(cfg.scheme, EulerScheme):
-        points = cfg.horizon / cfg.scheme.dt + 1.0
-    else:
-        points = len(_resolve_exact_grid(cfg))
-    return points + likely_resets(spec.clock, cfg.horizon)
 
 
 def _usable_cpus():
@@ -511,19 +494,19 @@ def ensemble_csv(spec: ProcessSpec, cfg: SchemeConfig, n: int, seed, out,
     (see ``resolve_workers``).  The indices are split into contiguous
     shards, one per worker; the calling process runs shard 0 and worker
     processes the others, each writing its own part files, which are then
-    appended, without their headers, to shard 0's and deleted.  A shard
-    simulates and writes its trajectories a block at a time, so memory
-    is bounded by the block, not the shard.  An error
-    in any shard is raised here once every worker has stopped, and no
-    part file is left behind; a worker that dies raises
-    ``ChildProcessError``.
+    appended, without their headers, to shard 0's and deleted.  Each shard
+    reads the run's one ``_Plan`` and simulates and writes its
+    trajectories a block at a time, so memory is bounded by the block,
+    not the shard.  An error in any shard is raised here once every worker
+    has stopped, and no part file is left behind; a worker that dies
+    raises ``ChildProcessError``.
 
     Returns ``rows``, ``resets_drawn``, ``ensemble_s`` and ``write_s``,
     each summed over the shards (so the times are process seconds, and
     may exceed the wall time), and ``workers``, the number of shards.
     """
-    validate_scheme(spec, cfg, n)
-    k = resolve_workers(n, workers, _rows_per_trajectory(spec, cfg))
+    plan = validate_scheme(spec, cfg, n)
+    k = resolve_workers(n, workers, plan.rows)
     entropy = _entropy(seed)
     bounds = [i * n // k for i in range(k + 1)]
     paths = [os.path.join(out, name) for name in (TRAJECTORIES_CSV, RESETS_CSV)]
@@ -535,9 +518,9 @@ def ensemble_csv(spec: ProcessSpec, cfg: SchemeConfig, n: int, seed, out,
         from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
         pool = ProcessPoolExecutor(k - 1, mp_context=_pool_context())
     try:
-        futures = [pool.submit(_write_shard, spec, cfg, entropy, bounds[i],
-                               bounds[i + 1], parts[i - 1]) for i in range(1, k)]
-        counts = [_write_shard(spec, cfg, entropy, 0, bounds[1], paths)]
+        futures = [pool.submit(_write_shard, plan, entropy, bounds[i], bounds[i + 1],
+                               parts[i - 1]) for i in range(1, k)]
+        counts = [_write_shard(plan, entropy, 0, bounds[1], paths)]
         if pool is not None:
             try:
                 counts += [f.result() for f in futures]
@@ -560,12 +543,11 @@ def ensemble_csv(spec: ProcessSpec, cfg: SchemeConfig, n: int, seed, out,
     return totals
 
 
-def _write_shard(spec, cfg, entropy, start, stop, paths):
-    """Simulate trajectories start..stop-1 and write both CSVs of them to
-    ``paths``, a block at a time; return the shard's counts and stage
-    times."""
+def _write_shard(plan, entropy, start, stop, paths):
+    """Simulate trajectories start..stop-1 of ``plan`` and write both CSVs
+    of them to ``paths``, a block at a time; return the shard's counts and
+    stage times."""
     clock = time.perf_counter()
-    plan = _plan(spec, cfg)
     time_cells = np.array(_float_cells(plan.times), dtype=object)
     rows = resets = 0
     ensemble_s = time.perf_counter() - clock

@@ -7,13 +7,15 @@ from reset_sde import analytic, checks
 from reset_sde.analytic import ConvergenceError
 
 # (spec, t): the validate moments suite's; one whose moments of orders
-# 1..6 span four decades, from E X = 1.4e-4 to E X^6 = 0.93; and that one
-# on a length scale 1e-3 as large, where they span eleven, from 1.4e-7 to
-# 9.3e-19, all below an absolute tolerance of 1.49e-8.
+# 1..6 span four decades, from E X = 1.4e-4 to E X^6 = 0.93; that one on
+# a length scale 1e-3 as large, where they span eleven, from 1.4e-7 to
+# 9.3e-19, all below an absolute tolerance of 1.49e-8; and on a scale 1e-4
+# as large, a density of width ~1e-4 that a quadrature over x misses.
 MOMENT_CASES = {
     "suite": (ProcessSpec(0.5, 1.0, 0.0, PoissonClock(1.0)), 0.7),
     "decades": (ProcessSpec(0.5, 3.0, 0.0, PoissonClock(5.0)), 2.0),
     "small-scale": (ProcessSpec(0.5e-6, 3e-3, 0.0, PoissonClock(5.0)), 2.0),
+    "tiny-scale": (ProcessSpec(0.5e-8, 3e-4, 0.0, PoissonClock(5.0)), 2.0),
 }
 
 
@@ -32,8 +34,9 @@ class TestMomentErrors:
         errors = checks.moment_errors(spec, t, range(1, 7))
         assert len(calls) == 1 and calls[0]["vector"] is True
         assert len(errors) == 6
-        for rel_quad, _ in errors:
+        for rel_quad, rel_mgf in errors:
             assert rel_quad < 1e-10
+            assert rel_mgf < 1e-4
 
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_unconverged_quadrature_raises(self, monkeypatch):
@@ -42,6 +45,14 @@ class TestMomentErrors:
                             lambda *args, **opts: quadrature(*args, **{**opts, "limit": 1}))
         with pytest.raises(ConvergenceError, match="error estimate"):
             checks.moment_errors(*MOMENT_CASES["suite"], range(1, 7))
+
+    def test_quadrature_that_misses_the_density_raises(self):
+        # at t = 1e-6 the density is a spike of width 1e-3 at x0 = 1, which
+        # the quadrature over (-inf, inf) does not sample: a 0 there is a
+        # failure to converge, not a moment
+        with pytest.raises(ConvergenceError):
+            checks.moment_errors(ProcessSpec(0.5, 1.0, 0.0, PoissonClock(1.0)), 1e-6,
+                                 range(1, 7))
 
     def test_zero_moment_is_refused_before_any_quadrature(self, monkeypatch):
         def quadrature(*args, **opts):

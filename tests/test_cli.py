@@ -180,6 +180,31 @@ class TestSimulateCommand:
         assert manifest["config"]["spec"]["clock"]["r"] == 1.0
         assert manifest["config"]["spec"]["xR"] == 4.0
 
+    @pytest.mark.parametrize("doc", [
+        {"diffusivity": 0.5, "x0": 0.0, "xR": 1.0, "clock": {"type": "poisson", "r": 2.0},
+         "scheme": "exact", "dt": 0.1, "horizon": 1.0, "n": 2, "seed": 1, "workers": 1,
+         "grid-points": 5},
+        {"d": 0.5, "xr": 1.0, "horizon": 1.0, "n": 2, "grid_points": 5},
+        {"scheme": "euler", "dt": 0.1, "horizon": 1.0, "n": 2},
+    ], ids=["document-keys", "flag-names", "euler"])
+    def test_every_key_simulate_reads_is_accepted(self, tmp_path, doc):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(doc))
+        assert run(["simulate", "--config", config, "--out", tmp_path / "run"]) == 0
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["config"]["spec"]["xR"] == doc.get("xR", doc.get("xr", 0.0))
+
+    def test_unknown_config_key_exits_2_before_any_output(self, tmp_path, capsys):
+        # "horizn" misspelt, and a top-level "r" that only the clock reads:
+        # run, they would leave horizon 10 and r = 1 without a word
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"r": 3, "horizn": 5}))
+        assert run(["simulate", "--config", config, "--out", tmp_path / "run"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: unknown key(s) 'horizn', 'r';")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("doc, field", [
         ({"n": "many"}, "n must be an integer"),
         ({"horizon": "long"}, "horizon must be a number"),
@@ -452,6 +477,29 @@ class TestFpeCommand:
         worst = max(abs(float(v) - analytic.stationary_pdf(spec, float(x)))
                     for x, v in rows)
         assert worst < 1e-3
+
+    @pytest.mark.parametrize("doc", [
+        {"diffusivity": 0.5, "x0": 0.0, "xR": 0.5, "clock": {"type": "poisson", "r": 1.0},
+         "form": "evans", "t": 0.1, "h": 0.1, "dt": 0.005, "boundary": "reflecting",
+         "x-lo": -8.0, "x-hi": 8.0},
+        {"d": 0.5, "xr": 0.5, "t": 0.1, "h": 0.1, "x_lo": -8.0, "x_hi": 8.0},
+    ], ids=["document-keys", "flag-names"])
+    def test_every_key_fpe_reads_is_accepted(self, tmp_path, doc):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(doc))
+        assert run(["fpe", "--config", config, "--out", tmp_path / "run"]) == 0
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["config"]["grid"]["x_lo"] == -8.0
+        assert manifest["config"]["spec"]["xR"] == 0.5
+
+    def test_unknown_config_key_exits_2_before_any_output(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"t": 0.5, "hh": 0.1}))
+        assert run(["fpe", "--config", config, "--out", tmp_path / "run"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: unknown key(s) 'hh';")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
 
     def test_mass_drift_exits_4(self, tmp_path):
         assert run(["fpe", "--form", "evans", "--r", 0, "--t", 1.0,

@@ -371,6 +371,20 @@ class TestMarginalSampler:
         with pytest.raises(SpecError, match="n must be at least 1"):
             marginal_samples(poisson_spec(1.0), 1.0, 0, seed=1)
         renewal = ProcessSpec(0.5, 0.0, 1.0, RenewalClock(ParetoGaps(1.5, 0.3)))
+        # sizes that are not integers: one typed error on every route
+        cfg = SchemeConfig(ExactScheme(), 1.0)
+        for n in (2.5, "3", None, True):
+            for draw in (lambda: run_ensemble(poisson_spec(1.0), cfg, n, seed=1),
+                         lambda: ensemble_csv(poisson_spec(1.0), cfg, n, 1, "unused-directory"),
+                         lambda: marginal_samples(poisson_spec(1.0), 1.0, n, seed=1),
+                         lambda: marginal_samples(renewal, 1.0, n, seed=1),
+                         lambda: euler_marginal_samples(poisson_spec(1.0), 0.5, 0.1, n, seed=1)):
+                with pytest.raises(SpecError, match="n must be at least 1"):
+                    draw()
+        assert len(run_ensemble(poisson_spec(1.0), cfg, np.int64(2), seed=1)) == 2
+        assert marginal_samples(renewal, 1.0, np.int32(3), seed=1).shape == (3,)
+        with pytest.raises(DomainError, match="at least one time"):
+            euler_marginal_samples(poisson_spec(1.0), [], 0.1, 10, seed=1)
         for spec in (poisson_spec(1.0), renewal,
                      ProcessSpec(0.5, 0.0, 1.0, NonhomogeneousPoissonClock(1.0, 0.5))):
             for t in (math.inf, math.nan, [1.0, math.inf]):
@@ -532,7 +546,7 @@ class TestEnsemble:
     ], ids=["poisson", "power-law", "deterministic-on-grid", "short-grid"])
     def test_exact_path_matches_union_reference(self, spec, horizon, grid):
         cfg = SchemeConfig(ExactScheme(), horizon=horizon, grid=grid)
-        resolved = simulate_module._resolve_exact_grid(cfg)
+        resolved = validate_scheme(spec, cfg).times
         for seed in range(20):
             tr = simulate_exact(spec, cfg, np.random.default_rng(seed))
             rng = np.random.default_rng(seed)
@@ -639,6 +653,29 @@ class TestExport:
                                                  for tr in ens.trajectories)
             assert counts["ensemble_s"] >= 0 and counts["write_s"] >= 0
 
+    @pytest.mark.parametrize("cfg", [
+        SchemeConfig(ExactScheme(), horizon=3.0),
+        SchemeConfig(EulerScheme(0.01), horizon=1.0, grid=[0.0, 0.5, 1.0]),
+    ], ids=["exact", "euler"])
+    def test_spawned_workers_write_the_bytes_of_one_process(self, tmp_path, monkeypatch,
+                                                            cfg):
+        # a spawned worker starts a fresh interpreter: it has only what the
+        # pool pickles to it, where a forked one inherits the caller's memory
+        import multiprocessing
+        contexts = []
+        monkeypatch.setattr(simulate_module, "_pool_context", lambda: contexts.append(
+            "spawn") or multiprocessing.get_context("spawn"))
+        spec = poisson_spec(1.0, 0.0, 2.0)
+        outputs = []
+        for workers in (1, 2):
+            out = tmp_path / str(workers)
+            out.mkdir()
+            assert ensemble_csv(spec, cfg, 40, 5, out, workers=workers)["workers"] == workers
+            outputs.append(((out / "trajectories.csv").read_bytes(),
+                            (out / "resets.csv").read_bytes()))
+        assert contexts == ["spawn"]
+        assert outputs[1] == outputs[0]
+
     def test_worker_count_is_capped_by_n_and_checked(self, monkeypatch):
         monkeypatch.setattr(simulate_module, "_usable_cpus", lambda: 64)
         assert resolve_workers(3, 8) == 3
@@ -657,12 +694,12 @@ class TestExport:
         assert resolve_workers(50, rows=20001) == 2
         spec = poisson_spec(1.0)
         fine = SchemeConfig(ExactScheme(), horizon=10.0, grid=np.linspace(0.0, 10.0, 20001))
-        assert resolve_workers(50, rows=simulate_module._rows_per_trajectory(spec, fine)) == 2
+        assert resolve_workers(50, rows=validate_scheme(spec, fine).rows) == 2
         # the clock's expected resets count too: R(10) = 2000 at rate 200
         busy = poisson_spec(200.0)
         cfg = SchemeConfig(ExactScheme(), horizon=10.0)
-        assert simulate_module._rows_per_trajectory(busy, cfg) == pytest.approx(2257.0)
-        assert resolve_workers(50, rows=simulate_module._rows_per_trajectory(busy, cfg)) == 2
+        assert validate_scheme(busy, cfg).rows == pytest.approx(2257.0)
+        assert resolve_workers(50, rows=validate_scheme(busy, cfg).rows) == 2
 
     def test_metadata_round_trips_through_json(self):
         spec = poisson_spec(2.0, 1.0, -1.0)
