@@ -42,7 +42,6 @@ from .core import (
     ProcessSpec,
     SpecError,
     rescale_to_unit,
-    validate_spec,
     write_table,
 )
 from .clocks import IntensityFunction, cumulative_intensity, inverse_cumulative_intensity
@@ -87,31 +86,55 @@ class MomentTable:
 
 
 # ---------------------------------------------------------------------------
-# Clock guards (each validates the spec) and frame helpers
+# Argument gates: each validates the spec once and returns the unit frame
 # ---------------------------------------------------------------------------
 
-def _poisson_rate(spec: ProcessSpec) -> float:
-    validate_spec(spec)
+def _check_time(t, positive=True) -> None:
+    """Refuse a time, or any time of an array, that is not finite and
+    positive (nonnegative when ``positive`` is false)."""
+    if isinstance(t, (int, float)):  # one float comparison in the hot path
+        ok = (0 < t if positive else 0 <= t) and t < math.inf
+    else:
+        t = np.asarray(t, dtype=float)
+        ok = np.all(((0 < t) if positive else (0 <= t)) & (t < math.inf))
+    if not ok:
+        raise DomainError(f"t must be {'positive' if positive else 'nonnegative'} "
+                          "and finite")
+
+
+def _poisson(spec: ProcessSpec, t=None, positive=True):
+    """``(rate, x0/c, xR/c, c)`` of a homogeneous Poisson spec, c = sqrt(2D),
+    with t checked by :func:`_check_time` unless it is None."""
+    scaled, c = rescale_to_unit(spec)
     if not isinstance(spec.clock, PoissonClock):
         raise SpecError(f"this operation requires a homogeneous Poisson clock; "
                         f"got {type(spec.clock).__name__}")
-    return spec.clock.rate
+    if t is not None:
+        _check_time(t, positive)
+    return spec.clock.rate, scaled.x0, scaled.x_reset, c
 
 
-def _npp_params(spec: ProcessSpec):
-    validate_spec(spec)
+def _npp(spec: ProcessSpec, t, positive=True):
+    """``(rate, exponent, c)`` of a power-law spec started and reset at 0,
+    c = sqrt(2D), with t checked by :func:`_check_time`."""
+    _, c = rescale_to_unit(spec)
     if not isinstance(spec.clock, NonhomogeneousPoissonClock):
         raise SpecError(f"this operation requires a nonhomogeneous Poisson "
                         f"clock; got {type(spec.clock).__name__}")
     if spec.x0 != 0.0 or spec.x_reset != 0.0:
         raise DomainError("nonhomogeneous results are derived for "
                           "x0 = xR = 0 only")
-    return spec.clock.rate, spec.clock.exponent
+    _check_time(t, positive)
+    return spec.clock.rate, spec.clock.exponent, c
 
 
-def _unit(spec: ProcessSpec):
-    scaled, c = rescale_to_unit(spec)
-    return scaled.x0, scaled.x_reset, c
+def _finite(out, what: str):
+    """``out``, a Python scalar when 0-d, refused with NumericalError
+    unless every value is finite."""
+    out = np.asarray(out)
+    if not np.all(np.isfinite(out)):
+        raise NumericalError(f"{what} is not finite")
+    return out.item() if out.ndim == 0 else out
 
 
 def _norm_pdf(x, mean, var):
@@ -127,15 +150,12 @@ def mgf(spec: ProcessSpec, s: float, t: float) -> float:
 
     Defined for |s| < sqrt(2r) in the unit frame (sqrt(r/D) in general).
     """
-    rate = _poisson_rate(spec)
-    if t < 0:
-        raise DomainError("t must be nonnegative")
-    a, b, c = _unit(spec)
-    try:
-        return _mgf_unit(a, b, rate, c * s, t)
+    rate, a, b, c = _poisson(spec, t, positive=False)
+    try:  # in Python floats, which overflow to inf or raise, never warn
+        value = _mgf_unit(a, b, rate, c * float(s), t)
     except OverflowError:
-        raise NumericalError(f"the moment generating function at s = {s:g}, "
-                             f"t = {t:g} overflows a double") from None
+        value = math.inf
+    return _finite(value, f"the moment generating function at s = {s:g}, t = {t:g}")
 
 
 def _mgf_unit(x0, xr, rate, s, t):
@@ -152,18 +172,16 @@ def _mgf_unit(x0, xr, rate, s, t):
 
 def char_fn(spec: ProcessSpec, s, t: float) -> complex:
     """Characteristic function E exp(i s X_t); Poisson clock only."""
-    rate = _poisson_rate(spec)
-    if t < 0:
-        raise DomainError("t must be nonnegative")
-    a, b, c = _unit(spec)
-    s = np.asarray(s, dtype=float) * c
-    if rate == 0.0:
-        out = np.exp(1j * s * a - 0.5 * t * s * s)
-    else:
-        denom = rate + 0.5 * s * s
-        stationary = rate * np.exp(1j * s * b) / denom
-        out = stationary + (np.exp(1j * s * a) - stationary) * np.exp(-denom * t)
-    return complex(out) if out.ndim == 0 else out
+    rate, a, b, c = _poisson(spec, t, positive=False)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in pdf, at large |s|
+        s = np.asarray(s, dtype=float) * c
+        if rate == 0.0:
+            out = np.exp(1j * s * a - 0.5 * t * s * s)
+        else:
+            denom = rate + 0.5 * s * s
+            stationary = rate * np.exp(1j * s * b) / denom
+            out = stationary + (np.exp(1j * s * a) - stationary) * np.exp(-denom * t)
+    return _finite(out, "the characteristic function")
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +237,7 @@ def normal_laplace_conv(x, t: float, rate: float, center: float):
     Written with scaled complementary error functions so large rate*t
     never overflows.
     """
-    if not t > 0:
-        raise DomainError("t must be positive")
+    _check_time(t)
     if not rate > 0:
         raise DomainError("rate must be positive")
     lam = math.sqrt(2.0 * rate)
@@ -235,13 +252,12 @@ def pdf(spec: ProcessSpec, x, t: float):
     Laplace part plus an exponentially damped correction: the Gaussian
     started at x0 minus the Gaussian-Laplace convolution.
     """
-    rate = _poisson_rate(spec)
-    if not t > 0:
-        raise DomainError("t must be positive")
-    a, b, c = _unit(spec)
-    x = np.asarray(x, dtype=float)
-    out = _pdf_unit(x / c, t, a, b, rate) / c
-    return float(out) if out.ndim == 0 else out
+    rate, a, b, c = _poisson(spec, t)
+    # far from x0 and xR the squares overflow to inf and the terms to 0;
+    # _finite refuses what extreme arguments leave undefined
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _pdf_unit(np.asarray(x, dtype=float) / c, t, a, b, rate) / c
+    return _finite(out, "the density")
 
 
 def _pdf_unit(x, t, x0, xr, rate):
@@ -258,13 +274,12 @@ def _pdf_unit(x, t, x0, xr, rate):
 
 def stationary_pdf(spec: ProcessSpec, x):
     """Long-time density: Laplace centred at the reset point."""
-    rate = _poisson_rate(spec)
+    rate, _, b, c = _poisson(spec)
     if rate <= 0:
         raise DomainError("no stationary law without resetting (rate 0)")
-    a, b, c = _unit(spec)
-    x = np.asarray(x, dtype=float)
-    out = _laplace_pdf_arr(x / c, rate, b) / c
-    return float(out) if out.ndim == 0 else out
+    with np.errstate(over="ignore", invalid="ignore"):  # as in pdf
+        out = _laplace_pdf_arr(np.asarray(x, dtype=float) / c, rate, b) / c
+    return _finite(out, "the stationary density")
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +288,11 @@ def stationary_pdf(spec: ProcessSpec, x):
 
 def mean(spec: ProcessSpec, t) -> float:
     """E X_t = xR + exp(-r t) (x0 - xR); exact for any diffusivity."""
-    rate = _poisson_rate(spec)
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise DomainError("t must be nonnegative")
-    out = spec.x_reset + np.exp(-rate * t) * (spec.x0 - spec.x_reset)
-    return float(out) if out.ndim == 0 else out
+    rate, *_ = _poisson(spec, t, positive=False)
+    with np.errstate(over="ignore", invalid="ignore"):  # r t overflows to inf
+        decay = np.exp(-rate * np.asarray(t, dtype=float))
+        out = spec.x_reset + decay * (spec.x0 - spec.x_reset)
+    return _finite(out, "the mean")
 
 
 def laplace_moment(n: int, rate: float) -> float:
@@ -293,8 +307,11 @@ def laplace_moment(n: int, rate: float) -> float:
     return (2.0 * rate) ** (-n / 2.0) * math.factorial(n)
 
 
-def kummer_phi(a: float, b: float, c: float,
-               rel_tol: float = 1e-12, max_terms: int = 500) -> float:
+_KUMMER_REL_TOL = 1e-12  # stop after two terms this small against the sum
+_KUMMER_MAX_TERMS = 500
+
+
+def kummer_phi(a: float, b: float, c: float) -> float:
     """Kummer's confluent hypergeometric series sum_k (a)_k/(b)_k c^k/k!.
 
     Negative arguments are routed through the transformation
@@ -304,25 +321,25 @@ def kummer_phi(a: float, b: float, c: float,
     if b <= 0 and b == int(b):
         raise DomainError(f"b = {b:g} is a non-positive integer (series pole)")
     if c < 0:
-        return math.exp(c) * kummer_phi(b - a, b, -c, rel_tol, max_terms)
+        return math.exp(c) * kummer_phi(b - a, b, -c)
     term = 1.0
     total = 1.0
     small_streak = 0
-    for k in range(max_terms):
+    for k in range(_KUMMER_MAX_TERMS):
         term *= (a + k) / (b + k) * c / (k + 1)
         total += term
         if not math.isfinite(total):
             raise ConvergenceError(
                 f"Kummer series overflowed after {k + 1} terms "
                 f"(a={a:g}, b={b:g}, c={c:g})")
-        if abs(term) <= rel_tol * max(abs(total), 1e-300):
+        if abs(term) <= _KUMMER_REL_TOL * max(abs(total), 1e-300):
             small_streak += 1
             if small_streak >= 2:
                 return total
         else:
             small_streak = 0
     raise ConvergenceError(
-        f"Kummer series did not converge within {max_terms} terms "
+        f"Kummer series did not converge within {_KUMMER_MAX_TERMS} terms "
         f"(a={a:g}, b={b:g}, c={c:g}, last term {term:g})")
 
 
@@ -344,8 +361,7 @@ def gaussian_moment(n: int, x0: float, t: float) -> float:
     """
     if n < 0:
         raise DomainError("n must be nonnegative")
-    if not t > 0:
-        raise DomainError("t must be positive")
+    _check_time(t)
     try:
         total = sum(math.comb(n, 2 * k) * _double_factorial(2 * k - 1)
                     * x0 ** (n - 2 * k) * t ** k for k in range(n // 2 + 1))
@@ -378,16 +394,11 @@ def nth_moment(spec: ProcessSpec, n: int, t: float) -> float:
     E L^n + exp(-r t)(E W^n - E (W+L)^n).  For a nonzero reset point no
     closed form is implemented; integrate x^n against :func:`pdf` instead.
     """
-    rate = _poisson_rate(spec)
+    rate, a, _, c = _poisson(spec, t)
     if spec.x_reset != 0.0:
         raise DomainError(
             "closed-form moments require reset point 0; integrate the "
             "density by quadrature for other reset points")
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-    if not t > 0:
-        raise DomainError("t must be positive")
-    a, _, c = _unit(spec)
     try:
         scale = c ** n
     except OverflowError:
@@ -437,12 +448,11 @@ def moment_from_mgf(spec: ProcessSpec, n: int, t: float) -> float:
 
     This is the independent cross-check route for :func:`nth_moment`.
     """
-    rate = _poisson_rate(spec)
+    rate, _, _, c = _poisson(spec, t, positive=False)
     points = 13
     step = 0.05
     if rate > 0:
         step = min(step, 0.8 * math.sqrt(2.0 * rate) / (points - 1))
-    c = math.sqrt(2.0 * spec.diffusivity)
     offsets = (np.arange(points) - (points - 1) / 2.0) * step / c
     values = np.array([mgf(spec, s, t) for s in offsets])
     return float(_fd_weights(offsets, n) @ values)
@@ -484,14 +494,16 @@ def quadrature(integrand, lo, hi, points=None, vector=False, **opts):
     return value
 
 
-def _intensity_at(f: IntensityFunction, t: float) -> float:
-    """f(t), which the quadratures below need finite: their breakpoints
-    are geometric from 1/f(t)."""
+def _intensity_at(f: IntensityFunction, t: float):
+    """f(t) and R(t), which the quadratures below need finite: their
+    breakpoints are geometric from 1/f(t), and a finite R(t) keeps the
+    power (t+1)^(p+1) of :func:`_intensity_since` finite."""
     with np.errstate(over="ignore"):
-        rate_t = float(f(t))
-    if not rate_t < math.inf:
-        raise DomainError(f"the reset intensity overflows a double at t = {t:g}")
-    return rate_t
+        rate_t, total = float(f(t)), cumulative_intensity(f, t)
+    if not (rate_t < math.inf and total < math.inf):
+        raise DomainError(f"the reset intensity or its integral overflows a "
+                          f"double at t = {t:g}")
+    return rate_t, total
 
 
 def _intensity_since(f: IntensityFunction, t: float, age: float) -> float:
@@ -524,12 +536,11 @@ def npp_char_fn(spec: ProcessSpec, s, t: float) -> complex:
     is max(1e-12, 1e-8 * max|value|) at every point: values far below the
     largest one (large |s|) carry that absolute accuracy, not a relative one.
     """
-    rate, p = _npp_params(spec)
-    if not 0 <= t < math.inf:
-        raise DomainError("t must be nonnegative and finite")
-    _, _, c = _unit(spec)
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float)) * c
-    out = _npp_cf_unit(rate, p, s_arr, t).astype(complex)
+    rate, p, c = _npp(spec, t, positive=False)
+    # as in char_fn; a NaN fails the quadrature's own error check
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_arr = np.atleast_1d(np.asarray(s, dtype=float)) * c
+        out = _npp_cf_unit(rate, p, s_arr, t).astype(complex)
     return complex(out[0]) if np.ndim(s) == 0 else out
 
 
@@ -537,7 +548,7 @@ def _npp_cf_unit(rate, p, s, t) -> np.ndarray:
     if t == 0.0:
         return np.ones(len(s))
     f = IntensityFunction(rate, p)
-    total = cumulative_intensity(f, t)
+    _, total = _intensity_at(f, t)
     half_s2 = 0.5 * s * s
 
     def integrand(u):
@@ -563,10 +574,7 @@ def npp_pdf(spec: ProcessSpec, x, t: float):
     density value among them: far-tail values carry that absolute
     accuracy, not a relative one.
     """
-    rate, p = _npp_params(spec)
-    if not 0 < t < math.inf:
-        raise DomainError("t must be positive and finite")
-    _, _, c = _unit(spec)
+    rate, p, c = _npp(spec, t)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float)) / c
     out = _npp_pdf_unit(rate, p, x_arr, t) / c
     return float(out[0]) if np.ndim(x) == 0 else out
@@ -574,8 +582,7 @@ def npp_pdf(spec: ProcessSpec, x, t: float):
 
 def _npp_pdf_unit(rate, p, x, t) -> np.ndarray:
     f = IntensityFunction(rate, p)
-    rate_t = _intensity_at(f, t)
-    total = cumulative_intensity(f, t)
+    rate_t, total = _intensity_at(f, t)
     half_x2 = 0.5 * x * x
     front = 2.0 / math.sqrt(2.0 * math.pi)
 
@@ -616,10 +623,9 @@ def npp_msd(spec: ProcessSpec, t: float) -> float:
     exponent -1 the closed form (t+1)/(r+1) - (t+1)^(-r)/(r+1) is used
     directly.  Scales as 2 D times the unit-frame value.
     """
-    rate, p = _npp_params(spec)
-    if not 0 <= t < math.inf:
-        raise DomainError("t must be nonnegative and finite")
-    return 2.0 * spec.diffusivity * _npp_msd_unit(rate, p, t)
+    rate, p, _ = _npp(spec, t, positive=False)
+    return _finite(2.0 * spec.diffusivity * _npp_msd_unit(rate, p, t),
+                   f"the mean squared displacement at t = {t:g}")
 
 
 def _npp_msd_unit(rate, p, t) -> float:
@@ -636,7 +642,7 @@ def _npp_msd_unit(rate, p, t) -> float:
     # within ~1/f(t) of age 0; geometric breakpoints from there up to t
     # keep that layer sampled.  At most half the quadrature's subintervals
     # go to them: beyond 4^100 / f(t) the survival is below exp(-4^99).
-    rate_t = _intensity_at(f, t)
+    rate_t, _ = _intensity_at(f, t)
     breaks = []
     age = 1.0 / rate_t if rate_t * t > 1.0 else t
     while age < t and len(breaks) < _QUAD_OPTS["limit"] // 2:
@@ -684,11 +690,12 @@ def classify_regime(p: float) -> RegimeInfo:
 
 def spatial_scale(spec: ProcessSpec, t: float) -> float:
     """Max of the diffusive scale and, at base rate r > 0, sqrt(D / r)."""
+    _check_time(t, positive=False)
     scale = math.sqrt(2.0 * spec.diffusivity * t)
     rate = spec.clock.base_rate
     if rate:
         scale = max(scale, math.sqrt(spec.diffusivity / rate))
-    return scale
+    return _finite(scale, f"the spatial scale at t = {t:g}")
 
 
 _NPP_SUPPORT_RMS = 12.0  # half-width of the power-law grid, in rms displacements

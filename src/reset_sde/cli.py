@@ -339,7 +339,7 @@ def _cmd_analytic(args) -> int:
     elif what in ("cf", "mgf"):
         outputs.append(_transform_curve(args, spec, out, what))
     elif what == "mean":
-        ts = np.linspace(args.t_lo, _t_hi(args, args.t_lo), args.points)
+        ts = _grid("t", args.t_lo, args.t_hi, args.points)
         values = analytic.mean(spec, ts)
         outputs.append(os.path.basename(
             _curve_csv(out, "curve.csv", ["t", "value"], (ts, values))))
@@ -351,8 +351,7 @@ def _cmd_analytic(args) -> int:
         if not isinstance(spec.clock, NonhomogeneousPoissonClock):
             raise SpecError("msd requires the nonhomogeneous clock; pass --p "
                             "(use --p 0 for constant rate)")
-        lo = max(args.t_lo, 1e-3)
-        ts = np.geomspace(lo, _t_hi(args, lo), args.points)
+        ts = _grid("t", max(args.t_lo, 1e-3), args.t_hi, args.points, np.geomspace)
         values = [analytic.npp_msd(spec, float(t)) for t in ts]
         outputs.append(os.path.basename(
             _curve_csv(out, "curve.csv", ["t", "msd"], (ts, values))))
@@ -360,17 +359,19 @@ def _cmd_analytic(args) -> int:
     return EXIT_OK
 
 
-def _t_hi(args, lo):
-    """``--t-hi``, checked to lie above the first time of the grid."""
-    if not args.t_hi > lo:
-        raise SpecError(f"--t-hi must exceed {lo:g}, the first time of the grid")
-    return args.t_hi
+def _grid(flag, lo, hi, points, spacing=np.linspace):
+    """``points`` values from lo to hi by ``spacing``, refusing a range
+    that is not finite and increasing."""
+    if not -math.inf < lo < hi < math.inf:
+        raise SpecError(f"the --{flag}-lo/--{flag}-hi range [{lo:g}, {hi:g}] "
+                        "must be finite and increasing")
+    return spacing(lo, hi, points)
 
 
 def _x_grid(args, spec):
     from . import analytic
     if args.x_lo is not None and args.x_hi is not None:
-        return np.linspace(args.x_lo, args.x_hi, args.points)
+        return _grid("x", args.x_lo, args.x_hi, args.points)
     return analytic.default_support(spec, max(args.t, 0.0), points=args.points)
 
 
@@ -382,15 +383,13 @@ def _transform_curve(args, spec, out, what):
         evaluate = lambda s: analytic.npp_char_fn(spec, s, args.t)
     else:
         evaluate = lambda s: analytic.char_fn(spec, s, args.t)
-    if args.s_lo is None or args.s_hi is None:
+    s_lo, s_hi = args.s_lo, args.s_hi
+    if s_lo is None or s_hi is None:
+        edge = 5.0
         if what == "mgf" and spec.clock.base_rate:
             edge = 0.98 * math.sqrt(spec.clock.base_rate / spec.diffusivity)
-            s_lo, s_hi = -edge, edge
-        else:
-            s_lo, s_hi = -5.0, 5.0
-    else:
-        s_lo, s_hi = args.s_lo, args.s_hi
-    ss = np.linspace(s_lo, s_hi, args.points)
+        s_lo, s_hi = -edge, edge
+    ss = _grid("s", s_lo, s_hi, args.points)
     if what == "mgf":
         values = [float(evaluate(s)) for s in ss]
         _curve_csv(out, "curve.csv", ["s", "value"], (ss, values))

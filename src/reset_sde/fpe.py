@@ -31,7 +31,7 @@ from .core import (
     ProcessSpec,
     SpecError,
 )
-from .analytic import DensityCurve, _poisson_rate, spatial_scale
+from .analytic import DensityCurve, _poisson, spatial_scale
 
 MASS_TOLERANCE = 1e-3
 BOUNDARY_MARGIN_SCALES = 5.0
@@ -86,8 +86,6 @@ def default_grid(spec: ProcessSpec, t_final: float, h: float = 1e-2,
     points; the stationary tails decay fast enough that the truncation
     error is negligible at that range.  ``t_final=None`` sizes the grid
     for the stationary law."""
-    if t_final is not None and not 0 <= t_final < math.inf:
-        raise DomainError("t_final must be nonnegative and finite")
     if not 0 < h < math.inf:
         raise SpecError("h must be positive and finite")
     pad = DEFAULT_PAD_SCALES * max(spatial_scale(spec, t_final or 0.0), 10 * h)
@@ -145,10 +143,13 @@ def _apply_tridiag(lower, main, upper, p):
     return out
 
 
-def _solve_transient(spec, grid, t_final, source_coeff):
-    rate = _poisson_rate(spec)
-    if not 0 < t_final < math.inf:
-        raise DomainError("t_final must be positive and finite")
+def _solve_transient(spec, grid, t_final, weighted):
+    rate, *_ = _poisson(spec, t_final)
+    source_coeff = rate
+    if weighted and rate > 0:
+        lam = math.sqrt(rate / spec.diffusivity)
+        density_at_reset = lam / 2.0
+        source_coeff = 2.0 * spec.diffusivity * lam * density_at_reset
     _check_margins(spec, grid, t_final)
     xs = grid.xs
     n = len(xs)
@@ -195,26 +196,19 @@ def _solve_transient(spec, grid, t_final, source_coeff):
 
 def solve_fpe_evans(spec: ProcessSpec, grid: FpeGrid, t_final: float) -> DensityCurve:
     """March the density equation with the plain point source of rate r."""
-    return _solve_transient(spec, grid, t_final, _poisson_rate(spec))
+    return _solve_transient(spec, grid, t_final, weighted=False)
 
 
 def solve_fpe_delta_fl(spec: ProcessSpec, grid: FpeGrid, t_final: float) -> DensityCurve:
     """March the density equation with the stationary-density-weighted
     source; its coefficient, evaluated at the reset point, equals r."""
-    rate = _poisson_rate(spec)
-    if rate > 0:
-        lam = math.sqrt(rate / spec.diffusivity)
-        density_at_reset = lam / 2.0
-        coeff = 2.0 * spec.diffusivity * lam * density_at_reset
-    else:
-        coeff = 0.0
-    return _solve_transient(spec, grid, t_final, coeff)
+    return _solve_transient(spec, grid, t_final, weighted=True)
 
 
 def stationary_fpe(spec: ProcessSpec, grid: FpeGrid) -> DensityCurve:
     """Solve the zero-time-derivative linear system, normalised to unit
     mass; independent of the start point."""
-    rate = _poisson_rate(spec)
+    rate, *_ = _poisson(spec)
     if rate <= 0:
         raise DomainError("no stationary density without resetting (rate 0)")
     _check_margins(spec, grid, None)
@@ -251,7 +245,7 @@ def _operator_parts(values, xs, spec):
     h = steps[0]
     if np.any(np.abs(steps - h) > 1e-9 * h):
         raise SpecError("grid must be uniform")
-    rate = _poisson_rate(spec)
+    rate, *_ = _poisson(spec)
     if not xs[0] < spec.x_reset < xs[-1]:
         raise SpecError("reset position must lie inside the grid")
     bands = _second_difference_bands(len(xs), h, "reflecting")

@@ -120,9 +120,9 @@ def validate_scheme(spec: ProcessSpec, cfg: SchemeConfig, n: int = 1) -> _Plan:
     grid = None
     if cfg.grid is not None:
         grid = np.asarray(cfg.grid, dtype=float)
-        if grid.ndim != 1 or len(grid) < 1 or np.any(np.diff(grid) <= 0):
+        if grid.ndim != 1 or len(grid) < 1 or not np.all(np.diff(grid) > 0):
             raise SpecError("grid must be strictly increasing")
-        if grid[0] < 0 or grid[-1] > cfg.horizon * (1 + 1e-12):
+        if not 0 <= grid[0] or not grid[-1] <= cfg.horizon * (1 + 1e-12):
             raise SpecError("grid must lie within [0, horizon]")
     if isinstance(cfg.scheme, EulerScheme):
         dt = cfg.scheme.dt

@@ -16,7 +16,6 @@ from .core import (
     PoissonClock,
     ProcessSpec,
     SpecError,
-    rescale_to_unit,
 )
 from . import analytic
 from .analytic import DensityCurve
@@ -134,22 +133,20 @@ def analytic_cdf(spec: ProcessSpec, x, t: float):
     The Laplace and Gaussian pieces are exact; the convolution piece uses
     the closed form checked against quadrature in the test suite.
     """
-    rate = analytic._poisson_rate(spec)
-    if not t > 0:
-        raise DomainError("t must be positive")
-    scaled, c = rescale_to_unit(spec)
-    y = np.asarray(x, dtype=float) / c
-    if rate == 0.0:
-        out = _norm_cdf((y - scaled.x0) / math.sqrt(t))
-    else:
-        z = y - scaled.x_reset
-        left, right = analytic._conv_terms(z, t, math.sqrt(2.0 * rate))
-        out = (_laplace_cdf(y, rate, scaled.x_reset)
-               + math.exp(-rate * t)
-               * (_norm_cdf((y - scaled.x0) / math.sqrt(t))
-                  - (_norm_cdf(z / math.sqrt(t)) - 0.25 * (left - right))))
-    out = np.clip(out, 0.0, 1.0)
-    return float(out) if out.ndim == 0 else out
+    rate, a, b, c = analytic._poisson(spec, t)
+    # as in analytic.pdf, and in the branches that np.where discards
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = np.asarray(x, dtype=float) / c
+        if rate == 0.0:
+            out = _norm_cdf((y - a) / math.sqrt(t))
+        else:
+            z = y - b
+            left, right = analytic._conv_terms(z, t, math.sqrt(2.0 * rate))
+            out = (_laplace_cdf(y, rate, b)
+                   + math.exp(-rate * t)
+                   * (_norm_cdf((y - a) / math.sqrt(t))
+                      - (_norm_cdf(z / math.sqrt(t)) - 0.25 * (left - right))))
+    return analytic._finite(np.clip(out, 0.0, 1.0), "the distribution function")
 
 
 def cdf_from_density_curve(curve: DensityCurve):

@@ -599,10 +599,62 @@ class TestTypedErrors:
         (lambda: npp_msd(spec_npp(1.0, 0.0), math.inf), DomainError),
         (lambda: npp_pdf(spec_npp(1.0, 0.0), 0.0, math.inf), DomainError),
         (lambda: npp_char_fn(spec_npp(1.0, 0.0), 1.0, math.inf), DomainError),
+        # at the edge of the double range: a value left undefined or too large
+        (lambda: mgf(spec_poisson(1e300, x0=1e300), np.float64(1e147), 1.0), NumericalError),
+        (lambda: char_fn(spec_poisson(1.0, d=1e300), 1e300, 1.0), NumericalError),
+        (lambda: npp_char_fn(spec_npp(1.0, 1e9), 1.0, 1.0), DomainError),
+        (lambda: npp_pdf(spec_npp(1.0, 0.5), 0.0, 1e300), DomainError),
+        (lambda: npp_msd(spec_npp(1.0, 0.5), 1e300), DomainError),
+        (lambda: npp_msd(spec_npp(1.0, -1.0, d=1e300), 1e300), NumericalError),
+        (lambda: analytic.spatial_scale(spec_poisson(1.0, d=1e9), 1e300), NumericalError),
     ], ids=["laplace", "gaussian", "sum", "nth", "fd-weights",
             "mgf-stencil", "mgf-overflow", "mgf-overflow-rate-0", "moment-overflow",
             "npp-msd-overflow", "npp-pdf-overflow", "npp-msd-infinite-t",
-            "npp-pdf-infinite-t", "npp-cf-infinite-t"])
+            "npp-pdf-infinite-t", "npp-cf-infinite-t", "mgf-undefined", "char-fn-undefined",
+            "npp-cf-integral-overflow", "npp-pdf-integral-overflow",
+            "npp-msd-integral-overflow", "npp-msd-infinite", "spatial-scale-overflow"])
     def test_bad_arguments_raise_typed_errors(self, call, error):
         with pytest.raises(error):
             call()
+
+    # Every time argument of a closed form passes one check: t finite, and
+    # positive where the form excludes t = 0, for a scalar and for each
+    # element of an array.
+    @pytest.mark.parametrize("call, positive", [
+        (lambda t: mgf(spec_poisson(1.0), 0.5, t), False),
+        (lambda t: char_fn(spec_poisson(1.0), 0.5, t), False),
+        (lambda t: pdf(spec_poisson(1.0), 0.5, t), True),
+        (lambda t: mean(spec_poisson(1.0), [1.0, t]), False),
+        (lambda t: nth_moment(spec_poisson(1.0, x0=1.0), 2, t), True),
+        (lambda t: analytic.moment_from_mgf(spec_poisson(1.0, x0=1.0), 2, t), False),
+        (lambda t: gaussian_moment(2, 0.0, t), True),
+        (lambda t: normal_laplace_conv(0.5, t, 1.0, 0.0), True),
+        (lambda t: npp_char_fn(spec_npp(1.0, 0.0), 0.5, t), False),
+        (lambda t: npp_pdf(spec_npp(1.0, 0.0), 0.5, t), True),
+        (lambda t: npp_msd(spec_npp(1.0, 0.0), t), False),
+        (lambda t: analytic.spatial_scale(spec_poisson(1.0), t), False),
+        (lambda t: stats.analytic_cdf(spec_poisson(1.0), 0.5, t), True),
+    ], ids=["mgf", "char-fn", "pdf", "mean", "nth-moment", "moment-from-mgf",
+            "gaussian-moment", "normal-laplace-conv", "npp-char-fn", "npp-pdf", "npp-msd",
+            "spatial-scale", "analytic-cdf"])
+    def test_time_must_be_finite(self, call, positive):
+        word = "positive" if positive else "nonnegative"
+        for t in (math.inf, math.nan, -1.0, np.float64(math.inf)) + ((0.0,) if positive else ()):
+            with pytest.raises(DomainError, match=f"t must be {word} and finite"):
+                call(t)
+        call(1.0)
+        call(np.float64(1.0))
+
+    # Arguments at the edge of the double range: a term whose overflow only
+    # takes it to its limit gives that limit, never NaN or a numpy warning
+    # (which the test configuration turns into an error).
+    def test_overflowing_terms_reach_their_limit(self):
+        assert pdf(spec_poisson(1.0, xr=1e300), [1e300, 2e299], 1.0)[1] == 0.0
+        assert pdf(spec_poisson(0.0), 1e200, 1.0) == 0.0
+        assert stationary_pdf(spec_poisson(1e300), 1e300) == 0.0
+        assert char_fn(spec_poisson(1.0), 1e300, 1.0) == 0.0
+        assert mean(spec_poisson(1e9, x0=1.0), np.array([1e300]))[0] == 0.0
+        assert mgf(spec_poisson(1e9), np.float64(1.0), 1e300) == pytest.approx(1.0)
+        assert np.array_equal(stats.analytic_cdf(spec_poisson(5000.0), [10.0, -10.0], 1.0),
+                              [1.0, 0.0])
+        assert npp_char_fn(spec_npp(1.0, -0.5), 1e300, 1.0) == 0.0

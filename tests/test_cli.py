@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import glob
 import hashlib
 import io
 import json
@@ -552,7 +553,13 @@ class TestDomainErrors:
         ["fpe", "--t", -1],
         ["analytic", "mean", "--t-hi", -1],
         ["analytic", "msd", "--p", 0, "--t-hi", 1e-4],
-    ], ids=["pdf-t0", "fpe-negative-t", "mean-negative-t-hi", "msd-reversed-grid"])
+        ["analytic", "pdf", "--t", "inf"],
+        ["analytic", "cf", "--t", "nan"],
+        ["analytic", "mgf", "--t", "inf"],
+        ["analytic", "moments", "--t", "inf"],
+        ["analytic", "pdf", "--x-lo", 2, "--x-hi", -2],
+    ], ids=["pdf-t0", "fpe-negative-t", "mean-negative-t-hi", "msd-reversed-grid",
+            "pdf-t-inf", "cf-t-nan", "mgf-t-inf", "moments-t-inf", "pdf-reversed-x"])
     def test_exits_2_without_traceback(self, tmp_path, capsys, args):
         out = tmp_path / "out"
         assert run(args + ["--out", out]) == 2
@@ -696,10 +703,17 @@ class TestCliFuzz:
     @given(_cli_args())
     @example(["analytic", "pdf", "--clock", "npp", "--t", "inf"])
     @example(["analytic", "pdf", "--clock", "npp", "--r", "1e300"])
+    @example(["analytic", "pdf", "--t", "inf"])
+    @example(["analytic", "pdf", "--x-lo", "nan", "--x-hi", "1"])
+    @example(["analytic", "cf", "--s-lo", "inf", "--s-hi", "1"])
     def test_documented_exit_code_and_no_traceback(self, args):
         stderr = io.StringIO()
         with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(stderr), \
                 contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(args + ["--out", out])
+            # a run that succeeds writes numbers only: no NaN or infinite curve
+            cells = [cell for path in sorted(glob.glob(os.path.join(out, "*.csv")))
+                     for row in read_csv(path)[1] for cell in row]
         assert code in (0, 2, 3, 4), (args, stderr.getvalue())
         assert "Traceback" not in stderr.getvalue()
+        assert code != 0 or all(math.isfinite(float(cell)) for cell in cells), args

@@ -177,12 +177,11 @@ class TestSchemeValidation:
             sample_reset_times(clock, 1.0, np.random.default_rng(0))
 
     def test_grid_must_be_increasing_and_inside(self):
-        with pytest.raises(SpecError, match="increasing"):
-            validate_scheme(poisson_spec(),
-                            SchemeConfig(ExactScheme(), 1.0, grid=np.array([0.5, 0.2])))
-        with pytest.raises(SpecError, match="within"):
-            validate_scheme(poisson_spec(),
-                            SchemeConfig(ExactScheme(), 1.0, grid=np.array([0.5, 2.0])))
+        for grid, message in (([0.5, 0.2], "increasing"), ([0.5, math.nan], "increasing"),
+                              ([0.5, 2.0], "within"), ([math.nan], "within")):
+            with pytest.raises(SpecError, match=message):
+                validate_scheme(poisson_spec(),
+                                SchemeConfig(ExactScheme(), 1.0, grid=np.array(grid)))
 
 
 class TestEuler:
