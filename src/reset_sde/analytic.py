@@ -740,6 +740,9 @@ def npp_density_curve(spec: ProcessSpec, t: float, xs=None) -> DensityCurve:
 
 
 def moment_table(spec: ProcessSpec, t: float, n_max: int) -> MomentTable:
+    _poisson(spec, t)
+    if not n_max >= 0:
+        raise DomainError("n_max must be nonnegative")
     orders = np.arange(n_max + 1)
     values = np.array([nth_moment(spec, int(n), t) for n in orders])
     return MomentTable(orders=orders, values=values, t=t)

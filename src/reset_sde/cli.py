@@ -417,9 +417,7 @@ def _cmd_fpe(args) -> int:
     x_lo = _number(args, config, "x-lo", config.get("x_lo"))
     x_hi = _number(args, config, "x-hi", config.get("x_hi"))
     if x_lo is not None and x_hi is not None:
-        grid = fpe.FpeGrid(x_lo=x_lo, x_hi=x_hi, h=h,
-                           dt=dt if dt is not None else h / 10.0,
-                           boundary=boundary)
+        grid = fpe.FpeGrid(x_lo=x_lo, x_hi=x_hi, h=h, dt=dt, boundary=boundary)
     else:
         grid = fpe.default_grid(spec, None if form == "stationary" else t_final,
                                 h=h, dt=dt, boundary=boundary)

@@ -13,17 +13,18 @@ Crank-Nicolson in time with the sink split symmetrically and the source
 explicit, which keeps the system tridiagonal and preserves unit mass to
 rounding.  The first step is replaced by four backward-Euler half-steps
 to damp the oscillations Crank-Nicolson leaves on a point-mass initial
-condition.  Dirac deltas are deposited on the two nodes bracketing the
-target with linear weights, the same weights used to read a function at
-an off-node point, which is what makes the generator and adjoint exact
-transposes of one another.
+condition; both kinds of step solve one matrix, factored once per solve
+(LAPACK ``gttrf``, then ``gttrs`` per step).  Dirac deltas are deposited
+on the two nodes bracketing the target with linear weights, the same
+weights used to read a function at an off-node point, which is what makes
+the generator and adjoint exact transposes of one another.
 """
 
 from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .core import (
     DomainError,
@@ -49,18 +50,20 @@ class MassConservationError(NumericalError):
 @dataclass(frozen=True)
 class FpeGrid:
     """Uniform solver grid.  dt <= h is required for accuracy (the
-    scheme itself is unconditionally stable)."""
+    scheme itself is unconditionally stable); dt defaults to h / 10."""
     x_lo: float
     x_hi: float
     h: float
-    dt: float
+    dt: float = None
     boundary: str = "reflecting"
 
     def __post_init__(self):
+        if self.dt is None:
+            object.__setattr__(self, "dt", self.h / 10.0)
         if not all(map(math.isfinite, (self.x_lo, self.x_hi, self.h, self.dt))):
             raise SpecError("x_lo, x_hi, h and dt must be finite")
-        if not self.h > 0 or not self.dt > 0:
-            raise SpecError("h and dt must be positive")
+        if not self.h >= 1e-154 or not self.dt > 0:  # 1/h^2 stays finite
+            raise SpecError("h must be at least 1e-154 and dt positive")
         if self.x_hi <= self.x_lo:
             raise SpecError("x_hi must exceed x_lo")
         if self.dt > self.h * (1 + 1e-12):
@@ -93,8 +96,7 @@ def default_grid(spec: ProcessSpec, t_final: float, h: float = 1e-2,
     hi = max(spec.x0, spec.x_reset) + pad
     lo = math.floor(lo / h) * h
     hi = math.ceil(hi / h) * h
-    return FpeGrid(x_lo=lo, x_hi=hi, h=h, dt=dt if dt is not None else h / 10.0,
-                   boundary=boundary)
+    return FpeGrid(x_lo=lo, x_hi=hi, h=h, dt=dt, boundary=boundary)
 
 
 def _check_margins(spec, grid, t_final):
@@ -121,28 +123,41 @@ def _delta_weights(xs, h, x_star):
     return w
 
 def _second_difference_bands(n, h, boundary):
-    """Tridiagonal bands of the discrete second derivative.
+    """``(off, main)``, the discrete second derivative in LAPACK's gt layout.
 
     Reflecting: flux form with zero end flux (rows sum to zero, matrix
     symmetric).  Absorbing: value held at zero beyond the ends.
     """
     inv_h2 = 1.0 / (h * h)
-    lower = np.full(n, inv_h2)
-    upper = np.full(n, inv_h2)
+    off = np.full(n - 1, inv_h2)
     main = np.full(n, -2.0 * inv_h2)
     if boundary == "reflecting":
         main[0] = -inv_h2
         main[-1] = -inv_h2
-    return lower, main, upper
+    return off, main
 
 
-def _apply_tridiag(lower, main, upper, p):
+def _apply_tridiag(off, main, p):
     out = main * p
-    out[1:] += lower[1:] * p[:-1]
-    out[:-1] += upper[:-1] * p[1:]
+    out[1:] += off * p[:-1]
+    out[:-1] += off * p[1:]
     return out
 
 
+def _factor(shift, c, rate, diff, off, main):
+    """Factor shift + c*(r - D*L) once; return a solve for one right-hand side."""
+    upper = -c * diff * off
+    diag = shift + c * rate - c * diff * main
+    if not (np.isfinite(upper).all() and np.isfinite(diag).all()):
+        raise NumericalError("the FPE system is not finite: D/h^2 or r*dt overflows")
+    *lu, info = dgttrf(upper, diag, upper)
+    if info != 0:
+        raise NumericalError(f"the FPE system is singular (LAPACK gttrf info {info})")
+    return lambda rhs: dgttrs(*lu, rhs)[0]
+
+
+# an overflow leaves a non-finite system or density, refused as NumericalError
+@np.errstate(over="ignore", invalid="ignore")
 def _solve_transient(spec, grid, t_final, weighted):
     rate, *_ = _poisson(spec, t_final)
     source_coeff = rate
@@ -151,30 +166,22 @@ def _solve_transient(spec, grid, t_final, weighted):
         density_at_reset = lam / 2.0
         source_coeff = 2.0 * spec.diffusivity * lam * density_at_reset
     _check_margins(spec, grid, t_final)
-    xs = grid.xs
-    n = len(xs)
-    h, dt = grid.h, grid.dt
+    xs, h, dt = grid.xs, grid.h, grid.dt
     diff = spec.diffusivity
-    lower, main, upper = _second_difference_bands(n, h, grid.boundary)
+    off, main = _second_difference_bands(len(xs), h, grid.boundary)
     source = source_coeff * _delta_weights(xs, h, spec.x_reset) / h
     p = _delta_weights(xs, h, spec.x0) / h
 
     n_steps = max(1, int(round(t_final / dt)))
     dt = t_final / n_steps
-
-    def banded_lhs(theta, step):
-        ab = np.zeros((3, n))
-        ab[0, 1:] = -theta * step * diff * upper[:-1]
-        ab[1] = 1.0 + theta * step * rate - theta * step * diff * main
-        ab[2, :-1] = -theta * step * diff * lower[1:]
-        return ab
-
-    ab_cn = banded_lhs(0.5, dt)
-    ab_be = banded_lhs(1.0, dt / 2.0)
+    # a backward-Euler half-step and a Crank-Nicolson step share one matrix
+    solve = _factor(1.0, dt / 2.0, rate, diff, off, main)
 
     def check_mass(p):
         mass = h * p.sum()
-        if abs(mass - 1.0) > MASS_TOLERANCE:
+        if not math.isfinite(mass):
+            raise NumericalError("the FPE density is not finite: r, D or 1/h overflows")
+        if not abs(mass - 1.0) <= MASS_TOLERANCE:
             raise MassConservationError(
                 f"mass drifted to {mass:.6f}; boundary too close or grid too coarse")
         return p
@@ -184,13 +191,12 @@ def _solve_transient(spec, grid, t_final, weighted):
     # step exists).
     half_steps = 4 if n_steps >= 2 else 2
     for _ in range(half_steps):
-        rhs = p + (dt / 2.0) * source
-        p = check_mass(solve_banded((1, 1), ab_be, rhs))
+        p = check_mass(solve(p + (dt / 2.0) * source))
     for _ in range(n_steps - half_steps // 2):
         rhs = (1.0 - 0.5 * dt * rate) * p \
-            + 0.5 * dt * diff * _apply_tridiag(lower, main, upper, p) \
+            + 0.5 * dt * diff * _apply_tridiag(off, main, p) \
             + dt * source
-        p = check_mass(solve_banded((1, 1), ab_cn, rhs))
+        p = check_mass(solve(rhs))
     return DensityCurve(xs=xs, values=p, t=t_final)
 
 
@@ -205,6 +211,7 @@ def solve_fpe_delta_fl(spec: ProcessSpec, grid: FpeGrid, t_final: float) -> Dens
     return _solve_transient(spec, grid, t_final, weighted=True)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def stationary_fpe(spec: ProcessSpec, grid: FpeGrid) -> DensityCurve:
     """Solve the zero-time-derivative linear system, normalised to unit
     mass; independent of the start point."""
@@ -212,23 +219,13 @@ def stationary_fpe(spec: ProcessSpec, grid: FpeGrid) -> DensityCurve:
     if rate <= 0:
         raise DomainError("no stationary density without resetting (rate 0)")
     _check_margins(spec, grid, None)
-    xs = grid.xs
-    n = len(xs)
-    h = grid.h
-    lower, main, upper = _second_difference_bands(n, h, grid.boundary)
-    diff = spec.diffusivity
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -diff * upper[:-1]
-    ab[1] = rate - diff * main
-    ab[2, :-1] = -diff * lower[1:]
-    rhs = rate * _delta_weights(xs, h, spec.x_reset) / h
-    try:
-        p = solve_banded((1, 1), ab, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"stationary system is singular: {exc}") from exc
+    xs, h = grid.xs, grid.h
+    solve = _factor(0.0, 1.0, rate, spec.diffusivity,
+                    *_second_difference_bands(len(xs), h, grid.boundary))
+    p = solve(rate * _delta_weights(xs, h, spec.x_reset) / h)
     mass = h * p.sum()
-    if not mass > 0:
-        raise NumericalError("stationary solve produced nonpositive mass")
+    if not 0 < mass < math.inf:
+        raise NumericalError(f"stationary solve produced mass {mass:g}")
     return DensityCurve(xs=xs, values=p / mass, t=math.inf)
 
 

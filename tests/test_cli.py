@@ -558,8 +558,11 @@ class TestDomainErrors:
         ["analytic", "mgf", "--t", "inf"],
         ["analytic", "moments", "--t", "inf"],
         ["analytic", "pdf", "--x-lo", 2, "--x-hi", -2],
+        ["analytic", "moments", "--t", "inf", "--n-max", -1],
+        ["analytic", "moments", "--t", 1, "--n-max", -3],
     ], ids=["pdf-t0", "fpe-negative-t", "mean-negative-t-hi", "msd-reversed-grid",
-            "pdf-t-inf", "cf-t-nan", "mgf-t-inf", "moments-t-inf", "pdf-reversed-x"])
+            "pdf-t-inf", "cf-t-nan", "mgf-t-inf", "moments-t-inf", "pdf-reversed-x",
+            "moments-t-inf-no-order", "moments-negative-n-max"])
     def test_exits_2_without_traceback(self, tmp_path, capsys, args):
         out = tmp_path / "out"
         assert run(args + ["--out", out]) == 2
@@ -610,8 +613,10 @@ class TestNonFiniteInputs:
         ["fpe", "--h", "0"],
         ["fpe", "--x-lo", "nan", "--x-hi", "2"],
         ["simulate", "--scheme", "euler", "--dt", "inf", "--r", "0"],
+        ["fpe", "--h", "1e-200", "--x-lo=-1e-195", "--x-hi", "1e-195", "--d", "1e-300",
+         "--boundary", "absorbing"],
     ], ids=["horizon-inf", "seed-negative", "grid-points-negative", "d-inf",
-            "fpe-t-inf", "fpe-h-zero", "fpe-x-lo-nan", "euler-dt-inf"])
+            "fpe-t-inf", "fpe-h-zero", "fpe-x-lo-nan", "euler-dt-inf", "fpe-h-tiny"])
     def test_exit_2_with_one_error_line(self, tmp_path, capsys, args):
         assert run(args + ["--out", tmp_path]) == 2
         err = capsys.readouterr().err
@@ -639,6 +644,26 @@ class TestOversizedInputs:
         assert run(["analytic", "mgf", "--x0", "1e9", "--out", tmp_path]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: numerical:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("args", [
+        ["--form", "evans", "--d", "5e307", "--h", "1e-5", "--t", "1e-5",
+         "--x-lo", "-1", "--x-hi", "1", "--boundary", "absorbing"],
+        ["--form", "stationary", "--d", "1e300", "--h", "1e-5",
+         "--x-lo", "-1", "--x-hi", "1", "--boundary", "absorbing"],
+        ["--form", "delta-fl", "--r", "1e9", "--d", "1e-300", "--t", "0.1",
+         "--x-lo", "-1", "--x-hi", "1", "--boundary", "absorbing"],
+        ["--form", "evans", "--r", "1e300", "--d", "1e-30", "--h", "1e-9", "--t", "1e-9",
+         "--x-lo=-1e-6", "--x-hi", "1e-6", "--boundary", "absorbing"],
+        ["--form", "stationary", "--r", "1e300", "--d", "1e-30", "--h", "1e-9",
+         "--x-lo=-1e-6", "--x-hi", "1e-6", "--boundary", "absorbing"],
+    ], ids=["evans-system", "stationary-system", "delta-fl-source", "evans-source",
+            "stationary-source"])
+    def test_overflowing_fpe_exits_4(self, tmp_path, capsys, args):
+        assert run(["fpe"] + args + ["--out", tmp_path]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("*.csv"))
 
 
 class TestVersionFlag:

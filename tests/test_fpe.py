@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from reset_sde import (
     SpecError,
 )
 from reset_sde import analytic
+from reset_sde.core import NumericalError
 from reset_sde.fpe import (
     MAX_NODES,
     FpeGrid,
@@ -41,6 +43,15 @@ class TestGridValidation:
     def test_dt_bounded_by_h(self):
         with pytest.raises(SpecError, match="dt"):
             FpeGrid(-1.0, 1.0, h=1e-2, dt=2e-2)
+
+    def test_dt_defaults_to_a_tenth_of_h(self):
+        assert FpeGrid(-1.0, 1.0, h=2e-2).dt == 2e-2 / 10.0
+        assert default_grid(FIG3, 1.0, h=2e-2).dt == 2e-2 / 10.0
+
+    def test_step_must_have_a_finite_inverse_square(self):
+        FpeGrid(-1e-150, 1e-150, h=1e-154)
+        with pytest.raises(SpecError, match="at least"):
+            FpeGrid(-1e-195, 1e-195, h=1e-200)
 
     def test_span_must_be_multiple_of_h(self):
         with pytest.raises(SpecError, match="multiple"):
@@ -127,6 +138,39 @@ class TestTransientSolvers:
         assert e_coarse / e_fine >= 2.0
 
 
+    def test_densities_match_pinned_digests(self):
+        # The solvers' output is part of the contract: the sha256 of the
+        # float64 bytes of each density, on the default grid and on an
+        # absorbing one.
+        def digest(curve):
+            return hashlib.sha256(np.ascontiguousarray(curve.values, dtype=np.float64)
+                                  .tobytes()).hexdigest()
+
+        absorbing = FpeGrid(-6.0, 9.0, h=2e-2, dt=2e-3, boundary="absorbing")
+        got = {}
+        for name, grid in [("default", default_grid(FIG3, 0.5, h=2e-2, dt=2e-3)),
+                           ("absorbing", absorbing)]:
+            got["evans-" + name] = digest(solve_fpe_evans(FIG3, grid, 0.5))
+            got["delta-fl-" + name] = digest(solve_fpe_delta_fl(FIG3, grid, 0.5))
+        got["stationary-default"] = digest(
+            stationary_fpe(FIG3, default_grid(FIG3, None, h=2e-2, dt=2e-3)))
+        got["stationary-absorbing"] = digest(stationary_fpe(FIG3, absorbing))
+        assert got == {
+            "evans-default":
+                "361d585723e765c2b21bad574076f33af77b0f5d76f8236885c14f8f63eafecb",
+            "delta-fl-default":
+                "c7079e85763474f133d749b33740f637218049997f4686c9617e7050139906b3",
+            "evans-absorbing":
+                "f6db16b3de59c638f58b0b8367e1c473b5db1dec5b7b3114275f739a1796223f",
+            "delta-fl-absorbing":
+                "b3e9ec70457f7e01f9407f2d07c012b44cfdb3de88902ad293eea15f4b241558",
+            "stationary-default":
+                "e275c9cc30ff3b504a0633dbfaf155f5e8d28f85ce06fc72d8a18a3e4c8eff6d",
+            "stationary-absorbing":
+                "8a857b7b4ce6675532c221992324d782291f52ae4ea97d73f4f93e0fa56c316b",
+        }
+
+
 class TestStationary:
     def test_matches_laplace_density(self):
         spec = spec_poisson(1.0, 0.0, 0.0)
@@ -197,3 +241,21 @@ class TestTypedErrors:
             apply_generator(np.zeros(2), np.arange(2.0), spec)
         with pytest.raises(SpecError, match="uniform"):
             apply_adjoint(np.zeros(4), np.array([0.0, 1.0, 2.0, 4.0]), spec)
+
+    @pytest.mark.parametrize("solve, spec, grid", [
+        (lambda spec, grid: solve_fpe_evans(spec, grid, 1e-3),
+         ProcessSpec(1e307, 0.0, 0.0, PoissonClock(1.0)), (-1.0, 1.0, 1e-3)),
+        (stationary_fpe, ProcessSpec(1e303, 0.0, 0.0, PoissonClock(1.0)),
+         (-1.0, 1.0, 1e-3)),
+        (lambda spec, grid: solve_fpe_delta_fl(spec, grid, 0.1),
+         ProcessSpec(1e-300, 0.0, 0.0, PoissonClock(1e9)), (-1.0, 1.0, 1e-2)),
+        (stationary_fpe, ProcessSpec(1e-30, 0.0, 0.0, PoissonClock(1e300)),
+         (-1e-6, 1e-6, 1e-9)),
+    ], ids=["evans-system", "stationary-system", "delta-fl-source",
+            "stationary-source"])
+    def test_overflow_raises_numerical_error(self, solve, spec, grid):
+        # an overflowing system, source or density, never a NaN curve or a
+        # numpy warning
+        x_lo, x_hi, h = grid
+        with pytest.raises(NumericalError, match="not finite|mass nan"):
+            solve(spec, FpeGrid(x_lo, x_hi, h=h, boundary="absorbing"))
