@@ -64,14 +64,13 @@ def _digit_words():
 
 def float_cells(col):
     """``repr(float(v)).encode()`` of every element of a float array,
-    byte for byte."""
+    byte for byte, as an ``S24`` array: every double's repr fits in 24
+    bytes, the widest being those like ``-2.2250738585072014e-308``."""
     col = np.asarray(col, dtype=np.float64).ravel()
     if len(col) < _FAST_MIN or not _FAST:
-        return [repr(v).encode() for v in col.tolist()]
-    cells = []
-    for chunk in np.array_split(col, -(-len(col) // _FAST_CHUNK)):
-        cells += _fast_cells(chunk)
-    return cells
+        return np.array([repr(v).encode() for v in col.tolist()], dtype="S24")
+    return np.concatenate([_fast_cells(chunk) for chunk in
+                           np.array_split(col, -(-len(col) // _FAST_CHUNK))])
 
 
 def _fast_cells(x):
@@ -84,11 +83,10 @@ def _fast_cells(x):
     digits, nd, decpt, sure = _shortest(ax)
     words = _layout(digits, nd, decpt, np.signbit(x))
     words[zero] = _ZERO_CELLS[np.signbit(x[zero]).astype(np.intp)]
-    cells = words.view("S24").ravel().tolist()
+    cells = words.view("S24").ravel()
     odd |= ~sure
     rest = np.flatnonzero(odd)
-    for i, v in zip(rest.tolist(), x[rest].tolist()):
-        cells[i] = repr(v).encode()
+    cells[rest] = [repr(v).encode() for v in x[rest].tolist()]
     return cells
 
 

@@ -176,42 +176,52 @@ def spec_from_json(doc: dict) -> ProcessSpec:
 # ---------------------------------------------------------------------------
 
 def _cells(col):
-    """The bytes cells of a column, or the one cell of a scalar: ``%d`` of
-    integers, ``repr`` of floats (see ``_float_cells``), and a list of
-    cells as it is."""
-    if isinstance(col, list):
-        return col
+    """The cells of a column as a fixed-width bytes array: ``%d`` of
+    integers (``S21`` holds int64's least and uint64's greatest), ``repr``
+    of floats (``S24``, see ``_float_cells``), bytes cells as they are."""
     col = np.asarray(col)
     if col.dtype.kind in "iu":
-        return b"%d" % col.item() if col.ndim == 0 else [b"%d" % v for v in col.tolist()]
-    return _float_cells(col)[0] if col.ndim == 0 else _float_cells(col)
+        return col.astype("S21")
+    return col if col.dtype.kind == "S" else _float_cells(col)
 
 
 def _float_cells(col):
     """``repr(float(v)).encode()`` of every element of a float array,
-    byte for byte; see ``_floatcells``, imported on first use so that
-    importing the package does not compile it."""
+    byte for byte, as an ``S24`` array; see ``_floatcells``, imported on
+    first use so that importing the package does not compile it."""
     from ._floatcells import float_cells
     return float_cells(col)
 
 
-# Rows formatted and written at a time: bytes.join also holds an 80-byte
-# buffer view of every line it joins.
+# Rows formatted and written at a time, which bounds the byte matrix of
+# ``_rows``.
 _SLICE_ROWS = 4096
+
+
+def _rows(cells):
+    """The CSV lines of equal-length cell columns: one ``uint8`` matrix, a
+    line a row, less the NUL padding of the fixed widths (no cell holds a
+    NUL, so dropping it is exact)."""
+    m = np.full((len(cells[0]), sum(col.itemsize + 1 for col in cells) + 1), ord(","), np.uint8)
+    at = 0
+    for col in cells:
+        m[:, at:at + col.itemsize] = col.view((np.uint8, col.itemsize))
+        at += col.itemsize + 1
+    m[:, -2:] = tuple(b"\r\n")
+    return m[m != 0].tobytes()
 
 
 def write_table(path, header, blocks) -> None:
     """Write a CSV table: the header row, then the rows of every block.
 
-    A block is a tuple of columns: first any scalars, which repeat on every
-    row of the block, then one or more equal-length columns, each a numpy
-    array or a list of cells already formatted as bytes.  Integers are
-    written as ``str(int)`` and floats as ``repr(float)``, the shortest
-    string that round-trips; lines end in CRLF, as in the csv module's
-    default dialect.  A block's scalars are formatted once, into the row
-    separator.  Each block is formatted and written a slice of at most
-    ``_SLICE_ROWS`` rows at a time, so the cells held at once are one
-    slice's, however long the block or the table.
+    A block is a tuple of equal-length columns, each a numpy array (or
+    anything ``np.asarray`` takes) of integers, floats or bytes cells
+    already formatted.  Integers are written as ``str(int)`` and floats as
+    ``repr(float)``, the shortest string that round-trips; lines end in
+    CRLF, as in the csv module's default dialect.  Each block is formatted
+    and written a slice of at most ``_SLICE_ROWS`` rows at a time (see
+    ``_rows``), so the cells held at once are one slice's, however long
+    the block or the table.
     """
     with open_table(path, header) as write:
         for block in blocks:
@@ -221,28 +231,16 @@ def write_table(path, header, blocks) -> None:
 @contextmanager
 def open_table(path, header):
     """Write the header row of a CSV table and give a function that
-    writes one block of rows (see ``write_table``), so that several
-    tables can be written side by side."""
+    writes one block, a tuple of equal-length columns (see
+    ``write_table``), so that several tables can be written side by side."""
     with open(path, "wb") as fh:
         fh.write(",".join(header).encode() + b"\r\n")
 
         def write(block):
-            lead = 0
-            while lead < len(block) and not isinstance(block[lead], (list, np.ndarray)):
-                lead += 1
-            columns = block[lead:]
-            if len({len(col) for col in columns}) != 1:
-                raise SpecError("a block needs columns of equal length after its scalars")
-            if not len(columns[0]):
-                return
-            prefix = b"".join(_cells(col) + b"," for col in block[:lead])
-            sep = b"\r\n" + prefix
-            n = len(columns[0])
-            k = -(-n // _SLICE_ROWS)
-            bounds = [i * n // k for i in range(k + 1)]
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
-                cells = [_cells(col[lo:hi]) for col in columns]
-                rows = cells[0] if len(cells) == 1 else map(b",".join, zip(*cells))
-                fh.write(prefix + sep.join(rows) + b"\r\n")
+            n = len(block[0])
+            if any(len(col) != n for col in block):
+                raise SpecError("a block needs columns of equal length")
+            for lo in range(0, n, _SLICE_ROWS):
+                fh.write(_rows([_cells(col[lo:lo + _SLICE_ROWS]) for col in block]))
 
         yield write

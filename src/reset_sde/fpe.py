@@ -40,6 +40,8 @@ DEFAULT_PAD_SCALES = 8.0
 # Grids above this many nodes are refused before any array is allocated:
 # each costs a handful of float arrays of its length per step.
 MAX_NODES = 10 ** 6
+# The least grid step: below it 1/h^2 overflows.
+MIN_STEP = 1e-154
 
 
 class MassConservationError(NumericalError):
@@ -62,8 +64,8 @@ class FpeGrid:
             object.__setattr__(self, "dt", self.h / 10.0)
         if not all(map(math.isfinite, (self.x_lo, self.x_hi, self.h, self.dt))):
             raise SpecError("x_lo, x_hi, h and dt must be finite")
-        if not self.h >= 1e-154 or not self.dt > 0:  # 1/h^2 stays finite
-            raise SpecError("h must be at least 1e-154 and dt positive")
+        if not self.h >= MIN_STEP or not self.dt > 0:
+            raise SpecError(f"h must be at least {MIN_STEP:g} and dt positive")
         if self.x_hi <= self.x_lo:
             raise SpecError("x_hi must exceed x_lo")
         if self.dt > self.h * (1 + 1e-12):
@@ -242,6 +244,8 @@ def _operator_parts(values, xs, spec):
     h = steps[0]
     if np.any(np.abs(steps - h) > 1e-9 * h):
         raise SpecError("grid must be uniform")
+    if not h >= MIN_STEP:
+        raise SpecError(f"grid step must be at least {MIN_STEP:g}")
     rate, *_ = _poisson(spec)
     if not xs[0] < spec.x_reset < xs[-1]:
         raise SpecError("reset position must lie inside the grid")

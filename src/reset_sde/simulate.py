@@ -32,6 +32,7 @@ from .core import (
     ProcessSpec,
     SpecError,
     Trajectory,
+    _cells,
     _float_cells,
     open_table,
     spec_to_json,
@@ -548,7 +549,7 @@ def _write_shard(plan, entropy, start, stop, paths):
     of them to ``paths``, a block at a time; return the shard's counts and
     stage times."""
     clock = time.perf_counter()
-    time_cells = np.array(_float_cells(plan.times), dtype=object)
+    time_cells = _float_cells(plan.times)
     rows = resets = 0
     ensemble_s = time.perf_counter() - clock
     with open_table(paths[0], ("traj", "t", "x")) as write_rows, \
@@ -557,16 +558,15 @@ def _write_shard(plan, entropy, start, stop, paths):
             tick = time.perf_counter()
             block = _block(plan, [_rng(entropy, i) for i in range(lo, min(lo + _BLOCK, stop))])
             ensemble_s += time.perf_counter() - tick
-            ids = np.array([b"%d" % i for i in range(lo, lo + len(block.lengths))], dtype=object)
+            ids = _cells(np.arange(lo, lo + len(block.lengths)))
             # each epoch is formatted once, for resets.csv and for its own row
-            reset_cells = np.array(_float_cells(block.resets), dtype=object)
-            write_resets((np.repeat(ids, block.counts).tolist(), reset_cells.tolist()))
+            reset_cells = _float_cells(block.resets)
+            write_resets((np.repeat(ids, block.counts), reset_cells))
             own = block.own_rows[block.valid]
-            cells = np.empty(len(own), dtype=object)
+            cells = np.empty(len(own), dtype=time_cells.dtype)
             cells[~own] = np.tile(time_cells, len(ids))
             cells[own] = reset_cells[block.own_epochs]
-            write_rows((np.repeat(ids, block.lengths).tolist(), cells.tolist(),
-                        block.positions[block.valid]))
+            write_rows((np.repeat(ids, block.lengths), cells, block.positions[block.valid]))
             rows += len(cells)
             resets += len(block.resets)
     return {"rows": rows, "resets_drawn": resets, "ensemble_s": ensemble_s,
@@ -587,28 +587,27 @@ def _append_parts(path, parts):
 # ---------------------------------------------------------------------------
 
 def ensemble_to_csv(ensemble: Ensemble, path) -> None:
-    """Every trajectory's (t, x) rows, grouped by trajectory in index order.
-
-    The grid's cells are formatted once: a time with the bits of a grid
-    time takes its cell, so a grid -0.0 never stands in for a 0.0.
-    """
-    grid = np.asarray(() if ensemble.grid is None else ensemble.grid, dtype=np.float64)
-    known = dict(zip(grid.view(np.int64).tolist(), _float_cells(grid)))
-
-    def cells(times):
-        if times.dtype != np.float64:
-            return times
-        return [known.get(b) or repr(t).encode()
-                for b, t in zip(times.view(np.int64).tolist(), times.tolist())]
-
-    write_table(path, ("traj", "t", "x"), ((i, cells(tr.times), tr.positions)
-                                           for i, tr in enumerate(ensemble.trajectories)))
+    """Every trajectory's (t, x) rows, grouped by trajectory in index
+    order; each time is written from its own bits, so a -0.0 stays -0.0."""
+    write_table(path, ("traj", "t", "x"),
+                _trajectory_blocks(ensemble, lambda tr: (tr.times, tr.positions)))
 
 
 def resets_to_csv(ensemble: Ensemble, path) -> None:
     """Every trajectory's reset epochs, grouped by trajectory in index order."""
-    write_table(path, ("traj", "reset_time"), ((i, tr.reset_times)
-                                               for i, tr in enumerate(ensemble.trajectories)))
+    write_table(path, ("traj", "reset_time"),
+                _trajectory_blocks(ensemble, lambda tr: (tr.reset_times,)))
+
+
+def _trajectory_blocks(ensemble, columns):
+    """The table blocks of ``columns(tr)`` after each trajectory's index,
+    ``_BLOCK`` trajectories a block, each index formatted once: memory is
+    bounded by the block, not the ensemble."""
+    trajectories = ensemble.trajectories
+    for lo in range(0, len(trajectories), _BLOCK):
+        parts = [columns(tr) for tr in trajectories[lo:lo + _BLOCK]]
+        ids = np.repeat(_cells(np.arange(lo, lo + len(parts))), [len(p[0]) for p in parts])
+        yield (ids, *map(np.concatenate, zip(*parts)))
 
 
 def scheme_to_json(cfg: SchemeConfig) -> dict:

@@ -52,6 +52,12 @@ class TestGridValidation:
         FpeGrid(-1e-150, 1e-150, h=1e-154)
         with pytest.raises(SpecError, match="at least"):
             FpeGrid(-1e-195, 1e-195, h=1e-200)
+        # the generator and adjoint read the step off the grid itself
+        spec = ProcessSpec(0.5, 0.0, 0.0, PoissonClock(1.0))
+        for apply in (apply_generator, apply_adjoint):
+            assert np.isfinite(apply(np.ones(3), np.array([-1e-150, 0.0, 1e-150]), spec)).all()
+            with pytest.raises(SpecError, match="at least"):
+                apply(np.ones(3), np.array([-1e-160, 0.0, 1e-160]), spec)
 
     def test_span_must_be_multiple_of_h(self):
         with pytest.raises(SpecError, match="multiple"):

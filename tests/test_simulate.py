@@ -11,6 +11,7 @@ from scipy.stats import ks_2samp
 from reset_sde import (
     DeterministicGaps,
     DomainError,
+    Ensemble,
     NonhomogeneousPoissonClock,
     ParetoGaps,
     PoissonClock,
@@ -609,6 +610,20 @@ class TestExport:
             "b28c72051e83d9d2659ce438c1c22063f61fc2dcc00a1a21a6d968dc056f6b08")
         assert sha256(tmp_path / "r.csv") == (
             "9aa075d3f6ac3fdc83d90d1611bcd620110dfa3be6495a2503e932e03d7571b2")
+
+    def test_tables_without_rows_are_the_header_alone(self, tmp_path):
+        spec = poisson_spec(0.0)
+        cfg = SchemeConfig(ExactScheme(), horizon=1.0, grid=np.linspace(0.0, 1.0, 3))
+        no_resets = run_ensemble(spec, cfg, 3, seed=4)
+        resets_to_csv(no_resets, tmp_path / "r.csv")
+        assert (tmp_path / "r.csv").read_bytes() == b"traj,reset_time\r\n"
+        ensemble_to_csv(no_resets, tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_bytes().count(b"\r\n") == 1 + 3 * 3
+        empty = Ensemble(spec, cfg.scheme, 4, [])
+        ensemble_to_csv(empty, tmp_path / "t.csv")
+        resets_to_csv(empty, tmp_path / "r.csv")
+        assert (tmp_path / "t.csv").read_bytes() == b"traj,t,x\r\n"
+        assert (tmp_path / "r.csv").read_bytes() == b"traj,reset_time\r\n"
 
     def test_signed_zero_grid_time_keeps_each_trajectory_bytes(self, tmp_path):
         # -0.0 == 0.0, but the two are written differently: the full Euler
