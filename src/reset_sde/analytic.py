@@ -23,13 +23,18 @@ displacement by adaptive quadrature over the last reset time, with
 substitutions that keep every integrand bounded by e^{-u} so nothing
 overflows.  A whole curve (every x of a density, every s of a
 characteristic function) is one vectorised quadrature, accurate to a
-fraction of the curve's largest value; every quadrature checks its own
-error estimate and raises ConvergenceError beyond tolerance (see
-:func:`quadrature`).
+fraction of the curve's largest value: an adaptive Gauss-Kronrod rule
+with quad_vec's nodes, error estimate and stopping rule that evaluates
+the integrand once per refinement round on every new node, in chunks of
+bounded size.  Every quadrature checks its own error estimate and
+raises ConvergenceError beyond tolerance (see :func:`quadrature`).
 """
 
+import contextlib
+import contextvars
 from dataclasses import dataclass
 import math
+import sys
 
 import numpy as np
 from scipy import integrate, special
@@ -465,33 +470,250 @@ def moment_from_mgf(spec: ProcessSpec, n: int, t: float) -> float:
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-8, limit=200)
 _EXP_CUTOFF = 700.0  # e^{-700} is below double precision
 
+# The Gauss-Kronrod 21-point rule on [-1, 1], as QUADPACK and quad_vec
+# tabulate it: the positive nodes from the outermost in, their Kronrod
+# weights, the Kronrod weight at 0, and the 10-point Gauss weights of the
+# nodes of odd index, from the outermost in up to 0.
+_GK_NODES = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+             0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+             0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+             0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+             0.294392862701460198131126603103866, 0.148874338981631210884826001129720)
+_GK_KRONROD = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+               0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+               0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+               0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+               0.142775938577060080797094273138717, 0.147739104901338491374841515972068)
+_GK_KRONROD_0 = 0.149445554002916905664936468389821
+_GK_GAUSS = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+             0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+             0.295524224714752870173892994651338)
+_GK_X = np.array(_GK_NODES + (0.0,) + tuple(-x for x in _GK_NODES[::-1]))
+_GK_K = np.array(_GK_KRONROD + (_GK_KRONROD_0,) + _GK_KRONROD[::-1])
+_GK_G = np.zeros(21)  # 0 on the nodes of even index
+_GK_G[1::2] = _GK_GAUSS + _GK_GAUSS[::-1]
+
+_QUAD_BUDGET = 1 << 16  # integrand values (nodes x components) per call
+_QUAD_SPLITS = 128      # intervals split at most per refinement round
+_TINY_T = math.sqrt(sys.float_info.min)  # below it 1/t^2 overflows
+
+_RECORD = contextvars.ContextVar("quadrature record", default=None)
+
+
+@contextlib.contextmanager
+def quadrature_record():
+    """A dict that counts the quadratures run inside the ``with`` block:
+    ``quadratures``, ``integrand_calls``, ``evaluations`` (nodes) and the
+    ``worst_error_share``, the largest error estimate as a share of its
+    tolerance.  An inner block counts its quadratures alone."""
+    record = dict(quadratures=0, integrand_calls=0, evaluations=0, worst_error_share=0.0)
+    token = _RECORD.set(record)
+    try:
+        yield record
+    finally:
+        _RECORD.reset(token)
+
 
 def quadrature(integrand, lo, hi, points=None, vector=False, **opts):
     """Integral of ``integrand`` over [lo, hi], with its error estimate checked.
 
     A scalar integrand goes to ``scipy.integrate.quad``.  With
-    ``vector=True`` the integrand returns an array and one
-    ``scipy.integrate.quad_vec`` call integrates every component at once;
-    its error estimate is a single max-norm over the components.  Either
-    way the tolerance is max(epsabs, epsrel * size), where size is |value|
+    ``vector=True`` the integrand maps an array of n nodes to values of
+    shape ``(..., n)``, and :func:`_gauss_kronrod` integrates every
+    component at once with one integrand call per refinement round; its
+    error estimate is a single max-norm over the components.  Either way
+    the tolerance is max(epsabs, epsrel * size), where size is |value|
     for a scalar and max|value| for an array, and ConvergenceError is
     raised when the estimate exceeds it.  ``opts`` override the module
     defaults (epsabs, epsrel, limit).
     """
     opts = {**_QUAD_OPTS, **opts}
     if vector:
-        value, error = integrate.quad_vec(integrand, lo, hi, points=points,
-                                          norm="max", **opts)
+        value, error, calls, evaluations = _gauss_kronrod(integrand, lo, hi, points, **opts)
         size = float(np.max(np.abs(value), initial=0.0))
     else:
-        value, error = integrate.quad(integrand, lo, hi, points=points, **opts)
-        size = abs(value)
+        value, error, info = integrate.quad(integrand, lo, hi, points=points,
+                                            full_output=1, **opts)[:3]
+        size, calls, evaluations = abs(value), info["neval"], info["neval"]
     tolerance = max(opts["epsabs"], opts["epsrel"] * size)
+    record = _RECORD.get()
+    if record is not None:
+        record["quadratures"] += 1
+        record["integrand_calls"] += calls
+        record["evaluations"] += evaluations
+        record["worst_error_share"] = max(record["worst_error_share"],
+                                          error / max(tolerance, sys.float_info.min))
     if not error <= tolerance:
         raise ConvergenceError(
             f"quadrature over [{lo:g}, {hi:g}] did not reach its tolerance: "
             f"error estimate {error:g} > {tolerance:g}")
     return value
+
+
+def _finite_range(f, lo, hi, points):
+    """``(g, a, b, points, sign)`` with the integral of f over [lo, hi]
+    equal to sign times that of g over [a, b], a finite range.
+
+    These are quad_vec's maps: one infinite bound goes to (0, 1) through
+    x = start + s (1 - t)/t, both to (-1, 1) through x = (1 - |t|)/t, split
+    at t = 0; dx = dt / t^2, and g is 0 where 1/t^2 would overflow.
+    """
+    points = () if points is None else tuple(points)
+    if math.isfinite(lo) and math.isfinite(hi):
+        return f, lo, hi, points, 1.0
+    if math.isinf(lo) and math.isinf(hi):
+        s, sign = 1.0, (-1.0 if hi < lo else 1.0)
+        to_x = lambda t: (1.0 - np.abs(t)) / t
+        points = (0.0,) + tuple((-1.0 if x < 0 else 1.0) / (abs(x) + 1.0) for x in points)
+        a = 1.0 if lo == hi else -1.0
+    else:
+        start, end = (lo, hi) if math.isfinite(lo) else (hi, lo)
+        s, sign = (-1.0 if end < 0 else 1.0), (1.0 if end == hi else -1.0)
+        to_x = lambda t: start + s * (1.0 - t) / t
+        points = tuple(1.0 / z if (z := s * (x - start) + 1.0) else math.inf
+                       for x in points)
+        a = 0.0
+
+    def g(t):
+        small = np.abs(t) < _TINY_T
+        t = np.where(small, 1.0, t)
+        return f(to_x(t)) * np.where(small, 0.0, s / (t * t))
+
+    return g, a, 1.0, points, sign
+
+
+def _gk21(values, half):
+    """GK21 integrals, error estimates and rounding terms of intervals of
+    half-width ``half`` from their node values, shape (components,
+    intervals, 21).  Error and rounding are max-norms over the
+    components, estimated as QUADPACK and quad_vec do.  The integrals
+    come back one array of components per interval."""
+    shape = values.shape[:2]
+    # 2-d, so each sum is one matrix-vector product (a matrix-matrix one
+    # would make BLAS allocate its work buffers)
+    flat = values.reshape(-1, 21)
+    s_k, s_g = flat @ _GK_K, flat @ _GK_G
+    s_abs, s_dev = np.empty(len(flat)), np.empty(len(flat))
+    rows = _QUAD_BUDGET // 21  # temporaries in blocks within the budget
+    for i in range(0, len(flat), rows):
+        block = flat[i:i + rows]
+        spread = np.abs(block)
+        s_abs[i:i + rows] = spread @ _GK_K
+        np.subtract(block, 0.5 * s_k[i:i + rows, None], out=spread)
+        s_dev[i:i + rows] = np.abs(spread, out=spread) @ _GK_K
+    s_k, s_g, s_abs, s_dev = (a.reshape(shape) for a in (s_k, s_g, s_abs, s_dev))
+    h = np.abs(half)
+    error = np.max(np.abs(np.subtract(s_k, s_g, out=s_g), out=s_g), axis=0) * h
+    dev = np.max(s_dev, axis=0) * h
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = dev * np.minimum(1.0, (200.0 * error / dev) ** 1.5)
+    error = np.where((dev != 0) & (error != 0), scaled, error)
+    rounding = 50.0 * sys.float_info.epsilon * h * np.max(s_abs, axis=0)
+    error = np.where(rounding > sys.float_info.min, np.maximum(error, rounding), error)
+    s_k *= half
+    return list(s_k.T), error, rounding
+
+
+class _Integrand:
+    """An integrand of node arrays, called on at most ``_QUAD_BUDGET``
+    values (nodes x components) at a time, or on one node when its
+    components alone exceed that; the first call, before the number of
+    components is known, gets one node."""
+
+    def __init__(self, f):
+        self.f, self.shape, self.width, self.calls, self.evaluations = f, None, None, 0, 0
+
+    def values(self, x):
+        """The integrand on the nodes x, shape (components, nodes)."""
+        out, i = None, 0
+        while i < len(x):
+            step = 1 if self.width is None else max(1, _QUAD_BUDGET // self.width)
+            part = np.asarray(self.f(x[i:i + step]))
+            self.shape, self.width = part.shape[:-1], part.size // part.shape[-1]
+            self.calls += 1
+            self.evaluations += part.shape[-1]
+            part = part.reshape(self.width, -1)
+            if part.shape[1] == len(x):
+                return part
+            if out is None:  # node-major, so each part fills whole rows
+                out = np.empty((len(x), self.width), dtype=part.dtype).T
+            out[:, i:i + step] = part
+            i += step
+        return out
+
+    def rule(self, lo, hi):
+        """:func:`_gk21` on each [lo_i, hi_i], in groups of intervals whose
+        nodes fit the budget."""
+        half = 0.5 * (hi - lo)
+        nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _GK_X
+        ints, errs, rounding, i = [], [], [], 0
+        while i < len(lo):
+            group = 1 if self.width is None else max(1, _QUAD_BUDGET // (21 * self.width))
+            values = self.values(nodes[i:i + group].ravel()).reshape(self.width, -1, 21)
+            group_ints, group_errs, group_rounding = _gk21(values, half[i:i + group])
+            del values  # before the next group's values are made
+            ints += group_ints
+            errs.append(group_errs)
+            rounding.append(group_rounding)
+            i += group
+        return ints, np.concatenate(errs), np.concatenate(rounding)
+
+
+def _gauss_kronrod(integrand, lo, hi, points, epsabs, epsrel, limit):
+    """``(value, error estimate, integrand calls, nodes)`` of the integral
+    of ``integrand`` over [lo, hi] by globally adaptive GK21, as
+    ``scipy.integrate.quad_vec(..., norm="max", quadrature="gk21")``
+    computes it.
+
+    The range starts split at ``points``.  Each round halves the
+    intervals of largest error, at most ``_QUAD_SPLITS`` and no more than
+    it takes to bring the summed error of the rest below tol/8, with
+    tol = max(epsabs, epsrel * max|value|), and evaluates every new node
+    in one integrand call, or in as few as the budget allows.  Rounds
+    stop once the summed error is below tol/8 or below the rounding term,
+    which sums over every interval evaluated; when ``limit`` intervals
+    are reached; or at a NaN or inf.  The error estimate is the summed
+    error plus the rounding term.  Only the intervals' integrals are
+    kept, one array of components each, as quad_vec keeps them.
+    """
+    g, a, b, points, sign = _finite_range(integrand, float(lo), float(hi), points)
+    edges = [a]
+    for p in sorted(map(float, points)):
+        if a < p < b and p != edges[-1]:
+            edges.append(p)
+    edges.append(b)
+    f = _Integrand(g)
+    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    ints, errs, rounding = f.rule(lo, hi)
+    value, error, rounding = sum(ints), errs.sum(), rounding.sum()
+    tolerance = lambda: max(epsabs, epsrel * float(np.max(np.abs(value))))
+    while len(lo) < limit and math.isfinite(error + rounding):
+        order = np.lexsort((lo, -errs))
+        taken = np.cumsum(errs[order])[:min(len(lo), _QUAD_SPLITS) - 1]
+        split = order[:1 + np.count_nonzero(taken <= error - tolerance() / 8.0)]
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo, new_hi = np.concatenate((lo[split], mid)), np.concatenate((mid, hi[split]))
+        new_ints, new_errs, new_rounding = f.rule(new_lo, new_hi)
+        value = value + sum(new_ints) - sum(ints[i] for i in split)
+        keep = np.ones(len(lo), dtype=bool)
+        keep[split] = False
+        lo, hi = np.concatenate((lo[keep], new_lo)), np.concatenate((hi[keep], new_hi))
+        ints = [ints[i] for i in np.flatnonzero(keep)] + new_ints
+        errs = np.concatenate((errs[keep], new_errs))
+        error, rounding = errs.sum(), rounding + new_rounding.sum()
+        if error < tolerance() / 8.0 or error < rounding:
+            break
+    return sign * value.reshape(f.shape), float(error + rounding), f.calls, f.evaluations
+
+
+def _exp_above_cutoff(out):
+    """e^out in place, and 0 where out < -700.  The argument is floored
+    at -700 first: an exp whose value would be subnormal or 0 costs ~100
+    times one above that."""
+    keep = out >= -_EXP_CUTOFF
+    np.exp(np.maximum(out, -_EXP_CUTOFF, out=out), out=out)
+    out *= keep
+    return out
 
 
 def _intensity_at(f: IntensityFunction, t: float):
@@ -506,7 +728,7 @@ def _intensity_at(f: IntensityFunction, t: float):
     return rate_t, total
 
 
-def _intensity_since(f: IntensityFunction, t: float, age: float) -> float:
+def _intensity_since(f: IntensityFunction, t: float, age):
     """R(t) - R(t - age), the mean number of events in (t - age, t].
 
     For exponent > -1 it is written through log1p and expm1 of age/(t+1),
@@ -519,10 +741,10 @@ def _intensity_since(f: IntensityFunction, t: float, age: float) -> float:
     q = f.exponent + 1.0
     if q < 0.0:
         return f.rate / -q * ((t + 1.0 - age) ** q - (t + 1.0) ** q)
-    shrink = math.log1p(-age / (t + 1.0))
+    shrink = np.log1p(-age / (t + 1.0))
     if q == 0.0:
         return -f.rate * shrink
-    return -f.rate / q * (t + 1.0) ** q * math.expm1(q * shrink)
+    return -f.rate / q * (t + 1.0) ** q * np.expm1(q * shrink)
 
 
 def npp_char_fn(spec: ProcessSpec, s, t: float) -> complex:
@@ -551,9 +773,10 @@ def _npp_cf_unit(rate, p, s, t) -> np.ndarray:
     _, total = _intensity_at(f, t)
     half_s2 = 0.5 * s * s
 
-    def integrand(u):
-        w = inverse_cumulative_intensity(f, total - u)
-        return np.exp(-u + (w - t) * half_s2)
+    def integrand(u):  # e^{(w - t) s^2/2 - u}
+        out = np.multiply.outer(half_s2, inverse_cumulative_intensity(f, total - u) - t)
+        out -= u
+        return _exp_above_cutoff(out)
 
     upper = min(total, _EXP_CUTOFF)
     tail = quadrature(integrand, 0.0, upper, vector=True)
@@ -584,14 +807,15 @@ def _npp_pdf_unit(rate, p, x, t) -> np.ndarray:
     f = IntensityFunction(rate, p)
     rate_t, total = _intensity_at(f, t)
     half_x2 = 0.5 * x * x
-    front = 2.0 / math.sqrt(2.0 * math.pi)
+    minus_half_x2 = -half_x2
+    log_front = math.log(2.0 / math.sqrt(2.0 * math.pi)) + math.log(rate)
 
-    def integrand(v):
-        if v == 0.0:
-            return np.where(x == 0.0, front * rate_t, 0.0)
-        w = t - v * v
-        expo = -_intensity_since(f, t, v * v) - half_x2 / (v * v)
-        return np.where(expo < -_EXP_CUTOFF, 0.0, front * float(f(w)) * np.exp(expo))
+    def integrand(v):  # every node lies inside (0, top), so v > 0
+        # 2 f(w) e^{-(R(t) - R(w)) - x^2 / 2v^2} / sqrt(2 pi), w = t - v^2
+        v2 = v * v
+        out = np.divide.outer(minus_half_x2, v2)
+        out += log_front + p * np.log1p(t - v2) - _intensity_since(f, t, v2)
+        return _exp_above_cutoff(out)
 
     top = math.sqrt(t)
     # f is monotone, so at v the survival factor is below

@@ -45,38 +45,53 @@ def moment_errors(spec, t, orders):
     so the density's width does not depend on D.  Its error norm is a max
     over the components, so order n is divided by w_n = sqrt(E X^2n) >=
     |E X^n| (Cauchy-Schwarz), positive for D, t > 0: each order is then
-    held to the tolerance at its own scale, not at that of the largest.  A
-    moment of 0 has no relative error and raises DomainError; a quadrature
-    of 0, which saw none of the density, raises ConvergenceError.
+    held to the tolerance at its own scale, not at that of the largest.
+    Order 0, the density's mass, rides along with w_0 = 1: a mass further
+    from 1 than the tolerance means the quadrature missed part of the
+    density, and raises ConvergenceError.  A moment of 0 has no relative
+    error and raises DomainError.
     """
     orders = list(orders)
     closed = [analytic.nth_moment(spec, n, t) for n in orders]
     if 0.0 in closed:
         raise DomainError(f"moment {orders[closed.index(0.0)]} is 0, so its relative "
                           "error is undefined")
-    powers = np.array(orders)
-    w = np.sqrt([analytic.nth_moment(spec, 2 * n, t) for n in orders])
+    powers = np.array([0] + orders)[:, None]
+    w = np.sqrt([1.0] + [analytic.nth_moment(spec, 2 * n, t) for n in orders])
     scale = math.sqrt(2.0 * spec.diffusivity)
-    # scipy's default quad tolerances; dx = scale du
-    quad = (w * analytic.quadrature(
-        lambda u: (scale * u) ** powers * analytic.pdf(spec, scale * u, t) * scale / w,
-        -np.inf, np.inf, vector=True, epsabs=1.49e-8, epsrel=1.49e-8, limit=300)).tolist()
-    if 0.0 in quad:
-        raise analytic.ConvergenceError(f"the quadrature of moment {orders[quad.index(0.0)]} "
-                                        f"is 0: it saw none of the density at t = {t:g}")
+    eps = 1.49e-8  # scipy's default quad tolerances; dx = scale du
+
+    def integrand(u):
+        x = scale * u
+        return x ** powers * (analytic.pdf(spec, x, t) * scale) / w[:, None]
+
+    quad = analytic.quadrature(integrand, -np.inf, np.inf, vector=True,
+                               epsabs=eps, epsrel=eps, limit=300)
+    tolerance = max(eps, eps * np.max(np.abs(quad)))
+    if not abs(quad[0] - 1.0) <= tolerance:
+        raise analytic.ConvergenceError(
+            f"the quadrature of the density has mass {quad[0]:.10g}, not 1 within "
+            f"{tolerance:g}: it missed part of the density at t = {t:g}")
+    quad = (w * quad)[1:].tolist()
     fd = [analytic.moment_from_mgf(spec, n, t) for n in orders]
     return [(abs(c - q) / abs(q), abs(c - f) / abs(c)) for c, q, f in zip(closed, quad, fd)]
 
 
 def moment_z_scores(spec, t, n, seed, orders):
     """Per order, the z-score of the n-sample mean of x^order at time t
-    against ``nth_moment``."""
+    against ``nth_moment``; the powers are built by repeated products,
+    from the samples themselves up."""
     samples = marginal_samples(spec, t, n, seed=seed)
     scores = []
+    power, k = np.ones_like(samples), 0
     for order in orders:
-        vals = samples ** order
-        scores.append((vals.mean() - analytic.nth_moment(spec, order, t))
-                      / (vals.std() / math.sqrt(len(vals))))
+        if order < k:  # the ladder only climbs
+            power, k = np.ones_like(samples), 0
+        while k < order:
+            power *= samples
+            k += 1
+        scores.append((power.mean() - analytic.nth_moment(spec, order, t))
+                      / (power.std() / math.sqrt(len(power))))
     return scores
 
 

@@ -552,14 +552,17 @@ _SUITES = {
 
 def _cmd_validate(args) -> int:
     started = time.time()
+    from . import analytic  # for the quadrature record of each suite
     names = args.suite or sorted(_SUITES)
-    report = {"suites": {}, "suite_seconds": {}, "seed": args.seed,
+    report = {"suites": {}, "suite_seconds": {}, "quadrature": {}, "seed": args.seed,
               "version": __version__}
     all_pass = True
     for name in names:
         suite_started = time.perf_counter()
-        checks = _SUITES[name](args.seed)
+        with analytic.quadrature_record() as record:
+            checks = _SUITES[name](args.seed)
         report["suite_seconds"][name] = round(time.perf_counter() - suite_started, 3)
+        report["quadrature"][name] = record
         report["suites"][name] = checks
         for check in checks:
             status = "PASS" if check["pass"] else "FAIL"

@@ -32,7 +32,7 @@ from .core import (
     ProcessSpec,
     SpecError,
 )
-from .analytic import DensityCurve, _poisson, spatial_scale
+from .analytic import DensityCurve, _finite, _poisson, spatial_scale
 
 MASS_TOLERANCE = 1e-3
 BOUNDARY_MARGIN_SCALES = 5.0
@@ -250,19 +250,27 @@ def _operator_parts(values, xs, spec):
     if not xs[0] < spec.x_reset < xs[-1]:
         raise SpecError("reset position must lie inside the grid")
     bands = _second_difference_bands(len(xs), h, "reflecting")
+    if not np.isfinite(bands[1]).all():  # -2/h^2, the largest entry
+        raise NumericalError(f"the second difference overflows: 2/h^2 is not "
+                             f"finite at grid step {h:g}")
     w = _delta_weights(xs, h, spec.x_reset)
     return values, bands, w, rate, spec.diffusivity
 
 
+# an overflow leaves a non-finite band or result, refused as NumericalError
+@np.errstate(over="ignore", invalid="ignore")
 def apply_generator(g, xs, spec: ProcessSpec) -> np.ndarray:
     """Drift of observable averages: D g'' + r (g(reset) - g), with the
     reset-point value read by linear interpolation."""
     g, bands, w, rate, diff = _operator_parts(g, xs, spec)
-    return diff * _apply_tridiag(*bands, g) + rate * (w @ g - g)
+    return _finite(diff * _apply_tridiag(*bands, g) + rate * (w @ g - g),
+                   "the generator's action")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def apply_adjoint(f, xs, spec: ProcessSpec) -> np.ndarray:
     """Transpose of :func:`apply_generator` in the h-weighted inner
     product: D f'' + r (delta_at_reset * integral(f) - f)."""
     f, bands, w, rate, diff = _operator_parts(f, xs, spec)
-    return diff * _apply_tridiag(*bands, f) + rate * (w * f.sum() - f)
+    return _finite(diff * _apply_tridiag(*bands, f) + rate * (w * f.sum() - f),
+                   "the adjoint's action")

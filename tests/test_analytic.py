@@ -441,7 +441,7 @@ def oracle_npp_char_fn(rate, p, s, t):
 
 
 class TestNppVectorisedQuadrature:
-    """One quad_vec call per curve must reproduce per-point quad to 1e-10
+    """One vector quadrature per curve must reproduce per-point quad to 1e-10
     of the curve's peak."""
 
     @pytest.mark.parametrize("p", [-1.5, -0.5, 0.5, 2.0])
@@ -481,20 +481,113 @@ class TestNppVectorisedQuadrature:
                            rtol=1e-12, atol=0.0)
 
 
+KS = np.array([1.0, 2.0, 3.0])
+
+
+def exp_rows(x):
+    """The vector integrand exp(k x), k in KS, on an array of nodes."""
+    return np.exp(np.multiply.outer(KS, x))
+
+
 class TestQuadrature:
+    """The vector route against scipy.integrate as an independent oracle."""
+
     def test_scalar_and_vector_paths_integrate(self):
         assert analytic.quadrature(math.exp, 0.0, 1.0) == pytest.approx(math.e - 1.0,
                                                                         rel=1e-12)
-        ks = np.array([1.0, 2.0, 3.0])
-        out = analytic.quadrature(lambda x: np.exp(ks * x), 0.0, 1.0, vector=True)
-        assert np.allclose(out, np.expm1(ks) / ks, rtol=1e-12)
+        out = analytic.quadrature(exp_rows, 0.0, 1.0, vector=True)
+        oracle = [integrate.quad(lambda x: math.exp(k * x), 0.0, 1.0)[0] for k in KS]
+        assert np.allclose(out, oracle, rtol=1e-12, atol=0.0)
+        assert np.allclose(out, np.expm1(KS) / KS, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("lo, hi", [(-np.inf, np.inf), (0.0, np.inf),
+                                        (-np.inf, 0.5), (np.inf, 0.0)])
+    def test_infinite_ranges(self, lo, hi):
+        gauss = lambda x: np.exp(-np.multiply.outer(KS, x) ** 2)
+        out = analytic.quadrature(gauss, lo, hi, vector=True)
+        oracle = [integrate.quad(lambda x: math.exp(-(k * x) ** 2), lo, hi,
+                                 epsabs=1e-13, epsrel=1e-12)[0] for k in KS]
+        assert np.allclose(out, oracle, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-np.inf, np.inf), (0.0, np.inf)])
+    def test_breakpoints_match_quad_vec(self, lo, hi):
+        # a kink at 0.3: the same nodes, value and error estimate as
+        # quad_vec's GK21 rule with the same breakpoint
+        kink = lambda x: np.exp(-np.abs(np.multiply.outer(KS, x - 0.3)))
+        opts = dict(epsabs=1e-12, epsrel=1e-8, limit=200)
+        value, error, _, evaluations = analytic._gauss_kronrod(kink, lo, hi, [0.3], **opts)
+        ref, ref_error, info = integrate.quad_vec(
+            lambda x: np.exp(-np.abs(KS * (x - 0.3))), lo, hi, points=[0.3], norm="max",
+            quadrature="gk21", full_output=True, **opts)
+        assert evaluations == info.neval
+        assert np.allclose(value, ref, rtol=1e-14, atol=0.0)
+        assert error == pytest.approx(ref_error, rel=1e-6)
+        assert np.allclose(analytic.quadrature(kink, lo, hi, points=[0.3], vector=True),
+                           ref, rtol=1e-14, atol=0.0)
 
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     @pytest.mark.parametrize("vector", [False, True])
     def test_error_estimate_beyond_tolerance_raises(self, vector):
-        spike = lambda x: np.full(2, 1.0 / (x * x + 1e-8)) if vector else 1.0 / (x * x + 1e-8)
+        spike = lambda x: 1.0 / (np.multiply.outer(np.ones(2), x) ** 2 + 1e-8)
+        if not vector:
+            spike = lambda x: 1.0 / (x * x + 1e-8)
         with pytest.raises(ConvergenceError, match="error estimate"):
             analytic.quadrature(spike, -1.0, 1.0, vector=vector, limit=2)
+
+    def test_limit_one_leaves_the_first_estimate(self):
+        # one interval, never split: sqrt's kink at 0 keeps its estimate high
+        root = lambda x: np.sqrt(np.multiply.outer(KS, x))
+        assert analytic.quadrature(root, 0.0, 1.0, vector=True) == pytest.approx(
+            2.0 / 3.0 * np.sqrt(KS), rel=1e-8)
+        with pytest.raises(ConvergenceError, match="error estimate"):
+            analytic.quadrature(root, 0.0, 1.0, vector=True, limit=1)
+
+    def test_nan_integrand_raises(self):
+        calls = []
+
+        def nan_at_half(x):
+            calls.append(len(x))
+            return np.where(np.abs(x - 0.5) < 0.1, np.nan, exp_rows(x))
+
+        with pytest.raises(ConvergenceError, match="error estimate nan"):
+            analytic.quadrature(nan_at_half, 0.0, 1.0, vector=True)
+        assert len(calls) <= 3  # a NaN ends the refinement at once
+
+    @pytest.mark.parametrize("components", [7, 100, 500])
+    def test_calls_stay_within_the_value_budget(self, components, monkeypatch):
+        # at most _QUAD_BUDGET values per call, or one node when the
+        # components alone exceed it; the first call gets one node
+        ks = np.linspace(0.5, 2.0, components)
+        sizes = []
+
+        def rows(x):
+            sizes.append(x.size)
+            return np.exp(np.multiply.outer(ks, x))
+
+        whole = analytic.quadrature(rows, 0.0, 1.0, vector=True)
+        assert len(sizes) <= 3  # 1 node, the rest of 21, then 42 in one call
+        monkeypatch.setattr(analytic, "_QUAD_BUDGET", 300)
+        sizes.clear()
+        budgeted = analytic.quadrature(rows, 0.0, 1.0, vector=True)
+        assert sizes[0] == 1
+        assert max(sizes) == max(1, 300 // components)
+        assert sum(sizes) == 63
+        assert np.allclose(budgeted, whole, rtol=1e-15, atol=0.0)
+        assert np.allclose(whole, np.expm1(ks) / ks, rtol=1e-12, atol=0.0)
+
+    def test_record_counts_calls_evaluations_and_error_share(self):
+        with analytic.quadrature_record() as record:
+            analytic.quadrature(exp_rows, 0.0, 1.0, vector=True)
+            with analytic.quadrature_record() as inner:
+                analytic.quadrature(math.exp, 0.0, 1.0)
+        assert record == dict(quadratures=1, integrand_calls=3, evaluations=63,
+                              worst_error_share=record["worst_error_share"])
+        assert inner == dict(quadratures=1, integrand_calls=21, evaluations=21,
+                             worst_error_share=inner["worst_error_share"])
+        assert 0.0 < record["worst_error_share"] < 1.0
+        assert 0.0 < inner["worst_error_share"] < 1.0
+        analytic.quadrature(math.exp, 0.0, 1.0)  # outside any block: not counted
+        assert record["quadratures"] == 1
 
     def test_npp_pdf_reports_unconverged_quadrature(self, monkeypatch):
         # A tolerance below the rounding floor cannot be met.

@@ -1,5 +1,6 @@
 """Unit tests of the cross-check statistics in ``reset_sde.checks``."""
 
+import numpy as np
 import pytest
 
 from reset_sde import DomainError, PoissonClock, ProcessSpec
@@ -47,12 +48,32 @@ class TestMomentErrors:
             checks.moment_errors(*MOMENT_CASES["suite"], range(1, 7))
 
     def test_quadrature_that_misses_the_density_raises(self):
-        # at t = 1e-6 the density is a spike of width 1e-3 at x0 = 1, which
-        # the quadrature over (-inf, inf) does not sample: a 0 there is a
-        # failure to converge, not a moment
-        with pytest.raises(ConvergenceError):
-            checks.moment_errors(ProcessSpec(0.5, 1.0, 0.0, PoissonClock(1.0)), 1e-6,
+        # at t = 1e-7 the density is a spike of width ~3e-4 at x0 = 1, which
+        # the quadrature over (-inf, inf) does not sample: its mass, order
+        # 0, comes out near 0, not 1
+        with pytest.raises(ConvergenceError, match="mass"):
+            checks.moment_errors(ProcessSpec(0.5, 1.0, 0.0, PoissonClock(1.0)), 1e-7,
                                  range(1, 7))
+
+    @pytest.mark.parametrize("t", np.geomspace(1e-12, 1e-3, 28))
+    def test_a_narrowing_density_is_resolved_or_refused(self, t):
+        # as the spike narrows the quadrature sees all of it, part of it
+        # or none: it must either raise or be right
+        try:
+            errors = checks.moment_errors(ProcessSpec(0.5, 1.0, 0.0, PoissonClock(1.0)),
+                                          float(t), range(1, 7))
+        except ConvergenceError:
+            return
+        assert max(rel_quad for rel_quad, _ in errors) < 1e-6
+
+    def test_one_integrand_call_per_refinement_round(self, monkeypatch):
+        pdf_calls = []
+        pdf = analytic.pdf
+        monkeypatch.setattr(analytic, "pdf", lambda *args: pdf_calls.append(1) or pdf(*args))
+        with analytic.quadrature_record() as record:
+            checks.moment_errors(*MOMENT_CASES["suite"], range(1, 7))
+        assert record["quadratures"] == 1
+        assert record["integrand_calls"] == len(pdf_calls) <= 10
 
     def test_zero_moment_is_refused_before_any_quadrature(self, monkeypatch):
         def quadrature(*args, **opts):

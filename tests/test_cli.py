@@ -529,6 +529,19 @@ class TestValidateCommand:
         assert set(report["suite_seconds"]) == {"dynkin"}
         assert 0.0 <= report["suite_seconds"]["dynkin"] <= report["elapsed_s"]
 
+    def test_report_records_quadratures_per_suite(self, tmp_path):
+        out = tmp_path / "val"
+        assert run(["validate", "--suite", "moments", "--suite", "dynkin",
+                    "--out", out]) == 0
+        record = json.loads((out / "report.json").read_text())["quadrature"]
+        assert set(record) == {"moments", "dynkin"}
+        assert record["dynkin"] == dict(quadratures=0, integrand_calls=0, evaluations=0,
+                                        worst_error_share=0.0)
+        moments = record["moments"]
+        assert moments["quadratures"] == 1
+        assert 1 <= moments["integrand_calls"] <= 10 < moments["evaluations"]
+        assert 0.0 < moments["worst_error_share"] <= 1.0
+
     def test_failing_check_exits_1(self, tmp_path, monkeypatch):
         monkeypatch.setitem(
             cli._SUITES, "stub",
@@ -598,8 +611,8 @@ class TestRunRecord:
     def test_report_keys(self, tmp_path):
         assert run(["validate", "--suite", "dynkin", "--out", tmp_path]) == 0
         report = json.loads((tmp_path / "report.json").read_text())
-        assert set(report) == {"suites", "suite_seconds", "seed", "version", "pass",
-                               "elapsed_s", "backend", "versions"}
+        assert set(report) == {"suites", "suite_seconds", "quadrature", "seed", "version",
+                               "pass", "elapsed_s", "backend", "versions"}
         self.check_record(report)
 
 

@@ -59,6 +59,23 @@ class TestGridValidation:
             with pytest.raises(SpecError, match="at least"):
                 apply(np.ones(3), np.array([-1e-160, 0.0, 1e-160]), spec)
 
+    @pytest.mark.parametrize("h", [1e-154, 1.05e-154])
+    def test_step_on_the_floor_whose_bands_overflow_is_refused(self, h):
+        # 1/h^2 is finite at these steps but 2/h^2 is not: refused with no
+        # overflow warning (the test run turns one into an error)
+        FpeGrid(-h, h, h=h)
+        spec = ProcessSpec(0.5, 0.0, 0.0, PoissonClock(1.0))
+        for apply in (apply_generator, apply_adjoint):
+            with pytest.raises(NumericalError, match="2/h"):
+                apply(np.ones(3), np.array([-h, 0.0, h]), spec)
+
+    def test_overflowing_action_is_refused(self):
+        # finite bands, but D times them overflows
+        spec = ProcessSpec(1e10, 0.0, 0.0, PoissonClock(1.0))
+        for apply in (apply_generator, apply_adjoint):
+            with pytest.raises(NumericalError, match="not finite"):
+                apply(np.array([0.0, 1.0, 0.0]), np.array([-1e-150, 0.0, 1e-150]), spec)
+
     def test_span_must_be_multiple_of_h(self):
         with pytest.raises(SpecError, match="multiple"):
             FpeGrid(0.0, 1.005, h=1e-2, dt=1e-3)
