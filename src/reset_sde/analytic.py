@@ -35,6 +35,7 @@ import contextvars
 from dataclasses import dataclass
 import math
 import sys
+from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate, special
@@ -416,8 +417,9 @@ def nth_moment(spec: ProcessSpec, n: int, t: float) -> float:
 
 
 def _fd_weights(offsets: np.ndarray, order: int) -> np.ndarray:
-    """Finite-difference weights for the given derivative order at 0
-    (Fornberg's recursion)."""
+    """Finite-difference weights at 0 for every derivative order up to
+    ``order``, one column per order (Fornberg's recursion, whose column k
+    does not depend on the higher ones)."""
     n = len(offsets)
     if order >= n:
         raise SpecError("need more stencil points than the derivative order")
@@ -442,25 +444,34 @@ def _fd_weights(offsets: np.ndarray, order: int) -> np.ndarray:
                 weights[j, k] = (c4 * weights[j, k] - k * weights[j, k - 1]) / c3
             weights[j, 0] = c4 * weights[j, 0] / c3
         c1 = c2
-    return weights[:, order]
+    return weights
 
 
-def moment_from_mgf(spec: ProcessSpec, n: int, t: float) -> float:
-    """n-th moment as the n-th derivative of the MGF at s = 0, by a
-    13-point central finite-difference stencil of step 0.05 in the unit
-    frame's s sqrt(2D), at any length scale, narrowed to stay within
-    0.4 sqrt(r / D) of 0, inside the MGF's domain.
-
-    This is the independent cross-check route for :func:`nth_moment`.
-    """
+def _mgf_derivatives(spec: ProcessSpec, orders, t: float) -> list:
+    """The derivatives of the MGF at s = 0 of each order in ``orders``, by
+    one 13-point central finite-difference stencil of step 0.05 in the
+    unit frame's s sqrt(2D), at any length scale, narrowed to stay within
+    0.4 sqrt(r / D) of 0, inside the MGF's domain.  The stencil's MGF
+    values and weights are computed once for all orders."""
+    orders = list(orders)
     rate, _, _, c = _poisson(spec, t, positive=False)
     points = 13
     step = 0.05
     if rate > 0:
         step = min(step, 0.8 * math.sqrt(2.0 * rate) / (points - 1))
     offsets = (np.arange(points) - (points - 1) / 2.0) * step / c
+    weights = _fd_weights(offsets, max(orders, default=0))
     values = np.array([mgf(spec, s, t) for s in offsets])
-    return float(_fd_weights(offsets, n) @ values)
+    return [float(weights[:, n] @ values) for n in orders]
+
+
+def moment_from_mgf(spec: ProcessSpec, n: int, t: float) -> float:
+    """n-th moment as the n-th derivative of the MGF at s = 0, by the
+    stencil of :func:`_mgf_derivatives`.
+
+    This is the independent cross-check route for :func:`nth_moment`.
+    """
+    return _mgf_derivatives(spec, [n], t)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -909,37 +920,88 @@ def classify_regime(p: float) -> RegimeInfo:
 
 
 # ---------------------------------------------------------------------------
-# Curve builders (CLI plumbing)
+# Where the law lives, and the curve builders (CLI plumbing)
 # ---------------------------------------------------------------------------
 
-def spatial_scale(spec: ProcessSpec, t: float) -> float:
-    """Max of the diffusive scale and, at base rate r > 0, sqrt(D / r)."""
-    _check_time(t, positive=False)
-    scale = math.sqrt(2.0 * spec.diffusivity * t)
-    rate = spec.clock.base_rate
-    if rate:
-        scale = max(scale, math.sqrt(spec.diffusivity / rate))
-    return _finite(scale, f"the spatial scale at t = {t:g}")
+TAIL_MASS = 1e-9  # the law's mass a window may leave out on each side
+_NPP_SUPPORT_RMS = 12.0  # half-width of the power-law window, in rms displacements
 
 
-_NPP_SUPPORT_RMS = 12.0  # half-width of the power-law grid, in rms displacements
+class Window(NamedTuple):
+    """An interval that holds one part of the law, and that part's mass."""
+    lo: float
+    hi: float
+    weight: float
 
 
-def default_support(spec: ProcessSpec, t: float, points: int = 1001) -> np.ndarray:
-    """Even grid that holds the law at time t.
+def law_windows(spec: ProcessSpec, t) -> list:
+    """The :class:`Window` of each part of the law at time t (of the
+    stationary law for t None), sorted by ``lo``; each leaves out at most
+    :data:`TAIL_MASS` of the law's mass on either side.
 
-    The half-width beyond the start and reset points is 8 times
-    :func:`spatial_scale`.  Under power-law resetting it is instead 12
-    root mean squared displacements (:func:`npp_msd`), since a growing
+    Under Poisson resetting at rate r the law is the no-reset Gaussian
+    about x0, of standard deviation sqrt(2Dt) and weight e^{-rt}, plus the
+    reset part about xR, of weight 1 - e^{-rt}: a mixture of Gaussians of
+    ages below t whose density lies under the Laplace law of length
+    sqrt(D/r), the stationary law.  A part of weight w gets the window
+    where w times its Gaussian tail is TAIL_MASS, and none once w is at
+    most twice TAIL_MASS; the reset part's window is also never wider
+    than the Laplace law's.  The stationary law's window is the Laplace
+    law's.  Under power-law resetting (x0 = xR = 0) the window is 12 root
+    mean squared displacements (:func:`npp_msd`) about 0, since a growing
     intensity confines the law far inside the base-rate scale.
     """
     if isinstance(spec.clock, NonhomogeneousPoissonClock):
+        if t is None:
+            raise DomainError("no stationary law under a power-law clock")
+        _check_time(t)
         half = _NPP_SUPPORT_RMS * math.sqrt(npp_msd(spec, t))
-    else:
-        half = 8.0 * spatial_scale(spec, t)
-    lo = min(spec.x0, spec.x_reset) - half
-    hi = max(spec.x0, spec.x_reset) + half
-    return np.linspace(lo, hi, points)
+        return [Window(-half, half, 1.0)]
+    rate, _, _, c = _poisson(spec, t)
+    if t is None and rate == 0.0:
+        raise DomainError("no stationary law without resetting (rate 0)")
+    laplace = c / math.sqrt(2.0 * rate) * math.log(0.5 / TAIL_MASS) if rate else math.inf
+    parts = [(spec.x_reset, 1.0, laplace)] if t is None else [
+        (spec.x0, math.exp(-rate * t), math.inf),
+        (spec.x_reset, -math.expm1(-rate * t), laplace)]
+    windows = []
+    for center, weight, cap in parts:
+        if weight > 2.0 * TAIL_MASS:
+            half = cap if t is None else min(
+                cap, c * math.sqrt(t) * -float(special.ndtri(TAIL_MASS / weight)))
+            windows.append(Window(center - half, center + half, weight))
+    _finite([w[:2] for w in windows], "the law's windows")
+    return sorted(windows)
+
+
+def default_support(spec: ProcessSpec, t, points: int = 1001) -> np.ndarray:
+    """``points`` ascending x values that hold the law at time t (the
+    stationary law for t None): one even grid over the hull of the
+    :func:`law_windows` that overlap, and one per disjoint hull.
+
+    The disjoint hulls share the points in proportion to the square root
+    of the mass each holds: the light no-reset Gaussian stays resolved,
+    and most points go to the reset part, whose cusp at xR needs a step
+    of about a tenth of sqrt(D/r) for the trapezoid to hold its mass to
+    1e-3.  Raises DomainError when the points cannot resolve a window in
+    double precision.
+    """
+    hulls = []  # [lo, hi, weight] of each run of overlapping windows
+    for w in law_windows(spec, t):
+        if hulls and w.lo <= hulls[-1][1]:
+            hulls[-1][1] = max(hulls[-1][1], w.hi)
+            hulls[-1][2] += w.weight
+        else:
+            hulls.append(list(w))
+    shares = np.cumsum([0.0] + [math.sqrt(weight) for *_, weight in hulls])
+    counts = np.diff(np.round(points * shares / shares[-1])).astype(int)
+    xs = np.concatenate([np.linspace(lo, hi, n) for (lo, hi, _), n in zip(hulls, counts)])
+    if not np.all(np.diff(xs) > 0):
+        raise DomainError(
+            f"{points} points cannot resolve the law's windows "
+            f"{', '.join(f'[{lo:g}, {hi:g}]' for lo, hi, _ in hulls)} in double "
+            "precision; tabulate the law on x values of your own")
+    return xs
 
 
 def density_curve(spec: ProcessSpec, t: float, xs=None) -> DensityCurve:
@@ -951,7 +1013,7 @@ def density_curve(spec: ProcessSpec, t: float, xs=None) -> DensityCurve:
 
 def stationary_curve(spec: ProcessSpec, xs=None) -> DensityCurve:
     if xs is None:
-        xs = default_support(spec, 0.0)
+        xs = default_support(spec, None)
     return DensityCurve(xs=np.asarray(xs, dtype=float),
                         values=np.asarray(stationary_pdf(spec, xs)), t=math.inf)
 

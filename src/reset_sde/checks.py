@@ -39,7 +39,8 @@ def npp_marginal_ks(spec, t, n, seed, xs):
 
 def moment_errors(spec, t, orders):
     """Per order n, the relative errors of ``nth_moment`` against the
-    quadrature of x^n p(x, t) and against ``moment_from_mgf``.
+    quadrature of x^n p(x, t) and against the MGF's derivatives
+    (``_mgf_derivatives``, the stencil of ``moment_from_mgf``).
 
     One vectorised quadrature integrates every order, over u = x / sqrt(2D),
     so the density's width does not depend on D.  Its error norm is a max
@@ -73,7 +74,7 @@ def moment_errors(spec, t, orders):
             f"the quadrature of the density has mass {quad[0]:.10g}, not 1 within "
             f"{tolerance:g}: it missed part of the density at t = {t:g}")
     quad = (w * quad)[1:].tolist()
-    fd = [analytic.moment_from_mgf(spec, n, t) for n in orders]
+    fd = analytic._mgf_derivatives(spec, orders, t)
     return [(abs(c - q) / abs(q), abs(c - f) / abs(c)) for c, q, f in zip(closed, quad, fd)]
 
 

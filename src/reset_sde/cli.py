@@ -326,7 +326,7 @@ def _cmd_analytic(args) -> int:
         print(json.dumps(info, sort_keys=True))
         outputs.append("regime.json")
     elif what in ("pdf", "stationary"):
-        xs = _x_grid(args, spec)
+        xs = _x_grid(args, spec, None if what == "stationary" else args.t)
         if what == "stationary":
             curve = analytic.stationary_curve(spec, xs)
         elif isinstance(spec.clock, NonhomogeneousPoissonClock):
@@ -368,11 +368,11 @@ def _grid(flag, lo, hi, points, spacing=np.linspace):
     return spacing(lo, hi, points)
 
 
-def _x_grid(args, spec):
+def _x_grid(args, spec, t):
     from . import analytic
     if args.x_lo is not None and args.x_hi is not None:
         return _grid("x", args.x_lo, args.x_hi, args.points)
-    return analytic.default_support(spec, max(args.t, 0.0), points=args.points)
+    return analytic.default_support(spec, t, points=args.points)
 
 
 def _transform_curve(args, spec, out, what):
@@ -394,7 +394,7 @@ def _transform_curve(args, spec, out, what):
         values = [float(evaluate(s)) for s in ss]
         _curve_csv(out, "curve.csv", ["s", "value"], (ss, values))
     else:
-        values = np.array([complex(evaluate(s)) for s in ss])
+        values = evaluate(ss)
         _curve_csv(out, "curve.csv", ["s", "re", "im"], (ss, values.real, values.imag))
     return "curve.csv"
 

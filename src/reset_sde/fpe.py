@@ -7,6 +7,11 @@ a plain Dirac mass of rate r, and the stationary-density-weighted form
 whose coefficient collapses to the same rate once evaluated at the reset
 point; the solvers differ only in how that coefficient is computed.
 
+The default grid is the step-h lattice over the law's windows at the
+final time (:func:`reset_sde.analytic.law_windows`), so it stops
+widening once the law is the Laplace law of length sqrt(D/r); a
+reflecting grid that cuts a window is refused.
+
 Discretisation: flux-form central differences (reflecting ends carry a
 one-sided stencil so the discrete mass h*sum(p) is conserved exactly),
 Crank-Nicolson in time with the sink split symmetrically and the source
@@ -32,11 +37,9 @@ from .core import (
     ProcessSpec,
     SpecError,
 )
-from .analytic import DensityCurve, _finite, _poisson, spatial_scale
+from .analytic import DensityCurve, _finite, _poisson, law_windows
 
 MASS_TOLERANCE = 1e-3
-BOUNDARY_MARGIN_SCALES = 5.0
-DEFAULT_PAD_SCALES = 8.0
 # Grids above this many nodes are refused before any array is allocated:
 # each costs a handful of float arrays of its length per step.
 MAX_NODES = 10 ** 6
@@ -87,31 +90,37 @@ class FpeGrid:
 
 def default_grid(spec: ProcessSpec, t_final: float, h: float = 1e-2,
                  dt: float = None, boundary: str = "reflecting") -> FpeGrid:
-    """Grid padded by 8 standard scales beyond the start and reset
-    points; the stationary tails decay fast enough that the truncation
-    error is negligible at that range.  ``t_final=None`` sizes the grid
-    for the stationary law."""
+    """The h lattice over the hull of the law's windows at ``t_final``
+    (:func:`reset_sde.analytic.law_windows`; the stationary law's for
+    ``t_final=None``), widened to hold x0 and xR at least 10 h inside.
+    Beyond it the law leaves out at most ``analytic.TAIL_MASS`` on each
+    side, so a reflecting end there moves no more than that."""
     if not 0 < h < math.inf:
         raise SpecError("h must be positive and finite")
-    pad = DEFAULT_PAD_SCALES * max(spatial_scale(spec, t_final or 0.0), 10 * h)
-    lo = min(spec.x0, spec.x_reset) - pad
-    hi = max(spec.x0, spec.x_reset) + pad
-    lo = math.floor(lo / h) * h
-    hi = math.ceil(hi / h) * h
+    windows = law_windows(spec, t_final)
+    pad = 10.0 * h
+    lo = min(windows[0].lo, spec.x0 - pad, spec.x_reset - pad)
+    hi = max(max(w.hi for w in windows), spec.x0 + pad, spec.x_reset + pad)
+    # one node further out, so no rounding of lo / h leaves a window cut
+    lo = h * (math.floor(lo / h) - 1)
+    hi = h * (math.ceil(hi / h) + 1)
     return FpeGrid(x_lo=lo, x_hi=hi, h=h, dt=dt, boundary=boundary)
 
 
 def _check_margins(spec, grid, t_final):
-    margin = BOUNDARY_MARGIN_SCALES * spatial_scale(spec, t_final or 0.0)
+    """Refuse a grid without x0 or xR inside it, and a reflecting grid that
+    cuts a window of the law at ``t_final``, whose mass its ends would
+    reflect."""
     for name in ("x0", "x_reset"):
         x = getattr(spec, name)
         if not (grid.x_lo < x < grid.x_hi):
             raise SpecError(f"{name} = {x:g} is outside the grid")
-        if grid.boundary == "reflecting" and (
-                x - grid.x_lo < margin or grid.x_hi - x < margin):
-            raise SpecError(
-                f"{name} = {x:g} is within {BOUNDARY_MARGIN_SCALES:g} standard "
-                "scales of the boundary at the final time; widen the grid")
+    if grid.boundary == "reflecting":
+        for w in law_windows(spec, t_final):
+            if w.lo < grid.x_lo or grid.x_hi < w.hi:
+                raise SpecError(
+                    f"the reflecting grid [{grid.x_lo:g}, {grid.x_hi:g}] cuts the "
+                    f"law's window [{w.lo:g}, {w.hi:g}] at the final time; widen the grid")
 
 
 def _delta_weights(xs, h, x_star):

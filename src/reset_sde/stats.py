@@ -152,12 +152,12 @@ def analytic_cdf(spec: ProcessSpec, x, t: float):
 def cdf_from_density_curve(curve: DensityCurve):
     """Monotone CDF evaluator from a tabulated density (for KS tests
     against densities that lack a closed-form distribution function)."""
-    from scipy.integrate import cumulative_trapezoid
-    cum = cumulative_trapezoid(curve.values, curve.xs, initial=0.0)
+    xs, ys = np.asarray(curve.xs, dtype=float), np.asarray(curve.values, dtype=float)
+    # the running trapezoid, in scipy's cumulative_trapezoid's order of operations
+    cum = np.concatenate(([0.0], np.cumsum(np.diff(xs) * (ys[1:] + ys[:-1]) / 2.0)))
     if cum[-1] <= 0:
         raise DomainError("density curve has no mass")
     cum = cum / cum[-1]
-    xs = np.asarray(curve.xs, dtype=float)
 
     def evaluator(x):
         return np.interp(np.asarray(x, dtype=float), xs, cum, left=0.0, right=1.0)

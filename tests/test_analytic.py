@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as hs
 from scipy import integrate, special
 
 from reset_sde import (
+    DeterministicGaps,
     DomainError,
     NonhomogeneousPoissonClock,
     PoissonClock,
     ProcessSpec,
+    RenewalClock,
     SpecError,
     marginal_samples,
 )
@@ -655,6 +657,77 @@ class TestRegimes:
         assert info.as_json() == {"exponent": info.exponent, "law": law}
 
 
+class TestLawWindows:
+    """One rule sizes every default curve and FPE grid: the window of each
+    part of the law, which leaves out at most TAIL_MASS on either side."""
+
+    def test_windows_follow_the_two_parts(self):
+        # D = 2, r = 0.5, t = 4: the no-reset Gaussian has standard
+        # deviation sqrt(2Dt) = 4 and the Laplace law length sqrt(D/r) = 2
+        spec = spec_poisson(0.5, x0=-1.0, xr=3.0, d=2.0)
+        w = math.exp(-2.0)
+        gauss = -4.0 * special.ndtri(analytic.TAIL_MASS / w)
+        reset = min(2.0 * math.log(0.5 / analytic.TAIL_MASS),
+                    -4.0 * special.ndtri(analytic.TAIL_MASS / (1.0 - w)))
+        got = analytic.law_windows(spec, 4.0)
+        want = [(-1.0 - gauss, -1.0 + gauss, w), (3.0 - reset, 3.0 + reset, 1.0 - w)]
+        np.testing.assert_allclose(np.array(got), np.array(want), rtol=1e-14)
+        # the stationary law: the Laplace window alone
+        (stationary,) = analytic.law_windows(spec, None)
+        half = 2.0 * math.log(0.5 / analytic.TAIL_MASS)
+        assert stationary == pytest.approx((3.0 - half, 3.0 + half, 1.0), rel=1e-15)
+
+    def test_the_law_stops_widening(self):
+        # once e^{-rt} is below 2 TAIL_MASS the Gaussian about x0 is dropped
+        # and the window is the stationary one, however late t is
+        spec = spec_poisson(1.0, x0=0.0, xr=2.0)
+        stationary = analytic.law_windows(spec, None)
+        assert len(analytic.law_windows(spec, 20.0)) == 2
+        for t in (25.0, 100.0, 1e300):
+            assert [w[:2] for w in analytic.law_windows(spec, t)] == [w[:2] for w in stationary]
+        # without resetting the Gaussian is the law
+        ((lo, hi, weight),) = analytic.law_windows(spec_poisson(0.0, x0=1.0), 4.0)
+        assert (lo + hi) / 2.0 == pytest.approx(1.0) and weight == 1.0
+        assert hi - 1.0 == pytest.approx(-2.0 * special.ndtri(analytic.TAIL_MASS), rel=1e-14)
+
+    @pytest.mark.parametrize("xr", [0.0, 2.0, 100.0])
+    @pytest.mark.parametrize("t", [1e-3, 0.1, 1.0, 5.0, 10.0, 30.0])
+    def test_windows_leave_out_at_most_the_tail_mass(self, xr, t):
+        # the closed-form distribution function, an independent route: at
+        # most TAIL_MASS of each part lies beyond its window on a side
+        spec = spec_poisson(1.0, x0=0.0, xr=xr)
+        windows = analytic.law_windows(spec, t)
+        cdf = lambda x: float(stats.analytic_cdf(spec, x, t))
+        bound = 2.0 * analytic.TAIL_MASS
+        assert cdf(windows[0].lo) <= bound
+        assert 1.0 - cdf(max(w.hi for w in windows)) <= bound
+        if len(windows) == 2 and windows[0].hi < windows[1].lo:
+            assert cdf(windows[1].lo) - cdf(windows[0].hi) <= bound
+        assert sum(w.weight for w in windows) == pytest.approx(1.0, abs=bound)
+
+    def test_stationary_window_is_tight(self):
+        spec = spec_poisson(2.0, xr=1.0, d=0.3)
+        ((lo, hi, _),) = analytic.law_windows(spec, None)
+        # at t = 1e300 the law is the stationary Laplace law
+        assert stats.analytic_cdf(spec, lo, 1e300) == pytest.approx(analytic.TAIL_MASS, rel=1e-6)
+
+    def test_support_is_one_grid_over_overlapping_windows(self):
+        spec = spec_poisson(1.0, x0=0.0, xr=2.0)
+        windows = analytic.law_windows(spec, 1.0)
+        xs = analytic.default_support(spec, 1.0, points=401)
+        assert np.array_equal(xs, np.linspace(windows[0].lo, max(w.hi for w in windows), 401))
+
+    def test_support_is_one_grid_per_disjoint_window(self):
+        # the points are shared in proportion to the root of each part's mass
+        spec = spec_poisson(1.0, x0=0.0, xr=100.0)
+        (a, b) = analytic.law_windows(spec, 5.0)
+        xs = analytic.default_support(spec, 5.0, points=401)
+        n = round(401 * math.sqrt(a.weight) / (math.sqrt(a.weight) + math.sqrt(b.weight)))
+        assert np.array_equal(xs, np.concatenate((np.linspace(a.lo, a.hi, n),
+                                                  np.linspace(b.lo, b.hi, 401 - n))))
+        assert 350 < 401 - n
+
+
 class TestCurves:
     def test_density_curve_mass_invariant(self):
         curve = density_curve(spec_poisson(1.0, 0.0, 3.0), 0.5)
@@ -699,13 +772,20 @@ class TestTypedErrors:
         (lambda: npp_pdf(spec_npp(1.0, 0.5), 0.0, 1e300), DomainError),
         (lambda: npp_msd(spec_npp(1.0, 0.5), 1e300), DomainError),
         (lambda: npp_msd(spec_npp(1.0, -1.0, d=1e300), 1e300), NumericalError),
-        (lambda: analytic.spatial_scale(spec_poisson(1.0, d=1e9), 1e300), NumericalError),
+        (lambda: analytic.law_windows(spec_poisson(0.0, d=5e307), 1e308), NumericalError),
+        (lambda: analytic.law_windows(spec_poisson(0.0), None), DomainError),
+        (lambda: analytic.law_windows(spec_npp(1.0, 0.0), None), DomainError),
+        (lambda: analytic.law_windows(ProcessSpec(0.5, 0.0, 0.0, RenewalClock(
+            DeterministicGaps(0.5))), 1.0), SpecError),
+        (lambda: analytic.default_support(spec_poisson(1.0, xr=1e300), 100.0), DomainError),
     ], ids=["laplace", "gaussian", "sum", "nth", "fd-weights",
             "mgf-stencil", "mgf-overflow", "mgf-overflow-rate-0", "moment-overflow",
             "npp-msd-overflow", "npp-pdf-overflow", "npp-msd-infinite-t",
             "npp-pdf-infinite-t", "npp-cf-infinite-t", "mgf-undefined", "char-fn-undefined",
             "npp-cf-integral-overflow", "npp-pdf-integral-overflow",
-            "npp-msd-integral-overflow", "npp-msd-infinite", "spatial-scale-overflow"])
+            "npp-msd-integral-overflow", "npp-msd-infinite", "windows-overflow",
+            "windows-stationary-rate-0", "windows-stationary-npp", "windows-renewal",
+            "support-unresolved"])
     def test_bad_arguments_raise_typed_errors(self, call, error):
         with pytest.raises(error):
             call()
@@ -725,11 +805,12 @@ class TestTypedErrors:
         (lambda t: npp_char_fn(spec_npp(1.0, 0.0), 0.5, t), False),
         (lambda t: npp_pdf(spec_npp(1.0, 0.0), 0.5, t), True),
         (lambda t: npp_msd(spec_npp(1.0, 0.0), t), False),
-        (lambda t: analytic.spatial_scale(spec_poisson(1.0), t), False),
+        (lambda t: analytic.law_windows(spec_poisson(1.0), t), True),
+        (lambda t: analytic.law_windows(spec_npp(1.0, 0.0), t), True),
         (lambda t: stats.analytic_cdf(spec_poisson(1.0), 0.5, t), True),
     ], ids=["mgf", "char-fn", "pdf", "mean", "nth-moment", "moment-from-mgf",
             "gaussian-moment", "normal-laplace-conv", "npp-char-fn", "npp-pdf", "npp-msd",
-            "spatial-scale", "analytic-cdf"])
+            "law-windows", "law-windows-npp", "analytic-cdf"])
     def test_time_must_be_finite(self, call, positive):
         word = "positive" if positive else "nonnegative"
         for t in (math.inf, math.nan, -1.0, np.float64(math.inf)) + ((0.0,) if positive else ()):

@@ -432,11 +432,50 @@ class TestAnalyticCommand:
         mass = float(capsys.readouterr().out.split("mass = ")[1])
         assert abs(mass - 1.0) < 1e-3
 
-    def test_poisson_default_grid_keeps_base_rate_scale(self, tmp_path):
+    def test_poisson_default_grid_spans_the_law_windows(self, tmp_path):
         assert run(["analytic", "pdf", "--r", 1, "--t", 1, "--points", 5,
                     "--out", tmp_path / "hom"]) == 0
         _, rows = read_csv(tmp_path / "hom" / "curve.csv")
-        assert [float(r[0]) for r in rows] == [-8.0, -4.0, 0.0, 4.0, 8.0]
+        spec = ProcessSpec(0.5, 0.0, 0.0, PoissonClock(1.0))
+        windows = analytic.law_windows(spec, 1.0)
+        hull = (min(w.lo for w in windows), max(w.hi for w in windows))
+        assert [float(r[0]) for r in rows] == np.linspace(*hull, 5).tolist()
+        # the stationary curve lies over the Laplace law's window
+        assert run(["analytic", "stationary", "--r", 1, "--points", 3,
+                    "--out", tmp_path / "st"]) == 0
+        _, rows = read_csv(tmp_path / "st" / "curve.csv")
+        ((lo, hi, _),) = analytic.law_windows(spec, None)
+        assert [float(r[0]) for r in rows] == [lo, 0.0, hi]
+
+    @pytest.mark.parametrize("xr", [0, 2, 100])
+    def test_default_pdf_curve_holds_unit_mass_at_every_time(self, tmp_path, capsys, xr):
+        # the default 401 points over the law's windows: the curve's
+        # trapezoid mass stays within 1e-3 of 1 however late t is
+        for t in (1e-3, 0.1, 1, 3, 5, 8, 10, 30, 100, 1e4, 1e300):
+            assert run(["analytic", "pdf", "--r", 1, "--xr", xr, "--t", t,
+                        "--out", tmp_path / f"t{t:g}"]) == 0
+            mass = float(capsys.readouterr().out.split("mass = ")[1])
+            assert abs(mass - 1.0) < 1e-3, t
+
+    def test_unresolvable_default_curve_exits_2(self, tmp_path, capsys):
+        # a window of width 28 about xR = 1e300 is one double
+        assert run(["analytic", "pdf", "--r", 1, "--xr", "1e300", "--t", 100,
+                    "--out", tmp_path / "far"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and err.count("\n") == 1
+        assert not list((tmp_path / "far").glob("*.csv"))
+
+    def test_cf_curve_is_one_vectorised_call(self, tmp_path):
+        # the whole curve shares one quadrature, whose tolerance is relative
+        # to its largest value; every point still matches its own call
+        out = tmp_path / "cf"
+        assert run(["analytic", "cf", "--p", -0.5, "--t", 5, "--out", out]) == 0
+        _, rows = read_csv(out / "curve.csv")
+        ss, re, im = np.array(rows, dtype=float).T
+        spec = ProcessSpec(0.5, 0.0, 0.0, analytic.NonhomogeneousPoissonClock(1.0, -0.5))
+        each = np.array([analytic.npp_char_fn(spec, s, 5.0) for s in ss])
+        assert len(ss) == 401
+        assert np.max(np.abs(re + 1j * im - each)) <= 1e-12
 
     def test_unconverged_quadrature_exits_4(self, tmp_path, capsys, monkeypatch):
         # A tolerance below the rounding floor cannot be met.
@@ -501,6 +540,14 @@ class TestFpeCommand:
         assert err.startswith("error: config: unknown key(s) 'hh';")
         assert err.count("\n") == 1
         assert not (tmp_path / "run").exists()
+
+    def test_late_solve_on_a_grid_that_holds_the_laplace_law(self, tmp_path):
+        # at t = 50 the diffusive scale sqrt(2Dt) is 10, but the law is the
+        # Laplace law of length sqrt(D/r) = 0.71: +-20 holds it
+        assert run(["fpe", "--r", 1, "--t", 50, "--x-lo", -20, "--x-hi", 20,
+                    "--h", 0.1, "--dt", 0.1, "--out", tmp_path / "late"]) == 0
+        assert run(["fpe", "--r", 1, "--t", 50, "--x-lo", -6, "--x-hi", 6,
+                    "--h", 0.1, "--dt", 0.1, "--out", tmp_path / "cut"]) == 2
 
     def test_mass_drift_exits_4(self, tmp_path):
         assert run(["fpe", "--form", "evans", "--r", 0, "--t", 1.0,

@@ -97,14 +97,28 @@ class TestGridValidation:
         grid = FpeGrid(-1.0, 1.0, h=1e-2, dt=1e-3)
         with pytest.raises(SpecError, match="outside"):
             solve_fpe_evans(spec_poisson(1.0, 5.0, 0.0), grid, 0.1)
-        with pytest.raises(SpecError, match="standard scales"):
+        with pytest.raises(SpecError, match="cuts the law's window"):
             solve_fpe_evans(spec_poisson(1.0, 0.9, 0.0), grid, 0.1)
+        with pytest.raises(SpecError, match="cuts the law's window"):
+            stationary_fpe(spec_poisson(1.0, 0.0, 0.0), grid)
+        # the windows, not the diffusive scale sqrt(2Dt) = 10, bound a late
+        # reflecting grid: the law is the Laplace law of length sqrt(D/r)
+        solve_fpe_evans(spec_poisson(1.0), FpeGrid(-15.0, 15.0, h=0.1, dt=0.1), 50.0)
 
-    def test_default_grid_contains_padded_positions(self):
-        grid = default_grid(FIG3, 1.0)
-        scale = max(math.sqrt(2 * 0.5 * 1.0), math.sqrt(0.5))
-        assert grid.x_lo <= 0.0 - 8 * scale + 1e-9
-        assert grid.x_hi >= 3.0 + 8 * scale - 1e-9
+    def test_default_grid_holds_every_window_on_the_h_lattice(self):
+        for t in (1.0, 50.0, None):
+            grid = default_grid(FIG3, t)
+            windows = analytic.law_windows(FIG3, t)
+            assert grid.x_lo <= windows[0].lo and max(w.hi for w in windows) <= grid.x_hi
+            # one lattice node beyond the hull
+            assert grid.x_lo > windows[0].lo - 2 * grid.h
+            assert grid.x_hi < max(w.hi for w in windows) + 2 * grid.h
+            assert grid.x_lo / grid.h == pytest.approx(round(grid.x_lo / grid.h), abs=1e-9)
+        # x0 stays 10 h inside once its Gaussian has gone
+        spec = spec_poisson(1.0, 0.0, 30.0)
+        (window,) = analytic.law_windows(spec, 50.0)
+        grid = default_grid(spec, 50.0, h=0.1)
+        assert window.lo > 1.0 and grid.x_lo <= -1.0 and grid.x_hi >= window.hi
 
 
 class TestTransientSolvers:
@@ -129,6 +143,20 @@ class TestTransientSolvers:
         ref = analytic.pdf(spec, ev.xs, 1.0)
         assert l1(ev.xs, ev.values, ref) < 1e-2
         assert l1(fl.xs, fl.values, ref) < 1e-2
+
+    def test_default_grid_is_narrower_and_no_less_accurate(self):
+        # at t = 20 the law is the Laplace law of length sqrt(D/r) = 0.71;
+        # the grid of 8 diffusive scales sqrt(2Dt) it replaced spans 71.6
+        spec = spec_poisson(1.0)
+        h = 2e-2
+        grid = default_grid(spec, 20.0, h=h, dt=h)
+        wide = FpeGrid(-35.78, 35.78, h=h, dt=h)
+        errors = []
+        for g in (grid, wide):
+            curve = solve_fpe_evans(spec, g, 20.0)
+            errors.append(np.max(np.abs(curve.values - analytic.pdf(spec, curve.xs, 20.0))))
+        assert len(grid.xs) < len(wide.xs) / 2
+        assert errors[0] <= errors[1] * (1.0 + 1e-9)  # the same error, up to rounding
 
     def test_delta_fl_heat_kernel_reduction(self):
         grid = FpeGrid(-8.0, 8.0, h=1e-2, dt=1e-3)
@@ -180,15 +208,15 @@ class TestTransientSolvers:
         got["stationary-absorbing"] = digest(stationary_fpe(FIG3, absorbing))
         assert got == {
             "evans-default":
-                "361d585723e765c2b21bad574076f33af77b0f5d76f8236885c14f8f63eafecb",
+                "53c01d29117c8052ffaaed70d119a74d70eb07964ff2431d0f88f3a7dbcca2a8",
             "delta-fl-default":
-                "c7079e85763474f133d749b33740f637218049997f4686c9617e7050139906b3",
+                "d50e84c468cf17429de1dea512e03f2f79ffa54621e81db6b71cec3f37e4ad30",
             "evans-absorbing":
                 "f6db16b3de59c638f58b0b8367e1c473b5db1dec5b7b3114275f739a1796223f",
             "delta-fl-absorbing":
                 "b3e9ec70457f7e01f9407f2d07c012b44cfdb3de88902ad293eea15f4b241558",
             "stationary-default":
-                "e275c9cc30ff3b504a0633dbfaf155f5e8d28f85ce06fc72d8a18a3e4c8eff6d",
+                "ea0adf7011361b7a44009232755ad2c10f0a134d1e40d4a37d0173805012dc68",
             "stationary-absorbing":
                 "8a857b7b4ce6675532c221992324d782291f52ae4ea97d73f4f93e0fa56c316b",
         }
@@ -203,7 +231,7 @@ class TestStationary:
         assert np.max(np.abs(curve.values - ref)) < 1e-3
 
     def test_independent_of_start_point(self):
-        grid = FpeGrid(-8.0, 8.0, h=1e-2, dt=1e-3)
+        grid = FpeGrid(-15.0, 15.0, h=1e-2, dt=1e-3)
         a = stationary_fpe(spec_poisson(1.0, 0.0, 0.0), grid)
         b = stationary_fpe(spec_poisson(1.0, 2.0, 0.0), grid)
         assert np.array_equal(a.values, b.values)
