@@ -12,10 +12,10 @@ the moment generating function
 
 (a = start, b = reset point, valid for |s| < sqrt(2r)), the
 characteristic function M_t(i s), a density that combines a Laplace
-density, a Gaussian density, and their convolution, and moments built
-from Laplace moments, Gaussian moments (a finite binomial sum; the
-paper's Kummer-function form is the cross-check) and a binomial cross
-term.
+density, a Gaussian density, and their convolution, and moments of all
+orders for any reset point, conditioned on the last reset: one binomial
+sum of same-sign terms over a Gaussian of age t and one over the ages
+since a reset (the paper's cancelling route is the tests' reference).
 
 Power-law nonhomogeneous resetting (intensity r (t+1)^p, start = reset
 point = 0) gets its characteristic function, density and mean squared
@@ -33,6 +33,8 @@ raises ConvergenceError beyond tolerance (see :func:`quadrature`).
 import contextlib
 import contextvars
 from dataclasses import dataclass
+import decimal
+from decimal import Decimal
 import math
 import sys
 from typing import NamedTuple
@@ -132,6 +134,14 @@ def _npp(spec: ProcessSpec, t, positive=True):
                           "x0 = xR = 0 only")
     _check_time(t, positive)
     return spec.clock.rate, spec.clock.exponent, c
+
+
+def _order(n, name="n") -> int:
+    """``n`` as an int, refused with DomainError unless it is a
+    nonnegative integer; a bool is not an order."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+        raise DomainError(f"{name} must be a nonnegative integer; got {n!r}")
+    return int(n)
 
 
 def _finite(out, what: str):
@@ -301,16 +311,61 @@ def mean(spec: ProcessSpec, t) -> float:
     return _finite(out, "the mean")
 
 
+# Moments are summed in Decimal, whose exponent range holds every
+# coefficient and power that a moment within a double needs.
+_DECIMAL = decimal.Context(prec=30, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN, traps=[])
+
+
+def _double(value: Decimal, what: str) -> float:
+    """``value`` as a float, refused with NumericalError beyond a double."""
+    out = float(value)
+    if not math.isfinite(out):
+        raise NumericalError(f"{what} overflows a double")
+    return out
+
+
+def _normal_mixture(n: int, x, variance_moments) -> Decimal:
+    """E (x + sqrt(V) Z)^n = sum_k C(n, 2k) (2k-1)!! x^(n-2k) E V^k, for Z
+    standard normal and an independent variance V with E V^k =
+    ``variance_moments[k]``: terms that all share the sign of x^n."""
+    x, total, coef = Decimal(float(x)), Decimal(0), Decimal(1)
+    for k, moment in enumerate(variance_moments):
+        m = n - 2 * k
+        total += coef * moment * (x ** m if m else 1)
+        coef = coef * (m * (m - 1)) / (2 * k + 2)  # C(n, 2k + 2) (2k + 1)!!
+    return total
+
+
+def _age_moments(variance: Decimal, rate, t, n: int) -> list:
+    """E[(variance A)^k; A < t] = k! (variance / rate)^k P(k + 1, rate t)
+    for k = 0..n//2, A exponential of rate ``rate`` and P the regularised
+    lower incomplete gamma function.  P(a, x) is scipy's gammainc for
+    a < 1.5 x; from there on, where gammainc loses digits and then
+    underflows, x^a e^{-x} / a! times Kummer's M(1, a + 1, x)."""
+    x, count = float(rate) * float(t), n // 2 + 1
+    near = count if 1.5 * x > count else max(0, math.ceil(1.5 * x) - 1)
+    shares = [Decimal(p) for p in special.gammainc(np.arange(1, near + 1), x)]
+    far, x_dec = np.arange(near + 1, count + 1), Decimal(x)
+    if len(far):
+        front = x_dec ** (near + 1) * (-x_dec).exp() / math.factorial(near + 1)
+        for a, kummer in zip(far.tolist(), special.hyp1f1(1.0, far + 1.0, x)):
+            shares.append(front * Decimal(kummer))
+            front = front * x_dec / (a + 1)
+    scale = variance / Decimal(rate)
+    return [math.factorial(k) * scale ** k * p for k, p in enumerate(shares)]
+
+
 def laplace_moment(n: int, rate: float) -> float:
     """n-th moment of the centred Laplace law with scale (2 rate)^(-1/2):
-    (2 rate)^(-n/2) n! for even n, zero for odd n."""
-    if n < 0:
-        raise DomainError("n must be nonnegative")
+    (2 rate)^(-n/2) n! for even n, zero for odd n.  It is the reset half
+    of :func:`nth_moment` as t -> inf with xR = 0: a Normal(0, A) with A
+    exponential of rate ``rate``."""
+    n = _order(n)
     if not rate > 0:
         raise DomainError("rate must be positive")
-    if n % 2:
-        return 0.0
-    return (2.0 * rate) ** (-n / 2.0) * math.factorial(n)
+    with decimal.localcontext(_DECIMAL):
+        value = _normal_mixture(n, 0.0, _age_moments(Decimal(1), rate, math.inf, n))
+    return _double(value, f"Laplace moment {n} at rate {rate:g}")
 
 
 _KUMMER_REL_TOL = 1e-12  # stop after two terms this small against the sum
@@ -349,13 +404,6 @@ def kummer_phi(a: float, b: float, c: float) -> float:
         f"(a={a:g}, b={b:g}, c={c:g}, last term {term:g})")
 
 
-def _double_factorial(n: int) -> int:
-    out = 1
-    for k in range(n, 1, -2):
-        out *= k
-    return out
-
-
 def gaussian_moment(n: int, x0: float, t: float) -> float:
     """n-th raw moment of a Normal(x0, t) random variable.
 
@@ -365,55 +413,40 @@ def gaussian_moment(n: int, x0: float, t: float) -> float:
     terminating series into an infinite one that overflows for large
     x0^2/t; it is kept as an independent cross-check in the tests.
     """
-    if n < 0:
-        raise DomainError("n must be nonnegative")
+    n = _order(n)
     _check_time(t)
-    try:
-        total = sum(math.comb(n, 2 * k) * _double_factorial(2 * k - 1)
-                    * x0 ** (n - 2 * k) * t ** k for k in range(n // 2 + 1))
-    except OverflowError:
-        total = math.inf
-    if not math.isfinite(total):
-        raise NumericalError(
-            f"Gaussian moment of order {n} overflows (x0={x0:g}, t={t:g})")
-    return total
-
-
-def sum_moment(n: int, t: float, rate: float) -> float:
-    """n-th moment of W + L for independent W ~ Normal(0, t) and centred
-    Laplace L: a binomial sum over even orders; zero for odd n."""
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-    if n % 2:
-        return 0.0
-    total = 0.0
-    for k in range(0, n + 1, 2):
-        total += (math.comb(n, k) * gaussian_moment(k, 0.0, t)
-                  * laplace_moment(n - k, rate))
-    return total
+    with decimal.localcontext(_DECIMAL):
+        value = _normal_mixture(n, x0, [Decimal(float(t)) ** k for k in range(n // 2 + 1)])
+    return _double(value, f"Gaussian moment of order {n} (x0={x0:g}, t={t:g})")
 
 
 def nth_moment(spec: ProcessSpec, n: int, t: float) -> float:
-    """n-th raw moment E X_t^n for reset point 0.
+    """n-th raw moment E X_t^n, for any start and reset point.
 
-    Combines the Laplace, Gaussian and sum moments:
-    E L^n + exp(-r t)(E W^n - E (W+L)^n).  For a nonzero reset point no
-    closed form is implemented; integrate x^n against :func:`pdf` instead.
+    Conditioned on the last reset, X_t is Normal(x0, 2Dt) with no reset by
+    t, of probability e^{-rt}, and else Normal(xR, 2DA), A the age of the
+    last reset, of density r e^{-ra} on [0, t).  So
+
+        E X_t^n = e^{-rt} E (x0 + W_t)^n
+                  + sum_k C(n, 2k) (2k-1)!! xR^(n-2k) k! (2D/r)^k P(k+1, rt),
+
+    W_t ~ Normal(0, 2Dt) and P the regularised lower incomplete gamma
+    function: the unit-frame form, with c^n (c = sqrt(2D)) folded into the
+    variances.  Each half sums terms of one sign, in Decimal, so a moment
+    within a double comes out finite and accurate, and a larger one
+    raises NumericalError.  The paper's route at xR = 0,
+    E L^n + e^{-rt}(E W^n - E (W+L)^n), subtracts terms that outgrow the
+    moment; the tests keep it, in exact arithmetic, as the reference.
     """
-    rate, a, _, c = _poisson(spec, t)
-    if spec.x_reset != 0.0:
-        raise DomainError(
-            "closed-form moments require reset point 0; integrate the "
-            "density by quadrature for other reset points")
-    try:
-        scale = c ** n
-    except OverflowError:
-        raise NumericalError(f"moment {n} overflows a double") from None
-    if rate == 0.0:
-        return scale * gaussian_moment(n, a, t)
-    unit = (laplace_moment(n, rate)
-            + math.exp(-rate * t) * (gaussian_moment(n, a, t) - sum_moment(n, t, rate)))
-    return scale * unit
+    n = _order(n)
+    rate, *_ = _poisson(spec, t)
+    with decimal.localcontext(_DECIMAL):
+        variance, age = 2 * Decimal(spec.diffusivity), Decimal(float(t))
+        value = (-Decimal(rate) * age).exp() * _normal_mixture(
+            n, spec.x0, [(variance * age) ** k for k in range(n // 2 + 1)])
+        if rate:
+            value += _normal_mixture(n, spec.x_reset, _age_moments(variance, rate, t, n))
+    return _double(value, f"moment {n} at t = {t:g}")
 
 
 def _fd_weights(offsets: np.ndarray, order: int) -> np.ndarray:
@@ -453,7 +486,7 @@ def _mgf_derivatives(spec: ProcessSpec, orders, t: float) -> list:
     unit frame's s sqrt(2D), at any length scale, narrowed to stay within
     0.4 sqrt(r / D) of 0, inside the MGF's domain.  The stencil's MGF
     values and weights are computed once for all orders."""
-    orders = list(orders)
+    orders = [_order(n) for n in orders]
     rate, _, _, c = _poisson(spec, t, positive=False)
     points = 13
     step = 0.05
@@ -1027,8 +1060,6 @@ def npp_density_curve(spec: ProcessSpec, t: float, xs=None) -> DensityCurve:
 
 def moment_table(spec: ProcessSpec, t: float, n_max: int) -> MomentTable:
     _poisson(spec, t)
-    if not n_max >= 0:
-        raise DomainError("n_max must be nonnegative")
-    orders = np.arange(n_max + 1)
-    values = np.array([nth_moment(spec, int(n), t) for n in orders])
+    orders = np.arange(_order(n_max, "n_max") + 1)
+    values = np.array([nth_moment(spec, n, t) for n in orders])
     return MomentTable(orders=orders, values=values, t=t)

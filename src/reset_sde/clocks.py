@@ -97,13 +97,18 @@ class ExponentialGaps(_GapLaw):
 
 @dataclass(frozen=True)
 class DeterministicGaps(_GapLaw):
-    """Fixed inter-reset time."""
+    """Fixed inter-reset time: the epochs are k * gap, k = 1, 2, ..."""
     gap: float
     name = "deterministic"
     mean_gap = property(lambda self: self.gap)
 
     def draw(self, rng, size):
         return np.full(size, self.gap)
+
+    def count(self, t) -> int:
+        """The number of epochs k * gap in (0, t]."""
+        k = math.floor(t / self.gap)
+        return k + ((k + 1) * self.gap <= t) - (k * self.gap > t)
 
 
 @dataclass(frozen=True)
@@ -242,6 +247,8 @@ class RenewalClock:
         return {"type": "renewal", "renewal_law": self.law.to_json()}
 
     def sample_events(self, horizon, rng) -> np.ndarray:
+        if isinstance(self.law, DeterministicGaps):  # products, so none drifts
+            return self.law.gap * np.arange(1, self.law.count(horizon) + 1)
         return _accumulate_gaps(self.law, horizon, rng)
 
 

@@ -40,7 +40,7 @@ from .core import (
     validate_spec,
     write_table,
 )
-from .clocks import _draw_gaps, likely_resets, sample_reset_times
+from .clocks import DeterministicGaps, _draw_gaps, likely_resets, sample_reset_times
 
 # Per-step reset probability must stay a small probability; the boundary
 # value 0.1 is admitted so dt = 0.1 at unit rate is a valid step.
@@ -348,7 +348,16 @@ def _renewal_ages(times, law):
     progress at one time runs on to the next.  Samples whose next epoch
     is not past a time draw rows of gaps, running sums from that epoch,
     doubling in width (at most 2**20 draws a round) until it is; the rest
-    of a row is independent of the samples and dropped."""
+    of a row is independent of the samples and dropped.  Deterministic
+    gaps draw nothing: the last epoch by t is k * gap, as in their sampler."""
+    if isinstance(law, DeterministicGaps):
+        def lattice_ages(j, n, rng):
+            t, t_prev = times[j], (times[j - 1] if j else 0.0)
+            k = law.count(t)
+            survived = k == law.count(t_prev)
+            return np.full(n, survived), np.full(n, t - (t_prev if survived else k * law.gap))
+
+        return lattice_ages
     last = nxt = None
 
     def ages(j, n, rng):

@@ -1,5 +1,9 @@
+import decimal
+from decimal import Decimal
 from fractions import Fraction
+import functools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -37,7 +41,6 @@ from reset_sde.analytic import (
     nth_moment,
     pdf,
     stationary_pdf,
-    sum_moment,
 )
 from reset_sde import stats
 
@@ -48,6 +51,67 @@ def spec_poisson(rate=1.0, x0=0.0, xr=0.0, d=0.5):
 
 def spec_npp(rate=1.0, p=0.0, d=0.5):
     return ProcessSpec(d, 0.0, 0.0, NonhomogeneousPoissonClock(rate, p))
+
+
+# The paper's route to the moments at reset point 0, in the unit frame:
+# E X_t^n = E L^n + e^{-rt} (E (x0 + W)^n - E (W + L)^n), W ~ Normal(0, t)
+# and L the centred Laplace law of scale (2r)^(-1/2), independent.  Each
+# piece is exact in rational arithmetic, over one denominator; only
+# e^{-rt} is rounded, in Decimal at enough digits to survive the
+# subtraction (t = 0.1 at order 400 cancels about 600 of 1300).
+
+def _double_factorial(n):
+    return math.prod(range(n, 0, -2))
+
+
+def paper_gaussian(n, x0, t):
+    """E (x0 + W)^n = sum_k C(n, 2k) (2k-1)!! x0^(n-2k) t^k."""
+    (a, b), (p, q), half = x0.as_integer_ratio(), t.as_integer_ratio(), n // 2
+    return Fraction(sum(math.comb(n, 2 * k) * _double_factorial(2 * k - 1) * a ** (n - 2 * k)
+                        * b ** (2 * k) * p ** k * q ** (half - k) for k in range(half + 1)),
+                    b ** n * q ** half)
+
+
+def paper_laplace(n, rate):
+    """E L^n = n! / (2 rate)^(n/2) for even n, 0 for odd n."""
+    if n % 2:
+        return Fraction(0)
+    p, q = rate.as_integer_ratio()
+    return Fraction(math.factorial(n) * q ** (n // 2), (2 * p) ** (n // 2))
+
+
+def paper_sum(n, t, rate):
+    """E (W + L)^n = sum over even j of C(n, j) E W^j E L^(n-j)."""
+    if n % 2:
+        return Fraction(0)
+    (p, q), (rp, rq), half = t.as_integer_ratio(), rate.as_integer_ratio(), n // 2
+    return Fraction(sum(math.comb(n, 2 * i) * _double_factorial(2 * i - 1)
+                        * math.factorial(n - 2 * i) * p ** i * (q * rq) ** (half - i)
+                        * (2 * rp) ** i for i in range(half + 1)),
+                    (2 * q * rp) ** half)
+
+
+_REFERENCE_DIGITS = 1300
+
+
+def _decimal(q):
+    return Decimal(q.numerator) / q.denominator
+
+
+@functools.lru_cache
+def _decay(rate, t):
+    """e^{-rt} to the reference's digits (its series is the slow part)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = _REFERENCE_DIGITS
+        return (-_decimal(Fraction(rate) * Fraction(t))).exp()
+
+
+def paper_moment(n, x0, t, rate):
+    """The paper's E X_t^n at reset point 0, unit frame, as a Decimal."""
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = _REFERENCE_DIGITS, decimal.MAX_EMAX, decimal.MIN_EMIN
+        return (_decimal(paper_laplace(n, rate)) + _decay(rate, t)
+                * _decimal(paper_gaussian(n, x0, t) - paper_sum(n, t, rate)))
 
 
 class TestMgf:
@@ -241,6 +305,11 @@ class TestMomentPieces:
                                  -np.inf, np.inf)
         assert laplace_moment(4, 1.0) == pytest.approx(quad, rel=1e-9)
         assert laplace_moment(4, 1.0) == pytest.approx(6.0)
+        # 180! overflows a double; the moment does not
+        assert laplace_moment(180, 2.0) == pytest.approx(
+            float(paper_laplace(180, 2.0)), rel=1e-14)
+        with pytest.raises(NumericalError, match="overflows"):
+            laplace_moment(400, 1.0)
 
     def test_kummer_basics(self):
         assert kummer_phi(0.3, 1.7, 0.0) == 1.0
@@ -307,14 +376,21 @@ class TestMomentPieces:
                     kummer_form(n, x0, t), rel=1e-10, abs=1e-12)
 
     def test_sum_moments(self):
-        assert sum_moment(2, 1.0, 0.5) == pytest.approx(3.0)
-        assert sum_moment(3, 1.0, 1.0) == 0.0
+        # the reference's pieces: E (W + L)^n against a double integral,
+        # E L^n and E (x0 + W)^n against the library's
+        assert paper_sum(2, 1.0, 0.5) == 3
+        assert paper_sum(3, 1.0, 1.0) == 0
         direct, _ = integrate.dblquad(
             lambda l, w: (w + l) ** 4
             * math.exp(-w ** 2 / 2) / math.sqrt(2 * math.pi)
             * laplace_pdf(l, 1.0, 0.0),
             -np.inf, np.inf, -np.inf, np.inf)
-        assert sum_moment(4, 1.0, 1.0) == pytest.approx(direct, rel=1e-6)
+        assert float(paper_sum(4, 1.0, 1.0)) == pytest.approx(direct, rel=1e-6)
+        for n in range(9):
+            assert laplace_moment(n, 0.7) == pytest.approx(float(paper_laplace(n, 0.7)),
+                                                           rel=1e-15)
+            assert gaussian_moment(n, -1.3, 0.4) == pytest.approx(
+                float(paper_gaussian(n, -1.3, 0.4)), rel=1e-15)
 
 
 class TestNthMoment:
@@ -327,14 +403,44 @@ class TestNthMoment:
     def test_long_time_second_moment_is_stationary_variance(self):
         assert nth_moment(spec_poisson(1.0), 2, 60.0) == pytest.approx(1.0, rel=1e-12)
 
-    def test_nonzero_reset_point_is_rejected_towards_quadrature(self):
-        with pytest.raises(DomainError, match="quadrature"):
-            nth_moment(spec_poisson(1.0, 0.0, 2.0), 2, 1.0)
+    def test_nonzero_reset_point_matches_quadrature(self):
+        spec, t = ProcessSpec(0.5, 1.0, 2.0, PoissonClock(1.0)), 0.7
+        for n in range(1, 7):
+            # the density is below e^-50 beyond +-40
+            quad, _ = integrate.quad(lambda x: x ** n * pdf(spec, x, t), -40.0, 40.0,
+                                     points=[1.0, 2.0], epsabs=0.0, epsrel=1e-13, limit=200)
+            assert nth_moment(spec, n, t) == pytest.approx(quad, rel=1e-12)
+        # the first moment is the mean, and the law is that of the
+        # unit-frame spec scaled by c = sqrt(2D)
+        assert nth_moment(spec, 1, t) == pytest.approx(mean(spec, t), rel=1e-15)
+        wide = ProcessSpec(2.0, 2.0, 4.0, PoissonClock(1.0))
+        for n in range(7):
+            assert nth_moment(wide, n, t) == pytest.approx(2.0 ** n * nth_moment(spec, n, t),
+                                                           rel=1e-14)
 
     def test_moment_table_invariants(self):
         table = moment_table(spec_poisson(1.0, 0.0, 0.0), 1.0, 6)
         assert table.values[0] == 1.0
         assert np.all(table.values[1::2] == 0.0)
+
+
+class TestPaperRoute:
+    # orders at which the route's two terms cancel every digit of a double
+    # (at t = 0.1, order 20 and up), and orders beyond a double
+    ORDERS = list(range(25)) + [40, 80, 160, 300, 400]
+
+    @pytest.mark.parametrize("x0", [0.0, 1.0, -2.0])
+    @pytest.mark.parametrize("t", [0.1, 1.0, 10.0])
+    def test_last_reset_form_matches_the_exact_paper_route(self, t, x0):
+        spec = spec_poisson(1.0, x0, 0.0)
+        for n in self.ORDERS:
+            reference = paper_moment(n, x0, t, 1.0)
+            if abs(reference) > sys.float_info.max:
+                with pytest.raises(NumericalError, match="overflows"):
+                    nth_moment(spec, n, t)
+            else:
+                assert nth_moment(spec, n, t) == pytest.approx(float(reference),
+                                                               rel=1e-12, abs=0.0), n
 
 
 class TestNppTransforms:
@@ -751,9 +857,17 @@ class TestTypedErrors:
     @pytest.mark.parametrize("call, error", [
         (lambda: analytic.laplace_moment(-1, 1.0), DomainError),
         (lambda: gaussian_moment(-1, 0.0, 1.0), DomainError),
-        (lambda: analytic.sum_moment(-1, 1.0, 1.0), DomainError),
         (lambda: analytic.nth_moment(ProcessSpec(0.5, 1.0, 0.0, PoissonClock(1.0)),
                                      -1, 1.0), DomainError),
+        # one order gate: a nonnegative int, and a bool is not one
+        (lambda: analytic.moment_from_mgf(spec_poisson(1.0, x0=1.0), -1, 1.0), DomainError),
+        (lambda: analytic.moment_from_mgf(spec_poisson(1.0, x0=1.0), True, 1.0), DomainError),
+        (lambda: analytic.moment_from_mgf(spec_poisson(1.0, x0=1.0), 2.0, 1.0), DomainError),
+        (lambda: nth_moment(spec_poisson(1.0, x0=1.0), True, 1.0), DomainError),
+        (lambda: nth_moment(spec_poisson(1.0, x0=1.0), 2.0, 1.0), DomainError),
+        (lambda: laplace_moment(2.0, 1.0), DomainError),
+        (lambda: moment_table(spec_poisson(1.0, x0=1.0), 1.0, 2.5), DomainError),
+        (lambda: moment_table(spec_poisson(1.0, x0=1.0), 1.0, True), DomainError),
         (lambda: analytic._fd_weights(np.array([-1.0, 1.0]), 2), SpecError),
         (lambda: analytic.moment_from_mgf(ProcessSpec(0.5, 1.0, 0.0, PoissonClock(1.0)),
                                           13, 1.0), SpecError),
@@ -778,7 +892,9 @@ class TestTypedErrors:
         (lambda: analytic.law_windows(ProcessSpec(0.5, 0.0, 0.0, RenewalClock(
             DeterministicGaps(0.5))), 1.0), SpecError),
         (lambda: analytic.default_support(spec_poisson(1.0, xr=1e300), 100.0), DomainError),
-    ], ids=["laplace", "gaussian", "sum", "nth", "fd-weights",
+    ], ids=["laplace", "gaussian", "nth", "mgf-order-negative", "mgf-order-bool",
+            "mgf-order-float", "nth-order-bool", "nth-order-float", "laplace-order-float",
+            "table-n-max-float", "table-n-max-bool", "fd-weights",
             "mgf-stencil", "mgf-overflow", "mgf-overflow-rate-0", "moment-overflow",
             "npp-msd-overflow", "npp-pdf-overflow", "npp-msd-infinite-t",
             "npp-pdf-infinite-t", "npp-cf-infinite-t", "mgf-undefined", "char-fn-undefined",

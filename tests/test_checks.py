@@ -11,12 +11,16 @@ from reset_sde.analytic import ConvergenceError
 # 1..6 span four decades, from E X = 1.4e-4 to E X^6 = 0.93; that one on
 # a length scale 1e-3 as large, where they span eleven, from 1.4e-7 to
 # 9.3e-19, all below an absolute tolerance of 1.49e-8; and on a scale 1e-4
-# as large, a density of width ~1e-4 that a quadrature over x misses.
+# as large, a density of width ~1e-4 that a quadrature over x misses;
+# and three with a reset point other than 0, left and right of the start.
 MOMENT_CASES = {
     "suite": (ProcessSpec(0.5, 1.0, 0.0, PoissonClock(1.0)), 0.7),
     "decades": (ProcessSpec(0.5, 3.0, 0.0, PoissonClock(5.0)), 2.0),
     "small-scale": (ProcessSpec(0.5e-6, 3e-3, 0.0, PoissonClock(5.0)), 2.0),
     "tiny-scale": (ProcessSpec(0.5e-8, 3e-4, 0.0, PoissonClock(5.0)), 2.0),
+    "reset-right": (ProcessSpec(0.5, 1.0, 2.0, PoissonClock(1.0)), 0.7),
+    "reset-left-wide": (ProcessSpec(2.0, 0.0, -1.5, PoissonClock(0.5)), 1.5),
+    "reset-across-0": (ProcessSpec(0.5, -2.0, 1.0, PoissonClock(2.0)), 0.3),
 }
 
 

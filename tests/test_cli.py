@@ -395,6 +395,18 @@ class TestAnalyticCommand:
         assert run(["analytic", "stationary", "--r", 1, "--xr", 0,
                     "--out", tmp_path / "st"]) == 0
 
+    def test_moments_of_every_order_at_any_reset_point(self, tmp_path, capsys):
+        args = ["analytic", "moments", "--r", 1, "--xr", 2, "--n-max", 400]
+        assert run(args + ["--t", 0.1, "--out", tmp_path / "fine"]) == 0
+        _, rows = read_csv(tmp_path / "fine" / "moments.csv")
+        assert len(rows) == 401
+        assert float(rows[-1][1]) == pytest.approx(1.1058773257844051e281, rel=1e-12)
+        capsys.readouterr()
+        # at t = 1 order 400 is 1.9e433, beyond a double
+        assert run(args + ["--t", 1, "--out", tmp_path / "over"]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: numerical:")
+
     def test_regime_json(self, tmp_path, capsys):
         out = tmp_path / "reg"
         assert run(["analytic", "regime", "--p", -0.5, "--out", out]) == 0

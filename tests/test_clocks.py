@@ -152,6 +152,15 @@ class TestRenewalLaws:
         events = sample_reset_times(clock, 1.0, np.random.default_rng(0))
         assert np.allclose(events, [0.3, 0.6, 0.9], rtol=1e-12)
 
+    def test_deterministic_epochs_are_multiples_of_the_gap(self):
+        # running sums of 1e-3 drift: the 4999th came out 4.999000000000004
+        # and the 5000th past 5
+        events = sample_reset_times(RenewalClock(DeterministicGaps(1e-3)), 5.0,
+                                    np.random.default_rng(0))
+        assert len(events) == 5000
+        assert np.array_equal(events, 1e-3 * np.arange(1, 5001))
+        assert events[-1] == 5.0
+
     def test_exponential_law_matches_poisson_clock(self):
         renewal = sample_reset_times(RenewalClock(ExponentialGaps(2.0)), 5e4,
                                      np.random.default_rng(21))

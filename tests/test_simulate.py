@@ -484,6 +484,15 @@ class TestMarginalSampler:
         assert np.all(np.abs(squares.mean(axis=0) - target) <= 3 * se)
         assert np.all(squares[:, [1, 3, 5]] == 0.0)
 
+    def test_deterministic_epochs_do_not_drift(self):
+        # the 5000th gap of 1e-3 ends at t = 5 exactly, as in the sampler,
+        # so every sample sits at the reset point there
+        spec = ProcessSpec(0.5, 1.0, 0.0, RenewalClock(DeterministicGaps(1e-3)))
+        cols = marginal_samples(spec, [4.9995, 5.0], 1000, seed=3)
+        assert cols[:, 0].var() > 0.0
+        assert np.all(cols[:, 1] == 0.0)
+        assert marginal_samples(spec, 5.0, 1000, seed=3).var() == 0.0
+
 
 class TestEnsemble:
     def test_bit_identical_reruns(self):
