@@ -66,8 +66,7 @@ def moment_errors(spec, t, orders):
         x = scale * u
         return x ** powers * (analytic.pdf(spec, x, t) * scale) / w[:, None]
 
-    quad = analytic.quadrature(integrand, -np.inf, np.inf, vector=True,
-                               epsabs=eps, epsrel=eps, limit=300)
+    quad = analytic.quadrature(integrand, -np.inf, np.inf, epsabs=eps, epsrel=eps, limit=300)
     tolerance = max(eps, eps * np.max(np.abs(quad)))
     if not abs(quad[0] - 1.0) <= tolerance:
         raise analytic.ConvergenceError(

@@ -11,8 +11,8 @@ on (``validate`` records these in ``report.json``).  Exit codes: 0
 success, 1 validation failure, 2 configuration error, 3 I/O error,
 4 numerical failure.
 
-``analytic``, ``fpe`` and ``stats`` load scipy, so only the commands that
-use them import them; ``simulate`` runs on numpy alone.
+``analytic``, ``fpe`` and ``stats`` load ``scipy.special``, so only the
+commands that use them import it; ``simulate`` runs on numpy alone.
 """
 
 import argparse

@@ -15,21 +15,35 @@ reflecting grid that cuts a window is refused.
 Discretisation: flux-form central differences (reflecting ends carry a
 one-sided stencil so the discrete mass h*sum(p) is conserved exactly),
 Crank-Nicolson in time with the sink split symmetrically and the source
-explicit, which keeps the system tridiagonal and preserves unit mass to
-rounding.  The first step is replaced by four backward-Euler half-steps
-to damp the oscillations Crank-Nicolson leaves on a point-mass initial
-condition; both kinds of step solve one matrix, factored once per solve
-(LAPACK ``gttrf``, then ``gttrs`` per step).  Dirac deltas are deposited
-on the two nodes bracketing the target with linear weights, the same
-weights used to read a function at an off-node point, which is what makes
-the generator and adjoint exact transposes of one another.
+explicit, which preserves unit mass to rounding.  The first step is
+replaced by four backward-Euler half-steps to damp the oscillations
+Crank-Nicolson leaves on a point-mass initial condition.  Dirac deltas
+are deposited on the two nodes bracketing the target with linear
+weights, the same weights used to read a function at an off-node point,
+which is what makes the generator and adjoint exact transposes of one
+another.
+
+Solution: on the uniform grid the second difference is diagonal in a
+known basis, cosines (DCT-II) between reflecting ends and sines (DST-I)
+between absorbing ones.  With mu = r - D lam for its eigenvalue lam,
+a = 1 / (1 + dt mu / 2) and g = (1 - dt mu / 2) a, a half-step scales a
+coefficient's distance from the stationary one, q = s / mu for the
+source s, by a, and a Crank-Nicolson step scales it by g.  So H
+half-steps and M steps give
+
+    p = q + a^H g^M (p0 - q)
+
+in each mode: the march of the scheme, summed in closed form.  A solve
+costs one FFT back to the grid, however many steps t / dt asks for, and
+the stationary solve is q itself.  The mass after each step is the same
+sum of geometric sequences, checked at every step in blocks of steps
+until its bound shows that no later step can drift.
 """
 
 from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .core import (
     DomainError,
@@ -41,7 +55,7 @@ from .analytic import DensityCurve, _finite, _poisson, law_windows
 
 MASS_TOLERANCE = 1e-3
 # Grids above this many nodes are refused before any array is allocated:
-# each costs a handful of float arrays of its length per step.
+# each costs a handful of float arrays of its length.
 MAX_NODES = 10 ** 6
 # The least grid step: below it 1/h^2 overflows.
 MIN_STEP = 1e-154
@@ -134,7 +148,8 @@ def _delta_weights(xs, h, x_star):
     return w
 
 def _second_difference_bands(n, h, boundary):
-    """``(off, main)``, the discrete second derivative in LAPACK's gt layout.
+    """``(off, main)``, the off and main diagonals of the discrete second
+    derivative.
 
     Reflecting: flux form with zero end flux (rows sum to zero, matrix
     symmetric).  Absorbing: value held at zero beyond the ends.
@@ -155,16 +170,113 @@ def _apply_tridiag(off, main, p):
     return out
 
 
-def _factor(shift, c, rate, diff, off, main):
-    """Factor shift + c*(r - D*L) once; return a solve for one right-hand side."""
-    upper = -c * diff * off
-    diag = shift + c * rate - c * diff * main
-    if not (np.isfinite(upper).all() and np.isfinite(diag).all()):
+def _eigenbasis(n, h, boundary):
+    """The second difference of :func:`_second_difference_bands` in its
+    eigenbasis: ``(lam, forward, inverse, sums)``, its eigenvalues, the map
+    from a grid function to its coefficients and back, and the grid sum of
+    each eigenvector as ``inverse`` scales it.
+
+    Reflecting: cos(pi k (j + 1/2) / n), a DCT-II, whose inverse is one FFT
+    of length 2n; only k = 0 has a non-zero sum.  Absorbing:
+    sin(pi (k + 1)(j + 1) / (n + 1)), a DST-I, its own inverse up to
+    2 / (n + 1) and one FFT of the odd extension of length 2(n + 1); mode
+    k sums to cot(pi (k + 1) / 2(n + 1)) for even k and to 0 for odd k.
+    ``forward`` sums over the non-zero nodes alone: the solvers give it
+    point masses, two nodes each.
+    """
+    if boundary == "reflecting":
+        theta, offset, wave = np.pi * np.arange(n) / n, 0.5, np.cos
+        sums = np.zeros(n)
+        sums[0] = 1.0
+
+        def inverse(c):
+            return 2.0 * np.fft.irfft(np.append(c * np.exp(0.5j * theta), 0.0), 2 * n)[:n]
+    else:
+        theta, offset, wave = np.pi * np.arange(1, n + 1) / (n + 1), 1.0, np.sin
+        sums = np.where(np.arange(n) % 2, 0.0, 2.0 / (n + 1) / np.tan(theta / 2.0))
+
+        def inverse(c):
+            odd = np.zeros(2 * (n + 1))
+            odd[1:n + 1] = c
+            odd[n + 2:] = -c[::-1]
+            return -np.fft.rfft(odd)[1:n + 1].imag / (n + 1)
+
+    def forward(p):
+        nodes = np.flatnonzero(p)
+        return wave(np.multiply.outer(theta, nodes + offset)) @ p[nodes]
+
+    lam = -np.square(2.0 / h * np.sin(theta / 2.0))
+    return lam, forward, inverse, sums
+
+
+def _decay_rates(spec, grid, rate, scale):
+    """``(mu, point, inverse, sums)`` in the grid's eigenbasis: mu = r - D lam
+    for each eigenvalue lam, refused unless ``scale * mu`` is finite, and
+    ``point(x)`` the coefficients of a unit point mass at x; the rest as
+    :func:`_eigenbasis` gives them."""
+    xs, h = grid.xs, grid.h
+    lam, forward, inverse, sums = _eigenbasis(len(xs), h, grid.boundary)
+    mu = rate - spec.diffusivity * lam
+    if not np.isfinite(scale * mu).all():
         raise NumericalError("the FPE system is not finite: D/h^2 or r*dt overflows")
-    *lu, info = dgttrf(upper, diag, upper)
-    if info != 0:
-        raise NumericalError(f"the FPE system is singular (LAPACK gttrf info {info})")
-    return lambda rhs: dgttrs(*lu, rhs)[0]
+    return mu, lambda x: forward(_delta_weights(xs, h, x) / h), inverse, sums
+
+
+# The mass check's block of step factors, modes x steps, and the summed
+# bound of the modes it leaves out, below which they cannot move the mass.
+_MASS_BLOCK = 1 << 16
+_MASS_NEGLIGIBLE = 1e-15
+
+
+def _check_mass(base, c, a, g, half_steps, steps):
+    """Raise at the first step whose mass drifts beyond MASS_TOLERANCE.
+
+    After half-step i the mass is base + sum_k c_k a_k^i, and after the
+    Crank-Nicolson step m that follows them base + sum_k c_k a_k^H g_k^m.
+    The steps go in blocks that double from 16 steps.  A mode leaves once
+    its bound |c_k g_k^m| is below ``_MASS_NEGLIGIBLE`` over the number of
+    modes, and the check stops once the bounds show that no later step
+    can drift.
+    """
+    def check(masses):
+        drifted = ~(np.abs(masses - 1.0) <= MASS_TOLERANCE)
+        if drifted.any():
+            mass = float(masses[np.argmax(drifted)])
+            if not math.isfinite(mass):
+                raise NumericalError("the FPE density is not finite: r, D or 1/h overflows")
+            raise MassConservationError(
+                f"mass drifted to {mass:.6f}; boundary too close or grid too coarse")
+
+    negligible = _MASS_NEGLIGIBLE / len(c)
+    frozen = g == 1.0  # mu = 0: the mode keeps its share at every step
+    base += c[frozen].sum()
+    live = np.flatnonzero(c * ~frozen)
+    c, a, g = c[live], a[live], g[live]
+    for _ in range(half_steps):
+        c = c * a
+        check(np.array([base + c.sum()]))
+    done, width = 0, 16
+    while done < steps:
+        bound = np.abs(c)
+        if abs(base - 1.0) + bound.sum() + _MASS_NEGLIGIBLE <= MASS_TOLERANCE:
+            return
+        keep = bound > negligible
+        c, g = c[keep], g[keep]
+        if not len(c):
+            check(np.array([base]))
+            return
+        block = int(min(steps - done, width, max(1, _MASS_BLOCK // len(c))))
+        width *= 2
+        powers = np.cumprod(np.broadcast_to(g[:, None], (len(g), block)), axis=1)
+        check(base + c @ powers)
+        c = c * powers[:, -1]
+        done += block
+
+
+def _stationary_modes(source, mu):
+    """The stationary solve in the eigenbasis, source / mu per mode; 0 in
+    the mode of mu = 0, which only a source of rate 0 leaves."""
+    return np.divide(source, mu, out=np.zeros_like(source), where=mu != 0.0)
 
 
 # an overflow leaves a non-finite system or density, refused as NumericalError
@@ -177,37 +289,25 @@ def _solve_transient(spec, grid, t_final, weighted):
         density_at_reset = lam / 2.0
         source_coeff = 2.0 * spec.diffusivity * lam * density_at_reset
     _check_margins(spec, grid, t_final)
-    xs, h, dt = grid.xs, grid.h, grid.dt
-    diff = spec.diffusivity
-    off, main = _second_difference_bands(len(xs), h, grid.boundary)
-    source = source_coeff * _delta_weights(xs, h, spec.x_reset) / h
-    p = _delta_weights(xs, h, spec.x0) / h
-
-    n_steps = max(1, int(round(t_final / dt)))
+    xs, h = grid.xs, grid.h
+    if not t_final / grid.dt < math.inf:
+        raise SpecError(f"t / dt = {t_final:g} / {grid.dt:g} steps overflow a double")
+    n_steps = max(1, int(round(t_final / grid.dt)))
     dt = t_final / n_steps
-    # a backward-Euler half-step and a Crank-Nicolson step share one matrix
-    solve = _factor(1.0, dt / 2.0, rate, diff, off, main)
-
-    def check_mass(p):
-        mass = h * p.sum()
-        if not math.isfinite(mass):
-            raise NumericalError("the FPE density is not finite: r, D or 1/h overflows")
-        if not abs(mass - 1.0) <= MASS_TOLERANCE:
-            raise MassConservationError(
-                f"mass drifted to {mass:.6f}; boundary too close or grid too coarse")
-        return p
-
     # Rannacher start-up: implicit half-steps damp the point-mass modes.
     # Four halves cover the first two dt steps (two halves when only one
-    # step exists).
+    # step exists); Crank-Nicolson steps march the rest.
     half_steps = 4 if n_steps >= 2 else 2
-    for _ in range(half_steps):
-        p = check_mass(solve(p + (dt / 2.0) * source))
-    for _ in range(n_steps - half_steps // 2):
-        rhs = (1.0 - 0.5 * dt * rate) * p \
-            + 0.5 * dt * diff * _apply_tridiag(off, main, p) \
-            + dt * source
-        p = check_mass(solve(rhs))
+    cn_steps = n_steps - half_steps // 2
+    mu, point, inverse, sums = _decay_rates(spec, grid, rate, dt)
+    a = 1.0 / (1.0 + 0.5 * dt * mu)
+    g = (1.0 - 0.5 * dt * mu) * a
+    stationary = _stationary_modes(source_coeff * point(spec.x_reset), mu)
+    start = point(spec.x0) - stationary
+    _check_mass(h * (sums @ stationary), h * sums * start, a, g, half_steps, cn_steps)
+    p = inverse(stationary + a ** half_steps * g ** float(cn_steps) * start)
+    if not np.isfinite(p).all():
+        raise NumericalError("the FPE density is not finite: r, D or 1/h overflows")
     return DensityCurve(xs=xs, values=p, t=t_final)
 
 
@@ -230,14 +330,12 @@ def stationary_fpe(spec: ProcessSpec, grid: FpeGrid) -> DensityCurve:
     if rate <= 0:
         raise DomainError("no stationary density without resetting (rate 0)")
     _check_margins(spec, grid, None)
-    xs, h = grid.xs, grid.h
-    solve = _factor(0.0, 1.0, rate, spec.diffusivity,
-                    *_second_difference_bands(len(xs), h, grid.boundary))
-    p = solve(rate * _delta_weights(xs, h, spec.x_reset) / h)
-    mass = h * p.sum()
+    mu, point, inverse, _ = _decay_rates(spec, grid, rate, 1.0)
+    p = inverse(_stationary_modes(rate * point(spec.x_reset), mu))
+    mass = grid.h * p.sum()
     if not 0 < mass < math.inf:
         raise NumericalError(f"stationary solve produced mass {mass:g}")
-    return DensityCurve(xs=xs, values=p / mass, t=math.inf)
+    return DensityCurve(xs=grid.xs, values=p / mass, t=math.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -423,6 +423,23 @@ class TestNthMoment:
         assert table.values[0] == 1.0
         assert np.all(table.values[1::2] == 0.0)
 
+    @pytest.mark.parametrize("t", [0.1, 1.0])
+    def test_moment_table_is_nth_moment_bit_for_bit(self, t):
+        # the table builds its shares once; each order is the one
+        # nth_moment gives, up to the last order within a double
+        spec = ProcessSpec(0.5, -1.0, 2.0, PoissonClock(1.0))
+        want = []
+        for n in range(401):
+            try:
+                want.append(nth_moment(spec, n, t))
+            except NumericalError:
+                with pytest.raises(NumericalError, match=f"moment {n} "):
+                    moment_table(spec, t, n)
+                break
+        assert len(want) == 401 if t == 0.1 else 100 < len(want) < 401
+        table = moment_table(spec, t, len(want) - 1)
+        assert table.values.tolist() == want
+
 
 class TestPaperRoute:
     # orders at which the route's two terms cancel every digit of a double
@@ -548,6 +565,30 @@ def oracle_npp_char_fn(rate, p, s, t):
     return math.exp(-total - 0.5 * t * s * s) + tail
 
 
+def oracle_npp_msd(rate, p, t):
+    """Unit-frame mean age by its own quad call over the age a, with
+    R(t) - R(t - a) from the closed form in 40-digit decimal, so that R(t)
+    cancels against R(t - a) far below a double's rounding."""
+    context = decimal.Context(prec=40)
+    top, power = context.add(Decimal(t), 1), Decimal(p + 1.0)
+    front = context.power(top, power) if p != -1.0 else None
+
+    def since(age):
+        low = context.subtract(top, Decimal(age))
+        if p == -1.0:
+            return rate * float(context.ln(context.divide(top, low)))
+        return rate / (p + 1.0) * float(context.subtract(front, context.power(low, power)))
+
+    # the survival decays within ~1/f(t) of age 0: breakpoints from there
+    breaks, age = [], 1.0 / (rate * (t + 1.0) ** p)
+    while age < t:
+        breaks.append(age)
+        age *= 4.0
+    value, _ = integrate.quad(lambda a: math.exp(-since(a)), 0.0, t, points=breaks or None,
+                              epsabs=0.0, epsrel=1e-12, limit=400)
+    return value
+
+
 class TestNppVectorisedQuadrature:
     """One vector quadrature per curve must reproduce per-point quad to 1e-10
     of the curve's peak."""
@@ -598,12 +639,13 @@ def exp_rows(x):
 
 
 class TestQuadrature:
-    """The vector route against scipy.integrate as an independent oracle."""
+    """The Gauss-Kronrod rule against scipy.integrate as an independent oracle."""
 
-    def test_scalar_and_vector_paths_integrate(self):
-        assert analytic.quadrature(math.exp, 0.0, 1.0) == pytest.approx(math.e - 1.0,
-                                                                        rel=1e-12)
-        out = analytic.quadrature(exp_rows, 0.0, 1.0, vector=True)
+    def test_one_value_and_rows_integrate(self):
+        # an integrand of one value per node comes back a 0-d array
+        one = analytic.quadrature(np.exp, 0.0, 1.0)
+        assert one.shape == () and one == pytest.approx(math.e - 1.0, rel=1e-12)
+        out = analytic.quadrature(exp_rows, 0.0, 1.0)
         oracle = [integrate.quad(lambda x: math.exp(k * x), 0.0, 1.0)[0] for k in KS]
         assert np.allclose(out, oracle, rtol=1e-12, atol=0.0)
         assert np.allclose(out, np.expm1(KS) / KS, rtol=1e-12, atol=0.0)
@@ -612,7 +654,7 @@ class TestQuadrature:
                                         (-np.inf, 0.5), (np.inf, 0.0)])
     def test_infinite_ranges(self, lo, hi):
         gauss = lambda x: np.exp(-np.multiply.outer(KS, x) ** 2)
-        out = analytic.quadrature(gauss, lo, hi, vector=True)
+        out = analytic.quadrature(gauss, lo, hi)
         oracle = [integrate.quad(lambda x: math.exp(-(k * x) ** 2), lo, hi,
                                  epsabs=1e-13, epsrel=1e-12)[0] for k in KS]
         assert np.allclose(out, oracle, rtol=1e-10, atol=0.0)
@@ -630,25 +672,22 @@ class TestQuadrature:
         assert evaluations == info.neval
         assert np.allclose(value, ref, rtol=1e-14, atol=0.0)
         assert error == pytest.approx(ref_error, rel=1e-6)
-        assert np.allclose(analytic.quadrature(kink, lo, hi, points=[0.3], vector=True),
+        assert np.allclose(analytic.quadrature(kink, lo, hi, points=[0.3]),
                            ref, rtol=1e-14, atol=0.0)
 
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-    @pytest.mark.parametrize("vector", [False, True])
-    def test_error_estimate_beyond_tolerance_raises(self, vector):
-        spike = lambda x: 1.0 / (np.multiply.outer(np.ones(2), x) ** 2 + 1e-8)
-        if not vector:
-            spike = lambda x: 1.0 / (x * x + 1e-8)
+    @pytest.mark.parametrize("rows", [(), (2,)], ids=["one-value", "two-rows"])
+    def test_error_estimate_beyond_tolerance_raises(self, rows):
+        spike = lambda x: 1.0 / (np.multiply.outer(np.ones(rows), x) ** 2 + 1e-8)
         with pytest.raises(ConvergenceError, match="error estimate"):
-            analytic.quadrature(spike, -1.0, 1.0, vector=vector, limit=2)
+            analytic.quadrature(spike, -1.0, 1.0, limit=2)
 
     def test_limit_one_leaves_the_first_estimate(self):
         # one interval, never split: sqrt's kink at 0 keeps its estimate high
         root = lambda x: np.sqrt(np.multiply.outer(KS, x))
-        assert analytic.quadrature(root, 0.0, 1.0, vector=True) == pytest.approx(
+        assert analytic.quadrature(root, 0.0, 1.0) == pytest.approx(
             2.0 / 3.0 * np.sqrt(KS), rel=1e-8)
         with pytest.raises(ConvergenceError, match="error estimate"):
-            analytic.quadrature(root, 0.0, 1.0, vector=True, limit=1)
+            analytic.quadrature(root, 0.0, 1.0, limit=1)
 
     def test_nan_integrand_raises(self):
         calls = []
@@ -658,7 +697,7 @@ class TestQuadrature:
             return np.where(np.abs(x - 0.5) < 0.1, np.nan, exp_rows(x))
 
         with pytest.raises(ConvergenceError, match="error estimate nan"):
-            analytic.quadrature(nan_at_half, 0.0, 1.0, vector=True)
+            analytic.quadrature(nan_at_half, 0.0, 1.0)
         assert len(calls) <= 3  # a NaN ends the refinement at once
 
     @pytest.mark.parametrize("components", [7, 100, 500])
@@ -672,11 +711,11 @@ class TestQuadrature:
             sizes.append(x.size)
             return np.exp(np.multiply.outer(ks, x))
 
-        whole = analytic.quadrature(rows, 0.0, 1.0, vector=True)
+        whole = analytic.quadrature(rows, 0.0, 1.0)
         assert len(sizes) <= 3  # 1 node, the rest of 21, then 42 in one call
         monkeypatch.setattr(analytic, "_QUAD_BUDGET", 300)
         sizes.clear()
-        budgeted = analytic.quadrature(rows, 0.0, 1.0, vector=True)
+        budgeted = analytic.quadrature(rows, 0.0, 1.0)
         assert sizes[0] == 1
         assert max(sizes) == max(1, 300 // components)
         assert sum(sizes) == 63
@@ -685,16 +724,17 @@ class TestQuadrature:
 
     def test_record_counts_calls_evaluations_and_error_share(self):
         with analytic.quadrature_record() as record:
-            analytic.quadrature(exp_rows, 0.0, 1.0, vector=True)
+            analytic.quadrature(exp_rows, 0.0, 1.0)
             with analytic.quadrature_record() as inner:
-                analytic.quadrature(math.exp, 0.0, 1.0)
+                analytic.quadrature(np.exp, 0.0, 1.0)
+        # each: one node, the rest of the first 21, then one round of 42
         assert record == dict(quadratures=1, integrand_calls=3, evaluations=63,
                               worst_error_share=record["worst_error_share"])
-        assert inner == dict(quadratures=1, integrand_calls=21, evaluations=21,
+        assert inner == dict(quadratures=1, integrand_calls=3, evaluations=63,
                              worst_error_share=inner["worst_error_share"])
         assert 0.0 < record["worst_error_share"] < 1.0
         assert 0.0 < inner["worst_error_share"] < 1.0
-        analytic.quadrature(math.exp, 0.0, 1.0)  # outside any block: not counted
+        analytic.quadrature(np.exp, 0.0, 1.0)  # outside any block: not counted
         assert record["quadratures"] == 1
 
     def test_npp_pdf_reports_unconverged_quadrature(self, monkeypatch):
@@ -706,6 +746,13 @@ class TestQuadrature:
 
 
 class TestNppMsd:
+    @pytest.mark.parametrize("p", [-3.0, -1.5, -1.0, -0.5, 0.0, 0.5, 2.0])
+    def test_matches_quad_oracle(self, p):
+        for rate in (0.1, 1.0, 10.0):
+            for t in (1e-3, 0.1, 1.0, 10.0, 1e4):
+                assert npp_msd(spec_npp(rate, p), t) == pytest.approx(
+                    oracle_npp_msd(rate, p, t), rel=1e-8), (rate, t)
+
     def test_constant_exponent_closed_form(self):
         spec = spec_npp(1.0, 0.0)
         for t in (0.5, 2.0, 10.0):

@@ -561,6 +561,11 @@ class TestFpeCommand:
         assert run(["fpe", "--r", 1, "--t", 50, "--x-lo", -6, "--x-hi", 6,
                     "--h", 0.1, "--dt", 0.1, "--out", tmp_path / "cut"]) == 2
 
+    def test_any_time_solves_to_unit_mass(self, tmp_path, capsys):
+        # 1e303 steps of dt = 1e-3, summed in closed form
+        assert run(["fpe", "--r", 1, "--t", "1e300", "--out", tmp_path / "late"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "mass = 1.00000000"
+
     def test_mass_drift_exits_4(self, tmp_path):
         assert run(["fpe", "--form", "evans", "--r", 0, "--t", 1.0,
                     "--x-lo", -2, "--x-hi", 2, "--boundary", "absorbing",
@@ -580,6 +585,22 @@ class TestValidateCommand:
             for check in checks:
                 assert check["pass"] is True
                 assert {"name", "value", "tolerance", "pass"} <= set(check)
+
+    def test_analytic_modules_load_only_scipy_special(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(reset_sde.__file__))
+        code = ("import sys\n"
+                "import reset_sde.analytic, reset_sde.fpe, reset_sde.stats, reset_sde.checks\n"
+                "from reset_sde import cli\n"
+                "assert cli.main(['validate', '--suite', 'fpe-agreement', '--suite', "
+                f"'dynkin', '--out', {str(tmp_path)!r}]) == 0\n"
+                "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', "
+                "'scipy.linalg', 'scipy.sparse') if m in sys.modules))\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                p for p in (src, os.environ.get("PYTHONPATH")) if p)))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_report_records_seconds_per_suite(self, tmp_path):
         out = tmp_path / "val"

@@ -10,7 +10,7 @@ from reset_sde import (
     ProcessSpec,
     SpecError,
 )
-from reset_sde import analytic
+from reset_sde import analytic, fpe
 from reset_sde.core import NumericalError
 from reset_sde.fpe import (
     MAX_NODES,
@@ -37,6 +37,36 @@ FIG3 = spec_poisson(1.0, 0.0, 3.0)
 
 def l1(xs, a, b):
     return float(np.trapezoid(np.abs(a - b), xs))
+
+
+def dense_generator(spec, grid):
+    """r - D L as a dense matrix, L the grid's second difference."""
+    off, main = _second_difference_bands(len(grid.xs), grid.h, grid.boundary)
+    second = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
+    return spec.clock.rate * np.eye(len(main)) - spec.diffusivity * second
+
+
+def reference_march(spec, grid, t_final, weighted):
+    """The scheme the solvers sum in closed form, marched step by step with
+    one dense solve per step: Rannacher backward-Euler half-steps, then
+    Crank-Nicolson steps, the source explicit."""
+    rate, xs, h = spec.clock.rate, grid.xs, grid.h
+    coeff = rate
+    if weighted:
+        lam = math.sqrt(rate / spec.diffusivity)
+        coeff = 2.0 * spec.diffusivity * lam * (lam / 2.0)
+    source = coeff * _delta_weights(xs, h, spec.x_reset) / h
+    p = _delta_weights(xs, h, spec.x0) / h
+    n_steps = max(1, int(round(t_final / grid.dt)))
+    dt = t_final / n_steps
+    step = 0.5 * dt * dense_generator(spec, grid)
+    implicit, explicit = np.eye(len(xs)) + step, np.eye(len(xs)) - step
+    half_steps = 4 if n_steps >= 2 else 2
+    for _ in range(half_steps):
+        p = np.linalg.solve(implicit, p + 0.5 * dt * source)
+    for _ in range(n_steps - half_steps // 2):
+        p = np.linalg.solve(implicit, explicit @ p + dt * source)
+    return p
 
 
 class TestGridValidation:
@@ -192,7 +222,7 @@ class TestTransientSolvers:
     def test_densities_match_pinned_digests(self):
         # The solvers' output is part of the contract: the sha256 of the
         # float64 bytes of each density, on the default grid and on an
-        # absorbing one.
+        # absorbing one.  TestClosedForm holds them to the dense march.
         def digest(curve):
             return hashlib.sha256(np.ascontiguousarray(curve.values, dtype=np.float64)
                                   .tobytes()).hexdigest()
@@ -208,18 +238,72 @@ class TestTransientSolvers:
         got["stationary-absorbing"] = digest(stationary_fpe(FIG3, absorbing))
         assert got == {
             "evans-default":
-                "53c01d29117c8052ffaaed70d119a74d70eb07964ff2431d0f88f3a7dbcca2a8",
+                "8a2523867cd2386d8fa181c6aa0b2e5f8e1f5da5a443d8041d8604f7af62aa1d",
             "delta-fl-default":
-                "d50e84c468cf17429de1dea512e03f2f79ffa54621e81db6b71cec3f37e4ad30",
+                "f31403c61677a08cbdfcca93793eee458a7a562897577f712d5f832cb58d0e59",
             "evans-absorbing":
-                "f6db16b3de59c638f58b0b8367e1c473b5db1dec5b7b3114275f739a1796223f",
+                "24b52261db0a7685900c37fd380364142d246972d0f16ea3d839c0be071bad48",
             "delta-fl-absorbing":
-                "b3e9ec70457f7e01f9407f2d07c012b44cfdb3de88902ad293eea15f4b241558",
+                "7966b57f63edc7c50b226e6faf2c1fb527ec48dab1be22f570636a6aba2319cc",
             "stationary-default":
-                "ea0adf7011361b7a44009232755ad2c10f0a134d1e40d4a37d0173805012dc68",
+                "ccfb19bbed786cb3a5659dab8164c1b124ee81e272e396596d7b9ca755cc72bd",
             "stationary-absorbing":
-                "8a857b7b4ce6675532c221992324d782291f52ae4ea97d73f4f93e0fa56c316b",
+                "c7dc56af67d39d64adedb8316e7ef2b561ca60f94069432fa3e80c149949afb9",
         }
+
+
+class TestClosedForm:
+    """The solvers sum the march in the grid's eigenbasis: the dense march
+    is their reference, on grids of at most 80 nodes."""
+
+    SPEC = spec_poisson(8.0, 0.4, -0.3)
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 7])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["evans", "delta-fl"])
+    @pytest.mark.parametrize("boundary", ["reflecting", "absorbing"])
+    def test_matches_the_dense_march(self, boundary, weighted, n_steps):
+        grid = FpeGrid(-7.0, 8.0, h=0.2, dt=0.05, boundary=boundary)
+        assert len(grid.xs) <= 80
+        solve = solve_fpe_delta_fl if weighted else solve_fpe_evans
+        got = solve(self.SPEC, grid, n_steps * 0.05).values
+        want = reference_march(self.SPEC, grid, n_steps * 0.05, weighted)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("boundary", ["reflecting", "absorbing"])
+    def test_stationary_matches_the_dense_solve(self, boundary):
+        grid = FpeGrid(-7.0, 8.0, h=0.2, boundary=boundary)
+        source = _delta_weights(grid.xs, grid.h, self.SPEC.x_reset) / grid.h
+        want = np.linalg.solve(dense_generator(self.SPEC, grid), self.SPEC.clock.rate * source)
+        want /= grid.h * want.sum()
+        got = stationary_fpe(self.SPEC, grid).values
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
+    @pytest.mark.parametrize("t", [1e6, 1e300])
+    def test_cost_does_not_grow_with_time(self, t):
+        # 1e9 and 1e303 steps of dt = 1e-3 reach the stationary solve
+        grid = default_grid(FIG3, None)
+        stationary = stationary_fpe(FIG3, grid).values
+        for solve in (solve_fpe_evans, solve_fpe_delta_fl):
+            assert np.max(np.abs(solve(FIG3, grid, t).values - stationary)) <= 1e-14
+
+    def test_a_step_count_beyond_a_double_is_refused(self):
+        with pytest.raises(SpecError, match="overflow"):
+            solve_fpe_evans(FIG3, default_grid(FIG3, None), 1e308)
+
+    @pytest.mark.parametrize("x0, drifted, final", [(-0.9, "0.998948", 0.999883),
+                                                     (-0.7, "0.998745", 0.999888)])
+    def test_mass_that_dips_and_recovers_raises_at_the_dip(self, monkeypatch, x0, drifted,
+                                                           final):
+        # every step is checked: the mass leaks at the near end, then the
+        # resets refill it; the first drift is at the first half-step from
+        # x0 = -0.9, and at the seventh Crank-Nicolson step from x0 = -0.7
+        spec = spec_poisson(5.0, x0, 3.0)
+        grid = FpeGrid(-1.0, 6.0, h=1e-2, dt=1e-3, boundary="absorbing")
+        with pytest.raises(MassConservationError, match=f"mass drifted to {drifted};"):
+            solve_fpe_evans(spec, grid, 2.0)
+        # a check on the final mass alone would pass it
+        monkeypatch.setattr(fpe, "MASS_TOLERANCE", 1.0)
+        assert solve_fpe_evans(spec, grid, 2.0).mass() == pytest.approx(final, abs=1e-6)
 
 
 class TestStationary:
