@@ -290,8 +290,8 @@ def _cmd_simulate(args) -> int:
     resolved = dict(run_metadata(spec, cfg, n, seed), workers=counts["workers"], out=out)
     _write_manifest(out, "simulate", resolved, seed,
                     [TRAJECTORIES_CSV, RESETS_CSV], started,
-                    stages={"ensemble_s": round(counts["ensemble_s"], 3),
-                            "write_s": round(counts["write_s"], 3)},
+                    stages={key: round(counts[key], 3) for key in
+                            ("ensemble_s", "write_s", "cpu_s", "shards_wall_s")},
                     counters=counters)
     print(f"wrote {os.path.join(out, TRAJECTORIES_CSV)} ({n} trajectories)")
     return EXIT_OK

@@ -3,7 +3,8 @@
 The clock enters the dynamics only through its counting process N_t, in
 the jump term -(X_{t-} - x_R) dN_t, so every clock answers the same
 questions: ``validate()``, ``to_json()``, ``base_rate`` (None for renewal
-clocks) and ``sample_events(horizon, rng)``, its epochs in (0, horizon].
+clocks) and ``sample_events(horizon, rngs)``, each generator's epochs in
+(0, horizon], flat in generator order, with their counts.
 The two Poisson clocks are one power-law family, intensity
 rate*(t+1)**exponent (homogeneous: exponent 0, the one admitting rate 0),
 and also give ``intensity``, ``cumulative`` R(t) and ``inverse_cumulative``.
@@ -130,32 +131,58 @@ RenewalLaw = Union[ExponentialGaps, DeterministicGaps, ParetoGaps]
 _GAP_LAWS = {law.name: law for law in (ExponentialGaps, DeterministicGaps, ParetoGaps)}
 
 
-def _draw_gaps(law, rng, size):
-    """``law.draw(rng, size)``, refused unless every gap is positive."""
-    gaps = law.draw(rng, size)
+def _positive(gaps):
+    """``gaps``, refused unless every one is positive."""
     if (gaps <= 0).any():
         raise SpecError("renewal law produced a non-positive gap")
     return gaps
 
 
-def _accumulate_gaps(law, horizon, rng):
+def _draw_gaps(law, rng, size):
+    """``law.draw(rng, size)``, refused unless every gap is positive."""
+    return _positive(law.draw(rng, size))
+
+
+def _accumulate_gaps(law, horizon, rngs):
     """Cumulative sums of positive gaps drawn from ``law``, truncated at
-    ``horizon``."""
+    ``horizon``: one row per generator, returned flat in generator order
+    with each row's count.
+
+    Each generator draws the chunks a row of its own would: a first one
+    sized by the mean gap, then, while the row's total is at or below
+    ``horizon``, one of int(1.5 * width) + 16 gaps after a chunk of
+    ``width``, its cumulative sums offset by that total.  A chunk's rows
+    are drawn one generator at a time and summed together."""
     mean_gap = law.mean_gap
-    block = max(16, int(1.2 * horizon / mean_gap) + 8) if math.isfinite(mean_gap) else 16
-    total = 0.0
-    chunks = []
+    width = max(16, int(1.2 * horizon / mean_gap) + 8) if math.isfinite(mean_gap) else 16
+    rows = np.arange(len(rngs))
+    rounds = []
     while True:
-        times = _draw_gaps(law, rng, block).cumsum()
-        if total:
-            times += total
-        chunks.append(times)
-        total = times[-1]
-        if total > horizon:
+        gaps = np.empty((len(rows), width))
+        for k, row in enumerate(rows.tolist()):
+            gaps[k] = law.draw(rngs[row], width)
+        times = _positive(gaps).cumsum(axis=1)
+        if rounds:
+            times += total[:, None]
+        kept = times <= horizon
+        counts = kept.sum(axis=1)
+        rounds.append((rows, times[kept], counts))
+        more = (counts == width).nonzero()[0]  # rows still at or below horizon
+        if not len(more):
             break
-        block = int(1.5 * block) + 16
-    events = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-    return events[:events.searchsorted(horizon, "right")]
+        rows, total = rows[more], times[more, -1]
+        width = int(1.5 * width) + 16
+    if len(rounds) == 1:
+        return rounds[0][1:]
+    # round by round, then row by row: a stable sort by row groups the rows
+    rows, events, counts = map(np.concatenate, zip(*rounds))
+    owner = rows.repeat(counts)
+    return events[np.argsort(owner, kind="stable")], np.bincount(owner, minlength=len(rngs))
+
+
+def _none(rngs):
+    """No epochs for any of ``rngs``."""
+    return np.empty(0), np.zeros(len(rngs), dtype=int)
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +227,10 @@ class PoissonClock(_PowerLawClock):
     def to_json(self) -> dict:
         return {"type": "poisson", "r": self.rate}
 
-    def sample_events(self, horizon, rng) -> np.ndarray:
+    def sample_events(self, horizon, rngs):
         if self.rate == 0.0:
-            return np.empty(0)
-        return _accumulate_gaps(ExponentialGaps(1.0 / self.rate), horizon, rng)
+            return _none(rngs)
+        return _accumulate_gaps(ExponentialGaps(1.0 / self.rate), horizon, rngs)
 
 
 @dataclass(frozen=True)
@@ -221,15 +248,16 @@ class NonhomogeneousPoissonClock(_PowerLawClock):
     def to_json(self) -> dict:
         return {"type": "npp", "r": self.rate, "p": self.exponent}
 
-    def sample_events(self, horizon, rng) -> np.ndarray:
-        """A unit-rate event stream up to R(horizon), mapped through R^-1:
+    def sample_events(self, horizon, rngs):
+        """Unit-rate event streams up to R(horizon), mapped through R^-1:
         exact, unlike thinning, which has no a.s. bound on proposals."""
         budget = self.cumulative(horizon)
         if not budget > 0:
-            return np.empty(0)
+            return _none(rngs)
         if budget == math.inf:
             raise SpecError(f"R(horizon) overflows a double at horizon {horizon:g}")
-        return self.inverse_cumulative(_accumulate_gaps(ExponentialGaps(1.0), budget, rng))
+        events, counts = _accumulate_gaps(ExponentialGaps(1.0), budget, rngs)
+        return self.inverse_cumulative(events), counts
 
 
 @dataclass(frozen=True)
@@ -246,10 +274,12 @@ class RenewalClock:
     def to_json(self) -> dict:
         return {"type": "renewal", "renewal_law": self.law.to_json()}
 
-    def sample_events(self, horizon, rng) -> np.ndarray:
+    def sample_events(self, horizon, rngs):
         if isinstance(self.law, DeterministicGaps):  # products, so none drifts
-            return self.law.gap * np.arange(1, self.law.count(horizon) + 1)
-        return _accumulate_gaps(self.law, horizon, rng)
+            count = self.law.count(horizon)
+            epochs = self.law.gap * np.arange(1, count + 1)
+            return np.tile(epochs, len(rngs)), np.full(len(rngs), count)
+        return _accumulate_gaps(self.law, horizon, rngs)
 
 
 ResetClock = Union[PoissonClock, NonhomogeneousPoissonClock, RenewalClock]
@@ -329,6 +359,10 @@ def likely_resets(clock, horizon) -> float:
 def sample_reset_times(clock, horizon, rng) -> np.ndarray:
     """Event times of ``clock`` in (0, horizon], strictly increasing.
 
+    The block of one of ``clock.sample_events``: an ensemble block samples
+    every trajectory's epochs in one call, and each generator draws there
+    what it draws here.
+
     Parameters
     ----------
     clock : PoissonClock | NonhomogeneousPoissonClock | RenewalClock
@@ -340,4 +374,4 @@ def sample_reset_times(clock, horizon, rng) -> np.ndarray:
     if not horizon > 0:
         raise SpecError("horizon must be positive")
     validate_clock(clock)
-    return clock.sample_events(horizon, rng)
+    return clock.sample_events(horizon, [rng])[0]

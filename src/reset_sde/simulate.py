@@ -10,9 +10,11 @@ point is represented without discretisation error.
 Ensembles derive one RNG substream per trajectory from (seed, index), so
 any process can simulate any range of indices: ``ensemble_csv`` splits an
 ensemble over worker processes and writes the same bytes for any worker
-count.  Trajectories are simulated in blocks: one merge of the resets
-into the grid, one walk and one CSV write per block, with each
-trajectory's bits those of a run of its own.
+count.  Trajectories are simulated in blocks, with each trajectory's bits
+those of a run of its own: the block's generators are seeded in one
+array evaluation of numpy's ``SeedSequence`` hash over their spawn keys,
+its clocks sampled in one call, row by row, and then come one merge of
+the resets into the grid, one walk and one CSV write per block.
 """
 
 from dataclasses import dataclass, replace
@@ -40,7 +42,7 @@ from .core import (
     validate_spec,
     write_table,
 )
-from .clocks import DeterministicGaps, _draw_gaps, likely_resets, sample_reset_times
+from .clocks import DeterministicGaps, _draw_gaps, likely_resets
 
 # Per-step reset probability must stay a small probability; the boundary
 # value 0.1 is admitted so dt = 0.1 at unit rate is a valid step.
@@ -209,13 +211,6 @@ def _entropy(seed):
         raise SpecError(f"seed must be a non-negative integer or None; got {seed!r}") from None
 
 
-def _rng(entropy, i):
-    """The generator of trajectory i: ``SeedSequence(entropy,
-    spawn_key=(i,))``, child i of the root ``SeedSequence(entropy)``, so
-    any range of trajectories needs nothing from the others."""
-    return np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(i,)))
-
-
 def _walk(spec, increments, flags):
     """Row-wise walk positions.  A block of one, as ``simulate_exact`` and
     ``simulate_euler`` give, goes to the 1-D ``_kernels.walk``: the same
@@ -246,9 +241,7 @@ def _block(plan, rngs):
                       flags.sum(axis=1), np.zeros(times.shape, dtype=bool),
                       np.zeros(int(flags.sum()), dtype=bool))
     grid = plan.times
-    per_row = [sample_reset_times(spec.clock, plan.cfg.horizon, rng) for rng in rngs]
-    counts = np.fromiter(map(len, per_row), int, len(rngs))
-    resets = np.concatenate(per_row)
+    resets, counts = spec.clock.sample_events(plan.cfg.horizon, rngs)
     row = np.arange(len(rngs)).repeat(counts)
     slot = np.searchsorted(grid, resets)
     hit = grid[np.minimum(slot, len(grid) - 1)] == resets
@@ -453,13 +446,15 @@ def run_ensemble(spec: ProcessSpec, cfg: SchemeConfig, n: int, seed,
     if keep not in ("full", "grid"):
         raise SpecError("keep must be 'full' or 'grid'")
     entropy = _entropy(seed)
+    from ._seeding import generators  # loads numpy.random, as a first run does
     one = simulate_exact if plan.probs is None else simulate_euler
     trajectories = []
-    for i in range(n):
-        tr = one(spec, plan, _rng(entropy, i))
-        if keep == "grid":
-            tr = Trajectory(plan.grid, tr.at(plan.grid), tr.reset_times)
-        trajectories.append(tr)
+    for lo in range(0, n, _BLOCK):
+        for rng in generators(entropy, lo, min(lo + _BLOCK, n)):
+            tr = one(spec, plan, rng)
+            if keep == "grid":
+                tr = Trajectory(plan.grid, tr.at(plan.grid), tr.reset_times)
+            trajectories.append(tr)
     return Ensemble(spec=spec, scheme=cfg, seed=entropy,
                     trajectories=trajectories, grid=plan.grid)
 
@@ -511,9 +506,12 @@ def ensemble_csv(spec: ProcessSpec, cfg: SchemeConfig, n: int, seed, out,
     has stopped, and no part file is left behind; a worker that dies
     raises ``ChildProcessError``.
 
-    Returns ``rows``, ``resets_drawn``, ``ensemble_s`` and ``write_s``,
-    each summed over the shards (so the times are process seconds, and
-    may exceed the wall time), and ``workers``, the number of shards.
+    Returns ``rows``, ``resets_drawn``, ``ensemble_s``, ``write_s`` and
+    ``cpu_s``, each summed over the shards (so the times may exceed the
+    wall time), ``shards_wall_s``, the wall time of the longest shard,
+    and ``workers``, the number of shards.  Shards that ran side by side
+    on CPUs of their own have ``cpu_s`` near ``workers`` times
+    ``shards_wall_s``; shards that shared a CPU, near once it.
     """
     plan = validate_scheme(spec, cfg, n)
     k = resolve_workers(n, workers, plan.rows)
@@ -548,6 +546,7 @@ def ensemble_csv(spec: ProcessSpec, cfg: SchemeConfig, n: int, seed, out,
                 if os.path.exists(part):
                     os.remove(part)
     totals = {key: sum(c[key] for c in counts) for key in counts[0]}
+    totals["shards_wall_s"] = max(c["shards_wall_s"] for c in counts)
     totals["write_s"] += join_s
     totals["workers"] = k
     return totals
@@ -555,17 +554,19 @@ def ensemble_csv(spec: ProcessSpec, cfg: SchemeConfig, n: int, seed, out,
 
 def _write_shard(plan, entropy, start, stop, paths):
     """Simulate trajectories start..stop-1 of ``plan`` and write both CSVs
-    of them to ``paths``, a block at a time; return the shard's counts and
-    stage times."""
-    clock = time.perf_counter()
+    of them to ``paths``, a block at a time; return the shard's counts,
+    stage times (seeding and simulating in ``ensemble_s``, formatting and
+    writing in ``write_s``), CPU seconds and wall seconds."""
+    from ._seeding import generators  # loads numpy.random, as a first run does
+    clock, cpu = time.perf_counter(), time.process_time()
     time_cells = _float_cells(plan.times)
     rows = resets = 0
-    ensemble_s = time.perf_counter() - clock
+    ensemble_s = 0.0
     with open_table(paths[0], ("traj", "t", "x")) as write_rows, \
             open_table(paths[1], ("traj", "reset_time")) as write_resets:
         for lo in range(start, stop, _BLOCK):
             tick = time.perf_counter()
-            block = _block(plan, [_rng(entropy, i) for i in range(lo, min(lo + _BLOCK, stop))])
+            block = _block(plan, generators(entropy, lo, min(lo + _BLOCK, stop)))
             ensemble_s += time.perf_counter() - tick
             ids = _cells(np.arange(lo, lo + len(block.lengths)))
             # each epoch is formatted once, for resets.csv and for its own row
@@ -578,8 +579,10 @@ def _write_shard(plan, entropy, start, stop, paths):
             write_rows((np.repeat(ids, block.lengths), cells, block.positions[block.valid]))
             rows += len(cells)
             resets += len(block.resets)
+    wall_s = time.perf_counter() - clock
     return {"rows": rows, "resets_drawn": resets, "ensemble_s": ensemble_s,
-            "write_s": time.perf_counter() - clock - ensemble_s}
+            "write_s": wall_s - ensemble_s, "cpu_s": time.process_time() - cpu,
+            "shards_wall_s": wall_s}
 
 
 def _append_parts(path, parts):

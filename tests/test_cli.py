@@ -120,8 +120,12 @@ class TestSimulateCommand:
         assert run(["simulate", "--r", 2, "--scheme", "exact", "--horizon", 3,
                     "--n", 25, "--seed", 4, "--out", out]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert set(manifest["stages"]) == {"ensemble_s", "write_s"}
-        assert all(v >= 0 for v in manifest["stages"].values())
+        stages = manifest["stages"]
+        assert set(stages) == {"ensemble_s", "write_s", "cpu_s", "shards_wall_s"}
+        assert all(v >= 0 for v in stages.values())
+        # one shard: its wall time is the two stages' (each rounded to 1 ms)
+        assert stages["shards_wall_s"] == pytest.approx(
+            stages["ensemble_s"] + stages["write_s"], abs=2e-3)
         counters = manifest["counters"]
         assert set(counters) == {"trajectories", "rows", "resets_drawn",
                                  "resets_expected"}

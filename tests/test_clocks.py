@@ -146,6 +146,91 @@ class TestSampling:
         assert abs(ratio - expected) < 3 * se
 
 
+def single_run_reference(clock, horizon, rng):
+    """The epochs a trajectory drew when each sampled its own: chunks of
+    gaps straight from numpy, the first sized by the mean gap, each
+    continuation int(1.5 * block) + 16 long and offset by the total."""
+    if isinstance(clock, RenewalClock) and isinstance(clock.law, DeterministicGaps):
+        return clock.law.gap * np.arange(1, clock.law.count(horizon) + 1)
+    if isinstance(clock, NonhomogeneousPoissonClock):
+        unit = single_run_reference(PoissonClock(1.0), clock.cumulative(horizon), rng)
+        return clock.inverse_cumulative(unit)
+    if isinstance(clock, PoissonClock):
+        if clock.rate == 0.0:
+            return np.empty(0)
+        law = ExponentialGaps(1.0 / clock.rate)
+    else:
+        law = clock.law
+    if isinstance(law, ExponentialGaps):
+        draw = lambda size: rng.exponential(law.mean, size)
+    else:
+        draw = lambda size: law.xm * rng.random(size) ** (-1.0 / law.alpha)
+    mean_gap = law.mean_gap
+    block = max(16, int(1.2 * horizon / mean_gap) + 8) if math.isfinite(mean_gap) else 16
+    total, chunks = 0.0, []
+    while True:
+        times = draw(block).cumsum()
+        if total:
+            times += total
+        chunks.append(times)
+        total = times[-1]
+        if total > horizon:
+            break
+        block = int(1.5 * block) + 16
+    events = np.concatenate(chunks)
+    return events[:events.searchsorted(horizon, "right")]
+
+
+def block_rngs(n, seed=5):
+    return [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(n)]
+
+
+def split(events, counts):
+    return np.split(events, np.cumsum(counts)[:-1])
+
+
+class TestBlocks:
+    """A block of generators samples in one call what each samples alone."""
+
+    @pytest.mark.parametrize("clock, horizon", [
+        (PoissonClock(1.0), 40.0),
+        (PoissonClock(0.0), 10.0),
+        (NonhomogeneousPoissonClock(1.5, 0.5), 20.0),
+        (NonhomogeneousPoissonClock(1.5, -0.5), 20.0),
+        (RenewalClock(DeterministicGaps(0.25)), 2.0),
+        (RenewalClock(ExponentialGaps(0.5)), 20.0),
+        (RenewalClock(ParetoGaps(0.8, 0.2)), 10.0),
+    ], ids=["poisson", "rate-0", "power-law-p=0.5", "power-law-p=-0.5", "deterministic",
+            "exponential", "pareto-infinite-mean"])
+    def test_block_equals_each_generator_alone(self, clock, horizon):
+        n = 400
+        rngs, alone, ref = block_rngs(n), block_rngs(n), block_rngs(n)
+        events, counts = clock.sample_events(horizon, rngs)
+        assert len(counts) == n and counts.sum() == len(events)
+        for k, row in enumerate(split(events, counts)):
+            assert np.array_equal(row, sample_reset_times(clock, horizon, alone[k]))
+            assert np.array_equal(row, single_run_reference(clock, horizon, ref[k]))
+            # and each generator is left where a run of its own leaves it
+            assert rngs[k].random() == alone[k].random() == ref[k].random()
+
+    def test_only_some_rows_draw_continuation_chunks(self):
+        # infinite-mean gaps start at chunks of 16, then 40 and 76 more: a
+        # row's count says how many chunks it drew
+        clock, horizon = RenewalClock(ParetoGaps(0.8, 0.05)), 10.0
+        events, counts = clock.sample_events(horizon, block_rngs(64, seed=9))
+        chunks = np.searchsorted([16, 56, 132], counts, side="right") + 1
+        assert set(chunks) >= {1, 2, 3}
+        for row, rng in zip(split(events, counts), block_rngs(64, seed=9)):
+            assert np.array_equal(row, single_run_reference(clock, horizon, rng))
+
+    def test_nonpositive_gap_in_a_continuation_chunk_is_rejected(self):
+        law = SimpleNamespace(
+            draw=lambda rng, size: rng.exponential(1.0, size) if size == 16 else np.zeros(size),
+            mean_gap=100.0)
+        with pytest.raises(SpecError, match="non-positive gap"):
+            _accumulate_gaps(law, 20.0, block_rngs(8))
+
+
 class TestRenewalLaws:
     def test_deterministic_gaps(self):
         clock = RenewalClock(DeterministicGaps(0.3))
@@ -178,7 +263,7 @@ class TestRenewalLaws:
         with pytest.raises(SpecError, match="non-positive gap"):
             _accumulate_gaps(SimpleNamespace(draw=lambda rng, size: np.zeros(size),
                                              mean_gap=1.0),
-                             1.0, np.random.default_rng(0))
+                             1.0, [np.random.default_rng(0)])
 
         class ZeroGaps(ExponentialGaps):
             def draw(self, rng, size):

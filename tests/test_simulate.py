@@ -37,6 +37,7 @@ from reset_sde.simulate import (
 )
 from reset_sde import _kernels, analytic, stats
 from reset_sde import simulate as simulate_module
+from reset_sde._seeding import generators
 from reset_sde.clocks import sample_reset_times
 
 
@@ -675,6 +676,9 @@ class TestExport:
             assert counts["resets_drawn"] == sum(len(tr.reset_times)
                                                  for tr in ens.trajectories)
             assert counts["ensemble_s"] >= 0 and counts["write_s"] >= 0
+            assert counts["cpu_s"] >= 0
+            # the longest shard is one of the shards the stages sum over
+            assert 0 <= counts["shards_wall_s"] <= counts["ensemble_s"] + counts["write_s"] + 1e-9
 
     @pytest.mark.parametrize("cfg", [
         SchemeConfig(ExactScheme(), horizon=3.0),
@@ -734,14 +738,54 @@ class TestExport:
         assert doc["spec"]["clock"]["r"] == 2.0
 
 
+SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 2 ** 127 + 99, 2 ** 200 + 3,
+         [3, 2 ** 40, 7], None]
+SEED_IDS = ["0", "1", "2**32-1", "2**32", "2**64+5", "2**127+99", "2**200+3", "sequence",
+            "os-entropy"]
+
+
+class TestBlockSeeding:
+    """``generators`` hashes a block's spawn keys as uint32 columns; each
+    generator must be the one numpy's ``SeedSequence`` spawns."""
+
+    @pytest.mark.parametrize("seed", SEEDS, ids=SEED_IDS)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # scalar uint32 products warn
+    def test_each_generator_is_the_spawned_child(self, seed):
+        entropy = simulate_module._entropy(seed)
+        for i in (0, 1, 31, 32, 999, 2 ** 32 - 1):
+            (rng,) = generators(entropy, i, i + 1)
+            child = np.random.SeedSequence(entropy, spawn_key=(i,))
+            words = rng.bit_generator.seed_seq.generate_state(4, np.uint64)
+            assert words.dtype == np.uint64
+            assert np.array_equal(words, child.generate_state(4, np.uint64))
+            ref = np.random.default_rng(child)
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert same_bits(rng.standard_normal(3), ref.standard_normal(3))
+            assert same_bits(rng.random(3), ref.random(3))
+
+    @pytest.mark.parametrize("seed", SEEDS[::4], ids=SEED_IDS[::4])
+    def test_a_block_is_its_children_in_order(self, seed):
+        entropy = simulate_module._entropy(seed)
+        for start, stop in ((0, 1000), (2 ** 32 - 40, 2 ** 32)):
+            block = generators(entropy, start, stop)
+            assert len(block) == stop - start
+            for i in (start, start + 1, start + 31, start + 32, stop - 1):
+                ref = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(i,)))
+                assert same_bits(block[i - start].random(4), ref.random(4))
+
+
 class TestBlocks:
     def test_mixed_rows_merge_as_union_or_insertion(self, monkeypatch, tmp_path):
         # rows with and without a reset on the grid share blocks; equal
         # epochs share one row only where a reset sits on the grid
         choices = [np.array([0.3, 0.7]), np.array([0.5, 0.5, 0.7, 0.7, 1.0]),
                    np.array([0.2, 0.2, 1.1]), np.empty(0), np.array([0.0, 0.25])]
-        monkeypatch.setattr(simulate_module, "sample_reset_times",
-                            lambda clock, horizon, rng: choices[rng.integers(len(choices))])
+
+        def sample_events(clock, horizon, rngs):
+            rows = [choices[rng.integers(len(choices))] for rng in rngs]
+            return np.concatenate(rows), np.array([len(row) for row in rows])
+
+        monkeypatch.setattr(PoissonClock, "sample_events", sample_events)
         spec = poisson_spec(1.0, 0.5, -1.0)
         grid = np.linspace(0.0, 1.0, 5)
         cfg = SchemeConfig(ExactScheme(), horizon=1.2, grid=grid)
