@@ -171,29 +171,27 @@ def _norm_pdf(x, mean, var):
 # MGF and characteristic function
 # ---------------------------------------------------------------------------
 
-def mgf(spec: ProcessSpec, s: float, t: float) -> float:
-    """Moment generating function E exp(s X_t); Poisson clock only.
+def mgf(spec: ProcessSpec, s, t: float) -> float:
+    """Moment generating function E exp(s X_t) at each s; Poisson clock only.
 
     Defined for |s| < sqrt(2r) in the unit frame (sqrt(r/D) in general).
     """
     rate, a, b, c = _poisson(spec, t, positive=False)
-    try:  # in Python floats, which overflow to inf or raise, never warn
-        value = _mgf_unit(a, b, rate, c * float(s), t)
-    except OverflowError:
-        value = math.inf
-    return _finite(value, f"the moment generating function at s = {s:g}, t = {t:g}")
-
-
-def _mgf_unit(x0, xr, rate, s, t):
-    if rate == 0.0:
-        return math.exp(s * x0 + 0.5 * t * s * s)
-    if abs(s) >= math.sqrt(2.0 * rate):
-        raise DomainError(
-            "the moment generating function diverges for |s| >= sqrt(2r); "
-            f"|{s:g}| is outside the domain for rate {rate:g}")
-    denom = rate - 0.5 * s * s
-    stationary = rate * math.exp(s * xr) / denom
-    return stationary + (math.exp(s * x0) - stationary) * math.exp(-denom * t)
+    s = np.asarray(s, dtype=float)
+    u = s * c
+    if rate > 0.0:
+        outside = s[np.abs(u) >= math.sqrt(2.0 * rate)]
+        if outside.size:
+            raise DomainError("the moment generating function diverges for |s| >= "
+                              f"sqrt(r/D); s = {outside[0]:g} is outside the domain")
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses what overflows
+        if rate == 0.0:
+            out = np.exp(u * a + 0.5 * t * u * u)
+        else:
+            denom = rate - 0.5 * u * u
+            stationary = rate * np.exp(u * b) / denom
+            out = stationary + (np.exp(u * a) - stationary) * np.exp(-denom * t)
+    return _finite(out, f"the moment generating function at t = {t:g}")
 
 
 def char_fn(spec: ProcessSpec, s, t: float) -> complex:
@@ -524,7 +522,7 @@ def _mgf_derivatives(spec: ProcessSpec, orders, t: float) -> list:
         step = min(step, 0.8 * math.sqrt(2.0 * rate) / (points - 1))
     offsets = (np.arange(points) - (points - 1) / 2.0) * step / c
     weights = _fd_weights(offsets, max(orders, default=0))
-    values = np.array([mgf(spec, s, t) for s in offsets])
+    values = mgf(spec, offsets, t)
     return [float(weights[:, n] @ values) for n in orders]
 
 
@@ -975,7 +973,7 @@ def classify_regime(p: float) -> RegimeInfo:
 
 
 # ---------------------------------------------------------------------------
-# Where the law lives, and the curve builders (CLI plumbing)
+# Where the law lives, and the curve builder
 # ---------------------------------------------------------------------------
 
 TAIL_MASS = 1e-9  # the law's mass a window may leave out on each side
@@ -1030,54 +1028,69 @@ def law_windows(spec: ProcessSpec, t) -> list:
 
 
 def default_support(spec: ProcessSpec, t, points: int = 1001) -> np.ndarray:
-    """``points`` ascending x values that hold the law at time t (the
-    stationary law for t None): one even grid over the hull of the
-    :func:`law_windows` that overlap, and one per disjoint hull.
+    """About ``points`` ascending x values that hold the law at time t (the
+    stationary law for t None): one even grid per :func:`law_windows`
+    window, and cells across each gap between windows.
 
-    The disjoint hulls share the points in proportion to the square root
-    of the mass each holds: the light no-reset Gaussian stays resolved,
-    and most points go to the reset part, whose cusp at xR needs a step
-    of about a tenth of sqrt(D/r) for the trapezoid to hold its mass to
-    1e-3.  Raises DomainError when the points cannot resolve a window in
-    double precision.
+    The windows share the points in proportion to the square root of the
+    mass each holds: the light no-reset Gaussian stays resolved, and where
+    the windows overlap the cusp at xR keeps the reset part's step, which
+    must be about a tenth of sqrt(D/r) for the trapezoid to hold its mass
+    to 1e-3.  A window whose share rounds below two points is left out,
+    but the heaviest gets two.  Gap cells double in width from each
+    window's step until the two sides meet mid-gap, so each long cell ends
+    where the density is about 0 and the curve's trapezoid
+    (:meth:`DensityCurve.mass`) holds the law's mass.  Raises DomainError
+    when the points cannot resolve a window in double precision.
     """
-    hulls = []  # [lo, hi, weight] of each run of overlapping windows
-    for w in law_windows(spec, t):
-        if hulls and w.lo <= hulls[-1][1]:
-            hulls[-1][1] = max(hulls[-1][1], w.hi)
-            hulls[-1][2] += w.weight
-        else:
-            hulls.append(list(w))
-    shares = np.cumsum([0.0] + [math.sqrt(weight) for *_, weight in hulls])
+    windows = law_windows(spec, t)
+    shares = np.cumsum([0.0] + [math.sqrt(w.weight) for w in windows])
     counts = np.diff(np.round(points * shares / shares[-1])).astype(int)
-    xs = np.concatenate([np.linspace(lo, hi, n) for (lo, hi, _), n in zip(hulls, counts)])
-    if not np.all(np.diff(xs) > 0):
-        raise DomainError(
-            f"{points} points cannot resolve the law's windows "
-            f"{', '.join(f'[{lo:g}, {hi:g}]' for lo, hi, _ in hulls)} in double "
-            "precision; tabulate the law on x values of your own")
-    return xs
+    heaviest = np.argmax([w.weight for w in windows])
+    counts[heaviest] = max(counts[heaviest], 2)
+    grids, last = [], None  # the previous window's hi and step
+    for w, n in zip(windows, counts):
+        if n < 2:
+            continue
+        xs = np.linspace(w.lo, w.hi, n)
+        if not np.all(np.diff(xs) > 0):
+            raise DomainError(
+                f"{points} points cannot resolve the law's window [{w.lo:g}, {w.hi:g}] "
+                "in double precision; tabulate the law on x values of your own")
+        if last and last[0] < w.lo:
+            grids.append(_gap_cells(*last, w.lo, xs[1] - xs[0]))
+        grids.append(xs)
+        last = (w.hi, xs[1] - xs[0])
+    return np.unique(np.concatenate(grids))
 
 
-def density_curve(spec: ProcessSpec, t: float, xs=None) -> DensityCurve:
+def _gap_cells(lo, lo_step, hi, hi_step) -> np.ndarray:
+    """Points strictly between lo and hi: from each end, cells of twice,
+    four times, ... that end's step, and the gap's midpoint where the two
+    sides meet."""
+    mid = 0.5 * lo + 0.5 * hi
+    xs = [mid]
+    for x, width, sign in ((lo, lo_step, 1.0), (hi, hi_step, -1.0)):
+        while sign * (mid - x) > 2.0 * width:
+            width *= 2.0
+            x += sign * width
+            xs.append(x)
+    return np.array(xs)
+
+
+def density_curve(spec: ProcessSpec, t, xs=None) -> DensityCurve:
+    """The law at time t (the stationary law, with ``t`` inf, for t None)
+    on xs, by default :func:`default_support`."""
     if xs is None:
         xs = default_support(spec, t)
-    return DensityCurve(xs=np.asarray(xs, dtype=float),
-                        values=np.asarray(pdf(spec, xs, t)), t=t)
-
-
-def stationary_curve(spec: ProcessSpec, xs=None) -> DensityCurve:
-    if xs is None:
-        xs = default_support(spec, None)
-    return DensityCurve(xs=np.asarray(xs, dtype=float),
-                        values=np.asarray(stationary_pdf(spec, xs)), t=math.inf)
-
-
-def npp_density_curve(spec: ProcessSpec, t: float, xs=None) -> DensityCurve:
-    if xs is None:
-        xs = default_support(spec, t)
-    return DensityCurve(xs=np.asarray(xs, dtype=float),
-                        values=np.asarray(npp_pdf(spec, xs, t)), t=t)
+    xs = np.asarray(xs, dtype=float)
+    if t is None:
+        values, t = stationary_pdf(spec, xs), math.inf
+    elif isinstance(spec.clock, NonhomogeneousPoissonClock):
+        values = npp_pdf(spec, xs, t)
+    else:
+        values = pdf(spec, xs, t)
+    return DensityCurve(xs=xs, values=np.asarray(values), t=t)
 
 
 def moment_table(spec: ProcessSpec, t: float, n_max: int) -> MomentTable:

@@ -33,7 +33,7 @@ def npp_marginal_ks(spec, t, n, seed, xs):
     """KS distance of n power-law-clock marginals at time t from the
     quadrature density tabulated on xs."""
     samples = marginal_samples(spec, t, n, seed=seed)
-    curve = analytic.npp_density_curve(spec, t, xs)
+    curve = analytic.density_curve(spec, t, xs)
     return stats.ks_distance(samples, stats.cdf_from_density_curve(curve))
 
 

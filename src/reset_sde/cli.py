@@ -26,7 +26,7 @@ import time
 import numpy as np
 
 from . import __version__, _kernels
-from .clocks import clock_from_json, expected_resets
+from .clocks import clock_from_json, likely_resets
 from .errors import as_number
 from .core import (
     DomainError,
@@ -280,12 +280,12 @@ def _cmd_simulate(args) -> int:
 
     out = _out_dir(args)
     counts = ensemble_csv(spec, cfg, n, seed, out, workers)
-    expected = expected_resets(spec.clock, horizon)
     counters = {
         "trajectories": n,
         "rows": counts["rows"],
         "resets_drawn": counts["resets_drawn"],
-        "resets_expected": None if expected is None else n * expected,
+        "resets_expected": (None if spec.clock.base_rate is None
+                            else n * likely_resets(spec.clock, horizon)),
     }
     resolved = dict(run_metadata(spec, cfg, n, seed), workers=counts["workers"], out=out)
     _write_manifest(out, "simulate", resolved, seed,
@@ -326,13 +326,8 @@ def _cmd_analytic(args) -> int:
         print(json.dumps(info, sort_keys=True))
         outputs.append("regime.json")
     elif what in ("pdf", "stationary"):
-        xs = _x_grid(args, spec, None if what == "stationary" else args.t)
-        if what == "stationary":
-            curve = analytic.stationary_curve(spec, xs)
-        elif isinstance(spec.clock, NonhomogeneousPoissonClock):
-            curve = analytic.npp_density_curve(spec, args.t, xs)
-        else:
-            curve = analytic.density_curve(spec, args.t, xs)
+        t = None if what == "stationary" else args.t
+        curve = analytic.density_curve(spec, t, _x_grid(args, spec, t))
         curve.to_csv(os.path.join(out, "curve.csv"))
         outputs.append("curve.csv")
         print(f"mass = {curve.mass():.6f}")
@@ -377,12 +372,6 @@ def _x_grid(args, spec, t):
 
 def _transform_curve(args, spec, out, what):
     from . import analytic
-    if what == "mgf":  # analytic.mgf refuses all but the homogeneous clock
-        evaluate = lambda s: analytic.mgf(spec, s, args.t)
-    elif isinstance(spec.clock, NonhomogeneousPoissonClock):
-        evaluate = lambda s: analytic.npp_char_fn(spec, s, args.t)
-    else:
-        evaluate = lambda s: analytic.char_fn(spec, s, args.t)
     s_lo, s_hi = args.s_lo, args.s_hi
     if s_lo is None or s_hi is None:
         edge = 5.0
@@ -390,11 +379,13 @@ def _transform_curve(args, spec, out, what):
             edge = 0.98 * math.sqrt(spec.clock.base_rate / spec.diffusivity)
         s_lo, s_hi = -edge, edge
     ss = _grid("s", s_lo, s_hi, args.points)
-    if what == "mgf":
-        values = [float(evaluate(s)) for s in ss]
+    if what == "mgf":  # analytic.mgf refuses all but the homogeneous clock
+        values = analytic.mgf(spec, ss, args.t)
         _curve_csv(out, "curve.csv", ["s", "value"], (ss, values))
     else:
-        values = evaluate(ss)
+        cf = (analytic.npp_char_fn if isinstance(spec.clock, NonhomogeneousPoissonClock)
+              else analytic.char_fn)
+        values = cf(spec, ss, args.t)
         _curve_csv(out, "curve.csv", ["s", "re", "im"], (ss, values.real, values.imag))
     return "curve.csv"
 

@@ -335,12 +335,6 @@ def _only(doc, keys, what):
         raise SpecError(f"{what} has no field {', '.join(map(repr, other))}")
 
 
-def expected_resets(clock, horizon):
-    """Mean number of resets in [0, horizon], R(horizon), for Poisson and
-    power-law clocks; None for renewal clocks, which have no closed form."""
-    return None if clock.base_rate is None else clock.cumulative(horizon)
-
-
 def likely_resets(clock, horizon) -> float:
     """About how many resets ``clock`` makes in [0, horizon], for sizing a
     run: R(horizon) for Poisson and power-law clocks (inf where it

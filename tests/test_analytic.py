@@ -864,21 +864,79 @@ class TestLawWindows:
         # at t = 1e300 the law is the stationary Laplace law
         assert stats.analytic_cdf(spec, lo, 1e300) == pytest.approx(analytic.TAIL_MASS, rel=1e-6)
 
-    def test_support_is_one_grid_over_overlapping_windows(self):
+    @staticmethod
+    def shares(windows, points):
+        # the points each window gets, in proportion to the root of its mass
+        roots = np.cumsum([0.0] + [math.sqrt(w.weight) for w in windows])
+        return np.diff(np.round(points * roots / roots[-1])).astype(int)
+
+    def test_support_is_one_grid_per_overlapping_window(self):
+        # the grids interleave, so the light Gaussian's wide window leaves
+        # the cusp at xR with the Laplace window's own step
         spec = spec_poisson(1.0, x0=0.0, xr=2.0)
-        windows = analytic.law_windows(spec, 1.0)
+        (a, b) = analytic.law_windows(spec, 1.0)
+        assert a.lo < b.lo < a.hi
+        na, nb = self.shares((a, b), 401)
         xs = analytic.default_support(spec, 1.0, points=401)
-        assert np.array_equal(xs, np.linspace(windows[0].lo, max(w.hi for w in windows), 401))
+        laplace = np.linspace(b.lo, b.hi, nb)
+        assert np.array_equal(xs, np.union1d(np.linspace(a.lo, a.hi, na), laplace))
+        near = np.abs(xs - 2.0) < 0.5
+        assert np.max(np.diff(xs[near])) <= laplace[1] - laplace[0]
 
     def test_support_is_one_grid_per_disjoint_window(self):
-        # the points are shared in proportion to the root of each part's mass
+        # across the gap, cells double in width from each window's step
+        # until the two sides meet at the gap's midpoint
         spec = spec_poisson(1.0, x0=0.0, xr=100.0)
         (a, b) = analytic.law_windows(spec, 5.0)
+        na, nb = self.shares((a, b), 401)
+        assert 350 < nb
         xs = analytic.default_support(spec, 5.0, points=401)
-        n = round(401 * math.sqrt(a.weight) / (math.sqrt(a.weight) + math.sqrt(b.weight)))
-        assert np.array_equal(xs, np.concatenate((np.linspace(a.lo, a.hi, n),
-                                                  np.linspace(b.lo, b.hi, 401 - n))))
-        assert 350 < 401 - n
+        left, right = np.linspace(a.lo, a.hi, na), np.linspace(b.lo, b.hi, nb)
+        assert np.array_equal(xs[:na], left) and np.array_equal(xs[-nb:], right)
+        gap = xs[na - 1:len(xs) - nb + 1]
+        mid = int(np.flatnonzero(gap == 0.5 * a.hi + 0.5 * b.lo)[0])
+        cells = np.diff(gap)
+        np.testing.assert_allclose(cells[:mid - 1] / (left[1] - left[0]),
+                                   2.0 ** np.arange(1, mid), rtol=1e-9)
+        np.testing.assert_allclose(cells[mid + 1:][::-1] / (right[1] - right[0]),
+                                   2.0 ** np.arange(1, len(cells) - mid), rtol=1e-9)
+        # the last cell on each side is at most twice the one before
+        assert cells[mid - 1] <= 2.0 * cells[mid - 2] and cells[mid] <= 2.0 * cells[mid + 1]
+
+    @pytest.mark.parametrize("spec, t", [
+        (spec_npp(1.0, -0.5), 5.0),
+        (spec_poisson(1.0, xr=2.0), None),
+        (spec_poisson(0.0, x0=1.0), 4.0),
+        (spec_poisson(1.0, xr=2.0), 100.0),
+    ], ids=["npp", "stationary", "rate-0", "late"])
+    def test_one_window_support_is_one_linspace(self, spec, t):
+        (w,) = analytic.law_windows(spec, t)
+        xs = analytic.default_support(spec, t, points=401)
+        assert np.array_equal(xs, np.linspace(w.lo, w.hi, 401))
+
+    @pytest.mark.parametrize("points", [2, 3])
+    def test_few_points_give_the_heaviest_window_two(self, points):
+        # the no-reset Gaussian's share rounds to one point, so it is left
+        # out; the reset part's would too at two points, but it is heaviest
+        spec = spec_poisson(1.0, x0=0.0, xr=100.0)
+        (a, b) = analytic.law_windows(spec, 1.0)
+        assert a.weight < b.weight
+        assert analytic.default_support(spec, 1.0, points=points).tolist() == [b.lo, b.hi]
+
+    # D = 0.5, x0 = 0, r = 1, 401 points, at 206 times from 1e-3 to 1e300.
+    # The reset point sets whether the Laplace cusp lies inside the
+    # no-reset Gaussian's window or a gap away from it: a hull grid over
+    # overlapping windows left the cusp too coarse (xR = 6..26 near
+    # t = 5..15), and one trapezoid cell across a gap counted the gap's
+    # width at the windows' edge densities (xR = 1e8: mass 2.3 at t = 0.06).
+    @pytest.mark.parametrize("xr", list(range(41)) + [50, 100, 1e3, 1e4, 1e8, 1e12])
+    def test_default_curves_hold_unit_mass(self, xr):
+        spec = spec_poisson(1.0, x0=0.0, xr=xr)
+        times = np.concatenate([np.geomspace(1e-3, 1e2, 200),
+                                [1e3, 1e4, 1e8, 1e16, 1e100, 1e300]])
+        for t in times.tolist():
+            mass = density_curve(spec, t, analytic.default_support(spec, t, 401)).mass()
+            assert abs(mass - 1.0) < 1e-3, t
 
 
 class TestCurves:
@@ -888,8 +946,14 @@ class TestCurves:
 
     def test_stationary_curve_matches_laplace(self):
         spec = spec_poisson(2.0, 0.0, 1.0)
-        curve = analytic.stationary_curve(spec)
+        curve = density_curve(spec, None)
         assert np.allclose(curve.values, stationary_pdf(spec, curve.xs))
+        assert curve.t == math.inf
+
+    def test_power_law_curve_is_the_quadrature_density(self):
+        spec = spec_npp(1.0, -0.5)
+        xs = np.linspace(-3.0, 3.0, 7)
+        assert np.array_equal(density_curve(spec, 2.0, xs).values, npp_pdf(spec, xs, 2.0))
 
     def test_curve_csv(self, tmp_path):
         curve = density_curve(spec_poisson(1.0), 1.0)

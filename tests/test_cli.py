@@ -448,14 +448,16 @@ class TestAnalyticCommand:
         mass = float(capsys.readouterr().out.split("mass = ")[1])
         assert abs(mass - 1.0) < 1e-3
 
-    def test_poisson_default_grid_spans_the_law_windows(self, tmp_path):
-        assert run(["analytic", "pdf", "--r", 1, "--t", 1, "--points", 5,
+    def test_poisson_default_grid_lies_over_each_law_window(self, tmp_path):
+        assert run(["analytic", "pdf", "--r", 1, "--t", 1, "--points", 401,
                     "--out", tmp_path / "hom"]) == 0
         _, rows = read_csv(tmp_path / "hom" / "curve.csv")
         spec = ProcessSpec(0.5, 0.0, 0.0, PoissonClock(1.0))
-        windows = analytic.law_windows(spec, 1.0)
-        hull = (min(w.lo for w in windows), max(w.hi for w in windows))
-        assert [float(r[0]) for r in rows] == np.linspace(*hull, 5).tolist()
+        xs = [float(r[0]) for r in rows]
+        assert xs == analytic.default_support(spec, 1.0, points=401).tolist()
+        # the two windows overlap about 0: each keeps its own grid
+        for w in analytic.law_windows(spec, 1.0):
+            assert w.lo in xs and w.hi in xs
         # the stationary curve lies over the Laplace law's window
         assert run(["analytic", "stationary", "--r", 1, "--points", 3,
                     "--out", tmp_path / "st"]) == 0
@@ -463,11 +465,20 @@ class TestAnalyticCommand:
         ((lo, hi, _),) = analytic.law_windows(spec, None)
         assert [float(r[0]) for r in rows] == [lo, 0.0, hi]
 
-    @pytest.mark.parametrize("xr", [0, 2, 100])
+    @pytest.mark.parametrize("points", [2, 3])
+    def test_two_window_default_curve_takes_few_points(self, tmp_path, points):
+        assert run(["analytic", "pdf", "--r", 1, "--t", 1, "--points", points,
+                    "--out", tmp_path]) == 0
+        _, rows = read_csv(tmp_path / "curve.csv")
+        assert len(rows) >= 2
+
+    @pytest.mark.parametrize("xr", [0, 2, 10, 20, 100, 1e8, 1e12])
     def test_default_pdf_curve_holds_unit_mass_at_every_time(self, tmp_path, capsys, xr):
         # the default 401 points over the law's windows: the curve's
-        # trapezoid mass stays within 1e-3 of 1 however late t is
-        for t in (1e-3, 0.1, 1, 3, 5, 8, 10, 30, 100, 1e4, 1e300):
+        # trapezoid mass stays within 1e-3 of 1 however late t is, across
+        # a gap between disjoint windows (xR = 1e8 at t = 0.06) and at the
+        # Laplace cusp inside the no-reset Gaussian's (xR = 20 at t = 6)
+        for t in (1e-3, 0.06, 0.1, 1, 3, 5, 6, 8, 10, 13.5, 30, 100, 1e4, 1e300):
             assert run(["analytic", "pdf", "--r", 1, "--xr", xr, "--t", t,
                         "--out", tmp_path / f"t{t:g}"]) == 0
             mass = float(capsys.readouterr().out.split("mass = ")[1])

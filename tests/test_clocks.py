@@ -23,7 +23,6 @@ from reset_sde.clocks import (
     IntensityFunction,
     _accumulate_gaps,
     cumulative_intensity,
-    expected_resets,
     inverse_cumulative_intensity,
     likely_resets,
     sample_reset_times,
@@ -291,19 +290,19 @@ class TestClockInterface:
         assert clock.cumulative(3.0) == 0.0
         assert np.array_equal(clock.intensity(np.ones(3)), np.zeros(3))
         assert np.array_equal(clock.inverse_cumulative(np.zeros(2)), np.zeros(2))
-        assert expected_resets(clock, 5.0) == 0.0
+        assert likely_resets(clock, 5.0) == 0.0
 
     def test_power_law_clock_inverts_its_cumulative_intensity(self):
         clock = NonhomogeneousPoissonClock(2.0, -1.5)
         t = np.array([0.5, 4.0, 50.0])
         assert np.allclose(clock.inverse_cumulative(clock.cumulative(t)), t,
                            rtol=1e-12)
-        assert expected_resets(clock, 4.0) == clock.cumulative(4.0)
+        assert likely_resets(clock, 4.0) == clock.cumulative(4.0)
 
     def test_renewal_clocks_have_no_base_rate(self):
         clock = RenewalClock(DeterministicGaps(0.5))
         assert clock.base_rate is None
-        assert expected_resets(clock, 5.0) is None
+        assert likely_resets(clock, 5.0) == 10.0
 
     @pytest.mark.parametrize("clock, horizon, count", [
         (PoissonClock(2.0), 5.0, 10.0),
