@@ -52,7 +52,6 @@ from .core import (
     rescale_to_unit,
     write_table,
 )
-from .clocks import IntensityFunction, cumulative_intensity, inverse_cumulative_intensity
 
 
 def __getattr__(name):
@@ -133,7 +132,7 @@ def _poisson(spec: ProcessSpec, t=None, positive=True):
 
 
 def _npp(spec: ProcessSpec, t, positive=True):
-    """``(rate, exponent, c)`` of a power-law spec started and reset at 0,
+    """``(clock, c)`` of a power-law spec started and reset at 0,
     c = sqrt(2D), with t checked by :func:`_check_time`."""
     _, c = rescale_to_unit(spec)
     if not isinstance(spec.clock, NonhomogeneousPoissonClock):
@@ -143,7 +142,7 @@ def _npp(spec: ProcessSpec, t, positive=True):
         raise DomainError("nonhomogeneous results are derived for "
                           "x0 = xR = 0 only")
     _check_time(t, positive)
-    return spec.clock.rate, spec.clock.exponent, c
+    return spec.clock, c
 
 
 def _order(n, name="n") -> int:
@@ -780,20 +779,20 @@ def _exp_above_cutoff(out):
     return out
 
 
-def _intensity_at(f: IntensityFunction, t: float):
-    """f(t) and R(t), which the quadratures below need finite: their
-    breakpoints are geometric from 1/f(t), and a finite R(t) keeps the
-    power (t+1)^(p+1) of :func:`_intensity_since` finite."""
+def _intensity_at(clock: NonhomogeneousPoissonClock, t: float):
+    """The clock's r(t) and R(t), which the quadratures below need finite:
+    their breakpoints are geometric from 1/r(t), and a finite R(t) keeps
+    the power (t+1)^(p+1) of :func:`_intensity_since` finite."""
     with np.errstate(over="ignore"):
-        rate_t, total = float(f(t)), cumulative_intensity(f, t)
+        rate_t, total = float(clock.intensity(t)), clock.cumulative(t)
     if not (rate_t < math.inf and total < math.inf):
         raise DomainError(f"the reset intensity or its integral overflows a "
                           f"double at t = {t:g}")
     return rate_t, total
 
 
-def _intensity_since(f: IntensityFunction, t: float, age):
-    """R(t) - R(t - age), the mean number of events in (t - age, t].
+def _intensity_since(clock: NonhomogeneousPoissonClock, t: float, age):
+    """R(t) - R(t - age), the clock's mean number of events in (t - age, t].
 
     For exponent > -1 it is written through log1p and expm1 of age/(t+1),
     so it stays accurate to rounding when age is small and R(t) is large,
@@ -802,13 +801,13 @@ def _intensity_since(f: IntensityFunction, t: float, age):
     of the two powers, each in (0, 1], is taken directly: there expm1
     would overflow once |exponent + 1| log(t + 1) exceeds ~709.
     """
-    q = f.exponent + 1.0
+    rate, q = clock.rate, clock.exponent + 1.0
     if q < 0.0:
-        return f.rate / -q * ((t + 1.0 - age) ** q - (t + 1.0) ** q)
+        return rate / -q * ((t + 1.0 - age) ** q - (t + 1.0) ** q)
     shrink = np.log1p(-age / (t + 1.0))
     if q == 0.0:
-        return -f.rate * shrink
-    return -f.rate / q * (t + 1.0) ** q * np.expm1(q * shrink)
+        return -rate * shrink
+    return -rate / q * (t + 1.0) ** q * np.expm1(q * shrink)
 
 
 def npp_char_fn(spec: ProcessSpec, s, t: float) -> complex:
@@ -822,23 +821,22 @@ def npp_char_fn(spec: ProcessSpec, s, t: float) -> complex:
     is max(1e-12, 1e-8 * max|value|) at every point: values far below the
     largest one (large |s|) carry that absolute accuracy, not a relative one.
     """
-    rate, p, c = _npp(spec, t, positive=False)
+    clock, c = _npp(spec, t, positive=False)
     # as in char_fn; a NaN fails the quadrature's own error check
     with np.errstate(over="ignore", invalid="ignore"):
         s_arr = np.atleast_1d(np.asarray(s, dtype=float)) * c
-        out = _npp_cf_unit(rate, p, s_arr, t).astype(complex)
+        out = _npp_cf_unit(clock, s_arr, t).astype(complex)
     return complex(out[0]) if np.ndim(s) == 0 else out
 
 
-def _npp_cf_unit(rate, p, s, t) -> np.ndarray:
+def _npp_cf_unit(clock, s, t) -> np.ndarray:
     if t == 0.0:
         return np.ones(len(s))
-    f = IntensityFunction(rate, p)
-    _, total = _intensity_at(f, t)
+    _, total = _intensity_at(clock, t)
     half_s2 = 0.5 * s * s
 
     def integrand(u):  # e^{(w - t) s^2/2 - u}
-        out = np.multiply.outer(half_s2, inverse_cumulative_intensity(f, total - u) - t)
+        out = np.multiply.outer(half_s2, clock.inverse_cumulative(total - u) - t)
         out -= u
         return _exp_above_cutoff(out)
 
@@ -861,29 +859,29 @@ def npp_pdf(spec: ProcessSpec, x, t: float):
     density value among them: far-tail values carry that absolute
     accuracy, not a relative one.
     """
-    rate, p, c = _npp(spec, t)
+    clock, c = _npp(spec, t)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float)) / c
-    out = _npp_pdf_unit(rate, p, x_arr, t) / c
+    out = _npp_pdf_unit(clock, x_arr, t) / c
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
-def _npp_pdf_unit(rate, p, x, t) -> np.ndarray:
-    f = IntensityFunction(rate, p)
-    rate_t, total = _intensity_at(f, t)
+def _npp_pdf_unit(clock, x, t) -> np.ndarray:
+    rate, p = clock.rate, clock.exponent
+    rate_t, total = _intensity_at(clock, t)
     half_x2 = 0.5 * x * x
     minus_half_x2 = -half_x2
     log_front = math.log(2.0 / math.sqrt(2.0 * math.pi)) + math.log(rate)
 
     def integrand(v):  # every node lies inside (0, top), so v > 0
-        # 2 f(w) e^{-(R(t) - R(w)) - x^2 / 2v^2} / sqrt(2 pi), w = t - v^2
+        # 2 r(w) e^{-(R(t) - R(w)) - x^2 / 2v^2} / sqrt(2 pi), w = t - v^2
         v2 = v * v
         out = np.divide.outer(minus_half_x2, v2)
-        out += log_front + p * np.log1p(t - v2) - _intensity_since(f, t, v2)
+        out += log_front + p * np.log1p(t - v2) - _intensity_since(clock, t, v2)
         return _exp_above_cutoff(out)
 
     top = math.sqrt(t)
-    # f is monotone, so at v the survival factor is below
-    # exp(-v^2 min(f(0), f(t))): nothing is left past e^-700.
+    # r is monotone, so at v the survival factor is below
+    # exp(-v^2 min(r(0), r(t))): nothing is left past e^-700.
     slowest = min(rate, rate_t)
     if slowest > 0.0:
         top = min(top, math.sqrt(_EXP_CUTOFF / slowest))
@@ -911,26 +909,26 @@ def npp_msd(spec: ProcessSpec, t: float) -> float:
     exponent -1 the closed form (t+1)/(r+1) - (t+1)^(-r)/(r+1) is used
     directly.  Scales as 2 D times the unit-frame value.
     """
-    rate, p, _ = _npp(spec, t, positive=False)
-    return _finite(2.0 * spec.diffusivity * _npp_msd_unit(rate, p, t),
+    clock, _ = _npp(spec, t, positive=False)
+    return _finite(2.0 * spec.diffusivity * _npp_msd_unit(clock, t),
                    f"the mean squared displacement at t = {t:g}")
 
 
-def _npp_msd_unit(rate, p, t) -> float:
+def _npp_msd_unit(clock, t) -> float:
     if t == 0.0:
         return 0.0
-    if p == -1.0:
+    if clock.exponent == -1.0:
+        rate = clock.rate
         return (t + 1.0) / (rate + 1.0) - (t + 1.0) ** (-rate) / (rate + 1.0)
-    f = IntensityFunction(rate, p)
 
     def integrand(age):
-        return np.exp(-_intensity_since(f, t, age))
+        return np.exp(-_intensity_since(clock, t, age))
 
-    # When resets near t are frequent (f(t) t > 1) the survival decays
-    # within ~1/f(t) of age 0; geometric breakpoints from there up to t
+    # When resets near t are frequent (r(t) t > 1) the survival decays
+    # within ~1/r(t) of age 0; geometric breakpoints from there up to t
     # keep that layer sampled.  At most half the quadrature's subintervals
-    # go to them: beyond 4^100 / f(t) the survival is below exp(-4^99).
-    rate_t, _ = _intensity_at(f, t)
+    # go to them: beyond 4^100 / r(t) the survival is below exp(-4^99).
+    rate_t, _ = _intensity_at(clock, t)
     breaks = []
     age = 1.0 / rate_t if rate_t * t > 1.0 else t
     while age < t and len(breaks) < _QUAD_OPTS["limit"] // 2:

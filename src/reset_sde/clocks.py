@@ -7,7 +7,9 @@ clocks) and ``sample_events(horizon, rngs)``, each generator's epochs in
 (0, horizon], flat in generator order, with their counts.
 The two Poisson clocks are one power-law family, intensity
 rate*(t+1)**exponent (homogeneous: exponent 0, the one admitting rate 0),
-and also give ``intensity``, ``cumulative`` R(t) and ``inverse_cumulative``.
+and also give ``intensity`` r(t), ``cumulative`` R(t) and
+``inverse_cumulative`` R^-1(u): the one place these closed forms are
+written, for the samplers and the power-law closed forms of ``analytic``.
 Renewal clocks accumulate i.i.d. gaps from a law with ``draw(rng, size)``
 and ``mean_gap``."""
 
@@ -18,55 +20,6 @@ from typing import Union
 import numpy as np
 
 from .errors import DomainError, SpecError, as_number
-
-
-@dataclass(frozen=True)
-class IntensityFunction:
-    """Power-law event intensity rate*(t+1)**exponent for t >= 0."""
-    rate: float
-    exponent: float
-
-    def __post_init__(self):
-        if not self.rate > 0:
-            raise SpecError("intensity rate must be positive")
-
-    def __call__(self, t):
-        return self.rate * np.power(np.asarray(t, dtype=float) + 1.0, self.exponent)
-
-
-def cumulative_intensity(f: IntensityFunction, t):
-    """Mean number of events in [0, t].
-
-    Closed form: rate/(p+1) * ((t+1)**(p+1) - 1) for p != -1 and
-    rate * log(t+1) for p = -1.
-    """
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise DomainError("t must be nonnegative")
-    p = f.exponent
-    if p == -1.0:
-        out = f.rate * np.log1p(t)
-    else:
-        out = (f.rate / (p + 1.0)) * (np.power(t + 1.0, p + 1.0) - 1.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def inverse_cumulative_intensity(f: IntensityFunction, u):
-    """Time t at which the cumulative intensity reaches u."""
-    u = np.asarray(u, dtype=float)
-    if np.any(u < 0):
-        raise DomainError("u must be nonnegative")
-    p = f.exponent
-    if p == -1.0:
-        out = np.expm1(u / f.rate)
-    else:
-        out = np.power((p + 1.0) * u / f.rate + 1.0, 1.0 / (p + 1.0)) - 1.0
-    return float(out) if out.ndim == 0 else out
-
-
-def _zeros(t):
-    out = np.zeros(np.shape(t))
-    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -190,25 +143,53 @@ def _none(rngs):
 # ---------------------------------------------------------------------------
 
 class _PowerLawClock:
-    """Poisson resetting with intensity rate*(t+1)**exponent.  Without
-    resetting r and R are 0, and so is R^-1 on R's range {0}."""
+    """Poisson resetting with intensity r(t) = rate*(t+1)**exponent, its
+    integral R(t) and R's inverse, in closed form.  Without resetting r
+    and R are 0, and so is R^-1 on R's range {0}."""
 
     base_rate = property(lambda self: self.rate)
 
-    def _law(self):
-        return IntensityFunction(self.rate, self.exponent)
-
     def intensity(self, t):
         """r(t), the reset rate at time t."""
-        return self._law()(t) if self.rate else _zeros(t)
+        return _scalar(self.rate * np.power(np.asarray(t, dtype=float) + 1.0, self.exponent))
 
     def cumulative(self, t):
-        """R(t), the mean number of resets in [0, t]."""
-        return cumulative_intensity(self._law(), t) if self.rate else _zeros(t)
+        """R(t), the mean number of resets in [0, t]:
+        rate/(p+1) * ((t+1)**(p+1) - 1), and rate * log(t+1) at p = -1."""
+        t = _nonnegative(t, "t")
+        p = self.exponent
+        if not self.rate:
+            out = np.zeros(t.shape)
+        elif p == -1.0:
+            out = self.rate * np.log1p(t)
+        else:
+            out = (self.rate / (p + 1.0)) * (np.power(t + 1.0, p + 1.0) - 1.0)
+        return _scalar(out)
 
     def inverse_cumulative(self, u):
         """R^-1(u), the time at which R reaches u."""
-        return inverse_cumulative_intensity(self._law(), u) if self.rate else _zeros(u)
+        u = _nonnegative(u, "u")
+        p = self.exponent
+        if not self.rate:
+            out = np.zeros(u.shape)
+        elif p == -1.0:
+            out = np.expm1(u / self.rate)
+        else:
+            out = np.power((p + 1.0) * u / self.rate + 1.0, 1.0 / (p + 1.0)) - 1.0
+        return _scalar(out)
+
+
+def _nonnegative(x, name):
+    """``x`` as a float array, refused with DomainError if any value is negative."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0):
+        raise DomainError(f"{name} must be nonnegative")
+    return x
+
+
+def _scalar(out):
+    """``out``, a Python float when 0-d."""
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -258,6 +239,12 @@ class NonhomogeneousPoissonClock(_PowerLawClock):
             raise SpecError(f"R(horizon) overflows a double at horizon {horizon:g}")
         events, counts = _accumulate_gaps(ExponentialGaps(1.0), budget, rngs)
         return self.inverse_cumulative(events), counts
+
+
+# The two names perfbench/tracing.py reads for its count of expected
+# resets; they leave with that tracer (ROADMAP item 1).
+IntensityFunction = NonhomogeneousPoissonClock
+cumulative_intensity = _PowerLawClock.cumulative
 
 
 @dataclass(frozen=True)

@@ -19,58 +19,59 @@ from reset_sde import (
     SpecError,
     marginal_samples,
 )
-from reset_sde.clocks import (
-    IntensityFunction,
-    _accumulate_gaps,
-    cumulative_intensity,
-    inverse_cumulative_intensity,
-    likely_resets,
-    sample_reset_times,
-)
+from reset_sde._seeding import generators
+from reset_sde.clocks import _accumulate_gaps, likely_resets, sample_reset_times
 
 
 class TestCumulativeIntensity:
     def test_constant_rate(self):
-        assert cumulative_intensity(IntensityFunction(1.0, 0.0), 3.0) == pytest.approx(3.0)
+        assert NonhomogeneousPoissonClock(1.0, 0.0).cumulative(3.0) == pytest.approx(3.0)
 
     def test_log_form_at_exponent_minus_one(self):
-        f = IntensityFunction(1.0, -1.0)
-        assert cumulative_intensity(f, math.e - 1.0) == pytest.approx(1.0, rel=1e-14)
+        clock = NonhomogeneousPoissonClock(1.0, -1.0)
+        assert clock.cumulative(math.e - 1.0) == pytest.approx(1.0, rel=1e-14)
 
     def test_linear_intensity_against_quadrature(self):
-        f = IntensityFunction(2.0, 1.0)
+        clock = NonhomogeneousPoissonClock(2.0, 1.0)
         expected, _ = integrate.quad(lambda w: 2.0 * (w + 1.0), 0.0, 1.0)
-        assert cumulative_intensity(f, 1.0) == pytest.approx(expected, rel=1e-12)
+        assert clock.cumulative(1.0) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(3.0)
 
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
-            cumulative_intensity(IntensityFunction(1.0, 0.0), -0.1)
+            NonhomogeneousPoissonClock(1.0, 0.0).cumulative(-0.1)
 
     def test_negative_time_is_a_domain_error(self):
         with pytest.raises(DomainError, match="t must be nonnegative"):
-            cumulative_intensity(IntensityFunction(1.0, -0.5), np.array([1.0, -0.1]))
+            NonhomogeneousPoissonClock(1.0, -0.5).cumulative(np.array([1.0, -0.1]))
 
 
 class TestInverseCumulativeIntensity:
     def test_identity_for_constant_rate(self):
-        assert inverse_cumulative_intensity(IntensityFunction(1.0, 0.0), 5.0) == pytest.approx(5.0)
+        assert NonhomogeneousPoissonClock(1.0, 0.0).inverse_cumulative(5.0) == pytest.approx(5.0)
 
     def test_exponential_form_at_minus_one(self):
-        f = IntensityFunction(1.0, -1.0)
-        assert inverse_cumulative_intensity(f, 1.0) == pytest.approx(math.e - 1.0, rel=1e-14)
+        clock = NonhomogeneousPoissonClock(1.0, -1.0)
+        assert clock.inverse_cumulative(1.0) == pytest.approx(math.e - 1.0, rel=1e-14)
 
     def test_negative_budget_is_a_domain_error(self):
         with pytest.raises(DomainError, match="u must be nonnegative"):
-            inverse_cumulative_intensity(IntensityFunction(1.0, 0.5), -1.0)
+            NonhomogeneousPoissonClock(1.0, 0.5).inverse_cumulative(-1.0)
 
     @given(rate=hs.floats(0.1, 10.0), p=hs.floats(-3.0, 3.0),
            t=hs.floats(0.0, 100.0))
     @settings(max_examples=120, deadline=None)
     def test_roundtrip(self, rate, p, t):
-        f = IntensityFunction(rate, p)
-        back = inverse_cumulative_intensity(f, cumulative_intensity(f, t))
+        clock = NonhomogeneousPoissonClock(rate, p)
+        back = clock.inverse_cumulative(clock.cumulative(t))
         assert back == pytest.approx(t, rel=1e-12, abs=1e-9)
+
+
+def block_events(clock, horizon, n, seed, size=10_000):
+    """``clock.sample_events`` for n trajectories, the children of
+    ``SeedSequence(seed)``, ``size`` generators at a time."""
+    for lo in range(0, n, size):
+        yield clock.sample_events(horizon, generators(seed, lo, min(lo + size, n)))
 
 
 class TestSampling:
@@ -118,28 +119,21 @@ class TestSampling:
 
     def test_count_mean_matches_cumulative_intensity(self):
         clock = NonhomogeneousPoissonClock(1.0, 1.0)
-        f = IntensityFunction(1.0, 1.0)
-        rng = np.random.default_rng(7)
         t = 3.0
-        counts = np.array([len(sample_reset_times(clock, t, rng))
-                           for _ in range(3000)])
-        target = cumulative_intensity(f, t)
+        counts = np.concatenate([c for _, c in block_events(clock, t, 3000, 7)])
+        target = clock.cumulative(t)
         se = counts.std() / math.sqrt(len(counts))
         assert abs(counts.mean() - target) < 3 * se
 
     def test_window_counts_scale_with_cumulative_intensity(self):
         # growing intensity: early vs late window counts ratio
         clock = NonhomogeneousPoissonClock(1.0, 1.0)
-        f = IntensityFunction(1.0, 1.0)
-        rng = np.random.default_rng(13)
         early = late = 0
-        n = 100000
-        for _ in range(n):
-            events = sample_reset_times(clock, 10.0, rng)
+        for events, _ in block_events(clock, 10.0, 100000, 13):
             early += np.count_nonzero(events <= 1.0)
             late += np.count_nonzero(events > 9.0)
-        expected = ((cumulative_intensity(f, 10.0) - cumulative_intensity(f, 9.0))
-                    / cumulative_intensity(f, 1.0))
+        expected = ((clock.cumulative(10.0) - clock.cumulative(9.0))
+                    / clock.cumulative(1.0))
         ratio = late / early
         se = ratio * math.sqrt(1.0 / early + 1.0 / late)
         assert abs(ratio - expected) < 3 * se
@@ -277,19 +271,21 @@ class TestRenewalLaws:
 class TestClockInterface:
     def test_poisson_is_the_power_law_at_exponent_zero(self):
         t = np.array([0.0, 0.3, 2.0, 17.5])
-        f = IntensityFunction(1.5, 0.0)
-        clock = PoissonClock(1.5)
-        assert np.array_equal(clock.cumulative(t), cumulative_intensity(f, t))
-        assert np.array_equal(clock.inverse_cumulative(t),
-                              inverse_cumulative_intensity(f, t))
-        assert np.array_equal(clock.intensity(t), np.full(4, 1.5))
+        poisson, power_law = PoissonClock(1.5), NonhomogeneousPoissonClock(1.5, 0.0)
+        for method in ("intensity", "cumulative", "inverse_cumulative"):
+            for x in (t, 2.0):
+                a, b = getattr(poisson, method)(x), getattr(power_law, method)(x)
+                assert type(a) is type(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        assert np.array_equal(poisson.intensity(t), np.full(4, 1.5))
 
-    def test_rate_zero_has_no_hazard(self):
+    @pytest.mark.parametrize("t", [3.0, 1e300, np.array([0.0, 2.5, 1e300])],
+                             ids=["scalar", "1e300", "array"])
+    def test_rate_zero_has_no_hazard(self, t):
         clock = PoissonClock(0.0)
         assert clock.base_rate == 0.0
-        assert clock.cumulative(3.0) == 0.0
-        assert np.array_equal(clock.intensity(np.ones(3)), np.zeros(3))
-        assert np.array_equal(clock.inverse_cumulative(np.zeros(2)), np.zeros(2))
+        for method in (clock.intensity, clock.cumulative, clock.inverse_cumulative):
+            out = method(t)
+            assert np.shape(out) == np.shape(t) and np.array_equal(out, np.zeros(np.shape(t)))
         assert likely_resets(clock, 5.0) == 0.0
 
     def test_power_law_clock_inverts_its_cumulative_intensity(self):

@@ -115,16 +115,6 @@ class TestSchemeValidation:
         with pytest.raises(DomainError, match="too coarse"):
             simulate_euler(spec, cfg, np.random.default_rng(0))
 
-    def test_euler_grid_off_lattice_refused_before_simulating(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(simulate_module, "simulate_euler",
-                            lambda *a, **k: calls.append(a))
-        cfg = SchemeConfig(EulerScheme(0.1), horizon=0.5,
-                           grid=np.array([0.0, 0.25, 0.5]))
-        with pytest.raises(SpecError, match="multiples of dt"):
-            run_ensemble(poisson_spec(1.0), cfg, 5, seed=1)
-        assert calls == []
-
     def test_euler_grid_within_lattice_tolerance_is_read_after_the_run(self):
         # 1e-10 off the lattice: inside the shared time tolerance, so the
         # check admits it and the positions are read at lattice time 0.3
@@ -134,32 +124,30 @@ class TestSchemeValidation:
         for a, b in zip(full.trajectories, slim.trajectories):
             assert same_bits(b.positions, a.positions[[0, 3, 5]])
 
-    def test_euler_grid_beyond_lattice_tolerance_refused_before_walking(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(_kernels, "walk", lambda *a, **k: calls.append(a))
-        cfg = SchemeConfig(EulerScheme(0.1), horizon=0.5, grid=[0, 0.3 + 1e-8, 0.5])
-        with pytest.raises(SpecError, match="multiples of dt"):
-            run_ensemble(poisson_spec(1.0), cfg, 5, seed=1, keep="grid")
-        assert calls == []
-
-    @pytest.mark.parametrize("spec, cfg, n", [
-        (poisson_spec(1e9), SchemeConfig(ExactScheme(), 0.5), 1),
-        (poisson_spec(1.0), SchemeConfig(ExactScheme(), 1e9), 1),
-        (poisson_spec(1.0), SchemeConfig(EulerScheme(1e-2), 1e9), 1),
+    @pytest.mark.parametrize("spec, cfg, n, match", [
+        (poisson_spec(1e9), SchemeConfig(ExactScheme(), 0.5), 1, "budget"),
+        (poisson_spec(1.0), SchemeConfig(ExactScheme(), 1e9), 1, "budget"),
+        (poisson_spec(1.0), SchemeConfig(EulerScheme(1e-2), 1e9), 1, "budget"),
         (ProcessSpec(0.5, 0.0, 0.0, NonhomogeneousPoissonClock(1.0, 1e9)),
-         SchemeConfig(ExactScheme(), 1.0), 1),
+         SchemeConfig(ExactScheme(), 1.0), 1, "budget"),
         (ProcessSpec(0.5, 0.0, 0.0, RenewalClock(ParetoGaps(0.5, 1e-12))),
-         SchemeConfig(ExactScheme(), 10.0), 10 ** 3),
-        (poisson_spec(1.0), SchemeConfig(ExactScheme(), 10.0), 10 ** 6),
+         SchemeConfig(ExactScheme(), 10.0), 10 ** 3, "budget"),
+        (poisson_spec(1.0), SchemeConfig(ExactScheme(), 10.0), 10 ** 6, "budget"),
+        # Euler grid times off the dt lattice, and 1e-8 off it: beyond the
+        # shared time tolerance
+        (poisson_spec(1.0), SchemeConfig(EulerScheme(0.1), 0.5, grid=[0.0, 0.25, 0.5]), 5,
+         "multiples of dt"),
+        (poisson_spec(1.0), SchemeConfig(EulerScheme(0.1), 0.5, grid=[0, 0.3 + 1e-8, 0.5]), 5,
+         "multiples of dt"),
     ], ids=["rate", "horizon", "euler-lattice", "npp-overflow", "pareto-infinite-mean",
-            "many-trajectories"])
+            "many-trajectories", "euler-grid-off-lattice", "euler-grid-beyond-lattice-tolerance"])
     def test_runs_above_the_row_budget_are_refused_before_any_draw(self, monkeypatch,
-                                                                   spec, cfg, n):
+                                                                   spec, cfg, n, match):
         calls = []
         monkeypatch.setattr(simulate_module, "_block", lambda *a, **k: calls.append(a))
-        with pytest.raises(SpecError, match="budget"):
+        with pytest.raises(SpecError, match=match):
             run_ensemble(spec, cfg, n, seed=1)
-        with pytest.raises(SpecError, match="budget"):
+        with pytest.raises(SpecError, match=match):
             ensemble_csv(spec, cfg, n, 1, "unused-directory")
         assert calls == []
 
