@@ -353,18 +353,28 @@ def _normal_mixture(n: int, x_powers, variance_moments) -> Decimal:
 def _age_moments(variance: Decimal, rate, t, n: int) -> list:
     """E[(variance A)^k; A < t] = k! (variance / rate)^k P(k + 1, rate t)
     for k = 0..n//2, A exponential of rate ``rate`` and P the regularised
-    lower incomplete gamma function.  P(a, x) is scipy's gammainc for
-    a < 1.5 x; from there on, where gammainc loses digits and then
-    underflows, x^a e^{-x} / a! times Kummer's M(1, a + 1, x)."""
-    x, count = float(rate) * float(t), n // 2 + 1
-    near = count if 1.5 * x > count else max(0, math.ceil(1.5 * x) - 1)
-    shares = [Decimal(p) for p in special.gammainc(np.arange(1, near + 1), x)]
-    far, x_dec = np.arange(near + 1, count + 1), Decimal(x)
-    if len(far):
-        front = x_dec ** (near + 1) * (-x_dec).exp() / math.factorial(near + 1)
-        for a, kummer in zip(far.tolist(), special.hyp1f1(1.0, far + 1.0, x)):
-            shares.append(front * Decimal(kummer))
-            front = front * x_dec / (a + 1)
+    lower incomplete gamma function, in Decimal.  With x = rate t and
+    w_j = x^j e^{-x} / j!, the shares come down by P(a) = P(a + 1) + w_a,
+    each step adding a positive term, from the top share P(m),
+    m = n//2 + 1: 1 - sum_{j<m} w_j when m <= x, where it is at least
+    about 1/2, and the series sum_{j>=m} w_j otherwise."""
+    count, x = n // 2 + 1, Decimal(rate) * Decimal(float(t))
+    shares = [Decimal(1)] * count  # t = inf
+    if x.is_finite():
+        weights = [(-x).exp()]
+        for j in range(1, count):
+            weights.append(weights[-1] * x / j)
+        if count <= x:
+            top = 1 - sum(weights)
+        else:
+            top, term, j = Decimal(0), weights[-1] * x / count, count
+            while top + term != top:
+                top += term
+                j += 1
+                term = term * x / j
+        shares[-1] = top
+        for a in range(count - 2, -1, -1):
+            shares[a] = shares[a + 1] + weights[a + 1]
     scale = variance / Decimal(rate)
     return [math.factorial(k) * scale ** k * p for k, p in enumerate(shares)]
 
@@ -382,50 +392,15 @@ def laplace_moment(n: int, rate: float) -> float:
     return _double(value, f"Laplace moment {n} at rate {rate:g}")
 
 
-_KUMMER_REL_TOL = 1e-12  # stop after two terms this small against the sum
-_KUMMER_MAX_TERMS = 500
-
-
-def kummer_phi(a: float, b: float, c: float) -> float:
-    """Kummer's confluent hypergeometric series sum_k (a)_k/(b)_k c^k/k!.
-
-    Negative arguments are routed through the transformation
-    phi(a, b; c) = e^c phi(b - a, b; -c), whose series has no sign
-    cancellation.  Raises ConvergenceError when the term budget runs out.
-    """
-    if b <= 0 and b == int(b):
-        raise DomainError(f"b = {b:g} is a non-positive integer (series pole)")
-    if c < 0:
-        return math.exp(c) * kummer_phi(b - a, b, -c)
-    term = 1.0
-    total = 1.0
-    small_streak = 0
-    for k in range(_KUMMER_MAX_TERMS):
-        term *= (a + k) / (b + k) * c / (k + 1)
-        total += term
-        if not math.isfinite(total):
-            raise ConvergenceError(
-                f"Kummer series overflowed after {k + 1} terms "
-                f"(a={a:g}, b={b:g}, c={c:g})")
-        if abs(term) <= _KUMMER_REL_TOL * max(abs(total), 1e-300):
-            small_streak += 1
-            if small_streak >= 2:
-                return total
-        else:
-            small_streak = 0
-    raise ConvergenceError(
-        f"Kummer series did not converge within {_KUMMER_MAX_TERMS} terms "
-        f"(a={a:g}, b={b:g}, c={c:g}, last term {term:g})")
-
-
 def gaussian_moment(n: int, x0: float, t: float) -> float:
     """n-th raw moment of a Normal(x0, t) random variable.
 
     E (x0 + sqrt(t) Z)^n = sum_k C(n, 2k) x0^(n-2k) t^k (2k-1)!!, a finite
     sum whose terms all share the sign of x0^n, so nothing cancels.  The
-    paper's Kummer-function form (see :func:`kummer_phi`) turns this
-    terminating series into an infinite one that overflows for large
-    x0^2/t; it is kept as an independent cross-check in the tests.
+    paper's form through Kummer's confluent hypergeometric function
+    turns this terminating series into an infinite one that overflows
+    for large x0^2/t; the tests keep it, on scipy's ``hyp1f1``, as an
+    independent cross-check.
     """
     n = _order(n)
     _check_time(t)

@@ -28,7 +28,6 @@ from reset_sde.analytic import (
     classify_regime,
     density_curve,
     gaussian_moment,
-    kummer_phi,
     laplace_moment,
     laplace_pdf,
     mean,
@@ -311,31 +310,28 @@ class TestMomentPieces:
         with pytest.raises(NumericalError, match="overflows"):
             laplace_moment(400, 1.0)
 
-    def test_kummer_basics(self):
-        assert kummer_phi(0.3, 1.7, 0.0) == 1.0
-        for c in (2.5, -1.5, 7.0):
-            assert kummer_phi(1.0, 1.0, c) == pytest.approx(math.exp(c), rel=1e-11)
-        z = 0.7
-        assert kummer_phi(-1.0, 0.5, -z) == pytest.approx(1 + 2 * z, rel=1e-12)
-
-    def test_kummer_against_scipy(self):
-        rng = np.random.default_rng(14)
-        for _ in range(150):
-            a = rng.uniform(-3, 3)
-            b = rng.uniform(0.3, 4.0)
-            c = rng.uniform(-8, 8)
-            ref = special.hyp1f1(a, b, c)
-            assert kummer_phi(a, b, c) == pytest.approx(ref, rel=1e-9, abs=1e-12)
-
-    def test_kummer_pole_and_budget(self):
-        with pytest.raises(DomainError):
-            kummer_phi(1.0, 0.0, 0.5)
-        with pytest.raises(DomainError):
-            kummer_phi(1.0, -2.0, 0.5)
-        with pytest.raises(ConvergenceError):
-            kummer_phi(0.5, 1.5, 800.0)
-        with pytest.raises(ConvergenceError, match="did not converge"):
-            kummer_phi(0.5, 1.5, 400.0)
+    def test_age_shares_match_the_poisson_tail(self):
+        # k! P(k + 1, x) against k! e^{-x} sum_{j>k} x^j / j! at 80 digits,
+        # summed from the far end: both top-share branches (m = 201 above
+        # and below x, and next to it), and shares far below the smallest
+        # double (x = 1e-3, k = 200)
+        deep = decimal.Context(prec=80, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+        for x in (1e-3, 0.7, 57.3, 200.0, 201.0, 1e4):
+            with decimal.localcontext(analytic._DECIMAL):
+                got = analytic._age_moments(Decimal(1), 1.0, x, 400)
+            assert len(got) == 201
+            with decimal.localcontext(deep):
+                x_dec = Decimal(x)
+                terms = [(-x_dec).exp()]  # e^{-x} x^j / j!
+                while len(terms) <= max(x, 201) or terms[-1] > terms[201] * Decimal("1e-85"):
+                    terms.append(terms[-1] * x_dec / len(terms))
+                tails = [Decimal(0)]
+                for term in reversed(terms[1:]):
+                    tails.append(tails[-1] + term)
+                tails = tails[:0:-1]  # tails[k] = the sum over j > k
+                for k, share in enumerate(got):
+                    want = math.factorial(k) * tails[k]
+                    assert abs(share / want - 1) < Decimal("1e-25"), (x, k)
 
     def test_gaussian_moments(self):
         assert gaussian_moment(2, 0.0, 3.0) == pytest.approx(3.0)
@@ -365,10 +361,10 @@ class TestMomentPieces:
             z = -x0 * x0 / (2.0 * t)
             if n % 2 == 0:
                 return (math.sqrt(2.0 * t) ** n * math.gamma((n + 1) / 2.0)
-                        / math.sqrt(math.pi) * kummer_phi(-n / 2.0, 0.5, z))
+                        / math.sqrt(math.pi) * special.hyp1f1(-n / 2.0, 0.5, z))
             return (x0 * math.sqrt(t) ** (n - 1) * 2.0 ** ((n + 1) / 2.0)
                     * math.gamma(n / 2.0 + 1.0) / math.sqrt(math.pi)
-                    * kummer_phi((1.0 - n) / 2.0, 1.5, z))
+                    * special.hyp1f1((1.0 - n) / 2.0, 1.5, z))
 
         for x0, t in ((1.0, 0.5), (1.3, 0.8), (-0.7, 2.0), (3.0, 0.2)):
             for n in range(13):
@@ -456,8 +452,8 @@ class TestPaperRoute:
                 with pytest.raises(NumericalError, match="overflows"):
                     nth_moment(spec, n, t)
             else:
-                assert nth_moment(spec, n, t) == pytest.approx(float(reference),
-                                                               rel=1e-12, abs=0.0), n
+                # correctly rounded
+                assert nth_moment(spec, n, t) == float(reference), n
 
 
 class TestNppTransforms:
