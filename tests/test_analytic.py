@@ -310,28 +310,35 @@ class TestMomentPieces:
         with pytest.raises(NumericalError, match="overflows"):
             laplace_moment(400, 1.0)
 
-    def test_age_shares_match_the_poisson_tail(self):
+    @pytest.mark.parametrize("x", [1e-3, 0.7, 57.3, 200.0, 201.0, 1e4])
+    def test_age_shares_match_the_poisson_tail(self, x):
         # k! P(k + 1, x) against k! e^{-x} sum_{j>k} x^j / j! at 80 digits,
         # summed from the far end: both top-share branches (m = 201 above
         # and below x, and next to it), and shares far below the smallest
         # double (x = 1e-3, k = 200)
         deep = decimal.Context(prec=80, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
-        for x in (1e-3, 0.7, 57.3, 200.0, 201.0, 1e4):
-            with decimal.localcontext(analytic._DECIMAL):
-                got = analytic._age_moments(Decimal(1), 1.0, x, 400)
-            assert len(got) == 201
-            with decimal.localcontext(deep):
-                x_dec = Decimal(x)
-                terms = [(-x_dec).exp()]  # e^{-x} x^j / j!
-                while len(terms) <= max(x, 201) or terms[-1] > terms[201] * Decimal("1e-85"):
-                    terms.append(terms[-1] * x_dec / len(terms))
-                tails = [Decimal(0)]
-                for term in reversed(terms[1:]):
-                    tails.append(tails[-1] + term)
-                tails = tails[:0:-1]  # tails[k] = the sum over j > k
-                for k, share in enumerate(got):
-                    want = math.factorial(k) * tails[k]
-                    assert abs(share / want - 1) < Decimal("1e-25"), (x, k)
+        with decimal.localcontext(analytic._DECIMAL):
+            got = analytic._age_moments(Decimal(1), 1.0, x, 400)
+        assert len(got) == 201
+        with decimal.localcontext(deep):
+            x_dec = Decimal(x)
+            terms = [(-x_dec).exp()]  # e^{-x} x^j / j!
+            while len(terms) <= max(x, 201) or terms[-1] > terms[201] * Decimal("1e-85"):
+                terms.append(terms[-1] * x_dec / len(terms))
+            tails = [Decimal(0)]
+            for term in reversed(terms[1:]):
+                tails.append(tails[-1] + term)
+            tails = tails[:0:-1]  # tails[k] = the sum over j > k
+            for k, share in enumerate(got):
+                want = math.factorial(k) * tails[k]
+                assert abs(share / want - 1) < Decimal("1e-25"), k
+
+    def test_age_shares_at_infinite_time_are_one(self):
+        # t = inf: every P(k + 1, x) is 1, so the k-th age moment is
+        # k! (variance / rate)^k exactly, with no weights formed
+        with decimal.localcontext(analytic._DECIMAL):
+            got = analytic._age_moments(Decimal(3), 0.5, math.inf, 41)
+            assert got == [math.factorial(k) * Decimal(6) ** k for k in range(21)]
 
     def test_gaussian_moments(self):
         assert gaussian_moment(2, 0.0, 3.0) == pytest.approx(3.0)
