@@ -357,7 +357,8 @@ def _age_moments(variance: Decimal, rate, t, n: int) -> list:
     w_j = x^j e^{-x} / j!, the shares come down by P(a) = P(a + 1) + w_a,
     each step adding a positive term, from the top share P(m),
     m = n//2 + 1: 1 - sum_{j<m} w_j when m <= x, where it is at least
-    about 1/2, and the series sum_{j>=m} w_j otherwise."""
+    about 1/2, and the series sum_{j>=m} w_j otherwise.  The factors
+    k! (variance / rate)^k are one running product, a rounding a step."""
     count, x = n // 2 + 1, Decimal(rate) * Decimal(float(t))
     shares = [Decimal(1)] * count  # t = inf
     if x.is_finite():
@@ -375,8 +376,11 @@ def _age_moments(variance: Decimal, rate, t, n: int) -> list:
         shares[-1] = top
         for a in range(count - 2, -1, -1):
             shares[a] = shares[a + 1] + weights[a + 1]
-    scale = variance / Decimal(rate)
-    return [math.factorial(k) * scale ** k * p for k, p in enumerate(shares)]
+    scale, factor, moments = variance / Decimal(rate), Decimal(1), []
+    for k, p in enumerate(shares, 1):
+        moments.append(factor * p)
+        factor *= k * scale
+    return moments
 
 
 def laplace_moment(n: int, rate: float) -> float:

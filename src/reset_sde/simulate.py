@@ -53,7 +53,14 @@ DEFAULT_EXACT_POINTS = 257
 # A run expected to walk more rows than this, over all its trajectories
 # (grid or lattice points plus resets), is refused before any work: a row
 # costs 8 bytes of each array a trajectory walks, and about 25 of CSV.
+# The marginal samplers refuse an output of more values than this, and as
+# they work in fixed chunks that bounds their real memory too: 8 bytes a
+# value, a byte or two of flags a sample, and a few chunks.
 MAX_RUN_ROWS = 10 ** 8
+
+# The marginal samplers work this many samples at a time, so their
+# temporaries are a few chunks, whatever n is.
+_CHUNK = 2 ** 14
 
 TRAJECTORIES_CSV = "trajectories.csv"
 RESETS_CSV = "resets.csv"
@@ -288,16 +295,26 @@ def _only(block):
 # Marginal samplers
 # ---------------------------------------------------------------------------
 
+def _chunks(n):
+    """Consecutive slices of range(n), ``_CHUNK`` long but the last."""
+    return (slice(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK))
+
+
 def _chain(spec, times, ages, n, seed, unit=1.0):
     """(n, len(times)) positions at the increasing ``times``, without paths.
 
     Each time is drawn given the previous one (Markov property).
-    ``ages(j, n, rng)`` draws which samples saw no reset since the previous
-    time, and how long each has diffused since then or since its last
-    reset; then one normal z per sample gives a centred Normal step of
-    variance 2*D*unit*age, times being in units of ``unit``.  An output
-    of more than ``MAX_RUN_ROWS`` values is refused before any array is
-    made.
+    ``ages(j, row, out, rng)`` writes into ``row``, a contiguous vector of
+    n, how long each sample has diffused since the previous time or since
+    its last reset, and returns the flags of the samples that saw no
+    reset since the previous time; the columns of ``out`` from j on are
+    free until their own time, and with one time ``row`` is that column.
+    Then one normal z per sample, drawn ``_CHUNK`` at a time, gives a
+    centred Normal step of variance 2*D*unit*age, times being in units of
+    ``unit``.  The arithmetic runs a chunk at a time, so peak memory is
+    about the output plus one chunk (and ``row`` with several times).
+    An output of more than ``MAX_RUN_ROWS`` values is refused before any
+    array is made.
     """
     _check_n(n)
     if not n * len(times) <= MAX_RUN_ROWS:
@@ -306,15 +323,19 @@ def _chain(spec, times, ages, n, seed, unit=1.0):
     rng = np.random.default_rng(seed)
     var = 2.0 * spec.diffusivity * unit
     out = np.empty((n, len(times)))
-    x, x_reset = float(spec.x0), float(spec.x_reset)
+    row = out[:, 0] if len(times) == 1 else np.empty(n)
+    x0, x_reset = float(spec.x0), float(spec.x_reset)
     for j in range(len(times)):
-        survived, age = ages(j, n, rng)
-        z = rng.standard_normal(n)
-        center = np.where(survived, x, x_reset)
-        # center + sqrt(var age) z in place: at large n temporaries set the peak memory
-        step = var * age
-        np.sqrt(step, out=step)
-        x = np.add(center, np.multiply(step, z, out=step), out=out[:, j])
+        survived = ages(j, row, out, rng)
+        for s in _chunks(n):
+            # center + sqrt(var age) z, in place in the row; no temporary
+            # is named, so none outlives its chunk
+            step = row[s]
+            np.multiply(var, step, out=step)
+            np.sqrt(step, out=step)
+            np.multiply(step, rng.standard_normal(len(step)), out=step)
+            np.add(np.where(survived[s], out[s, j - 1] if j else x0, x_reset), step,
+                   out=out[s, j])
     return out
 
 
@@ -323,53 +344,84 @@ def _hazard_ages(times, hazards, inverse, tick=0.0):
     [0, t]) is ``hazards[j]`` at ``times[j]``, ``inverse(v)`` being the
     earliest time whose hazard reaches v.  A sample survives since t_prev
     when log u <= H(t_prev) - H(t), u uniform; else its last reset is at
-    H^-1(H(t) + log u), at least ``tick`` after t_prev."""
-    def ages(j, n, rng):
-        log_u = np.log(rng.random(n))
+    H^-1(H(t) + log u), at least ``tick`` after t_prev.  The n uniforms
+    are drawn into ``row`` in one call and turned into ages in place."""
+    def ages(j, row, out, rng):
+        rng.random(out=row)
         t, h = times[j], hazards[j]
         t_prev, h_prev = (times[j - 1], hazards[j - 1]) if j else (0.0, 0.0)
-        survived = log_u <= h_prev - h
-        last = np.maximum(inverse(np.maximum(h + log_u, h_prev)), t_prev + tick)
-        return survived, np.where(survived, t - t_prev, t - last)
+        survived = np.empty(len(row), dtype=bool)
+        for s in _chunks(len(row)):
+            log_u = np.log(row[s], out=row[s])
+            np.less_equal(log_u, h_prev - h, out=survived[s])
+            # the age t - last, its temporaries unnamed so none outlives the chunk
+            np.subtract(t, np.maximum(inverse(np.maximum(h + log_u, h_prev)), t_prev + tick),
+                        out=log_u)
+            np.copyto(log_u, t - t_prev, where=survived[s])
+        return survived
 
     return ages
 
 
 def _renewal_ages(times, law):
-    """``ages`` of a renewal clock.  Each sample carries its last reset
-    epoch (nan before the first) and its next, already drawn, so a gap in
-    progress at one time runs on to the next.  Samples whose next epoch
-    is not past a time draw rows of gaps, running sums from that epoch,
-    doubling in width (at most 2**20 draws a round) until it is; the rest
-    of a row is independent of the samples and dropped.  Deterministic
-    gaps draw nothing: the last epoch by t is k * gap, as in their sampler."""
+    """``ages`` of a renewal clock.  Each sample carries its next epoch,
+    already drawn, in the last column of the output until that column's
+    time, so a gap in progress at one time runs on to the next.  Samples
+    whose next epoch is not past a time draw rows of gaps, running sums
+    from that epoch, doubling in width (at most 2**20 draws a round)
+    until it is; the rest of a row is independent of the samples and
+    dropped.  A round draws its rows in order, a chunk's worth at a time.
+    Deterministic gaps draw nothing: the last epoch by t is k * gap, as
+    in their sampler."""
     if isinstance(law, DeterministicGaps):
-        def lattice_ages(j, n, rng):
+        def lattice_ages(j, row, out, rng):
             t, t_prev = times[j], (times[j - 1] if j else 0.0)
             k = law.count(t)
             survived = k == law.count(t_prev)
-            return np.full(n, survived), np.full(n, t - (t_prev if survived else k * law.gap))
+            row.fill(t - (t_prev if survived else k * law.gap))
+            return np.full(len(row), survived)
 
         return lattice_ages
-    last = nxt = None
 
-    def ages(j, n, rng):
-        nonlocal last, nxt
+    def ages(j, row, out, rng):
+        # at the last time nxt may be row itself: a sample's slot holds its
+        # next epoch until its age is known
+        nxt, n = out[:, -1], len(row)
         if j == 0:
-            last, nxt = np.full(n, np.nan), _draw_gaps(law, rng, n)
+            for s in _chunks(n):
+                nxt[s] = _draw_gaps(law, rng, s.stop - s.start)
         t, t_prev = times[j], (times[j - 1] if j else 0.0)
         survived = nxt > t
-        stale, width = np.flatnonzero(~survived), 16
-        while len(stale):
-            width = max(1, min(width, 2 ** 20 // len(stale)))
-            gaps = _draw_gaps(law, rng, (len(stale), width))
-            epochs = np.hstack([nxt[stale, None], gaps]).cumsum(axis=1)
-            k, rows = (epochs <= t).sum(axis=1), np.arange(len(stale))
-            last[stale], nxt[stale] = epochs[rows, k - 1], epochs[rows, np.minimum(k, width)]
-            stale, width = stale[k > width], 2 * width
-        return survived, np.where(survived, t - t_prev, t - last)
+        stale, width = ~survived, 16
+        while count := np.count_nonzero(stale):
+            width = max(1, min(width, 2 ** 20 // count))
+            group = max(1, _CHUNK // (width + 1))
+            for s in _chunks(n):
+                batch = np.flatnonzero(stale[s])
+                batch += s.start
+                for lo in range(0, len(batch), group):
+                    _run_gaps(law, rng, batch[lo:lo + group], width, t, nxt, row, stale)
+            width *= 2
+        np.copyto(row, t - t_prev, where=survived)
+        return survived
 
     return ages
+
+
+def _run_gaps(law, rng, rows, width, t, nxt, row, stale):
+    """Draw ``width`` gaps for each sample of ``rows`` and sum them on
+    from its next epoch.  A sample whose sums pass t gets its age at t in
+    ``row``, its first sum past t as next epoch and its ``stale`` flag
+    off; the others take their last sum, still at or below t, as next
+    epoch."""
+    epochs = np.hstack([nxt[rows, None], _draw_gaps(law, rng, (len(rows), width))]
+                       ).cumsum(axis=1)
+    k, at = (epochs <= t).sum(axis=1), np.arange(len(rows))
+    last = epochs[at, k - 1]
+    nxt[rows] = epochs[at, np.minimum(k, width)]
+    done = k <= width
+    row[rows[done]] = t - last[done]
+    stale[rows[done]] = False
 
 
 def marginal_samples(spec: ProcessSpec, t, n: int, seed) -> np.ndarray:
@@ -382,7 +434,10 @@ def marginal_samples(spec: ProcessSpec, t, n: int, seed) -> np.ndarray:
     last reset is drawn by inverting the clock's R(t), refused where R(t)
     overflows a double, or from a renewal clock's gaps, unless n samples
     likely draw over ``MAX_RUN_ROWS``.  Distributionally identical to
-    exact-scheme marginals.
+    exact-scheme marginals.  The work runs in fixed chunks of samples:
+    at one time peak memory is about the output plus one chunk, and
+    several times add an n-vector and the copy that puts the columns in
+    the requested order.
     """
     validate_spec(spec)
     _check_n(n)
@@ -411,7 +466,8 @@ def euler_marginal_samples(spec: ProcessSpec, ts, dt: float, n: int, seed) -> np
     (n, len(ts)), or (n,) when ts is a scalar.  The Euler chain survives
     steps i..k-1 without a reset with probability prod (1 - p_j), so
     ``_chain`` samples its marginals exactly on the lattice, with the
-    tabulated log survival as its hazard.
+    tabulated log survival as its hazard; peak memory is as for
+    ``marginal_samples``, about the output plus one chunk.
     """
     lattice = np.unique(np.asarray(ts, dtype=float))
     if not len(lattice):

@@ -93,6 +93,14 @@ BLOCK_CASES = [
 BLOCK_IDS = [f"block-n={n}" for n in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3)] + [
     "block-rate-0", "block-pareto", "block-resets-on-grid", "block-euler", "block-euler-grid"]
 
+# The marginal samplers work chunks of this many samples; the pins below
+# sit at its edges.
+CHUNK = 2 ** 14
+CHUNK_CLOCKS = {"poisson": PoissonClock(1.5),
+                "power-law-0.5": NonhomogeneousPoissonClock(1.2, -0.5),
+                "pareto": RenewalClock(ParetoGaps(1.5, 0.2)),
+                "deterministic": RenewalClock(DeterministicGaps(0.4))}
+
 
 
 class TestSchemeValidation:
@@ -353,6 +361,47 @@ class TestMarginalSampler:
             "euler-power-law":
                 "fc80e12490a22a0a7122fba27d9b9074d01db806d7114a055a8d87dcb5675310",
         }
+
+    @pytest.mark.parametrize("name,expected", [
+        ("poisson", "010f5ab37cd0df502e51b3ac58af9b67ab12d2f3bb55541e8988add5124d0104"),
+        ("power-law-0.5", "5451b45498e5a4914a3c0cb9b65b28210c739428d0d03e4eedcdd155fc9cec22"),
+        ("pareto", "68112a60cf88ce0887948a7408ba1d42900a3c844aecf11a186a5dab7bf717e0"),
+        ("deterministic", "7fcd0a5e96902dbb77147f2b088830478b53a7ef795fd5ce3edf8560e7038178"),
+    ])
+    def test_streams_hold_at_the_chunk_edges(self, name, expected):
+        # one sha256 over the float64 bytes of draws of CHUNK - 1, CHUNK and
+        # CHUNK + 1 samples, each at one time and at three unsorted ones; at
+        # t = 12 most Pareto samples draw a second round of gaps
+        assert simulate_module._CHUNK == CHUNK
+        spec = ProcessSpec(0.7, 0.3, -1.0, CHUNK_CLOCKS[name])
+        digest = hashlib.sha256()
+        for n in (CHUNK - 1, CHUNK, CHUNK + 1):
+            for t in (2.5, [0.3, 12.0, 2.5]):
+                digest.update(np.ascontiguousarray(marginal_samples(spec, t, n, seed=29))
+                              .tobytes())
+        assert digest.hexdigest() == expected
+
+    def test_euler_stream_holds_past_a_chunk(self):
+        assert simulate_module._CHUNK == CHUNK
+        xs = euler_marginal_samples(ProcessSpec(0.7, 0.3, -1.0, PoissonClock(1.5)),
+                                    [0.5, 0.1, 1.2], 0.01, CHUNK + 1, seed=31)
+        assert hashlib.sha256(np.ascontiguousarray(xs).tobytes()).hexdigest() == (
+            "1bad24c97c5e5a7e6a7c2d4265fea1c9d2ca24db168a28246de6679d4a45e1a4")
+
+    @pytest.mark.parametrize("name", CHUNK_CLOCKS)
+    def test_peak_memory_is_the_output_and_a_few_chunks(self, name):
+        # tracemalloc sees numpy's buffers; the temporaries of each chunk
+        # (about three chunks' worth) and the n flags come on top of the
+        # output, so 2.5x holds at three chunks and tightens as n grows
+        spec = ProcessSpec(0.7, 0.3, -1.0, CHUNK_CLOCKS[name])
+        marginal_samples(spec, 2.5, 10, seed=1)  # first-call allocations
+        tracemalloc.start()
+        try:
+            xs = marginal_samples(spec, 2.5, 3 * CHUNK + 1, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * xs.nbytes
 
     def test_typed_errors_for_bad_time_and_size(self):
         with pytest.raises(DomainError, match="t must be positive"):
