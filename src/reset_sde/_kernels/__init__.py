@@ -1,7 +1,8 @@
 """The walk kernel: positions of a random walk with resets, in numpy.
 
-``BACKEND`` names the implementation for run records; it is always
-``"python"`` (the numpy kernel in ``_walk_py``).
+``walk`` and ``walk_batch`` share one body, and stay two functions so
+that a trace counts 1-D and batched calls apart.  ``BACKEND`` names the
+implementation for run records; it is always ``"python"``.
 """
 
 import numpy as np
@@ -18,18 +19,16 @@ def walk(x0, x_reset, increments, reset_flags):
     discarded when ``reset_flags[j]`` is set.  Returns an array one
     longer than ``increments`` whose first entry is ``x0``.
     """
-    increments = np.ascontiguousarray(increments, dtype=np.float64)
-    reset_flags = np.ascontiguousarray(reset_flags, dtype=np.uint8)
-    out = np.empty(increments.shape[0] + 1, dtype=np.float64)
-    _walk_py.resetting_walk(float(x0), float(x_reset), increments, reset_flags, out)
-    return out
+    return _positions(x0, x_reset, increments, reset_flags)
 
 
 def walk_batch(x0, x_reset, increments, reset_flags):
     """Row-wise :func:`walk` for a (n_paths, n_steps) batch."""
-    increments = np.ascontiguousarray(increments, dtype=np.float64)
-    reset_flags = np.ascontiguousarray(reset_flags, dtype=np.uint8)
-    n, m = increments.shape
-    out = np.empty((n, m + 1), dtype=np.float64)
-    _walk_py.resetting_walk_batch(float(x0), float(x_reset), increments, reset_flags, out)
+    return _positions(x0, x_reset, increments, reset_flags)
+
+
+def _positions(x0, x_reset, increments, reset_flags):
+    increments = np.asarray(increments, dtype=np.float64)
+    out = np.empty(increments.shape[:-1] + (increments.shape[-1] + 1,))
+    _walk_py.resetting_walk(x0, x_reset, increments, np.asarray(reset_flags, dtype=bool), out)
     return out

@@ -567,12 +567,14 @@ def quadrature_record():
 def quadrature(integrand, lo, hi, points=None, **opts):
     """Integral of ``integrand`` over [lo, hi], with its error estimate checked.
 
-    The integrand maps an array of n nodes to values of shape ``(..., n)``,
-    and :func:`_gauss_kronrod` integrates every component at once with one
-    integrand call per refinement round; its error estimate is a single
-    max-norm over the components.  The tolerance is max(epsabs, epsrel *
-    max|value|), and ConvergenceError is raised when the estimate exceeds
-    it.  ``opts`` override the module defaults (epsabs, epsrel, limit).
+    [lo, hi] is a finite range or (-inf, inf); any other infinite range
+    raises DomainError.  The integrand maps an array of n nodes to values
+    of shape ``(..., n)``, and :func:`_gauss_kronrod` integrates every
+    component at once with one integrand call per refinement round; its
+    error estimate is a single max-norm over the components.  The
+    tolerance is max(epsabs, epsrel * max|value|), and ConvergenceError
+    is raised when the estimate exceeds it.  ``opts`` override the module
+    defaults (epsabs, epsrel, limit).
     """
     opts = {**_QUAD_OPTS, **opts}
     value, error, calls, evaluations = _gauss_kronrod(integrand, lo, hi, points, **opts)
@@ -593,35 +595,25 @@ def quadrature(integrand, lo, hi, points=None, **opts):
 
 
 def _finite_range(f, lo, hi, points):
-    """``(g, a, b, points, sign)`` with the integral of f over [lo, hi]
-    equal to sign times that of g over [a, b], a finite range.
-
-    These are quad_vec's maps: one infinite bound goes to (0, 1) through
-    x = start + s (1 - t)/t, both to (-1, 1) through x = (1 - |t|)/t, split
-    at t = 0; dx = dt / t^2, and g is 0 where 1/t^2 would overflow.
+    """``(g, a, b, points)`` with the integral of f over [lo, hi], finite
+    or the whole line, equal to that of g over the finite [a, b].  The
+    whole line goes to (-1, 1) through quad_vec's map x = (1 - |t|)/t,
+    split at t = 0; dx = dt / t^2, and g is 0 where 1/t^2 would overflow.
     """
     points = () if points is None else tuple(points)
     if math.isfinite(lo) and math.isfinite(hi):
-        return f, lo, hi, points, 1.0
-    if math.isinf(lo) and math.isinf(hi):
-        s, sign = 1.0, (-1.0 if hi < lo else 1.0)
-        to_x = lambda t: (1.0 - np.abs(t)) / t
-        points = (0.0,) + tuple((-1.0 if x < 0 else 1.0) / (abs(x) + 1.0) for x in points)
-        a = 1.0 if lo == hi else -1.0
-    else:
-        start, end = (lo, hi) if math.isfinite(lo) else (hi, lo)
-        s, sign = (-1.0 if end < 0 else 1.0), (1.0 if end == hi else -1.0)
-        to_x = lambda t: start + s * (1.0 - t) / t
-        points = tuple(1.0 / z if (z := s * (x - start) + 1.0) else math.inf
-                       for x in points)
-        a = 0.0
+        return f, lo, hi, points
+    if not (lo == -math.inf and hi == math.inf):
+        raise DomainError(f"quadrature takes a finite range or (-inf, inf); "
+                          f"got [{lo:g}, {hi:g}]")
+    points = (0.0,) + tuple((-1.0 if x < 0 else 1.0) / (abs(x) + 1.0) for x in points)
 
     def g(t):
         small = np.abs(t) < _TINY_T
         t = np.where(small, 1.0, t)
-        return f(to_x(t)) * np.where(small, 0.0, s / (t * t))
+        return f((1.0 - np.abs(t)) / t) * np.where(small, 0.0, 1.0 / (t * t))
 
-    return g, a, 1.0, points, sign
+    return g, -1.0, 1.0, points
 
 
 def _gk21(values, half):
@@ -718,7 +710,7 @@ def _gauss_kronrod(integrand, lo, hi, points, epsabs, epsrel, limit):
     error plus the rounding term.  Only the intervals' integrals are
     kept, one array of components each, as quad_vec keeps them.
     """
-    g, a, b, points, sign = _finite_range(integrand, float(lo), float(hi), points)
+    g, a, b, points = _finite_range(integrand, float(lo), float(hi), points)
     edges = [a]
     for p in sorted(map(float, points)):
         if a < p < b and p != edges[-1]:
@@ -745,7 +737,7 @@ def _gauss_kronrod(integrand, lo, hi, points, epsabs, epsrel, limit):
         error, rounding = errs.sum(), rounding + new_rounding.sum()
         if error < tolerance() / 8.0 or error < rounding:
             break
-    return sign * value.reshape(f.shape), float(error + rounding), f.calls, f.evaluations
+    return value.reshape(f.shape), float(error + rounding), f.calls, f.evaluations
 
 
 def _exp_above_cutoff(out):

@@ -187,7 +187,10 @@ def _number(args, config, key, default=None, kind=float):
 
 
 def _build_clock(args, config):
-    doc = dict(config["clock"]) if isinstance(config.get("clock"), dict) else {}
+    doc = config.get("clock", {})
+    if not isinstance(doc, dict):
+        return clock_from_json(doc)  # refuses it: not an object
+    doc = dict(doc)
     for key, flag in (("type", "clock"), ("r", "r"), ("p", "p")):
         if getattr(args, flag, None) is not None:
             doc[key] = getattr(args, flag)

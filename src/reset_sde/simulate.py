@@ -301,7 +301,8 @@ def _chunks(n):
 
 
 def _chain(spec, times, ages, n, seed, unit=1.0):
-    """(n, len(times)) positions at the increasing ``times``, without paths.
+    """(n, len(times)) positions at the increasing ``times``, without
+    paths, in a column-major array.
 
     Each time is drawn given the previous one (Markov property).
     ``ages(j, row, out, rng)`` writes into ``row``, a contiguous vector of
@@ -322,7 +323,9 @@ def _chain(spec, times, ages, n, seed, unit=1.0):
                         f"{MAX_RUN_ROWS:.0e} values; lower n or the number of times")
     rng = np.random.default_rng(seed)
     var = 2.0 * spec.diffusivity * unit
-    out = np.empty((n, len(times)))
+    # column-major, the layout of its reordered copies: a sum over samples
+    # adds in one order whether or not the caller's times were sorted
+    out = np.empty((n, len(times)), order="F")
     row = out[:, 0] if len(times) == 1 else np.empty(n)
     x0, x_reset = float(spec.x0), float(spec.x_reset)
     for j in range(len(times)):
@@ -337,6 +340,16 @@ def _chain(spec, times, ages, n, seed, unit=1.0):
             np.add(np.where(survived[s], out[s, j - 1] if j else x0, x_reset), step,
                    out=out[s, j])
     return out
+
+
+def _columns_at(chain, times, t):
+    """The columns of ``chain``, one per time of the sorted, distinct
+    ``times``, in the order of ``t``: a column view for a scalar t, the
+    chain itself when t is ``times``, else a reordered copy."""
+    index = np.searchsorted(times, t)
+    if np.array_equal(index, np.arange(len(times))):  # false for a scalar t: shape ()
+        return chain
+    return chain[:, index]
 
 
 def _hazard_ages(times, hazards, inverse, tick=0.0):
@@ -435,9 +448,9 @@ def marginal_samples(spec: ProcessSpec, t, n: int, seed) -> np.ndarray:
     overflows a double, or from a renewal clock's gaps, unless n samples
     likely draw over ``MAX_RUN_ROWS``.  Distributionally identical to
     exact-scheme marginals.  The work runs in fixed chunks of samples:
-    at one time peak memory is about the output plus one chunk, and
-    several times add an n-vector and the copy that puts the columns in
-    the requested order.
+    at one time peak memory is about the output plus one chunk; several
+    times add an n-vector, and times that are not sorted and distinct
+    the copy that puts the columns in the requested order.
     """
     validate_spec(spec)
     _check_n(n)
@@ -456,7 +469,7 @@ def marginal_samples(spec: ProcessSpec, t, n: int, seed) -> np.ndarray:
             raise SpecError(f"{n} samples would draw about {gaps:.3g} gaps, above the "
                             f"budget of {MAX_RUN_ROWS:.0e}; lower n or the last time")
         ages = _renewal_ages(times, clock.law)
-    return _chain(spec, times, ages, n, seed)[:, np.searchsorted(times, t)]
+    return _columns_at(_chain(spec, times, ages, n, seed), times, t)
 
 
 def euler_marginal_samples(spec: ProcessSpec, ts, dt: float, n: int, seed) -> np.ndarray:
@@ -478,8 +491,7 @@ def euler_marginal_samples(spec: ProcessSpec, ts, dt: float, n: int, seed) -> np
     # in step m-1 puts the chain at the reset point at lattice index m
     hazard = np.concatenate(([0.0], -np.cumsum(np.log1p(-plan.probs[:ks[-1]]))))
     ages = _hazard_ages(ks, hazard[ks], lambda v: np.searchsorted(hazard, v), tick=1)
-    cols = _chain(spec, ks, ages, n, seed, unit=dt)
-    return cols[:, np.searchsorted(lattice, ts)]
+    return _columns_at(_chain(spec, ks, ages, n, seed, unit=dt), lattice, ts)
 
 
 # ---------------------------------------------------------------------------

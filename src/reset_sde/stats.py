@@ -100,15 +100,13 @@ def fit_power_law_exponent(series: MsdSeries, window=None) -> float:
 
 
 def ks_distance(samples, cdf_evaluator) -> float:
-    """One-sample Kolmogorov-Smirnov statistic against a supplied CDF."""
+    """One-sample Kolmogorov-Smirnov statistic against a supplied CDF:
+    ``cdf_evaluator`` is called once, on the sorted samples as one array."""
     samples = np.sort(np.asarray(samples, dtype=float))
     n = len(samples)
     if n < 10:
         raise DomainError("need at least 10 samples")
-    try:
-        cdf = np.asarray(cdf_evaluator(samples), dtype=float)
-    except (TypeError, ValueError):
-        cdf = np.array([float(cdf_evaluator(x)) for x in samples])
+    cdf = np.asarray(cdf_evaluator(samples), dtype=float)
     if cdf.shape != samples.shape:
         raise SpecError("cdf evaluator must return one value per sample")
     if np.any(np.diff(cdf) < -1e-12):

@@ -188,6 +188,13 @@ class TestCharFn:
             est = stats.empirical_char_fn(samples, s)
             assert abs(est.value - char_fn(spec, s, 0.5)) < 3 * est.stderr
 
+    def test_no_resetting_is_the_gaussian(self):
+        # rate 0: exp(i s x0 - D s^2 t), the free diffusion from x0
+        spec = ProcessSpec(0.7, 0.4, 2.0, PoissonClock(0.0))
+        ss = np.linspace(-5.0, 5.0, 41)
+        assert np.allclose(char_fn(spec, ss, 1.3), np.exp(1j * ss * 0.4 - 0.7 * ss * ss * 1.3),
+                           rtol=1e-14, atol=1e-15)
+
     def test_fourier_inversion_recovers_density(self):
         spec = spec_poisson(1.0, 0.0, 1.0)
         t = 0.7
@@ -504,6 +511,14 @@ class TestNppPdf:
         xs = np.linspace(-12.0, 12.0, 4001)
         assert np.trapezoid(npp_pdf(spec, xs, t), xs) == pytest.approx(1.0, abs=1e-4)
 
+    @pytest.mark.parametrize("rate, t", [(1.0, 5.0), (2.0, 0.7), (0.5, 20.0)])
+    def test_log_intensity_second_moment_matches_msd(self, rate, t):
+        # p = -1: R(t) - R(t - age) takes its logarithmic branch
+        spec = spec_npp(rate, -1.0)
+        xs = np.linspace(-40.0, 40.0, 40001)
+        second = np.trapezoid(xs * xs * npp_pdf(spec, xs, t), xs)
+        assert second == pytest.approx(npp_msd(spec, t), rel=1e-9)
+
     @pytest.mark.parametrize("p, t", [(4.0, 100.0), (2.0, 1000.0)])
     def test_normalisation_under_strongly_growing_intensity(self, p, t):
         # the density sits in a thin boundary layer of last-reset times
@@ -653,16 +668,20 @@ class TestQuadrature:
         assert np.allclose(out, oracle, rtol=1e-12, atol=0.0)
         assert np.allclose(out, np.expm1(KS) / KS, rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("lo, hi", [(-np.inf, np.inf), (0.0, np.inf),
-                                        (-np.inf, 0.5), (np.inf, 0.0)])
-    def test_infinite_ranges(self, lo, hi):
+    def test_whole_line(self):
         gauss = lambda x: np.exp(-np.multiply.outer(KS, x) ** 2)
-        out = analytic.quadrature(gauss, lo, hi)
-        oracle = [integrate.quad(lambda x: math.exp(-(k * x) ** 2), lo, hi,
+        out = analytic.quadrature(gauss, -np.inf, np.inf)
+        oracle = [integrate.quad(lambda x: math.exp(-(k * x) ** 2), -np.inf, np.inf,
                                  epsabs=1e-13, epsrel=1e-12)[0] for k in KS]
         assert np.allclose(out, oracle, rtol=1e-10, atol=0.0)
 
-    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-np.inf, np.inf), (0.0, np.inf)])
+    @pytest.mark.parametrize("lo, hi", [(0.0, np.inf), (-np.inf, 0.5), (np.inf, 0.0),
+                                        (np.inf, -np.inf), (np.inf, np.inf)])
+    def test_other_infinite_ranges_are_refused(self, lo, hi):
+        with pytest.raises(DomainError, match="finite range or"):
+            analytic.quadrature(np.exp, lo, hi)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-np.inf, np.inf)])
     def test_breakpoints_match_quad_vec(self, lo, hi):
         # a kink at 0.3: the same nodes, value and error estimate as
         # quad_vec's GK21 rule with the same breakpoint

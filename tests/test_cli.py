@@ -668,14 +668,29 @@ class TestDomainErrors:
         ["analytic", "pdf", "--x-lo", 2, "--x-hi", -2],
         ["analytic", "moments", "--t", "inf", "--n-max", -1],
         ["analytic", "moments", "--t", 1, "--n-max", -3],
+        ["analytic", "pdf", "--points", 1],
+        ["analytic", "regime"],
+        ["analytic", "msd", "--r", 1],
+        ["simulate", "--scheme", "euler"],
+        ["simulate", "--config", {"clock": "npp", "n": 2, "horizon": 1}],
+        ["fpe", "--config", {"clock": 5}],
+        ["simulate", "--config", [1, 2]],
     ], ids=["pdf-t0", "fpe-negative-t", "mean-negative-t-hi", "msd-reversed-grid",
             "pdf-t-inf", "cf-t-nan", "mgf-t-inf", "moments-t-inf", "pdf-reversed-x",
-            "moments-t-inf-no-order", "moments-negative-n-max"])
+            "moments-t-inf-no-order", "moments-negative-n-max", "pdf-one-point",
+            "regime-without-p", "msd-without-p", "euler-without-dt",
+            "config-clock-string", "config-clock-number", "config-list"])
     def test_exits_2_without_traceback(self, tmp_path, capsys, args):
+        # a JSON document in args is written to a file, and its path passed
+        config = tmp_path / "cfg.json"
+        for i, arg in enumerate(args):
+            if isinstance(arg, (dict, list)):
+                config.write_text(json.dumps(arg))
+                args = args[:i] + [config] + args[i + 1:]
         out = tmp_path / "out"
         assert run(args + ["--out", out]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: config:")
+        assert err.startswith("error: config:") and err.count("\n") == 1
         assert "Traceback" not in err
         assert not list(out.glob("*.csv"))
 

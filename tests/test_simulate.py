@@ -403,6 +403,32 @@ class TestMarginalSampler:
             tracemalloc.stop()
         assert peak <= 2.5 * xs.nbytes
 
+    @pytest.mark.parametrize("name", ["poisson", "pareto"])
+    def test_sorted_times_return_the_chain_without_a_copy(self, name):
+        # the output, an n-vector (1/8 of it) and a few chunks; a copy of
+        # the columns into the requested order would double the output
+        spec = ProcessSpec(0.7, 0.3, -1.0, CHUNK_CLOCKS[name])
+        ts = np.linspace(0.3, 2.5, 8)
+        marginal_samples(spec, ts, 10, seed=1)  # first-call allocations
+        tracemalloc.start()
+        try:
+            xs = marginal_samples(spec, ts, 3 * CHUNK + 1, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert xs.shape == (3 * CHUNK + 1, 8)
+        assert peak <= 1.5 * xs.nbytes
+
+    def test_sums_over_samples_do_not_depend_on_the_order_of_the_times(self):
+        # sorted times return the chain, others a reordered copy; both
+        # column-major, so a mean over samples adds in the same order
+        spec = poisson_spec(1.5)
+        ts = [0.3, 1.0, 2.5]
+        sorted_xs = marginal_samples(spec, ts, 1000, seed=3)
+        reversed_xs = marginal_samples(spec, ts[::-1], 1000, seed=3)
+        assert np.array_equal(sorted_xs[:, ::-1], reversed_xs)
+        assert np.array_equal(sorted_xs.mean(axis=0)[::-1], reversed_xs.mean(axis=0))
+
     def test_typed_errors_for_bad_time_and_size(self):
         with pytest.raises(DomainError, match="t must be positive"):
             marginal_samples(poisson_spec(1.0), 0.0, 10, seed=1)

@@ -7,10 +7,12 @@ from scipy import integrate
 from scipy.stats import norm
 
 from reset_sde import (
+    DeterministicGaps,
     DomainError,
     NonhomogeneousPoissonClock,
     PoissonClock,
     ProcessSpec,
+    RenewalClock,
     SpecError,
     marginal_samples,
     run_ensemble,
@@ -102,6 +104,18 @@ class TestEmpiricalMsd:
         assert series.msd[0] < 0.05
         assert series.msd[-1] == pytest.approx(1.0, rel=0.15)
 
+    def test_renewal_clock_off_center_uses_the_empirical_mean(self):
+        # no closed-form mean: the centre is the ensemble mean.  Resets at
+        # t = 1, 2 from x0 = 3 to 0, so the variance is 2 D (t - last reset)
+        spec = ProcessSpec(0.5, 3.0, 0.0, RenewalClock(DeterministicGaps(1.0)))
+        grid = np.array([0.5, 1.5, 2.25])
+        cfg = SchemeConfig(ExactScheme(), horizon=2.5, grid=grid)
+        ens = run_ensemble(spec, cfg, 4000, seed=64, keep="grid")
+        series = empirical_msd(ens)
+        positions = ens.positions_at(series.ts)
+        assert np.allclose(series.msd, positions.var(axis=0), rtol=1e-12, atol=0.0)
+        assert np.allclose(series.msd, [0.0, 0.5, 0.5, 0.25], rtol=0.1, atol=0.0)
+
 
 class TestExponentFit:
     def test_exact_power_law(self):
@@ -155,14 +169,6 @@ class TestKsDistance:
     def test_rejects_nonmonotone_cdf(self):
         with pytest.raises(ValueError, match="monotone"):
             ks_distance(np.linspace(0, 1, 100), lambda x: np.cos(10 * x))
-
-    def test_scalar_only_evaluators_supported(self):
-        rng = np.random.default_rng(10)
-        samples = rng.standard_normal(500)
-        vector = ks_distance(samples, norm.cdf)
-        scalar = ks_distance(samples, lambda x: float(norm.cdf(x))
-                             if np.ndim(x) == 0 else (_ for _ in ()).throw(TypeError))
-        assert scalar == pytest.approx(vector)
 
 
 class TestAnalyticCdf:
