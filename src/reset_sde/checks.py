@@ -4,10 +4,13 @@ solvers and the generator/adjoint pair.
 
 ``reset-sde validate`` and the acceptance tests both call these.  Each
 function returns only its statistic; the caller chooses the sizes, seeds
-and tolerance and labels the result.  The checks that use ``fpe`` import
-it, so that a suite without them leaves it unloaded: loaded before the
-moments suite's 200,000 samples, it raises that suite's peak memory by
-about 0.5 MiB.
+and tolerance and labels the result.  The Monte Carlo checks hold their
+samples and reduce them in fixed chunks (``stats._means_and_stds``,
+``stats.ks_distance``), with the values numpy's one-array reductions
+give, bit for bit, so their peak memory follows the samples.  The checks
+that use ``fpe`` import it, so that a suite without them leaves it
+unloaded: loaded before the moments suite's 200,000 samples, it raises
+that suite's peak memory by about 0.5 MiB.
 """
 
 import math
@@ -79,20 +82,27 @@ def moment_errors(spec, t, orders):
 
 def moment_z_scores(spec, t, n, seed, orders):
     """Per order, the z-score of the n-sample mean of x^order at time t
-    against ``nth_moment``; the powers are built by repeated products,
-    from the samples themselves up."""
+    against ``nth_moment``.  The powers are built by repeated products,
+    from the samples themselves up, one chunk of samples at a time: each
+    chunk's ladder climbs through every order, and its powers are summed
+    there, so only the samples are held whole."""
     samples = marginal_samples(spec, t, n, seed=seed)
-    scores = []
-    power, k = np.ones_like(samples), 0
-    for order in orders:
-        if order < k:  # the ladder only climbs
-            power, k = np.ones_like(samples), 0
-        while k < order:
-            power *= samples
-            k += 1
-        scores.append((power.mean() - analytic.nth_moment(spec, order, t))
-                      / (power.std() / math.sqrt(len(power))))
-    return scores
+    orders = list(orders)
+
+    def powers(lo, hi):
+        part = samples[lo:hi]
+        power, k = np.ones_like(part), 0
+        for order in orders:
+            if order < k:  # the ladder only climbs
+                power, k = np.ones_like(part), 0
+            while k < order:
+                power *= part
+                k += 1
+            yield power
+
+    means, stds = stats._means_and_stds(powers, n)
+    return [(mean - analytic.nth_moment(spec, order, t)) / (std / math.sqrt(n))
+            for order, mean, std in zip(orders, means, stds)]
 
 
 def fpe_l1_distances(spec, t, h, dt):
@@ -134,16 +144,20 @@ def duality_residual(spec, xs, rng, draws=1):
 def dynkin_z(spec, t, n, seed):
     """z-score of d/dt E[x^2], a central difference of step 1e-3, against
     the generator prediction, using common random numbers across the
-    three time points."""
+    three time points.  The residual, drift minus generator, is formed
+    and reduced one chunk at a time."""
     delta = 1e-3
-    lo = marginal_samples(spec, t - delta, n, seed=seed)
-    mid = marginal_samples(spec, t, n, seed=seed)
-    hi = marginal_samples(spec, t + delta, n, seed=seed)
-    drift = (hi ** 2 - lo ** 2) / (2 * delta)
-    generator = (2.0 * spec.diffusivity
-                 + spec.clock.rate * (spec.x_reset ** 2 - mid ** 2))
-    residual = drift - generator
-    return residual.mean() / (residual.std() / math.sqrt(n))
+    before = marginal_samples(spec, t - delta, n, seed=seed)
+    now = marginal_samples(spec, t, n, seed=seed)
+    after = marginal_samples(spec, t + delta, n, seed=seed)
+
+    def residual(lo, hi):
+        drift = (after[lo:hi] ** 2 - before[lo:hi] ** 2) / (2 * delta)
+        yield drift - (2.0 * spec.diffusivity
+                       + spec.clock.rate * (spec.x_reset ** 2 - now[lo:hi] ** 2))
+
+    (mean,), (std,) = stats._means_and_stds(residual, n)
+    return mean / (std / math.sqrt(n))
 
 
 def adjoint_l1(spec, xs, t):

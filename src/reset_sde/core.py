@@ -79,6 +79,21 @@ def rescale_to_unit(spec: ProcessSpec):
 
 
 # ---------------------------------------------------------------------------
+# Fixed chunks
+# ---------------------------------------------------------------------------
+
+# The marginal samplers and the estimators over their samples work this
+# many samples at a time, so their temporaries are a few chunks, whatever
+# n is.
+_CHUNK = 2 ** 14
+
+
+def _chunks(n):
+    """Consecutive slices of range(n), ``_CHUNK`` long but the last."""
+    return (slice(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK))
+
+
+# ---------------------------------------------------------------------------
 # Trajectories and ensembles
 # ---------------------------------------------------------------------------
 

@@ -34,7 +34,9 @@ from .core import (
     ProcessSpec,
     SpecError,
     Trajectory,
+    _CHUNK,
     _cells,
+    _chunks,
     _float_cells,
     open_table,
     spec_to_json,
@@ -57,10 +59,6 @@ DEFAULT_EXACT_POINTS = 257
 # they work in fixed chunks that bounds their real memory too: 8 bytes a
 # value, a byte or two of flags a sample, and a few chunks.
 MAX_RUN_ROWS = 10 ** 8
-
-# The marginal samplers work this many samples at a time, so their
-# temporaries are a few chunks, whatever n is.
-_CHUNK = 2 ** 14
 
 TRAJECTORIES_CSV = "trajectories.csv"
 RESETS_CSV = "resets.csv"
@@ -294,11 +292,6 @@ def _only(block):
 # ---------------------------------------------------------------------------
 # Marginal samplers
 # ---------------------------------------------------------------------------
-
-def _chunks(n):
-    """Consecutive slices of range(n), ``_CHUNK`` long but the last."""
-    return (slice(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK))
-
 
 def _chain(spec, times, ages, n, seed, unit=1.0):
     """(n, len(times)) positions at the increasing ``times``, without

@@ -1,7 +1,9 @@
 """Estimators that turn ensembles and sample sets into comparable
 artifacts: normalised histograms, empirical MSD curves with power-law
 exponent fits, Kolmogorov-Smirnov distances, and empirical
-characteristic functions."""
+characteristic functions.  The KS distance and the sample means and
+standard deviations of ``checks`` work in fixed chunks, so their
+temporaries do not grow with the number of samples."""
 
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -16,6 +18,8 @@ from .core import (
     PoissonClock,
     ProcessSpec,
     SpecError,
+    _CHUNK,
+    _chunks,
 )
 from . import analytic
 from .analytic import DensityCurve
@@ -39,7 +43,10 @@ def histogram_density(samples, bin_spec=None, t: float = math.nan) -> DensityCur
     samples = np.asarray(samples, dtype=float)
     if len(samples) == 0:
         raise DomainError("no samples")
-    if samples.max() == samples.min():
+    lo, hi = samples.min(), samples.max()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError("samples must be finite")
+    if hi == lo:
         v = float(samples[0])
         return DensityCurve(xs=np.array([v]), values=np.array([1.0]), t=t)
     if bin_spec is None:
@@ -100,19 +107,78 @@ def fit_power_law_exponent(series: MsdSeries, window=None) -> float:
 
 
 def ks_distance(samples, cdf_evaluator) -> float:
-    """One-sample Kolmogorov-Smirnov statistic against a supplied CDF:
-    ``cdf_evaluator`` is called once, on the sorted samples as one array."""
+    """One-sample Kolmogorov-Smirnov statistic against a supplied CDF.
+
+    ``cdf_evaluator`` is called on consecutive slices of the sorted
+    samples, each at most ``_CHUNK`` long, so it must work elementwise;
+    its temporaries are then those of one slice.  The statistic is the
+    running maximum over the slices, and the monotonicity check includes
+    the step across each slice edge.
+    """
     samples = np.sort(np.asarray(samples, dtype=float))
     n = len(samples)
     if n < 10:
         raise DomainError("need at least 10 samples")
-    cdf = np.asarray(cdf_evaluator(samples), dtype=float)
-    if cdf.shape != samples.shape:
-        raise SpecError("cdf evaluator must return one value per sample")
-    if np.any(np.diff(cdf) < -1e-12):
-        raise SpecError("cdf evaluator is not monotone")
-    steps = np.arange(1, n + 1) / n
-    return float(max(np.max(steps - cdf), np.max(cdf - (steps - 1.0 / n))))
+    if np.isnan(samples[-1]):  # np.sort puts NaN last
+        raise DomainError("samples must not be NaN")
+    above = below = previous = -math.inf
+    for s in _chunks(n):
+        part = samples[s]
+        cdf = np.asarray(cdf_evaluator(part), dtype=float)
+        if cdf.shape != part.shape:
+            raise SpecError("cdf evaluator must return one value per sample")
+        if np.isnan(cdf).any():
+            raise SpecError("cdf evaluator returned NaN")
+        if np.any(np.diff(cdf, prepend=previous) < -1e-12):
+            raise SpecError("cdf evaluator is not monotone")
+        steps = np.arange(s.start + 1, s.stop + 1) / n
+        above = max(above, np.max(steps - cdf))
+        below = max(below, np.max(cdf - (steps - 1.0 / n)))
+        previous = cdf[-1]
+    return float(max(above, below))
+
+
+def _pairwise_sum(leaf, lo, hi):
+    """``leaf(lo, hi)`` summed over the leaves of numpy's pairwise tree on
+    range(lo, hi), leaves of at most ``_CHUNK``.
+
+    numpy adds a contiguous float64 array pairwise (Higham, SIAM J. Sci.
+    Comput. 14, 1993): it splits n > 128 values at n2 = n//2 - (n//2) % 8
+    and adds the sums of the two halves.  Splitting the same way down to
+    one chunk, where ``leaf`` returns ``np.add.reduce`` of its slice (or an
+    array of such sums), gives ``np.add.reduce`` of the whole array bit for
+    bit, with one slice's values alive at a time.
+    """
+    n = hi - lo
+    if n <= _CHUNK:
+        return leaf(lo, hi)
+    half = n // 2 - (n // 2) % 8
+    return _pairwise_sum(leaf, lo, lo + half) + _pairwise_sum(leaf, lo + half, hi)
+
+
+def _means_and_stds(arrays, n):
+    """``a.mean()`` and ``a.std()`` for each of some n-arrays a, bit for
+    bit, as two float arrays, with no n-array held.
+
+    ``arrays(lo, hi)`` yields slice [lo:hi] of each array in turn; it is
+    called once per leaf in each of two passes, and each slice is reduced
+    before the next is asked for, so it may reuse one buffer.  As numpy's ``_methods`` does,
+    the mean is sum / n and the std sqrt(sum((a - mean)^2) / n), each sum
+    taken by ``_pairwise_sum``.
+    """
+    def sums(lo, hi):
+        return np.array([np.add.reduce(a) for a in arrays(lo, hi)])
+
+    means = _pairwise_sum(sums, 0, n) / n
+
+    def squares(lo, hi):
+        out = []
+        for a, mean in zip(arrays(lo, hi), means):
+            d = a - mean
+            out.append(np.add.reduce(np.multiply(d, d, out=d)))
+        return np.array(out)
+
+    return means, np.sqrt(_pairwise_sum(squares, 0, n) / n)
 
 
 def _norm_cdf(z):
@@ -174,6 +240,8 @@ def empirical_char_fn(samples, s: float) -> EmpiricalCf:
     n = len(samples)
     if n < 100:
         raise DomainError("need at least 100 samples")
+    if not (math.isfinite(samples.min()) and math.isfinite(samples.max())):
+        raise DomainError("samples must be finite")
     phases = np.exp(1j * s * samples)
     value = complex(phases.mean())
     stderr = math.sqrt((phases.real.var() + phases.imag.var()) / n)

@@ -1,11 +1,15 @@
 """Unit tests of the cross-check statistics in ``reset_sde.checks``."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from reset_sde import DomainError, PoissonClock, ProcessSpec
+from reset_sde import DomainError, PoissonClock, ProcessSpec, marginal_samples
 from reset_sde import analytic, checks
 from reset_sde.analytic import ConvergenceError
+from reset_sde.core import _CHUNK as CHUNK
 
 # (spec, t): the validate moments suite's; one whose moments of orders
 # 1..6 span four decades, from E X = 1.4e-4 to E X^6 = 0.93; that one on
@@ -88,3 +92,55 @@ class TestMomentErrors:
         with pytest.raises(DomainError, match="moment 1 is 0"):
             checks.moment_errors(ProcessSpec(0.5, 0.0, 0.0, PoissonClock(1.0)), 0.7,
                                  range(1, 7))
+
+
+def traced_peak(call):
+    """Peak bytes traced during call(); the caller first makes a small
+    call, so that one-time allocations are not counted."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMonteCarloChecks:
+    def test_moment_z_scores_equal_the_one_array_reductions(self):
+        # a ladder that restarts (4 then 1) and repeats an order, over
+        # samples that span several leaves of the summation tree
+        spec, t = MOMENT_CASES["suite"]
+        n, orders = 2 * CHUNK + 7, [2, 4, 1, 3, 3]
+        samples = marginal_samples(spec, t, n, seed=5)
+        expected = []
+        for order in orders:
+            power = np.ones_like(samples)
+            for _ in range(order):
+                power *= samples
+            expected.append((power.mean() - analytic.nth_moment(spec, order, t))
+                            / (power.std() / math.sqrt(n)))
+        assert checks.moment_z_scores(spec, t, n, 5, orders) == expected
+
+    def test_dynkin_z_equals_the_one_array_reductions(self):
+        spec, t, n, delta = ProcessSpec(0.5, 0.0, 2.0, PoissonClock(1.0)), 0.3, 2 * CHUNK + 7, 1e-3
+        lo, mid, hi = (marginal_samples(spec, s, n, seed=6) for s in (t - delta, t, t + delta))
+        residual = ((hi ** 2 - lo ** 2) / (2 * delta)
+                    - (2.0 * spec.diffusivity + spec.clock.rate * (spec.x_reset ** 2 - mid ** 2)))
+        expected = residual.mean() / (residual.std() / math.sqrt(n))
+        assert checks.dynkin_z(spec, t, n, 6) == expected
+
+    def test_moment_z_scores_hold_only_the_samples(self):
+        # the samples (1.5 MiB at the moments suite's n = 200,000) and a few
+        # chunks; power ladder and std temporary as n-arrays made it 3x
+        spec, t = MOMENT_CASES["suite"]
+        checks.moment_z_scores(spec, t, 10, 1, range(1, 5))
+        n = 200_000
+        assert traced_peak(lambda: checks.moment_z_scores(spec, t, n, 1, range(1, 5))) \
+            <= 1.6 * 8 * n
+
+    def test_marginal_ks_evaluates_the_cdf_a_chunk_at_a_time(self):
+        # the pdf-ks suite's first check: about 12 n-arrays of temporaries
+        # in one analytic_cdf call over all 30,000 samples peaked at 2.97 MiB
+        spec = ProcessSpec(0.5, 0.0, 3.0, PoissonClock(1.0))
+        checks.marginal_ks(spec, 0.1, 10, 1)
+        assert traced_peak(lambda: checks.marginal_ks(spec, 0.1, 30_000, 1)) <= 2.2 * 2 ** 20

@@ -19,8 +19,11 @@ from reset_sde import (
 )
 from reset_sde.simulate import ExactScheme, SchemeConfig
 from reset_sde import analytic
+from reset_sde.core import _CHUNK as CHUNK
 from reset_sde.stats import (
     MsdSeries,
+    _means_and_stds,
+    _pairwise_sum,
     analytic_cdf,
     cdf_from_density_curve,
     empirical_char_fn,
@@ -170,6 +173,51 @@ class TestKsDistance:
         with pytest.raises(ValueError, match="monotone"):
             ks_distance(np.linspace(0, 1, 100), lambda x: np.cos(10 * x))
 
+    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    def test_slices_give_the_one_call_statistic(self, n):
+        samples = np.random.default_rng(n).standard_normal(n)
+
+        def cdf(x):
+            return norm.cdf(x, loc=0.01)
+
+        x = np.sort(samples)
+        f = cdf(x)
+        steps = np.arange(1, n + 1) / n
+        one_call = float(max(np.max(steps - f), np.max(f - (steps - 1.0 / n))))
+        assert ks_distance(samples, cdf) == one_call
+
+    def test_evaluator_sees_consecutive_slices_of_at_most_one_chunk(self):
+        samples = np.random.default_rng(4).standard_normal(2 * CHUNK + 1)
+        seen = []
+
+        def cdf(x):
+            seen.append(x.copy())
+            return norm.cdf(x)
+
+        ks_distance(samples, cdf)
+        assert [len(x) for x in seen] == [CHUNK, CHUNK, 1]
+        assert np.array_equal(np.concatenate(seen), np.sort(samples))
+
+    def test_a_decrease_across_a_slice_edge_is_refused(self):
+        # increasing within each slice, down by almost 1 from the last
+        # value of the first slice to the first of the second
+        with pytest.raises(SpecError, match="monotone"):
+            ks_distance(np.arange(CHUNK + 10.0), lambda x: (x % CHUNK) / CHUNK)
+
+
+class TestPairwiseSum:
+    @pytest.mark.parametrize("n", [1, 7, 8, 127, 128, 129, CHUNK - 1, CHUNK, CHUNK + 1,
+                                   2 * CHUNK + 7, 200_000, 1_000_003])
+    def test_matches_numpy_bit_for_bit(self, n):
+        # numpy sums a contiguous float64 array along a pairwise tree; the
+        # chunked sums must follow the same tree, so with heavy tails any
+        # other order of additions shows in the last bits
+        x = np.random.default_rng(n).standard_cauchy(n)
+        assert _pairwise_sum(lambda lo, hi: np.add.reduce(x[lo:hi]), 0, n) == np.add.reduce(x)
+        (mean,), (std,) = _means_and_stds(lambda lo, hi: (x[lo:hi],), n)
+        assert mean == x.mean()
+        assert std == x.std()
+
 
 class TestAnalyticCdf:
     def test_limits_and_monotonicity(self):
@@ -247,8 +295,18 @@ class TestTypedErrors:
         (lambda: cdf_from_density_curve(analytic.DensityCurve(
             np.linspace(0.0, 1.0, 5), np.zeros(5), 0.0)), DomainError),
         (lambda: empirical_char_fn(np.zeros(50), 1.0), DomainError),
+        (lambda: ks_distance(np.append(np.linspace(0, 1, 20), np.nan),
+                             cdf_from_density_curve(analytic.DensityCurve(
+                                 np.linspace(0.0, 1.0, 5), np.ones(5), 0.0))), DomainError),
+        (lambda: ks_distance(np.linspace(0, 1, 20), lambda x: np.full(len(x), np.nan)),
+         SpecError),
+        (lambda: histogram_density(np.array([0.0, 1.0, np.nan])), DomainError),
+        (lambda: histogram_density(np.array([0.0, 1.0, np.inf])), DomainError),
+        (lambda: empirical_char_fn(np.append(np.zeros(199), np.nan), 1.0), DomainError),
+        (lambda: empirical_char_fn(np.append(np.zeros(199), -np.inf), 1.0), DomainError),
     ], ids=["no-samples", "short-window", "nonpositive-msd", "few-ks-samples",
-            "cdf-shape", "cdf-monotone", "no-mass", "few-cf-samples"])
+            "cdf-shape", "cdf-monotone", "no-mass", "few-cf-samples", "ks-nan-sample",
+            "cdf-nan", "histogram-nan", "histogram-inf", "cf-nan", "cf-inf"])
     def test_bad_inputs_raise_typed_errors(self, call, error):
         with pytest.raises(error):
             call()
