@@ -11,6 +11,10 @@ on (``validate`` records these in ``report.json``).  Exit codes: 0
 success, 1 validation failure, 2 configuration error, 3 I/O error,
 4 numerical failure.
 
+``simulate --workers k`` forks k - 1 children from the calling process,
+one per extra shard, with no process pool; where the platform cannot
+fork, the shards run in turn in the calling process, with the same bytes.
+
 ``analytic``, ``fpe`` and ``stats`` load ``scipy.special``, so only the
 commands that use them import it; ``simulate`` runs on numpy alone.
 """
@@ -55,6 +59,10 @@ EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERICAL = 4
+
+# A density curve whose trapezoid mass is further than this from 1 gets a
+# warning on stderr: its grid cannot hold the law.
+COARSE_MASS = 1e-2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -295,7 +303,9 @@ def _cmd_simulate(args) -> int:
                     [TRAJECTORIES_CSV, RESETS_CSV], started,
                     stages={key: round(counts[key], 3) for key in
                             ("ensemble_s", "write_s", "cpu_s", "shards_wall_s")},
-                    counters=counters)
+                    counters=counters,
+                    shards=[dict(shard, start_s=round(shard["start_s"], 4))
+                            for shard in counts["shards"]])
     print(f"wrote {os.path.join(out, TRAJECTORIES_CSV)} ({n} trajectories)")
     return EXIT_OK
 
@@ -317,7 +327,7 @@ def _cmd_analytic(args) -> int:
     out = _out_dir(args)
     what = args.what
     resolved = {"spec": spec_to_json(spec), "what": what, "t": args.t, "out": out}
-    outputs = []
+    outputs, extra = [], {}
     if what not in ("regime", "moments") and args.points < 2:
         raise SpecError("--points must be at least 2")
 
@@ -330,10 +340,17 @@ def _cmd_analytic(args) -> int:
         outputs.append("regime.json")
     elif what in ("pdf", "stationary"):
         t = None if what == "stationary" else args.t
-        curve = analytic.density_curve(spec, t, _x_grid(args, spec, t))
+        xs, windows = _x_grid(args, spec, t)
+        curve = analytic.density_curve(spec, t, xs)
         curve.to_csv(os.path.join(out, "curve.csv"))
         outputs.append("curve.csv")
-        print(f"mass = {curve.mass():.6f}")
+        mass = curve.mass()
+        extra["counters"] = {"points": len(xs), "windows": windows, "mass": mass}
+        print(f"mass = {mass:.6f}")
+        if abs(mass - 1.0) > COARSE_MASS:
+            print(f"warning: the trapezoid mass is {mass:.6f} on {len(xs)} points: "
+                  "the grid is too coarse or too narrow for this law; raise --points",
+                  file=sys.stderr)
     elif what in ("cf", "mgf"):
         outputs.append(_transform_curve(args, spec, out, what))
     elif what == "mean":
@@ -353,7 +370,7 @@ def _cmd_analytic(args) -> int:
         values = [analytic.npp_msd(spec, float(t)) for t in ts]
         outputs.append(os.path.basename(
             _curve_csv(out, "curve.csv", ["t", "msd"], (ts, values))))
-    _write_manifest(out, f"analytic {what}", resolved, None, outputs, started)
+    _write_manifest(out, f"analytic {what}", resolved, None, outputs, started, **extra)
     return EXIT_OK
 
 
@@ -367,10 +384,14 @@ def _grid(flag, lo, hi, points, spacing=np.linspace):
 
 
 def _x_grid(args, spec, t):
+    """The x values of a density curve, and the number of the law's
+    windows, counting one too light to get points (None for an
+    ``--x-lo``/``--x-hi`` range)."""
     from . import analytic
     if args.x_lo is not None and args.x_hi is not None:
-        return _grid("x", args.x_lo, args.x_hi, args.points)
-    return analytic.default_support(spec, t, points=args.points)
+        return _grid("x", args.x_lo, args.x_hi, args.points), None
+    return (analytic.default_support(spec, t, points=args.points),
+            len(analytic.law_windows(spec, t)))
 
 
 def _transform_curve(args, spec, out, what):

@@ -9,18 +9,20 @@ point is represented without discretisation error.
 
 Ensembles derive one RNG substream per trajectory from (seed, index), so
 any process can simulate any range of indices: ``ensemble_csv`` splits an
-ensemble over worker processes and writes the same bytes for any worker
-count.  Trajectories are simulated in blocks, with each trajectory's bits
-those of a run of its own: the block's generators are seeded in one
-array evaluation of numpy's ``SeedSequence`` hash over their spawn keys,
-its clocks sampled in one call, row by row, and then come one merge of
-the resets into the grid, one walk and one CSV write per block.
+ensemble over forked worker processes and writes the same bytes for any
+worker count.  Trajectories are simulated in blocks, with each
+trajectory's bits those of a run of its own: the block's generators are
+seeded in one array evaluation of numpy's ``SeedSequence`` hash over
+their spawn keys, its clocks sampled in one call, row by row, and then
+come one merge of the resets into the grid, one walk and one CSV write
+per block.
 """
 
 from dataclasses import dataclass, replace
 import math
 import numbers
 import os
+import pickle
 import shutil
 import time
 from typing import Optional, Union
@@ -64,8 +66,10 @@ TRAJECTORIES_CSV = "trajectories.csv"
 RESETS_CSV = "resets.csv"
 
 # Below this many expected CSV rows ``ensemble_csv`` runs in one process by
-# default: a forked pool costs 10-15 ms to start and join, and two workers
-# broke even with one near 128 trajectories of 257 rows (2-vCPU VM).
+# default: forking a shard's child and reaping it costs about 4 ms (a process
+# pool cost 12-14 ms).  Two forked workers beat one in 14 of 36 alternating
+# pairs at 64 trajectories of 257 rows and in 23 of 24 at 112 (2-vCPU VM),
+# so the break-even lies between; the bound stays at 128.
 _MIN_SHARDED_ROWS = 128 * DEFAULT_EXACT_POINTS
 
 # Trajectories are simulated and written in blocks of this many: one
@@ -540,16 +544,6 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
-def _pool_context():
-    """``fork`` where the platform has it: a forked worker starts at once,
-    with the package already imported.  Elsewhere ``spawn``.  A fork
-    copies only the calling thread, so a program that runs threads holding
-    locks while it calls ``ensemble_csv`` should pass ``workers=1``."""
-    import multiprocessing
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
-
 def ensemble_csv(spec: ProcessSpec, cfg: SchemeConfig, n: int, seed, out,
                  workers=None) -> dict:
     """Simulate n trajectories straight into ``trajectories.csv`` and
@@ -558,19 +552,26 @@ def ensemble_csv(spec: ProcessSpec, cfg: SchemeConfig, n: int, seed, out,
     The files hold the bytes that ``ensemble_to_csv`` and ``resets_to_csv``
     write for ``run_ensemble(spec, cfg, n, seed)``, for any worker count
     (see ``resolve_workers``).  The indices are split into contiguous
-    shards, one per worker; the calling process runs shard 0 and worker
-    processes the others, each writing its own part files, which are then
-    appended, without their headers, to shard 0's and deleted.  Each shard
-    reads the run's one ``_Plan`` and simulates and writes its
-    trajectories a block at a time, so memory is bounded by the block,
-    not the shard.  An error in any shard is raised here once every worker
-    has stopped, and no part file is left behind; a worker that dies
-    raises ``ChildProcessError``.
+    shards, one per worker.  Each shard but the first runs in a child
+    forked from the calling process, which already holds the run's one
+    ``_Plan``, and writes its own part files; the calling process forks
+    them all, then runs shard 0, then appends the parts, without their
+    headers, to shard 0's files and deletes them.  Where ``os.fork`` is
+    missing the calling process runs the shards in turn, with the same
+    bytes.  Each shard simulates and writes its trajectories a block at
+    a time, so memory is bounded by the block, not the shard.  An error
+    in any shard is raised here once every child has exited, and no part
+    file is left behind; a child that dies raises ``ChildProcessError``.
+    A fork copies only the calling thread, so a program that runs threads
+    holding locks while it calls this should pass ``workers=1``.
 
     Returns ``rows``, ``resets_drawn``, ``ensemble_s``, ``write_s`` and
     ``cpu_s``, each summed over the shards (so the times may exceed the
     wall time), ``shards_wall_s``, the wall time of the longest shard,
-    and ``workers``, the number of shards.  Shards that ran side by side
+    ``workers``, the number of shards, and ``shards``, one dict per shard
+    in index order: ``start_s``, its start in seconds after the first
+    fork, and ``cpu``, the CPU it last ran on (None where
+    ``/proc/self/stat`` cannot be read).  Shards that ran side by side
     on CPUs of their own have ``cpu_s`` near ``workers`` times
     ``shards_wall_s``; shards that shared a CPU, near once it.
     """
@@ -580,44 +581,102 @@ def ensemble_csv(spec: ProcessSpec, cfg: SchemeConfig, n: int, seed, out,
     bounds = [i * n // k for i in range(k + 1)]
     paths = [os.path.join(out, name) for name in (TRAJECTORIES_CSV, RESETS_CSV)]
     parts = [[f"{path}.part{i}" for path in paths] for i in range(1, k)]
-    pool = None
-    if k > 1:
-        # imported here, not at the top: about 17 ms that a one-process
-        # run and every other command would pay without using it
-        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-        pool = ProcessPoolExecutor(k - 1, mp_context=_pool_context())
+    shards = [(plan, entropy, lo, hi, its_paths)
+              for lo, hi, its_paths in zip(bounds, bounds[1:], [paths] + parts)]
+    if hasattr(os, "fork"):
+        local, forked = shards[:1], shards[1:]
+    else:
+        local, forked = shards, []
+    children = []
+    started = time.perf_counter()
     try:
-        futures = [pool.submit(_write_shard, plan, entropy, bounds[i], bounds[i + 1],
-                               parts[i - 1]) for i in range(1, k)]
-        counts = [_write_shard(plan, entropy, 0, bounds[1], paths)]
-        if pool is not None:
-            try:
-                counts += [f.result() for f in futures]
-            except BrokenProcessPool as exc:
-                raise ChildProcessError(f"a worker process died: {exc}") from exc
+        try:
+            for shard in forked:
+                children.append(_fork_shard(started, *shard))
+            counts = [_write_shard(started, *shard) for shard in local]
+        finally:
+            replies = [_reap(*child) for child in children]
+        for ok, value in replies:
+            if not ok:
+                raise value
+            counts.append(value)
         clock = time.perf_counter()
         for path, its_parts in zip(paths, zip(*parts)):
             _append_parts(path, its_parts)
         join_s = time.perf_counter() - clock
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
         for shard in parts:
             for part in shard:
                 if os.path.exists(part):
                     os.remove(part)
-    totals = {key: sum(c[key] for c in counts) for key in counts[0]}
+    totals = {key: sum(c[key] for c in counts)
+              for key in ("rows", "resets_drawn", "ensemble_s", "write_s", "cpu_s")}
     totals["shards_wall_s"] = max(c["shards_wall_s"] for c in counts)
     totals["write_s"] += join_s
     totals["workers"] = k
+    totals["shards"] = [{"start_s": c["start_s"], "cpu": c["cpu"]} for c in counts]
     return totals
 
 
-def _write_shard(plan, entropy, start, stop, paths):
+def _fork_shard(started, *shard):
+    """Fork a child that runs ``_write_shard(started, *shard)`` and sends
+    ``(True, counts)`` or ``(False, exception)`` up a pipe, pickled; return
+    its pid and the pipe's read end.  The child leaves by ``os._exit`` on
+    every path, so it never runs the caller's code after the fork, nor
+    flushes the caller's buffers; an exception that does not pickle is
+    sent as a ``ChildProcessError`` holding its repr."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, read
+    code = 1
+    try:
+        os.close(read)
+        try:
+            reply = (True, _write_shard(started, *shard))
+        except BaseException as exc:  # sent to the caller, which raises it
+            reply = (False, exc)
+        try:
+            data = pickle.dumps(reply)
+            pickle.loads(data)
+        except Exception:
+            error = ChildProcessError(f"a worker process raised {reply[1]!r}")
+            data = pickle.dumps((False, error))
+        with open(write, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _reap(pid, read):
+    """The reply of the child ``pid``: its pipe is read to the end before
+    the wait, as a child blocked on a full pipe would never exit.  A child
+    that sent nothing or exited other than 0 gives ``(False,
+    ChildProcessError)``."""
+    with open(read, "rb") as pipe:
+        data = pipe.read()
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if data and code == 0:
+        return pickle.loads(data)
+    how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+    return False, ChildProcessError(f"a worker process died: {how}")
+
+
+def _write_shard(started, plan, entropy, start, stop, paths):
     """Simulate trajectories start..stop-1 of ``plan`` and write both CSVs
     of them to ``paths``, a block at a time; return the shard's counts,
     stage times (seeding and simulating in ``ensemble_s``, formatting and
-    writing in ``write_s``), CPU seconds and wall seconds."""
+    writing in ``write_s``), CPU seconds and wall seconds, its start in
+    seconds after the ``perf_counter`` reading ``started`` and the CPU it
+    last ran on."""
+    start_s = time.perf_counter() - started
     from ._seeding import generators  # loads numpy.random, as a first run does
     clock, cpu = time.perf_counter(), time.process_time()
     time_cells = _float_cells(plan.times)
@@ -643,7 +702,19 @@ def _write_shard(plan, entropy, start, stop, paths):
     wall_s = time.perf_counter() - clock
     return {"rows": rows, "resets_drawn": resets, "ensemble_s": ensemble_s,
             "write_s": wall_s - ensemble_s, "cpu_s": time.process_time() - cpu,
-            "shards_wall_s": wall_s}
+            "shards_wall_s": wall_s, "start_s": start_s, "cpu": _last_cpu()}
+
+
+def _last_cpu():
+    """The CPU this process last ran on, field 39 of ``/proc/self/stat``,
+    or None where that file cannot be read."""
+    try:
+        with open("/proc/self/stat", "rb") as fh:
+            stat = fh.read()
+    except OSError:
+        return None
+    # fields 3 on follow the command name, which ends at the last ")"
+    return int(stat.rsplit(b")", 1)[1].split()[36])
 
 
 def _append_parts(path, parts):

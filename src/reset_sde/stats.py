@@ -235,14 +235,21 @@ class EmpiricalCf(NamedTuple):
 
 
 def empirical_char_fn(samples, s: float) -> EmpiricalCf:
-    """Sample average of exp(i s x) with a standard-error estimate."""
+    """Sample average of exp(i s x) with a standard-error estimate.
+
+    The means and standard deviations of cos(s x) and sin(s x) are taken
+    by ``_means_and_stds`` a chunk at a time, so no n-array is built."""
     samples = np.asarray(samples, dtype=float)
     n = len(samples)
     if n < 100:
         raise DomainError("need at least 100 samples")
     if not (math.isfinite(samples.min()) and math.isfinite(samples.max())):
         raise DomainError("samples must be finite")
-    phases = np.exp(1j * s * samples)
-    value = complex(phases.mean())
-    stderr = math.sqrt((phases.real.var() + phases.imag.var()) / n)
-    return EmpiricalCf(value=value, stderr=stderr)
+
+    def parts(lo, hi):
+        angle = s * samples[lo:hi]
+        yield np.cos(angle)
+        yield np.sin(angle, out=angle)
+
+    (re, im), (sd_re, sd_im) = _means_and_stds(parts, n)
+    return EmpiricalCf(value=complex(re, im), stderr=math.hypot(sd_re, sd_im) / math.sqrt(n))

@@ -5,12 +5,13 @@ import hashlib
 import io
 import json
 import math
-import multiprocessing
 import os
 import platform
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
 
 from hypothesis import example, given, settings, strategies as hs
 import numpy as np
@@ -19,6 +20,14 @@ import pytest
 import reset_sde
 from reset_sde import _kernels, analytic, cli, simulate
 from reset_sde.core import DomainError, NumericalError, PoissonClock, ProcessSpec
+
+
+class UnpicklableError(NumericalError):
+    """A shard's error that holds a lock, so it cannot be pickled."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()
 
 
 def run(args):
@@ -135,6 +144,8 @@ class TestSimulateCommand:
         assert counters["rows"] == len(rows)
         assert counters["resets_drawn"] == len(resets)
         assert counters["resets_expected"] == pytest.approx(25 * 2 * 3)
+        (shard,) = manifest["shards"]
+        assert set(shard) == {"start_s", "cpu"} and shard["start_s"] >= 0
 
     def test_manifest_expected_resets_by_clock(self, tmp_path):
         assert run(["simulate", "--r", 1.5, "--p", 0.5, "--scheme", "exact",
@@ -167,6 +178,7 @@ class TestSimulateCommand:
             assert run(["simulate", *args, "--workers", workers, "--out", out]) == 0
             manifest = json.loads((out / "manifest.json").read_text())
             assert manifest["config"]["workers"] == min(workers, manifest["config"]["run"]["n"])
+            assert len(manifest["shards"]) == manifest["config"]["workers"]
             outputs.append(((out / "trajectories.csv").read_bytes(),
                             (out / "resets.csv").read_bytes(),
                             manifest["counters"], sorted(os.listdir(out))))
@@ -288,12 +300,19 @@ class TestSimulateCommand:
                     "--seed", 0, "--out", blocker / "sub"]) == 3
 
     @pytest.mark.parametrize("error, code, label, suffix", [
-        (OSError(28, "No space left on device"), 3, "io", ".part1"),
-        (NumericalError("walk left its accuracy regime"), 4, "numerical", ".part2"),
-        (DomainError("outside the domain"), 2, "config", ".part1"),
-        (OSError(28, "No space left on device"), 3, "io", ".csv"),
-        (None, 3, "io: a worker process died", ".part1"),
-    ], ids=["io", "numerical", "domain", "calling-process", "dead-worker"])
+        (OSError(28, "No space left on device"), 3, "io:", ".part1"),
+        (NumericalError("walk left its accuracy regime"), 4, "numerical:", ".part2"),
+        (DomainError("outside the domain"), 2, "config:", ".part1"),
+        (OSError(28, "No space left on device"), 3, "io:", ".csv"),
+        (lambda: os._exit(1), 3, "io: a worker process died: exit code 1", ".part1"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), 3,
+         f"io: a worker process died: killed by signal {int(signal.SIGKILL)}", ".part2"),
+        (UnpicklableError("a class of the test's own"), 3,
+         "io: a worker process raised UnpicklableError(", ".part1"),
+        # far more than a pipe holds: the caller reads it before the wait
+        (NumericalError("x" * 2 ** 20), 4, "numerical:", ".part2"),
+    ], ids=["io", "numerical", "domain", "calling-process", "dead-worker", "killed-worker",
+            "unpicklable", "large-error"])
     def test_shard_failure_exits_with_its_code(self, tmp_path, capfd, monkeypatch,
                                                error, code, label, suffix):
         # Forked workers inherit the patch.  A ".partN" suffix fails the
@@ -303,9 +322,9 @@ class TestSimulateCommand:
 
         def failing(path, *rest):
             if os.fspath(path).endswith(suffix):
-                if error is None:
-                    os._exit(1)
-                raise error
+                if isinstance(error, BaseException):
+                    raise error
+                error()
             return real(path, *rest)
 
         monkeypatch.setattr(simulate, "open_table", failing)
@@ -313,19 +332,25 @@ class TestSimulateCommand:
         assert run(["simulate", "--r", 1, "--horizon", 2, "--n", 12,
                     "--seed", 5, "--workers", 3, "--out", out]) == code
         err = capfd.readouterr().err
-        assert err.startswith(f"error: {label}:")
+        assert err.startswith(f"error: {label}")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not [name for name in os.listdir(out) if ".part" in name]
-        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):  # every worker was waited for
+            os.waitpid(-1, os.WNOHANG)
 
     def test_simulate_imports_no_scipy(self, tmp_path):
+        # nor, with two workers, any process pool, thread queue or
+        # multiprocessing module: the shards start by a bare fork
         src = os.path.dirname(os.path.dirname(reset_sde.__file__))
         code = ("import json, os, sys\n"
                 "from reset_sde import cli\n"
-                f"assert cli.main(['simulate', '--n', '3', '--horizon', '1', "
+                f"assert cli.main(['simulate', '--n', '3', '--horizon', '1', '--workers', '2', "
                 f"'--out', {str(tmp_path)!r}]) == 0\n"
-                f"print(sorted(json.load(open(os.path.join({str(tmp_path)!r}, "
-                "'manifest.json')))['versions']))\n"
+                f"manifest = json.load(open(os.path.join({str(tmp_path)!r}, 'manifest.json')))\n"
+                "print(manifest['config']['workers'], len(manifest['shards']))\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+                "('multiprocessing', 'concurrent', 'queue')))\n"
+                "print(sorted(manifest['versions']))\n"
                 "print('reset_sde.checks' in sys.modules)\n"
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
         proc = subprocess.run(
@@ -338,17 +363,8 @@ class TestSimulateCommand:
         assert proc.stdout.splitlines()[-2] == "False"
         # the run record names no scipy version, and loads no scipy for it
         assert proc.stdout.splitlines()[-3] == "['numpy', 'python']"
-
-    def test_cli_import_leaves_the_process_pool_unloaded(self):
-        src = os.path.dirname(os.path.dirname(reset_sde.__file__))
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, reset_sde.cli\n"
-             "print('concurrent.futures.process' in sys.modules)"],
-            capture_output=True, text=True, timeout=120,
-            env=dict(os.environ, PYTHONPATH=os.pathsep.join(
-                p for p in (src, os.environ.get("PYTHONPATH")) if p)))
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "False"
+        assert proc.stdout.splitlines()[-4] == "[]"
+        assert proc.stdout.splitlines()[-5] == "2 2"
 
 
 class TestAnalyticCommand:
@@ -471,6 +487,32 @@ class TestAnalyticCommand:
                     "--out", tmp_path]) == 0
         _, rows = read_csv(tmp_path / "curve.csv")
         assert len(rows) >= 2
+
+    def test_coarse_density_curve_says_so(self, tmp_path, capsys):
+        # 5 points over the two windows of t = 1 hold 4.332 of a unit mass;
+        # 401 hold it to 1e-3
+        for points in (5, 401):
+            out = tmp_path / str(points)
+            assert run(["analytic", "pdf", "--r", 1, "--t", 1, "--points", points,
+                        "--out", out]) == 0
+            captured = capsys.readouterr()
+            counters = json.loads((out / "manifest.json").read_text())["counters"]
+            assert captured.out == f"mass = {counters['mass']:.6f}\n"
+            assert counters["windows"] == 2
+            assert counters["points"] == len(read_csv(out / "curve.csv")[1])
+            if points == 5:
+                assert round(counters["mass"], 3) == 4.332
+                assert captured.err.count("\n") == 1 and "--points" in captured.err
+            else:
+                assert abs(counters["mass"] - 1.0) < 1e-3
+                assert captured.err == ""
+        # an x range of the caller's own spans no law window, and may be too
+        # narrow for the law
+        assert run(["analytic", "stationary", "--r", 1, "--x-lo", -1, "--x-hi", 1,
+                    "--points", 401, "--out", tmp_path / "narrow"]) == 0
+        counters = json.loads((tmp_path / "narrow" / "manifest.json").read_text())["counters"]
+        assert counters["windows"] is None and counters["points"] == 401
+        assert counters["mass"] < 0.99 and "--points" in capsys.readouterr().err
 
     @pytest.mark.parametrize("xr", [0, 2, 10, 20, 100, 1e8, 1e12])
     def test_default_pdf_curve_holds_unit_mass_at_every_time(self, tmp_path, capsys, xr):
@@ -708,10 +750,11 @@ class TestRunRecord:
             {"scipy"} if "scipy" in sys.modules else set())
 
     @pytest.mark.parametrize("args, extra", [
-        (["simulate", "--n", 3, "--horizon", 1], {"stages", "counters"}),
+        (["simulate", "--n", 3, "--horizon", 1], {"stages", "counters", "shards"}),
         (["analytic", "mean", "--points", 5], set()),
+        (["analytic", "pdf", "--points", 5], {"counters"}),
         (["fpe", "--h", 0.1, "--t", 0.5], set()),
-    ], ids=["simulate", "analytic", "fpe"])
+    ], ids=["simulate", "analytic", "analytic-pdf", "fpe"])
     def test_manifest_keys(self, tmp_path, args, extra):
         assert run(args + ["--out", tmp_path]) == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())

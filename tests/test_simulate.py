@@ -742,29 +742,31 @@ class TestExport:
             assert counts["cpu_s"] >= 0
             # the longest shard is one of the shards the stages sum over
             assert 0 <= counts["shards_wall_s"] <= counts["ensemble_s"] + counts["write_s"] + 1e-9
+            assert len(counts["shards"]) == workers
+            for shard in counts["shards"]:
+                assert shard["start_s"] >= 0
+                assert shard["cpu"] is None or shard["cpu"] in os.sched_getaffinity(0)
 
     @pytest.mark.parametrize("cfg", [
         SchemeConfig(ExactScheme(), horizon=3.0),
         SchemeConfig(EulerScheme(0.01), horizon=1.0, grid=[0.0, 0.5, 1.0]),
     ], ids=["exact", "euler"])
-    def test_spawned_workers_write_the_bytes_of_one_process(self, tmp_path, monkeypatch,
-                                                            cfg):
-        # a spawned worker starts a fresh interpreter: it has only what the
-        # pool pickles to it, where a forked one inherits the caller's memory
-        import multiprocessing
-        contexts = []
-        monkeypatch.setattr(simulate_module, "_pool_context", lambda: contexts.append(
-            "spawn") or multiprocessing.get_context("spawn"))
+    def test_without_fork_the_shards_run_in_turn(self, tmp_path, monkeypatch, cfg):
+        # where os.fork is missing the calling process runs every shard
+        monkeypatch.delattr(os, "fork")
         spec = poisson_spec(1.0, 0.0, 2.0)
         outputs = []
         for workers in (1, 2):
             out = tmp_path / str(workers)
             out.mkdir()
-            assert ensemble_csv(spec, cfg, 40, 5, out, workers=workers)["workers"] == workers
+            counts = ensemble_csv(spec, cfg, 40, 5, out, workers=workers)
+            assert counts["workers"] == len(counts["shards"]) == workers
+            assert sorted(os.listdir(out)) == ["resets.csv", "trajectories.csv"]
             outputs.append(((out / "trajectories.csv").read_bytes(),
                             (out / "resets.csv").read_bytes()))
-        assert contexts == ["spawn"]
         assert outputs[1] == outputs[0]
+        # the shards ran one after the other
+        assert counts["shards"][1]["start_s"] >= counts["shards"][0]["start_s"]
 
     def test_worker_count_is_capped_by_n_and_checked(self, monkeypatch):
         monkeypatch.setattr(simulate_module, "_usable_cpus", lambda: 64)
@@ -781,6 +783,7 @@ class TestExport:
         # 1.6-1.9 s and two 0.9-1.4 s (2-vCPU VM)
         monkeypatch.setattr(simulate_module, "_usable_cpus", lambda: 2)
         assert resolve_workers(50) == 1
+        assert resolve_workers(127) == 1 and resolve_workers(128) == 2
         assert resolve_workers(50, rows=20001) == 2
         spec = poisson_spec(1.0)
         fine = SchemeConfig(ExactScheme(), horizon=10.0, grid=np.linspace(0.0, 10.0, 20001))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -277,6 +278,31 @@ class TestEmpiricalCf:
     def test_needs_enough_samples(self):
         with pytest.raises(ValueError):
             empirical_char_fn(np.zeros(50), 1.0)
+
+    @pytest.mark.parametrize("s", [-2.0, 0.3, 7.5])
+    def test_equals_the_one_array_reductions(self, s):
+        # over samples that span several leaves of the summation tree; the
+        # complex mean of exp(i s x) adds in another order, so it agrees
+        # to a few ulps only
+        samples = np.random.default_rng(9).exponential(1.0, 2 * CHUNK + 7)
+        cos, sin = np.cos(s * samples), np.sin(s * samples)
+        est = empirical_char_fn(samples, s)
+        assert est.value == complex(cos.mean(), sin.mean())
+        assert est.stderr == math.hypot(cos.std(), sin.std()) / math.sqrt(len(samples))
+        assert est.value == pytest.approx(np.exp(1j * s * samples).mean(), rel=1e-14)
+
+    def test_memory_stays_near_one_chunk(self):
+        # the complex phases alone were 2x the samples' bytes, and their
+        # variances took the peak to 4.0x
+        samples = np.random.default_rng(10).standard_normal(200_000)
+        empirical_char_fn(samples[:1000], 1.0)  # one-time allocations
+        tracemalloc.start()
+        try:
+            empirical_char_fn(samples, 1.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * samples.nbytes
 
 
 class TestTypedErrors:
