@@ -8,7 +8,7 @@
 # Runs: exact; resets on grid rows (deterministic clock); Euler.  Three
 # workers start shards at 100 and 200, inside 32-trajectory blocks.  No
 # run may leave a part file behind, and a k-worker run's manifest lists
-# k shards.
+# k shards, each with its start_s, cpu_s and wall_s.
 set -euo pipefail
 for k in 1 2 3; do
   "$@" simulate --r 1 --xr 2 --scheme exact --horizon 10 \
@@ -33,7 +33,11 @@ if [ -n "$leftover" ]; then
 fi
 for run in workers workers-grid workers-euler; do
   for k in 1 2 3; do
-    python3 -c 'import json, sys; sys.exit(len(json.load(open(sys.argv[1]))["shards"]) != int(sys.argv[2]))' \
+    python3 -c '
+import json, sys
+shards = json.load(open(sys.argv[1]))["shards"]
+keys = {"start_s", "cpu_s", "wall_s"}
+sys.exit(len(shards) != int(sys.argv[2]) or any(set(s) != keys for s in shards))' \
       "$run-$k/manifest.json" "$k"
   done
 done

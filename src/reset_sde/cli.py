@@ -44,6 +44,7 @@ from .core import (
     write_table,
 )
 from .simulate import (
+    MAX_RUN_ROWS,
     RESETS_CSV,
     TRAJECTORIES_CSV,
     EulerScheme,
@@ -286,6 +287,10 @@ def _cmd_simulate(args) -> int:
         if grid_points is not None:
             if grid_points < 1:
                 raise SpecError("grid-points must be at least 1")
+            if not n * grid_points <= MAX_RUN_ROWS:
+                raise SpecError(f"--grid-points {grid_points} with --n {n} would write "
+                                f"{n * grid_points:.3g} rows, above the budget of "
+                                f"{MAX_RUN_ROWS:.0e}; lower --grid-points or --n")
             grid = np.linspace(0.0, horizon, grid_points)
     cfg = SchemeConfig(scheme=scheme, horizon=horizon, grid=grid)
 
@@ -304,7 +309,9 @@ def _cmd_simulate(args) -> int:
                     stages={key: round(counts[key], 3) for key in
                             ("ensemble_s", "write_s", "cpu_s", "shards_wall_s")},
                     counters=counters,
-                    shards=[dict(shard, start_s=round(shard["start_s"], 4))
+                    shards=[{"start_s": round(shard["start_s"], 4),
+                             "cpu_s": round(shard["cpu_s"], 3),
+                             "wall_s": round(shard["wall_s"], 3)}
                             for shard in counts["shards"]])
     print(f"wrote {os.path.join(out, TRAJECTORIES_CSV)} ({n} trajectories)")
     return EXIT_OK

@@ -192,11 +192,13 @@ def spec_from_json(doc: dict) -> ProcessSpec:
 
 def _cells(col):
     """The cells of a column as a fixed-width bytes array: ``%d`` of
-    integers (``S21`` holds int64's least and uint64's greatest), ``repr``
-    of floats (``S24``, see ``_float_cells``), bytes cells as they are."""
+    integers, as wide as the widest (its least or its greatest value),
+    ``repr`` of floats (``S24``, see ``_float_cells``), bytes cells as they
+    are."""
     col = np.asarray(col)
     if col.dtype.kind in "iu":
-        return col.astype("S21")
+        ends = (col.min(), col.max()) if col.size else (0,)
+        return col.astype(f"S{max(len(str(int(v))) for v in ends)}")
     return col if col.dtype.kind == "S" else _float_cells(col)
 
 
@@ -214,7 +216,8 @@ _SLICE_ROWS = 4096
 
 
 def _rows(cells):
-    """The CSV lines of equal-length cell columns: one ``uint8`` matrix, a
+    """The CSV lines of equal-length cell columns, as the bytes of a
+    ``uint8`` array that a file's ``write`` takes as it is: one matrix, a
     line a row, less the NUL padding of the fixed widths (no cell holds a
     NUL, so dropping it is exact)."""
     m = np.full((len(cells[0]), sum(col.itemsize + 1 for col in cells) + 1), ord(","), np.uint8)
@@ -223,7 +226,7 @@ def _rows(cells):
         m[:, at:at + col.itemsize] = col.view((np.uint8, col.itemsize))
         at += col.itemsize + 1
     m[:, -2:] = tuple(b"\r\n")
-    return m[m != 0].tobytes()
+    return m[m != 0]
 
 
 def write_table(path, header, blocks) -> None:

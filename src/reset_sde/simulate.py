@@ -14,8 +14,8 @@ worker count.  Trajectories are simulated in blocks, with each
 trajectory's bits those of a run of its own: the block's generators are
 seeded in one array evaluation of numpy's ``SeedSequence`` hash over
 their spawn keys, its clocks sampled in one call, row by row, and then
-come one merge of the resets into the grid, one walk and one CSV write
-per block.
+come one merge of the resets into the grid, one walk, one float-formatter
+call and one CSV write per block.
 """
 
 from dataclasses import dataclass, replace
@@ -570,10 +570,9 @@ def ensemble_csv(spec: ProcessSpec, cfg: SchemeConfig, n: int, seed, out,
     wall time), ``shards_wall_s``, the wall time of the longest shard,
     ``workers``, the number of shards, and ``shards``, one dict per shard
     in index order: ``start_s``, its start in seconds after the first
-    fork, and ``cpu``, the CPU it last ran on (None where
-    ``/proc/self/stat`` cannot be read).  Shards that ran side by side
-    on CPUs of their own have ``cpu_s`` near ``workers`` times
-    ``shards_wall_s``; shards that shared a CPU, near once it.
+    fork, and its own ``cpu_s`` and ``wall_s``.  A shard that had a CPU
+    to itself has ``cpu_s`` near its ``wall_s``; shards that shared one,
+    near ``wall_s`` over the number sharing it.
     """
     plan = validate_scheme(spec, cfg, n)
     k = resolve_workers(n, workers, plan.rows)
@@ -611,10 +610,11 @@ def ensemble_csv(spec: ProcessSpec, cfg: SchemeConfig, n: int, seed, out,
                     os.remove(part)
     totals = {key: sum(c[key] for c in counts)
               for key in ("rows", "resets_drawn", "ensemble_s", "write_s", "cpu_s")}
-    totals["shards_wall_s"] = max(c["shards_wall_s"] for c in counts)
+    totals["shards_wall_s"] = max(c["wall_s"] for c in counts)
     totals["write_s"] += join_s
     totals["workers"] = k
-    totals["shards"] = [{"start_s": c["start_s"], "cpu": c["cpu"]} for c in counts]
+    totals["shards"] = [{key: c[key] for key in ("start_s", "cpu_s", "wall_s")}
+                        for c in counts]
     return totals
 
 
@@ -673,9 +673,10 @@ def _write_shard(started, plan, entropy, start, stop, paths):
     """Simulate trajectories start..stop-1 of ``plan`` and write both CSVs
     of them to ``paths``, a block at a time; return the shard's counts,
     stage times (seeding and simulating in ``ensemble_s``, formatting and
-    writing in ``write_s``), CPU seconds and wall seconds, its start in
-    seconds after the ``perf_counter`` reading ``started`` and the CPU it
-    last ran on."""
+    writing in ``write_s``), CPU seconds and wall seconds, and its start
+    in seconds after the ``perf_counter`` reading ``started``.  The grid's
+    time cells are formatted once; a block's reset epochs and positions
+    go to ``_float_cells`` in one call, and the table writers get cells."""
     start_s = time.perf_counter() - started
     from ._seeding import generators  # loads numpy.random, as a first run does
     clock, cpu = time.perf_counter(), time.process_time()
@@ -689,32 +690,22 @@ def _write_shard(started, plan, entropy, start, stop, paths):
             block = _block(plan, generators(entropy, lo, min(lo + _BLOCK, stop)))
             ensemble_s += time.perf_counter() - tick
             ids = _cells(np.arange(lo, lo + len(block.lengths)))
-            # each epoch is formatted once, for resets.csv and for its own row
-            reset_cells = _float_cells(block.resets)
+            # one formatter call a block: each epoch is formatted once, for
+            # resets.csv and for its own row, and with them the positions
+            floats = _float_cells(np.concatenate((block.resets, block.positions[block.valid])))
+            reset_cells, x_cells = np.split(floats, [len(block.resets)])
             write_resets((np.repeat(ids, block.counts), reset_cells))
             own = block.own_rows[block.valid]
             cells = np.empty(len(own), dtype=time_cells.dtype)
             cells[~own] = np.tile(time_cells, len(ids))
             cells[own] = reset_cells[block.own_epochs]
-            write_rows((np.repeat(ids, block.lengths), cells, block.positions[block.valid]))
+            write_rows((np.repeat(ids, block.lengths), cells, x_cells))
             rows += len(cells)
             resets += len(block.resets)
     wall_s = time.perf_counter() - clock
     return {"rows": rows, "resets_drawn": resets, "ensemble_s": ensemble_s,
             "write_s": wall_s - ensemble_s, "cpu_s": time.process_time() - cpu,
-            "shards_wall_s": wall_s, "start_s": start_s, "cpu": _last_cpu()}
-
-
-def _last_cpu():
-    """The CPU this process last ran on, field 39 of ``/proc/self/stat``,
-    or None where that file cannot be read."""
-    try:
-        with open("/proc/self/stat", "rb") as fh:
-            stat = fh.read()
-    except OSError:
-        return None
-    # fields 3 on follow the command name, which ends at the last ")"
-    return int(stat.rsplit(b")", 1)[1].split()[36])
+            "wall_s": wall_s, "start_s": start_s}
 
 
 def _append_parts(path, parts):

@@ -145,7 +145,9 @@ class TestSimulateCommand:
         assert counters["resets_drawn"] == len(resets)
         assert counters["resets_expected"] == pytest.approx(25 * 2 * 3)
         (shard,) = manifest["shards"]
-        assert set(shard) == {"start_s", "cpu"} and shard["start_s"] >= 0
+        assert set(shard) == {"start_s", "cpu_s", "wall_s"} and shard["start_s"] >= 0
+        assert shard["cpu_s"] >= 0
+        assert shard["wall_s"] == stages["shards_wall_s"]
 
     def test_manifest_expected_resets_by_clock(self, tmp_path):
         assert run(["simulate", "--r", 1.5, "--p", 0.5, "--scheme", "exact",
@@ -717,11 +719,13 @@ class TestDomainErrors:
         ["simulate", "--config", {"clock": "npp", "n": 2, "horizon": 1}],
         ["fpe", "--config", {"clock": 5}],
         ["simulate", "--config", [1, 2]],
+        ["simulate", "--n", 1, "--grid-points", 100000000001],
     ], ids=["pdf-t0", "fpe-negative-t", "mean-negative-t-hi", "msd-reversed-grid",
             "pdf-t-inf", "cf-t-nan", "mgf-t-inf", "moments-t-inf", "pdf-reversed-x",
             "moments-t-inf-no-order", "moments-negative-n-max", "pdf-one-point",
             "regime-without-p", "msd-without-p", "euler-without-dt",
-            "config-clock-string", "config-clock-number", "config-list"])
+            "config-clock-string", "config-clock-number", "config-list",
+            "simulate-grid-points-1e11"])
     def test_exits_2_without_traceback(self, tmp_path, capsys, args):
         # a JSON document in args is written to a file, and its path passed
         config = tmp_path / "cfg.json"
@@ -735,6 +739,13 @@ class TestDomainErrors:
         assert err.startswith("error: config:") and err.count("\n") == 1
         assert "Traceback" not in err
         assert not list(out.glob("*.csv"))
+
+    def test_grid_points_past_the_budget_are_named(self, tmp_path, capsys):
+        # refused before the grid is made, whose 1e11 points would take 800 GB
+        assert run(["simulate", "--n", 3, "--grid-points", 10 ** 11,
+                    "--out", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert "--grid-points 100000000000 with --n 3" in err and err.count("\n") == 1
 
 
 class TestRunRecord:

@@ -275,6 +275,20 @@ class TestCsvWireFormat:
             tmp_path, ("traj", "t", "x", "u"),
             [(ids, floats, floats[::-1].copy(), unsigned)])
 
+    @pytest.mark.parametrize("col", [
+        np.array([-2 ** 63, 2 ** 63 - 1], dtype=np.int64),
+        np.array([2 ** 64 - 1, 0, 5], dtype=np.uint64),
+        np.array([-7, -12345, 3, -1], dtype=np.int64),
+        np.array([0], dtype=np.int64),
+        np.array([], dtype=np.int64),
+        np.arange(9990, 10010, dtype=np.int32),
+    ], ids=["int64-least", "uint64-greatest", "negatives", "lone-zero", "empty", "ids"])
+    def test_integer_cells_are_as_wide_as_their_widest(self, tmp_path, col):
+        cells = core._cells(col)
+        assert cells.tolist() == [str(int(v)).encode() for v in col]
+        assert cells.itemsize == max([len(str(int(v))) for v in col], default=1)
+        self.assert_matches_reference(tmp_path, ("i", "x"), [(col, col.astype(float))])
+
     def test_several_blocks_and_an_empty_block(self, tmp_path):
         rng = np.random.default_rng(3)
         blocks = [(np.full(n, i), rng.standard_normal(n) * 10.0 ** i)

@@ -36,7 +36,7 @@ from reset_sde.simulate import (
     validate_scheme,
 )
 from reset_sde import _kernels, analytic, stats
-from reset_sde import simulate as simulate_module
+from reset_sde import core as core_module, simulate as simulate_module
 from reset_sde._seeding import generators
 from reset_sde.clocks import sample_reset_times
 
@@ -744,8 +744,31 @@ class TestExport:
             assert 0 <= counts["shards_wall_s"] <= counts["ensemble_s"] + counts["write_s"] + 1e-9
             assert len(counts["shards"]) == workers
             for shard in counts["shards"]:
-                assert shard["start_s"] >= 0
-                assert shard["cpu"] is None or shard["cpu"] in os.sched_getaffinity(0)
+                assert shard["start_s"] >= 0 and shard["cpu_s"] >= 0
+                assert 0 <= shard["wall_s"] <= counts["shards_wall_s"]
+            assert max(s["wall_s"] for s in counts["shards"]) == counts["shards_wall_s"]
+            assert sum(s["cpu_s"] for s in counts["shards"]) == pytest.approx(counts["cpu_s"])
+
+    @pytest.mark.parametrize("spec, cfg", [
+        (poisson_spec(1.0, 0.0, 2.0), SchemeConfig(ExactScheme(), horizon=3.0)),
+        (poisson_spec(1.0, 0.0, 2.0), SchemeConfig(EulerScheme(0.05), horizon=1.0)),
+    ], ids=["exact", "euler"])
+    def test_a_block_formats_its_floats_in_one_call(self, tmp_path, monkeypatch, spec, cfg):
+        # one call for the grid's time cells, then one a block for its reset
+        # epochs and positions together; the table writer formats nothing
+        calls = []
+        float_cells = core_module._float_cells
+
+        def counted(col):
+            calls.append(len(col))
+            return float_cells(col)
+
+        monkeypatch.setattr(simulate_module, "_float_cells", counted)
+        monkeypatch.setattr(core_module, "_float_cells", counted)
+        n = 2 * BLOCK + 3
+        counts = ensemble_csv(spec, cfg, n, 3, tmp_path, workers=1)
+        assert len(calls) == 1 + -(-n // BLOCK)
+        assert sum(calls[1:]) == counts["rows"] + counts["resets_drawn"]
 
     @pytest.mark.parametrize("cfg", [
         SchemeConfig(ExactScheme(), horizon=3.0),
