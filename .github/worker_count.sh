@@ -6,9 +6,10 @@
 #     bash .github/worker_count.sh python -m reset_sde.cli
 #
 # Runs: exact; resets on grid rows (deterministic clock); Euler.  Three
-# workers start shards at 100 and 200, inside 32-trajectory blocks.  No
-# run may leave a part file behind, and a k-worker run's manifest lists
-# k shards, each with its start_s, cpu_s and wall_s.
+# workers start shards at 100 and 200, inside the exact run's
+# 32-trajectory blocks.  No run may leave a part file behind, and a
+# k-worker run's manifest lists k shards, each with its start_s, cpu_s
+# and wall_s.
 set -euo pipefail
 for k in 1 2 3; do
   "$@" simulate --r 1 --xr 2 --scheme exact --horizon 10 \

@@ -49,6 +49,7 @@ from .core import (
     PoissonClock,
     ProcessSpec,
     SpecError,
+    check_size,
     rescale_to_unit,
     write_table,
 )
@@ -131,9 +132,9 @@ def _poisson(spec: ProcessSpec, t=None, positive=True):
     return spec.clock.rate, scaled.x0, scaled.x_reset, c
 
 
-def _npp(spec: ProcessSpec, t, positive=True):
+def _npp(spec: ProcessSpec, t, positive=True, points=1):
     """``(clock, c)`` of a power-law spec started and reset at 0,
-    c = sqrt(2D), with t checked by :func:`_check_time`."""
+    c = sqrt(2D), with t checked by :func:`_check_time` and ``points`` budgeted."""
     _, c = rescale_to_unit(spec)
     if not isinstance(spec.clock, NonhomogeneousPoissonClock):
         raise SpecError(f"this operation requires a nonhomogeneous Poisson "
@@ -142,6 +143,9 @@ def _npp(spec: ProcessSpec, t, positive=True):
         raise DomainError("nonhomogeneous results are derived for "
                           "x0 = xR = 0 only")
     _check_time(t, positive)
+    # its quadrature keeps a value a point per interval, up to its limit
+    check_size(_QUAD_OPTS["limit"] * points, f"a power-law curve of {points} points",
+               "lower the number of points")
     return spec.clock, c
 
 
@@ -792,7 +796,7 @@ def npp_char_fn(spec: ProcessSpec, s, t: float) -> complex:
     is max(1e-12, 1e-8 * max|value|) at every point: values far below the
     largest one (large |s|) carry that absolute accuracy, not a relative one.
     """
-    clock, c = _npp(spec, t, positive=False)
+    clock, c = _npp(spec, t, positive=False, points=np.size(s))
     # as in char_fn; a NaN fails the quadrature's own error check
     with np.errstate(over="ignore", invalid="ignore"):
         s_arr = np.atleast_1d(np.asarray(s, dtype=float)) * c
@@ -830,7 +834,7 @@ def npp_pdf(spec: ProcessSpec, x, t: float):
     density value among them: far-tail values carry that absolute
     accuracy, not a relative one.
     """
-    clock, c = _npp(spec, t)
+    clock, c = _npp(spec, t, points=np.size(x))
     x_arr = np.atleast_1d(np.asarray(x, dtype=float)) / c
     out = _npp_pdf_unit(clock, x_arr, t) / c
     return float(out[0]) if np.ndim(x) == 0 else out
@@ -1012,6 +1016,13 @@ def default_support(spec: ProcessSpec, t, points: int = 1001) -> np.ndarray:
     (:meth:`DensityCurve.mass`) holds the law's mass.  Raises DomainError
     when the points cannot resolve a window in double precision.
     """
+    return _support(spec, t, points)[0]
+
+
+def _support(spec, t, points):
+    """:func:`default_support`'s x values, and the number of windows
+    that got points."""
+    check_size(points, f"a curve of {points} points", "lower points")
     windows = law_windows(spec, t)
     shares = np.cumsum([0.0] + [math.sqrt(w.weight) for w in windows])
     counts = np.diff(np.round(points * shares / shares[-1])).astype(int)
@@ -1030,7 +1041,7 @@ def default_support(spec: ProcessSpec, t, points: int = 1001) -> np.ndarray:
             grids.append(_gap_cells(*last, w.lo, xs[1] - xs[0]))
         grids.append(xs)
         last = (w.hi, xs[1] - xs[0])
-    return np.unique(np.concatenate(grids))
+    return np.unique(np.concatenate(grids)), int(np.count_nonzero(counts >= 2))
 
 
 def _gap_cells(lo, lo_step, hi, hi_step) -> np.ndarray:
@@ -1063,5 +1074,7 @@ def density_curve(spec: ProcessSpec, t, xs=None) -> DensityCurve:
 
 
 def moment_table(spec: ProcessSpec, t: float, n_max: int) -> MomentTable:
-    orders = np.arange(_order(n_max, "n_max") + 1)
+    # an order holds about four Decimals of ~100 bytes: 50 values
+    check_size(50 * (_order(n_max, "n_max") + 1), f"{n_max + 1} moment orders", "lower n_max")
+    orders = np.arange(n_max + 1)
     return MomentTable(orders=orders, values=np.array(_moments(spec, t, orders.tolist())), t=t)

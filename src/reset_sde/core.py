@@ -79,8 +79,21 @@ def rescale_to_unit(spec: ProcessSpec):
 
 
 # ---------------------------------------------------------------------------
-# Fixed chunks
+# Size budget and fixed chunks
 # ---------------------------------------------------------------------------
+
+# The most values one call may hold, 8 bytes each: one an element of its
+# longest arrays, times the factor stated at the call where one holds more.
+MAX_VALUES = 10 ** 8
+
+
+def check_size(values, what, remedy) -> None:
+    """Refuse with a SpecError, before any array is made, a call that would
+    hold more than ``MAX_VALUES`` values, naming ``what`` and the ``remedy``."""
+    if not values <= MAX_VALUES:
+        raise SpecError(f"{what} would hold about {values:.3g} values, above the "
+                        f"budget of {MAX_VALUES:.0e}; {remedy}")
+
 
 # The marginal samplers and the estimators over their samples work this
 # many samples at a time, so their temporaries are a few chunks, whatever

@@ -2,10 +2,11 @@
 the discrete generator / adjoint pair.
 
 The density obeys a diffusion equation with a sink -r p and a point
-source at the reset position.  Two published source forms are provided:
-a plain Dirac mass of rate r, and the stationary-density-weighted form
-whose coefficient collapses to the same rate once evaluated at the reset
-point; the solvers differ only in how that coefficient is computed.
+source at the reset position.  Two published source forms name it: a
+plain Dirac mass of rate r, and the stationary-density-weighted form,
+whose coefficient 2 D lam p*(xR), with lam = sqrt(r / D) and the Laplace
+density p*(xR) = lam / 2 at the reset point, is D lam^2 = r.  Both are
+the same source, so both forms are one solve.
 
 The default grid is the step-h lattice over the law's windows at the
 final time (:func:`reset_sde.analytic.law_windows`), so it stops
@@ -50,13 +51,11 @@ from .core import (
     NumericalError,
     ProcessSpec,
     SpecError,
+    check_size,
 )
 from .analytic import DensityCurve, _finite, _poisson, law_windows
 
 MASS_TOLERANCE = 1e-3
-# Grids above this many nodes are refused before any array is allocated:
-# each costs a handful of float arrays of its length.
-MAX_NODES = 10 ** 6
 # The least grid step: below it 1/h^2 overflows.
 MIN_STEP = 1e-154
 
@@ -90,9 +89,8 @@ class FpeGrid:
         if self.boundary not in ("reflecting", "absorbing"):
             raise SpecError("boundary must be 'reflecting' or 'absorbing'")
         n = (self.x_hi - self.x_lo) / self.h
-        if not n < MAX_NODES:
-            raise SpecError(f"the grid would have {n + 1:.3g} nodes, above the "
-                            f"{MAX_NODES} allowed; raise h or narrow the range")
+        # a node counts as 100 values, the solve's arrays of the grid's length
+        check_size(100 * (n + 1), f"a grid of {n + 1:.3g} nodes", "raise h or narrow the range")
         if abs(n - round(n)) > 1e-8:
             raise SpecError("(x_hi - x_lo) must be a multiple of h")
 
@@ -281,13 +279,8 @@ def _stationary_modes(source, mu):
 
 # an overflow leaves a non-finite system or density, refused as NumericalError
 @np.errstate(over="ignore", invalid="ignore")
-def _solve_transient(spec, grid, t_final, weighted):
+def _solve_transient(spec, grid, t_final):
     rate, *_ = _poisson(spec, t_final)
-    source_coeff = rate
-    if weighted and rate > 0:
-        lam = math.sqrt(rate / spec.diffusivity)
-        density_at_reset = lam / 2.0
-        source_coeff = 2.0 * spec.diffusivity * lam * density_at_reset
     _check_margins(spec, grid, t_final)
     xs, h = grid.xs, grid.h
     if not t_final / grid.dt < math.inf:
@@ -302,7 +295,7 @@ def _solve_transient(spec, grid, t_final, weighted):
     mu, point, inverse, sums = _decay_rates(spec, grid, rate, dt)
     a = 1.0 / (1.0 + 0.5 * dt * mu)
     g = (1.0 - 0.5 * dt * mu) * a
-    stationary = _stationary_modes(source_coeff * point(spec.x_reset), mu)
+    stationary = _stationary_modes(rate * point(spec.x_reset), mu)
     start = point(spec.x0) - stationary
     _check_mass(h * (sums @ stationary), h * sums * start, a, g, half_steps, cn_steps)
     p = inverse(stationary + a ** half_steps * g ** float(cn_steps) * start)
@@ -313,13 +306,15 @@ def _solve_transient(spec, grid, t_final, weighted):
 
 def solve_fpe_evans(spec: ProcessSpec, grid: FpeGrid, t_final: float) -> DensityCurve:
     """March the density equation with the plain point source of rate r."""
-    return _solve_transient(spec, grid, t_final, weighted=False)
+    return _solve_transient(spec, grid, t_final)
 
 
 def solve_fpe_delta_fl(spec: ProcessSpec, grid: FpeGrid, t_final: float) -> DensityCurve:
     """March the density equation with the stationary-density-weighted
-    source; its coefficient, evaluated at the reset point, equals r."""
-    return _solve_transient(spec, grid, t_final, weighted=True)
+    source.  Its coefficient 2 D lam p*(xR), lam = sqrt(r / D) and
+    p*(xR) = lam / 2, is r, so this is :func:`solve_fpe_evans`'s solve,
+    bit for bit."""
+    return _solve_transient(spec, grid, t_final)
 
 
 @np.errstate(over="ignore", invalid="ignore")

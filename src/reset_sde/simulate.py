@@ -40,6 +40,7 @@ from .core import (
     _cells,
     _chunks,
     _float_cells,
+    check_size,
     open_table,
     spec_to_json,
     time_atol,
@@ -54,14 +55,6 @@ MAX_EULER_RESET_PROB = 0.1
 
 DEFAULT_EXACT_POINTS = 257
 
-# A run expected to walk more rows than this, over all its trajectories
-# (grid or lattice points plus resets), is refused before any work: a row
-# costs 8 bytes of each array a trajectory walks, and about 25 of CSV.
-# The marginal samplers refuse an output of more values than this, and as
-# they work in fixed chunks that bounds their real memory too: 8 bytes a
-# value, a byte or two of flags a sample, and a few chunks.
-MAX_RUN_ROWS = 10 ** 8
-
 TRAJECTORIES_CSV = "trajectories.csv"
 RESETS_CSV = "resets.csv"
 
@@ -72,11 +65,19 @@ RESETS_CSV = "resets.csv"
 # so the break-even lies between; the bound stays at 128.
 _MIN_SHARDED_ROWS = 128 * DEFAULT_EXACT_POINTS
 
-# Trajectories are simulated and written in blocks of this many: one
-# merge, one walk and one CSV write per block.  Memory grows with the
-# block, not the shard; blocks of 250 raised the benchmark's peak RSS
-# from 86 to 98 MiB.
-_BLOCK = 32
+# Trajectories are simulated and written in blocks of about this many
+# rows, 32 trajectories of the default grid: one merge, one walk and one
+# CSV write per block.  Memory grows with the block, not the shard; blocks
+# of 250 default-grid trajectories raised the benchmark's peak RSS from 86
+# to 98 MiB, and blocks of 32 on a 20001-point grid peaked at 92.9 MiB
+# traced, where blocks of one take 3.7.
+_BLOCK_ROWS = 32 * DEFAULT_EXACT_POINTS
+
+
+def _block_size(points):
+    """Trajectories a block when each walks ``points`` times: as many as
+    hold ``_BLOCK_ROWS`` rows, and at least one."""
+    return max(1, _BLOCK_ROWS // points)
 
 
 @dataclass(frozen=True)
@@ -123,8 +124,8 @@ def _check_n(n):
 def validate_scheme(spec: ProcessSpec, cfg: SchemeConfig, n: int = 1) -> _Plan:
     """Check ``cfg`` for ``spec`` and n trajectories and return the run's
     ``_Plan``.  n must be an integer of at least 1, and a run expected to
-    walk more than ``MAX_RUN_ROWS`` rows is refused before any lattice is
-    made."""
+    walk more rows than ``core.check_size`` admits is refused before any
+    lattice is made."""
     validate_spec(spec)
     _check_n(n)
     if not 0 < cfg.horizon < math.inf:
@@ -160,9 +161,8 @@ def validate_scheme(spec: ProcessSpec, cfg: SchemeConfig, n: int = 1) -> _Plan:
     else:
         raise SpecError(f"unknown scheme: {type(cfg.scheme).__name__}")
     rows = points + likely_resets(spec.clock, cfg.horizon)
-    if not n * rows <= MAX_RUN_ROWS:
-        raise SpecError(f"the run would walk about {n * rows:.3g} rows, above the budget "
-                        f"of {MAX_RUN_ROWS:.0e}; lower n, the horizon or the reset rate")
+    check_size(n * rows, f"{n} trajectories of {rows:.3g} rows",
+               "lower n, the horizon or the reset rate")
     if times is not None:
         return _Plan(spec, cfg, times, None, times, rows)
     lattice = np.arange(int(math.ceil(cfg.horizon / dt - 1e-12)) + 1) * dt
@@ -311,13 +311,12 @@ def _chain(spec, times, ages, n, seed, unit=1.0):
     centred Normal step of variance 2*D*unit*age, times being in units of
     ``unit``.  The arithmetic runs a chunk at a time, so peak memory is
     about the output plus one chunk (and ``row`` with several times).
-    An output of more than ``MAX_RUN_ROWS`` values is refused before any
-    array is made.
+    An output larger than ``core.check_size`` admits is refused before
+    any array is made.
     """
     _check_n(n)
-    if not n * len(times) <= MAX_RUN_ROWS:
-        raise SpecError(f"{n} samples at {len(times)} times exceed the budget of "
-                        f"{MAX_RUN_ROWS:.0e} values; lower n or the number of times")
+    check_size(n * len(times), f"{n} samples at {len(times)} times",
+               "lower n or the number of times")
     rng = np.random.default_rng(seed)
     var = 2.0 * spec.diffusivity * unit
     # column-major, the layout of its reordered copies: a sum over samples
@@ -443,11 +442,11 @@ def marginal_samples(spec: ProcessSpec, t, n: int, seed) -> np.ndarray:
     Normal(x_reset, 2*D*a); with no reset it is Normal(x0, 2*D*t).  The
     last reset is drawn by inverting the clock's R(t), refused where R(t)
     overflows a double, or from a renewal clock's gaps, unless n samples
-    likely draw over ``MAX_RUN_ROWS``.  Distributionally identical to
-    exact-scheme marginals.  The work runs in fixed chunks of samples:
-    at one time peak memory is about the output plus one chunk; several
-    times add an n-vector, and times that are not sorted and distinct
-    the copy that puts the columns in the requested order.
+    likely draw more than ``core.check_size`` admits.  Distributionally
+    identical to exact-scheme marginals.  The work runs in fixed chunks of
+    samples: at one time peak memory is about the output plus one chunk;
+    several times add an n-vector, and times that are not sorted and
+    distinct the copy that puts the columns in the requested order.
     """
     validate_spec(spec)
     _check_n(n)
@@ -461,10 +460,8 @@ def marginal_samples(spec: ProcessSpec, t, n: int, seed) -> np.ndarray:
         ages = _hazard_ages(times, [clock.cumulative(s) for s in times],
                             clock.inverse_cumulative)
     else:
-        gaps = n * likely_resets(clock, t_max)
-        if not gaps <= MAX_RUN_ROWS:
-            raise SpecError(f"{n} samples would draw about {gaps:.3g} gaps, above the "
-                            f"budget of {MAX_RUN_ROWS:.0e}; lower n or the last time")
+        check_size(n * likely_resets(clock, t_max), f"the renewal gaps of {n} samples",
+                   "lower n or the last time")
         ages = _renewal_ages(times, clock.law)
     return _columns_at(_chain(spec, times, ages, n, seed), times, t)
 
@@ -513,9 +510,9 @@ def run_ensemble(spec: ProcessSpec, cfg: SchemeConfig, n: int, seed,
     entropy = _entropy(seed)
     from ._seeding import generators  # loads numpy.random, as a first run does
     one = simulate_exact if plan.probs is None else simulate_euler
-    trajectories = []
-    for lo in range(0, n, _BLOCK):
-        for rng in generators(entropy, lo, min(lo + _BLOCK, n)):
+    trajectories, step = [], _block_size(len(plan.times))
+    for lo in range(0, n, step):
+        for rng in generators(entropy, lo, min(lo + step, n)):
             tr = one(spec, plan, rng)
             if keep == "grid":
                 tr = Trajectory(plan.grid, tr.at(plan.grid), tr.reset_times)
@@ -671,23 +668,25 @@ def _reap(pid, read):
 
 def _write_shard(started, plan, entropy, start, stop, paths):
     """Simulate trajectories start..stop-1 of ``plan`` and write both CSVs
-    of them to ``paths``, a block at a time; return the shard's counts,
-    stage times (seeding and simulating in ``ensemble_s``, formatting and
-    writing in ``write_s``), CPU seconds and wall seconds, and its start
-    in seconds after the ``perf_counter`` reading ``started``.  The grid's
-    time cells are formatted once; a block's reset epochs and positions
-    go to ``_float_cells`` in one call, and the table writers get cells."""
+    of them to ``paths``, a block of ``_block_size`` trajectories at a
+    time, so about ``_BLOCK_ROWS`` rows whatever the grid; return the
+    shard's counts, stage times (seeding and simulating in ``ensemble_s``,
+    formatting and writing in ``write_s``), CPU seconds and wall seconds,
+    and its start in seconds after the ``perf_counter`` reading
+    ``started``.  The grid's time cells are formatted once; a block's reset
+    epochs and positions go to ``_float_cells`` in one call, and the table
+    writers get cells."""
     start_s = time.perf_counter() - started
     from ._seeding import generators  # loads numpy.random, as a first run does
     clock, cpu = time.perf_counter(), time.process_time()
     time_cells = _float_cells(plan.times)
     rows = resets = 0
-    ensemble_s = 0.0
+    ensemble_s, step = 0.0, _block_size(len(plan.times))
     with open_table(paths[0], ("traj", "t", "x")) as write_rows, \
             open_table(paths[1], ("traj", "reset_time")) as write_resets:
-        for lo in range(start, stop, _BLOCK):
+        for lo in range(start, stop, step):
             tick = time.perf_counter()
-            block = _block(plan, generators(entropy, lo, min(lo + _BLOCK, stop)))
+            block = _block(plan, generators(entropy, lo, min(lo + step, stop)))
             ensemble_s += time.perf_counter() - tick
             ids = _cells(np.arange(lo, lo + len(block.lengths)))
             # one formatter call a block: each epoch is formatted once, for
@@ -736,11 +735,13 @@ def resets_to_csv(ensemble: Ensemble, path) -> None:
 
 def _trajectory_blocks(ensemble, columns):
     """The table blocks of ``columns(tr)`` after each trajectory's index,
-    ``_BLOCK`` trajectories a block, each index formatted once: memory is
-    bounded by the block, not the ensemble."""
+    as many trajectories a block as the first one's times give
+    ``_block_size``, each index formatted once: memory is bounded by the
+    block, not the ensemble."""
     trajectories = ensemble.trajectories
-    for lo in range(0, len(trajectories), _BLOCK):
-        parts = [columns(tr) for tr in trajectories[lo:lo + _BLOCK]]
+    step = _block_size(len(trajectories[0].times)) if trajectories else 1
+    for lo in range(0, len(trajectories), step):
+        parts = [columns(tr) for tr in trajectories[lo:lo + step]]
         ids = np.repeat(_cells(np.arange(lo, lo + len(parts))), [len(p[0]) for p in parts])
         yield (ids, *map(np.concatenate, zip(*parts)))
 

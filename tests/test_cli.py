@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 
 from hypothesis import example, given, settings, strategies as hs
 import numpy as np
@@ -313,8 +314,9 @@ class TestSimulateCommand:
          "io: a worker process raised UnpicklableError(", ".part1"),
         # far more than a pipe holds: the caller reads it before the wait
         (NumericalError("x" * 2 ** 20), 4, "numerical:", ".part2"),
+        (MemoryError("Unable to allocate 745. GiB"), 2, "config: out of memory", ".part1"),
     ], ids=["io", "numerical", "domain", "calling-process", "dead-worker", "killed-worker",
-            "unpicklable", "large-error"])
+            "unpicklable", "large-error", "memory"])
     def test_shard_failure_exits_with_its_code(self, tmp_path, capfd, monkeypatch,
                                                error, code, label, suffix):
         # Forked workers inherit the patch.  A ".partN" suffix fails the
@@ -515,6 +517,13 @@ class TestAnalyticCommand:
         counters = json.loads((tmp_path / "narrow" / "manifest.json").read_text())["counters"]
         assert counters["windows"] is None and counters["points"] == 401
         assert counters["mass"] < 0.99 and "--points" in capsys.readouterr().err
+        # at t = 20 the no-reset Gaussian keeps a window of weight 2.1e-9,
+        # too light to get any of 401 points: one window is gridded
+        spec = ProcessSpec(0.5, 0.0, 0.0, PoissonClock(1.0))
+        assert len(analytic.law_windows(spec, 20.0)) == 2
+        assert run(["analytic", "pdf", "--r", 1, "--t", 20, "--out", tmp_path / "late"]) == 0
+        counters = json.loads((tmp_path / "late" / "manifest.json").read_text())["counters"]
+        assert counters["windows"] == 1
 
     @pytest.mark.parametrize("xr", [0, 2, 10, 20, 100, 1e8, 1e12])
     def test_default_pdf_curve_holds_unit_mass_at_every_time(self, tmp_path, capsys, xr):
@@ -747,6 +756,39 @@ class TestDomainErrors:
         err = capsys.readouterr().err
         assert "--grid-points 100000000000 with --n 3" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("args", [
+        *[["analytic", what, "--points", 10 ** 11]
+          for what in ("pdf", "stationary", "cf", "mgf", "mean")],
+        ["analytic", "msd", "--p", -0.5, "--points", 10 ** 11],
+        ["analytic", "moments", "--n-max", 10 ** 11],
+    ], ids=["pdf", "stationary", "cf", "mgf", "mean", "msd", "moments"])
+    def test_sizes_past_the_budget_are_refused_before_any_array(self, tmp_path, capsys,
+                                                                 args):
+        # 1e11 values would take 800 GB: refused by the size budget
+        tracemalloc.start()
+        try:
+            code = run(args + ["--out", tmp_path])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 2 and peak < 2 ** 20
+        assert err.startswith("error: config:") and err.count("\n") == 1
+        assert "budget" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("error", [MemoryError(), MemoryError("no room for 8 GB")],
+                             ids=["bare", "message"])
+    def test_memory_error_exits_2(self, tmp_path, capsys, monkeypatch, error):
+        # a size the budget let through, but this machine could not hold
+        def exhausted(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(analytic, "pdf", exhausted)
+        assert run(["analytic", "pdf", "--out", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: out of memory") and err.count("\n") == 1
+        assert str(error) in err
+
 
 class TestRunRecord:
     COMMON = {"command", "config", "seed", "version", "wall_time_s", "outputs",
@@ -827,14 +869,11 @@ class TestOversizedInputs:
          "--x-lo", "-1", "--x-hi", "1", "--boundary", "absorbing"],
         ["--form", "stationary", "--d", "1e300", "--h", "1e-5",
          "--x-lo", "-1", "--x-hi", "1", "--boundary", "absorbing"],
-        ["--form", "delta-fl", "--r", "1e9", "--d", "1e-300", "--t", "0.1",
-         "--x-lo", "-1", "--x-hi", "1", "--boundary", "absorbing"],
         ["--form", "evans", "--r", "1e300", "--d", "1e-30", "--h", "1e-9", "--t", "1e-9",
          "--x-lo=-1e-6", "--x-hi", "1e-6", "--boundary", "absorbing"],
         ["--form", "stationary", "--r", "1e300", "--d", "1e-30", "--h", "1e-9",
          "--x-lo=-1e-6", "--x-hi", "1e-6", "--boundary", "absorbing"],
-    ], ids=["evans-system", "stationary-system", "delta-fl-source", "evans-source",
-            "stationary-source"])
+    ], ids=["evans-system", "stationary-system", "evans-source", "stationary-source"])
     def test_overflowing_fpe_exits_4(self, tmp_path, capsys, args):
         assert run(["fpe"] + args + ["--out", tmp_path]) == 4
         err = capsys.readouterr().err
@@ -858,22 +897,25 @@ _SPEC_FLAGS = {
         '{"name":"pareto","alpha":1.5,"xm":0.2}', '{"name":"deterministic","gap":0.5}',
         '{"name":"exponential","mean":-1}', '{"name":"other"}', "[]", "{"]),
 }
-# tiny sizes and horizons, so that every run the parser accepts is quick
+# tiny sizes and horizons, so that every run the parser accepts is quick,
+# and sizes of 1e11 and 1e12, which the size budget refuses
 _COMMAND_FLAGS = {
     "simulate": dict(_SPEC_FLAGS, **{
         "--scheme": hs.sampled_from(["exact", "euler", "other"]),
         "--dt": hs.sampled_from(["0.01", "0.1", "0", "-1", "nan", "1"]),
         "--horizon": hs.sampled_from(["0.5", "2", "0", "-1", "nan", "inf"]),
-        "--n": hs.sampled_from(["1", "3", "0", "-2", "x"]),
+        "--n": hs.sampled_from(["1", "3", "0", "-2", "x", "100000000000", "1000000000000"]),
         "--seed": hs.sampled_from(["0", "-1", "7", "x"]),
-        "--grid-points": hs.sampled_from(["1", "2", "11", "0", "-3"]),
+        "--grid-points": hs.sampled_from(["1", "2", "11", "0", "-3", "100000000000",
+                                          "1000000000000"]),
         "--workers": hs.sampled_from(["1", "2", "0", "-1"]),
     }),
     "analytic": dict(_SPEC_FLAGS, **{
         "--t": _NUMBER, "--x-lo": _NUMBER, "--x-hi": _NUMBER, "--s-lo": _NUMBER,
         "--s-hi": _NUMBER, "--t-lo": _NUMBER, "--t-hi": _NUMBER,
-        "--points": hs.sampled_from(["2", "5", "1", "0", "-1"]),
-        "--n-max": hs.sampled_from(["0", "2", "-1"]),
+        "--points": hs.sampled_from(["2", "5", "1", "0", "-1", "100000000000",
+                                     "1000000000000"]),
+        "--n-max": hs.sampled_from(["0", "2", "-1", "100000000000", "1000000000000"]),
     }),
     "fpe": dict(_SPEC_FLAGS, **{
         "--form": hs.sampled_from(["evans", "delta-fl", "stationary", "other"]),

@@ -72,7 +72,8 @@ def union_reference(grid, resets, rng, spec):
     return times, _kernels.walk(spec.x0, spec.x_reset, increments, flags)
 
 
-BLOCK = simulate_module._BLOCK
+# trajectories a block on the default grid
+BLOCK = simulate_module._block_size(simulate_module.DEFAULT_EXACT_POINTS)
 
 # (spec, cfg, n) at the edges of the blocks a run is simulated in: block
 # boundaries, a block without resets, rows of very different lengths,
@@ -162,7 +163,7 @@ class TestSchemeValidation:
     def test_row_budget_admits_the_runs_it_bounds(self):
         spec = ProcessSpec(0.5, 0.0, 0.0, RenewalClock(ParetoGaps(0.5, 1e-4)))
         validate_scheme(spec, SchemeConfig(ExactScheme(), 10.0), 10 ** 5)
-        budget = simulate_module.MAX_RUN_ROWS
+        budget = core_module.MAX_VALUES
         cfg = SchemeConfig(ExactScheme(), 10.0)
         per_path = simulate_module.DEFAULT_EXACT_POINTS + 10.0
         validate_scheme(poisson_spec(1.0), cfg, int(budget // per_path))
@@ -469,14 +470,14 @@ class TestMarginalSampler:
         tracemalloc.start()
         try:
             with pytest.raises(SpecError, match="budget"):
-                draw(simulate_module.MAX_RUN_ROWS // 2 + 1)  # an output of 1.6 GB
+                draw(core_module.MAX_VALUES // 2 + 1)  # an output of 1.6 GB
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
 
     def test_output_budget_admits_its_edge(self, monkeypatch):
-        monkeypatch.setattr(simulate_module, "MAX_RUN_ROWS", 100)
+        monkeypatch.setattr(core_module, "MAX_VALUES", 100)
         assert euler_marginal_samples(poisson_spec(1.0), [0.5, 1.0], 0.1, 50, seed=1).shape \
             == (50, 2)
         with pytest.raises(SpecError, match="budget"):
@@ -765,9 +766,10 @@ class TestExport:
 
         monkeypatch.setattr(simulate_module, "_float_cells", counted)
         monkeypatch.setattr(core_module, "_float_cells", counted)
-        n = 2 * BLOCK + 3
+        block = simulate_module._block_size(len(validate_scheme(spec, cfg).times))
+        n = 2 * block + 3
         counts = ensemble_csv(spec, cfg, n, 3, tmp_path, workers=1)
-        assert len(calls) == 1 + -(-n // BLOCK)
+        assert len(calls) == 1 + -(-n // block)
         assert sum(calls[1:]) == counts["rows"] + counts["resets_drawn"]
 
     @pytest.mark.parametrize("cfg", [
@@ -905,3 +907,22 @@ class TestBlocks:
 
         peak(BLOCK)  # first-call allocations
         assert peak(32 * BLOCK) <= 1.5 * peak(4 * BLOCK)
+
+    def test_blocks_are_sized_by_rows_not_trajectories(self, tmp_path):
+        # 16 trajectories of a 20001-point grid go one a block: 20002 rows,
+        # 2.4 times a default-grid block's peak; as one block of 16 they
+        # peaked 18 times higher
+        spec = poisson_spec(1.0, 0.0, 2.0)
+        fine = np.linspace(0.0, 10.0, 20001)
+
+        def peak(n, grid=None):
+            tracemalloc.start()
+            try:
+                ensemble_csv(spec, SchemeConfig(ExactScheme(), 10.0, grid), n, 1, tmp_path,
+                             workers=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(BLOCK)  # first-call allocations
+        assert peak(16, fine) <= 4 * peak(4 * BLOCK)
