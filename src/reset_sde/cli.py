@@ -13,8 +13,11 @@ success, 1 validation failure, 2 configuration error (a size past
 3 I/O error, 4 numerical failure.
 
 ``simulate --workers k`` forks k - 1 children from the calling process,
-one per extra shard, with no process pool; where the platform cannot
-fork, the shards run in turn in the calling process, with the same bytes.
+one per extra shard, with no process pool.  Child i starts on the i-th
+CPU the caller may run on, the caller's own counted 0th, so not on the
+caller's while CPUs are left, then gets the whole set back
+(``simulate.ensemble_csv``); where the platform cannot fork, the shards
+run in turn in the calling process, with the same bytes.
 
 ``analytic``, ``fpe`` and ``stats`` load ``scipy.special``, so only the
 commands that use them import it; ``simulate`` runs on numpy alone.

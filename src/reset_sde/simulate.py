@@ -60,9 +60,11 @@ RESETS_CSV = "resets.csv"
 
 # Below this many expected CSV rows ``ensemble_csv`` runs in one process by
 # default: forking a shard's child and reaping it costs about 4 ms (a process
-# pool cost 12-14 ms).  Two forked workers beat one in 14 of 36 alternating
-# pairs at 64 trajectories of 257 rows and in 23 of 24 at 112 (2-vCPU VM),
-# so the break-even lies between; the bound stays at 128.
+# pool cost 12-14 ms).  With each forked shard started on a CPU of its
+# own, two workers beat one in 18 of 48 alternating pairs at 64
+# trajectories of 257 rows, 24 of 48 at 96 and 11 of 24 at 128 (2-vCPU VM,
+# one warm process, series of 12 that swung from 1 to 10 wins as the host
+# drifted); no size won 9 of 10, so the bound stays at 128.
 _MIN_SHARDED_ROWS = 128 * DEFAULT_EXACT_POINTS
 
 # Trajectories are simulated and written in blocks of about this many
@@ -530,15 +532,40 @@ def resolve_workers(n: int, workers=None, rows=DEFAULT_EXACT_POINTS) -> int:
     """
     if workers is None:
         workers = 1 if n * rows < _MIN_SHARDED_ROWS else _usable_cpus()
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-        raise SpecError("workers must be a positive integer")
-    return max(1, min(workers, n))
+    if (isinstance(workers, bool) or not isinstance(workers, numbers.Integral)
+            or workers < 1):
+        raise SpecError(f"workers must be a positive integer; got {workers!r}")
+    return int(max(1, min(workers, n)))
 
 
 def _usable_cpus():
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+# proc(5): the calling process's stat line, whose field 39 is the CPU it
+# last ran on
+_STAT = "/proc/self/stat"
+
+
+def _cpu_order():
+    """The CPUs this process may run on, the one it runs on first; None
+    where a forked shard cannot be placed: ``sched_setaffinity`` or
+    ``sched_getaffinity`` is missing, ``_STAT`` cannot be read, or one CPU
+    is allowed."""
+    if not (hasattr(os, "sched_setaffinity") and hasattr(os, "sched_getaffinity")):
+        return None
+    try:
+        allowed = os.sched_getaffinity(0)
+        with open(_STAT, "rb") as fh:
+            # field 3 on follow the last ")", which closes the command name
+            own = int(fh.read().rpartition(b")")[2].split()[39 - 3])
+    except (OSError, ValueError, IndexError):
+        return None
+    if len(allowed) < 2 or own not in allowed:
+        return None
+    return [own, *sorted(allowed - {own})]
 
 
 def ensemble_csv(spec: ProcessSpec, cfg: SchemeConfig, n: int, seed, out,
@@ -553,10 +580,18 @@ def ensemble_csv(spec: ProcessSpec, cfg: SchemeConfig, n: int, seed, out,
     forked from the calling process, which already holds the run's one
     ``_Plan``, and writes its own part files; the calling process forks
     them all, then runs shard 0, then appends the parts, without their
-    headers, to shard 0's files and deletes them.  Where ``os.fork`` is
-    missing the calling process runs the shards in turn, with the same
-    bytes.  Each shard simulates and writes its trajectories a block at
-    a time, so memory is bounded by the block, not the shard.  An error
+    headers, to shard 0's files and deletes them.  Linux leaves a child
+    forked by a fresh process on its parent's CPU, where it would share
+    that CPU with shard 0 for its whole run, so before forking the calling
+    process reads the CPU it runs on and the CPUs it may run on
+    (``_cpu_order``): child i starts on the i-th of them, the caller's own
+    counted 0th and wrapping round, then gets the whole set back.  The
+    caller's own affinity is not touched.  Placement is skipped where the
+    platform cannot set an affinity, the caller's CPU cannot be read or
+    one CPU is allowed, and the bytes are the same either way.  Where
+    ``os.fork`` is missing the calling process runs the shards in turn,
+    with the same bytes.  Each shard simulates and writes its trajectories
+    a block at a time, so memory is bounded by the block, not the shard.  An error
     in any shard is raised here once every child has exited, and no part
     file is left behind; a child that dies raises ``ChildProcessError``.
     A fork copies only the calling thread, so a program that runs threads
@@ -583,12 +618,14 @@ def ensemble_csv(spec: ProcessSpec, cfg: SchemeConfig, n: int, seed, out,
         local, forked = shards[:1], shards[1:]
     else:
         local, forked = shards, []
+    cpus = _cpu_order() if forked else None
     children = []
     started = time.perf_counter()
     try:
         try:
-            for shard in forked:
-                children.append(_fork_shard(started, *shard))
+            for i, shard in enumerate(forked, 1):
+                masks = () if cpus is None else ({cpus[i % len(cpus)]}, set(cpus))
+                children.append(_fork_shard(started, masks, *shard))
             counts = [_write_shard(started, *shard) for shard in local]
         finally:
             replies = [_reap(*child) for child in children]
@@ -615,13 +652,17 @@ def ensemble_csv(spec: ProcessSpec, cfg: SchemeConfig, n: int, seed, out,
     return totals
 
 
-def _fork_shard(started, *shard):
+def _fork_shard(started, masks, *shard):
     """Fork a child that runs ``_write_shard(started, *shard)`` and sends
     ``(True, counts)`` or ``(False, exception)`` up a pipe, pickled; return
-    its pid and the pipe's read end.  The child leaves by ``os._exit`` on
-    every path, so it never runs the caller's code after the fork, nor
-    flushes the caller's buffers; an exception that does not pickle is
-    sent as a ``ChildProcessError`` holding its repr."""
+    its pid and the pipe's read end.  The child first sets each CPU set of
+    ``masks`` as its affinity, in order, ignoring an ``OSError``:
+    ``ensemble_csv`` passes one CPU, then the whole allowed set, so the
+    child moves to that CPU at once and the scheduler may still move it
+    on.  The child leaves by ``os._exit`` on every path, so it never runs
+    the caller's code after the fork, nor flushes the caller's buffers; an
+    exception that does not pickle is sent as a ``ChildProcessError``
+    holding its repr."""
     read, write = os.pipe()
     try:
         pid = os.fork()
@@ -634,6 +675,11 @@ def _fork_shard(started, *shard):
         return pid, read
     code = 1
     try:
+        for mask in masks:
+            try:
+                os.sched_setaffinity(0, mask)
+            except OSError:  # placement is a hint; the shard runs anyway
+                pass
         os.close(read)
         try:
             reply = (True, _write_shard(started, *shard))

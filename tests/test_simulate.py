@@ -94,6 +94,19 @@ BLOCK_CASES = [
 BLOCK_IDS = [f"block-n={n}" for n in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3)] + [
     "block-rate-0", "block-pareto", "block-resets-on-grid", "block-euler", "block-euler-grid"]
 
+# Forked shards can be placed on a CPU: the platform sets affinities and
+# this process may run on two CPUs or more
+PLACEABLE = hasattr(os, "sched_setaffinity") and len(os.sched_getaffinity(0)) >= 2
+
+
+def fake_stat(path, cpu):
+    """A proc(5) stat line whose field 39, the CPU last run on, is ``cpu``,
+    behind a command name that holds ") (" and spaces; every other field
+    reads 99999, which names no CPU."""
+    path.write_text("4242 (a) (b c) S " + "99999 " * 35 + f"{cpu} " + "99999 " * 13 + "\n")
+    return str(path)
+
+
 # The marginal samplers work chunks of this many samples; the pins below
 # sit at its edges.
 CHUNK = 2 ** 14
@@ -792,6 +805,81 @@ class TestExport:
         assert outputs[1] == outputs[0]
         # the shards ran one after the other
         assert counts["shards"][1]["start_s"] >= counts["shards"][0]["start_s"]
+
+    @pytest.mark.skipif(not PLACEABLE, reason="needs sched_setaffinity and two usable CPUs")
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_a_forked_shard_starts_on_a_cpu_other_than_the_callers(
+            self, tmp_path, monkeypatch, workers):
+        # the caller reads that it runs on its highest allowed CPU; child i
+        # sets the i-th CPU of the allowed set, the caller's counted 0th,
+        # then the whole set, and its patched shard returns the calls
+        allowed = os.sched_getaffinity(0)
+        assert sorted(simulate_module._cpu_order()) == sorted(allowed)
+        own = max(allowed)
+        order = [own, *sorted(allowed - {own})]
+        monkeypatch.setattr(simulate_module, "_STAT", fake_stat(tmp_path / "stat", own))
+        calls = []
+        set_affinity = os.sched_setaffinity
+
+        def recorded(pid, mask):
+            calls.append((pid, set(mask)))
+            set_affinity(pid, mask)
+
+        write_shard, reap, replies = simulate_module._write_shard, simulate_module._reap, []
+
+        def shard(*args):
+            return dict(write_shard(*args), affinity=calls)
+
+        def reaped(*child):
+            replies.append(reap(*child))
+            return replies[-1]
+
+        monkeypatch.setattr(os, "sched_setaffinity", recorded)
+        monkeypatch.setattr(simulate_module, "_write_shard", shard)
+        monkeypatch.setattr(simulate_module, "_reap", reaped)
+        spec, cfg = poisson_spec(1.0, 0.0, 2.0), SchemeConfig(ExactScheme(), horizon=3.0)
+        ensemble_csv(spec, cfg, 40, 5, tmp_path, workers=workers)
+        assert [ok for ok, _ in replies] == [True] * (workers - 1)
+        # child 1 names order[1], a CPU other than the caller's
+        for i, (_, counts) in enumerate(replies, 1):
+            assert counts["affinity"] == [(0, {order[i % len(order)]}), (0, allowed)]
+        # the caller's affinity is never touched
+        assert calls == [] and os.sched_getaffinity(0) == allowed
+
+    @pytest.mark.parametrize("case", ["setaffinity-raises", "stat-unreadable",
+                                      "no-getaffinity"])
+    def test_placement_that_cannot_happen_keeps_the_bytes(self, tmp_path, monkeypatch, case):
+        spec, cfg = poisson_spec(1.0, 0.0, 2.0), SchemeConfig(ExactScheme(), horizon=3.0)
+
+        def run(workers):
+            out = tmp_path / str(workers)
+            out.mkdir()
+            counts = ensemble_csv(spec, cfg, 40, 5, out, workers=workers)
+            assert counts["workers"] == workers
+            assert sorted(os.listdir(out)) == ["resets.csv", "trajectories.csv"]
+            return ((out / "trajectories.csv").read_bytes(), (out / "resets.csv").read_bytes(),
+                    counts["rows"], counts["resets_drawn"])
+
+        alone = run(1)
+        if case == "setaffinity-raises":
+            def refused(pid, mask):
+                raise OSError("affinity refused")
+            monkeypatch.setattr(os, "sched_setaffinity", refused, raising=False)
+        elif case == "stat-unreadable":
+            monkeypatch.setattr(simulate_module, "_STAT", str(tmp_path / "missing"))
+            assert simulate_module._cpu_order() is None
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            assert simulate_module._cpu_order() is None
+        assert run(2) == alone
+
+    def test_numpy_integer_worker_counts_pass(self, tmp_path):
+        # workers follows n's rule: any integer but a bool, numpy's too
+        assert resolve_workers(10, np.int64(2)) == 2
+        assert type(resolve_workers(np.int64(3), np.int64(8))) is int
+        spec, cfg = poisson_spec(1.0, 0.0, 2.0), SchemeConfig(ExactScheme(), horizon=3.0)
+        counts = ensemble_csv(spec, cfg, 40, 5, tmp_path, workers=np.int64(2))
+        assert counts["workers"] == 2 and type(counts["workers"]) is int
 
     def test_worker_count_is_capped_by_n_and_checked(self, monkeypatch):
         monkeypatch.setattr(simulate_module, "_usable_cpus", lambda: 64)
