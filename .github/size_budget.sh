@@ -6,7 +6,9 @@
 #     bash .github/size_budget.sh python -m reset_sde.cli
 #
 # Each run below asks for 1e11 values or more (800 GB), under a 2 GB
-# address-space limit: it must exit 2, with no traceback on stderr.
+# address-space limit, or gives a renewal law an infinite parameter
+# (JSON reads 1e999 as inf), whose expected reset count would size the
+# run: it must exit 2, with no traceback on stderr.
 set -uo pipefail
 ulimit -v 2000000
 big=100000000000
@@ -35,6 +37,8 @@ analytic moments --n-max $big
 simulate --n $big
 simulate --n 1 --grid-points $big
 fpe --h 1e-9
+simulate --clock renewal --renewal-law {"name":"exponential","mean":1e999}
+simulate --clock renewal --renewal-law {"name":"deterministic","gap":1e999}
 RUNS
 rm -f "$err"
 exit "$status"

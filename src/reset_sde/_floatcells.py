@@ -116,14 +116,8 @@ def _shortest(ax):
     trusted."""
     p = 21 - _DECADES.searchsorted(ax, "right")
     hi, lo, pw = _scaled(ax, p)
-    sure = np.ones(len(ax), dtype=bool)
-    low = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
-    high = hi >= 1e17
-    if low.any() or high.any():
-        p += low
-        p -= high
-        hi, lo, pw = _scaled(ax, p)
-        sure &= (hi >= 1e16) & (hi < 1e17) & ~((hi == 1e16) & (lo < 0))
+    # a product outside [1e16, 1e17), which no input is known to give, goes to repr
+    sure = (hi >= 1e16) & (hi < 1e17) & ~((hi == 1e16) & (lo < 0))
     # half the gaps to the next doubles, the lower one halved at a power
     # of two; scaled, both exceed 0.55
     f, q = np.frexp(ax)

@@ -49,6 +49,8 @@ from .core import (
     PoissonClock,
     ProcessSpec,
     SpecError,
+    check_count,
+    check_positive,
     check_size,
     rescale_to_unit,
     write_table,
@@ -107,34 +109,21 @@ class MomentTable:
 # Argument gates: each validates the spec once and returns the unit frame
 # ---------------------------------------------------------------------------
 
-def _check_time(t, positive=True) -> None:
-    """Refuse a time, or any time of an array, that is not finite and
-    positive (nonnegative when ``positive`` is false)."""
-    if isinstance(t, (int, float)):  # one float comparison in the hot path
-        ok = (0 < t if positive else 0 <= t) and t < math.inf
-    else:
-        t = np.asarray(t, dtype=float)
-        ok = np.all(((0 < t) if positive else (0 <= t)) & (t < math.inf))
-    if not ok:
-        raise DomainError(f"t must be {'positive' if positive else 'nonnegative'} "
-                          "and finite")
-
-
 def _poisson(spec: ProcessSpec, t=None, positive=True):
     """``(rate, x0/c, xR/c, c)`` of a homogeneous Poisson spec, c = sqrt(2D),
-    with t checked by :func:`_check_time` unless it is None."""
+    with t, unless None, finite and positive (or nonnegative, unless ``positive``)."""
     scaled, c = rescale_to_unit(spec)
     if not isinstance(spec.clock, PoissonClock):
         raise SpecError(f"this operation requires a homogeneous Poisson clock; "
                         f"got {type(spec.clock).__name__}")
     if t is not None:
-        _check_time(t, positive)
+        check_positive(t, "t", DomainError, zero=not positive)
     return spec.clock.rate, scaled.x0, scaled.x_reset, c
 
 
 def _npp(spec: ProcessSpec, t, positive=True, points=1):
     """``(clock, c)`` of a power-law spec started and reset at 0,
-    c = sqrt(2D), with t checked by :func:`_check_time` and ``points`` budgeted."""
+    c = sqrt(2D), with t checked as by :func:`_poisson` and ``points`` budgeted."""
     _, c = rescale_to_unit(spec)
     if not isinstance(spec.clock, NonhomogeneousPoissonClock):
         raise SpecError(f"this operation requires a nonhomogeneous Poisson "
@@ -142,19 +131,11 @@ def _npp(spec: ProcessSpec, t, positive=True, points=1):
     if spec.x0 != 0.0 or spec.x_reset != 0.0:
         raise DomainError("nonhomogeneous results are derived for "
                           "x0 = xR = 0 only")
-    _check_time(t, positive)
+    check_positive(t, "t", DomainError, zero=not positive)
     # its quadrature keeps a value a point per interval, up to its limit
     check_size(_QUAD_OPTS["limit"] * points, f"a power-law curve of {points} points",
                "lower the number of points")
     return spec.clock, c
-
-
-def _order(n, name="n") -> int:
-    """``n`` as an int, refused with DomainError unless it is a
-    nonnegative integer; a bool is not an order."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
-        raise DomainError(f"{name} must be a nonnegative integer; got {n!r}")
-    return int(n)
 
 
 def _finite(out, what: str):
@@ -222,8 +203,7 @@ def _laplace_pdf_arr(x, rate, center):
 def laplace_pdf(x, rate: float, center: float):
     """Laplace density with scale (2 rate)^(-1/2): the unit-frame
     stationary law of resetting diffusion."""
-    if not rate > 0:
-        raise DomainError("rate must be positive")
+    check_positive(rate, "rate", DomainError)
     out = _laplace_pdf_arr(np.asarray(x, dtype=float), rate, center)
     return float(out) if out.ndim == 0 else out
 
@@ -264,9 +244,8 @@ def normal_laplace_conv(x, t: float, rate: float, center: float):
     Written with scaled complementary error functions so large rate*t
     never overflows.
     """
-    _check_time(t)
-    if not rate > 0:
-        raise DomainError("rate must be positive")
+    check_positive(t, "t", DomainError)
+    check_positive(rate, "rate", DomainError)
     lam = math.sqrt(2.0 * rate)
     left, right = _conv_terms(np.asarray(x, dtype=float) - center, t, lam)
     out = 0.25 * lam * (left + right)
@@ -392,9 +371,8 @@ def laplace_moment(n: int, rate: float) -> float:
     (2 rate)^(-n/2) n! for even n, zero for odd n.  It is the reset half
     of :func:`nth_moment` as t -> inf with xR = 0: a Normal(0, A) with A
     exponential of rate ``rate``."""
-    n = _order(n)
-    if not rate > 0:
-        raise DomainError("rate must be positive")
+    n = check_count(n, "n", 0, DomainError)
+    check_positive(rate, "rate", DomainError)
     with decimal.localcontext(_DECIMAL):
         value = _normal_mixture(n, _powers(0.0, n), _age_moments(Decimal(1), rate, math.inf, n))
     return _double(value, f"Laplace moment {n} at rate {rate:g}")
@@ -410,8 +388,8 @@ def gaussian_moment(n: int, x0: float, t: float) -> float:
     for large x0^2/t; the tests keep it, on scipy's ``hyp1f1``, as an
     independent cross-check.
     """
-    n = _order(n)
-    _check_time(t)
+    n = check_count(n, "n", 0, DomainError)
+    check_positive(t, "t", DomainError)
     with decimal.localcontext(_DECIMAL):
         value = _normal_mixture(n, _powers(x0, n), _powers(t, n // 2))
     return _double(value, f"Gaussian moment of order {n} (x0={x0:g}, t={t:g})")
@@ -435,23 +413,25 @@ def nth_moment(spec: ProcessSpec, n: int, t: float) -> float:
     E L^n + e^{-rt}(E W^n - E (W+L)^n), subtracts terms that outgrow the
     moment; the tests keep it, in exact arithmetic, as the reference.
     """
-    (value,) = _moments(spec, t, [_order(n)])
+    (value,) = _moments(spec, t, [check_count(n, "n", 0, DomainError)])
     return value
 
 
 def _moments(spec: ProcessSpec, t: float, orders) -> list:
-    """:func:`nth_moment` of each of ``orders``, from one set of variance
-    powers and age moments built for the largest order."""
+    """:func:`nth_moment` of each of ``orders``, ascending, from variance
+    powers and age moments built in rounds for twice the orders of the
+    last (64 at first), so a table stops near its first overflowing order."""
     rate, *_ = _poisson(spec, t)
     with decimal.localcontext(_DECIMAL):
         variance, age = 2 * Decimal(spec.diffusivity), Decimal(float(t))
-        top = max(orders)
         survival = (-Decimal(rate) * age).exp()
-        gauss = [(variance * age) ** k for k in range(top // 2 + 1)]
-        reset = _age_moments(variance, rate, t, top) if rate else []
-        starts, resets = _powers(spec.x0, top), _powers(spec.x_reset, top)
-        values = []
+        values, top = [], -1
         for n in orders:
+            if n > top:
+                top = min(orders[-1], max(2 * n, 64))
+                gauss = [(variance * age) ** k for k in range(top // 2 + 1)]
+                reset = _age_moments(variance, rate, t, top) if rate else []
+                starts, resets = _powers(spec.x0, top), _powers(spec.x_reset, top)
             value = survival * _normal_mixture(n, starts, gauss)
             if rate:
                 value += _normal_mixture(n, resets, reset)
@@ -496,7 +476,7 @@ def _mgf_derivatives(spec: ProcessSpec, orders, t: float) -> list:
     unit frame's s sqrt(2D), at any length scale, narrowed to stay within
     0.4 sqrt(r / D) of 0, inside the MGF's domain.  The stencil's MGF
     values and weights are computed once for all orders."""
-    orders = [_order(n) for n in orders]
+    orders = [check_count(n, "n", 0, DomainError) for n in orders]
     rate, _, _, c = _poisson(spec, t, positive=False)
     points = 13
     step = 0.05
@@ -980,7 +960,7 @@ def law_windows(spec: ProcessSpec, t) -> list:
     if isinstance(spec.clock, NonhomogeneousPoissonClock):
         if t is None:
             raise DomainError("no stationary law under a power-law clock")
-        _check_time(t)
+        check_positive(t, "t", DomainError)
         half = _NPP_SUPPORT_RMS * math.sqrt(npp_msd(spec, t))
         return [Window(-half, half, 1.0)]
     rate, _, _, c = _poisson(spec, t)
@@ -1075,6 +1055,7 @@ def density_curve(spec: ProcessSpec, t, xs=None) -> DensityCurve:
 
 def moment_table(spec: ProcessSpec, t: float, n_max: int) -> MomentTable:
     # an order holds about four Decimals of ~100 bytes: 50 values
-    check_size(50 * (_order(n_max, "n_max") + 1), f"{n_max + 1} moment orders", "lower n_max")
-    orders = np.arange(n_max + 1)
-    return MomentTable(orders=orders, values=np.array(_moments(spec, t, orders.tolist())), t=t)
+    n_max = check_count(n_max, "n_max", 0, DomainError)
+    check_size(50 * (n_max + 1), f"{n_max + 1} moment orders", "lower n_max")
+    values = np.array(_moments(spec, t, range(n_max + 1)))
+    return MomentTable(orders=np.arange(n_max + 1), values=values, t=t)

@@ -43,6 +43,7 @@ from .core import (
     PoissonClock,
     ProcessSpec,
     SpecError,
+    check_count,
     check_size,
     spec_to_json,
     validate_spec,
@@ -279,7 +280,7 @@ def _cmd_simulate(args) -> int:
     horizon = _number(args, config, "horizon", 10.0)
     n = _number(args, config, "n", 1, int)
     seed = _number(args, config, "seed", 0, int)
-    workers = _merged(args, config, "workers")
+    workers = _number(args, config, "workers", None, int)
     grid_points = _number(args, config, "grid-points", config.get("grid_points"), int)
     grid = None
     if scheme_name == "euler":
@@ -293,8 +294,7 @@ def _cmd_simulate(args) -> int:
     else:
         scheme = ExactScheme()
         if grid_points is not None:
-            if grid_points < 1:
-                raise SpecError("grid-points must be at least 1")
+            check_count(grid_points, "grid-points", 1)
             check_size(n * grid_points, f"--grid-points {grid_points} with --n {n}",
                        "lower --grid-points or --n")
             grid = np.linspace(0.0, horizon, grid_points)
@@ -341,8 +341,8 @@ def _cmd_analytic(args) -> int:
     what = args.what
     resolved = {"spec": spec_to_json(spec), "what": what, "t": args.t, "out": out}
     outputs, extra = [], {}
-    if what not in ("regime", "moments") and args.points < 2:
-        raise SpecError("--points must be at least 2")
+    if what not in ("regime", "moments"):
+        check_count(args.points, "--points", 2)
 
     if what == "regime":
         if args.p is None:

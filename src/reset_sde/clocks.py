@@ -19,7 +19,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DomainError, SpecError, as_number
+from .errors import DomainError, SpecError, as_number, check_positive
 
 
 # ---------------------------------------------------------------------------
@@ -31,8 +31,7 @@ class _GapLaw:
 
     def validate(self) -> None:
         for f in fields(self):
-            if not getattr(self, f.name) > 0:
-                raise SpecError(f"renewal_law.{f.name} must be positive")
+            check_positive(getattr(self, f.name), f"renewal_law.{f.name}")
 
     def to_json(self) -> dict:
         return {"name": self.name, **{f.name: getattr(self, f.name) for f in fields(self)}}
@@ -73,7 +72,9 @@ class ParetoGaps(_GapLaw):
     name = "pareto"
 
     def draw(self, rng, size):
-        return self.xm * rng.random(size) ** (-1.0 / self.alpha)
+        # a tiny alpha overflows to inf, the gap's limit: past any horizon
+        with np.errstate(over="ignore"):
+            return self.xm * rng.random(size) ** (-1.0 / self.alpha)
 
     @property
     def mean_gap(self):
@@ -202,8 +203,7 @@ class PoissonClock(_PowerLawClock):
     exponent = 0.0
 
     def validate(self) -> None:
-        if not (self.rate >= 0 and math.isfinite(self.rate)):
-            raise SpecError("clock.rate must be nonnegative")
+        check_positive(self.rate, "clock.rate", zero=True)
 
     def to_json(self) -> dict:
         return {"type": "poisson", "r": self.rate}
@@ -221,8 +221,7 @@ class NonhomogeneousPoissonClock(_PowerLawClock):
     exponent: float
 
     def validate(self) -> None:
-        if not (self.rate > 0 and math.isfinite(self.rate)):
-            raise SpecError("clock.rate must be positive")
+        check_positive(self.rate, "clock.rate")
         if not math.isfinite(self.exponent):
             raise SpecError("clock.exponent must be finite")
 
@@ -348,11 +347,10 @@ def sample_reset_times(clock, horizon, rng) -> np.ndarray:
     ----------
     clock : PoissonClock | NonhomogeneousPoissonClock | RenewalClock
     horizon : float
-        Positive end of the sampling window.
+        Positive, finite end of the sampling window.
     rng : numpy.random.Generator
         Private stream; the same state always yields the same events.
     """
-    if not horizon > 0:
-        raise SpecError("horizon must be positive")
+    check_positive(horizon, "horizon")
     validate_clock(clock)
     return clock.sample_events(horizon, [rng])[0]

@@ -20,7 +20,8 @@ from .clocks import (  # noqa: F401  (re-exported)
     clock_from_json,
     validate_clock,
 )
-from .errors import DomainError, NumericalError, SpecError, as_number  # noqa: F401
+from .errors import (  # noqa: F401  (re-exported)
+    _REALS, DomainError, NumericalError, SpecError, as_number, check_count, check_positive)
 
 
 # ---------------------------------------------------------------------------
@@ -37,19 +38,12 @@ class ProcessSpec:
     clock: ResetClock
 
 
-# Real scalars, Python or numpy; bool is an int subclass and is excluded
-# separately.
-_REAL_TYPES = (float, int, np.floating, np.integer)
-
-
 def validate_spec(spec: ProcessSpec) -> ProcessSpec:
     """Return ``spec`` unchanged if all invariants hold, else raise SpecError."""
-    d = spec.diffusivity
-    if isinstance(d, bool) or not (isinstance(d, _REAL_TYPES) and 0 < d < math.inf):
-        raise SpecError("diffusivity must be positive and finite")
+    check_positive(spec.diffusivity, "diffusivity")
     for name in ("x0", "x_reset"):
         value = getattr(spec, name)
-        if (isinstance(value, bool) or not isinstance(value, _REAL_TYPES)
+        if (isinstance(value, bool) or not isinstance(value, _REALS)
                 or not math.isfinite(value)):
             raise SpecError(f"{name} must be a finite constant")
     validate_clock(spec.clock)

@@ -51,6 +51,7 @@ from .core import (
     NumericalError,
     ProcessSpec,
     SpecError,
+    check_positive,
     check_size,
 )
 from .analytic import DensityCurve, _finite, _poisson, law_windows
@@ -107,8 +108,7 @@ def default_grid(spec: ProcessSpec, t_final: float, h: float = 1e-2,
     ``t_final=None``), widened to hold x0 and xR at least 10 h inside.
     Beyond it the law leaves out at most ``analytic.TAIL_MASS`` on each
     side, so a reflecting end there moves no more than that."""
-    if not 0 < h < math.inf:
-        raise SpecError("h must be positive and finite")
+    check_positive(h, "h")
     windows = law_windows(spec, t_final)
     pad = 10.0 * h
     lo = min(windows[0].lo, spec.x0 - pad, spec.x_reset - pad)

@@ -20,7 +20,6 @@ call and one CSV write per block.
 
 from dataclasses import dataclass, replace
 import math
-import numbers
 import os
 import pickle
 import shutil
@@ -40,6 +39,8 @@ from .core import (
     _cells,
     _chunks,
     _float_cells,
+    check_count,
+    check_positive,
     check_size,
     open_table,
     spec_to_json,
@@ -117,21 +118,14 @@ class _Plan:
     rows: float
 
 
-def _check_n(n):
-    """Refuse a size n that is not an integer of at least 1."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not n >= 1:
-        raise SpecError(f"n must be at least 1, an integer; got {n!r}")
-
-
 def validate_scheme(spec: ProcessSpec, cfg: SchemeConfig, n: int = 1) -> _Plan:
     """Check ``cfg`` for ``spec`` and n trajectories and return the run's
     ``_Plan``.  n must be an integer of at least 1, and a run expected to
     walk more rows than ``core.check_size`` admits is refused before any
     lattice is made."""
     validate_spec(spec)
-    _check_n(n)
-    if not 0 < cfg.horizon < math.inf:
-        raise SpecError("horizon must be positive and finite")
+    check_count(n, "n", 1)
+    check_positive(cfg.horizon, "horizon")
     grid = None
     if cfg.grid is not None:
         grid = np.asarray(cfg.grid, dtype=float)
@@ -140,9 +134,7 @@ def validate_scheme(spec: ProcessSpec, cfg: SchemeConfig, n: int = 1) -> _Plan:
         if not 0 <= grid[0] or not grid[-1] <= cfg.horizon * (1 + 1e-12):
             raise SpecError("grid must lie within [0, horizon]")
     if isinstance(cfg.scheme, EulerScheme):
-        dt = cfg.scheme.dt
-        if not 0 < dt < math.inf:
-            raise SpecError("dt must be positive and finite")
+        dt = check_positive(cfg.scheme.dt, "dt")
         rate = spec.clock.base_rate
         if rate is None:
             raise SpecError("the Euler scheme supports Poisson clocks only; "
@@ -316,7 +308,7 @@ def _chain(spec, times, ages, n, seed, unit=1.0):
     An output larger than ``core.check_size`` admits is refused before
     any array is made.
     """
-    _check_n(n)
+    check_count(n, "n", 1)
     check_size(n * len(times), f"{n} samples at {len(times)} times",
                "lower n or the number of times")
     rng = np.random.default_rng(seed)
@@ -451,10 +443,8 @@ def marginal_samples(spec: ProcessSpec, t, n: int, seed) -> np.ndarray:
     distinct the copy that puts the columns in the requested order.
     """
     validate_spec(spec)
-    _check_n(n)
-    times = np.unique(np.asarray(t, dtype=float))
-    if not np.all((times > 0) & (times < math.inf)):
-        raise DomainError("t must be positive and finite")
+    check_count(n, "n", 1)
+    times = np.unique(np.asarray(check_positive(t, "t", DomainError), dtype=float))
     clock, t_max = spec.clock, float(times.max(initial=0.0))
     if clock.base_rate is not None:
         if not likely_resets(clock, t_max) < math.inf:
@@ -532,10 +522,7 @@ def resolve_workers(n: int, workers=None, rows=DEFAULT_EXACT_POINTS) -> int:
     """
     if workers is None:
         workers = 1 if n * rows < _MIN_SHARDED_ROWS else _usable_cpus()
-    if (isinstance(workers, bool) or not isinstance(workers, numbers.Integral)
-            or workers < 1):
-        raise SpecError(f"workers must be a positive integer; got {workers!r}")
-    return int(max(1, min(workers, n)))
+    return max(1, min(check_count(workers, "workers", 1), int(n)))
 
 
 def _usable_cpus():

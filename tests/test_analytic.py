@@ -21,6 +21,7 @@ from reset_sde import (
     marginal_samples,
 )
 from reset_sde import analytic
+from reset_sde.clocks import sample_reset_times
 from reset_sde.core import NumericalError
 from reset_sde.analytic import (
     ConvergenceError,
@@ -1025,6 +1026,12 @@ class TestTypedErrors:
         (lambda: analytic.law_windows(ProcessSpec(0.5, 0.0, 0.0, RenewalClock(
             DeterministicGaps(0.5))), 1.0), SpecError),
         (lambda: analytic.default_support(spec_poisson(1.0, xr=1e300), 100.0), DomainError),
+        # an infinite rate or horizon is refused like a negative one
+        (lambda: analytic.laplace_pdf(0.0, math.inf, 0.0), DomainError),
+        (lambda: analytic.normal_laplace_conv(0.0, 1.0, math.inf, 0.0), DomainError),
+        (lambda: laplace_moment(2, math.inf), DomainError),
+        (lambda: sample_reset_times(PoissonClock(1.0), math.inf, np.random.default_rng(0)),
+         SpecError),
     ], ids=["laplace", "gaussian", "nth", "mgf-order-negative", "mgf-order-bool",
             "mgf-order-float", "nth-order-bool", "nth-order-float", "laplace-order-float",
             "table-n-max-float", "table-n-max-bool", "fd-weights",
@@ -1034,7 +1041,8 @@ class TestTypedErrors:
             "npp-cf-integral-overflow", "npp-pdf-integral-overflow",
             "npp-msd-integral-overflow", "npp-msd-infinite", "windows-overflow",
             "windows-stationary-rate-0", "windows-stationary-npp", "windows-renewal",
-            "support-unresolved"])
+            "support-unresolved", "laplace-pdf-infinite-rate", "conv-infinite-rate",
+            "laplace-moment-infinite-rate", "reset-times-infinite-horizon"])
     def test_bad_arguments_raise_typed_errors(self, call, error):
         with pytest.raises(error):
             call()

@@ -237,8 +237,17 @@ class TestSimulateCommand:
         ({"clock": {"type": "renewal",
                     "renewal_law": {"name": "deterministic", "gap": "soon"}}},
          "clock.renewal_law.gap must be a number"),
+        # a config number is a JSON number, a count a JSON integer
+        ({"n": 2.7}, "n must be an integer"),
+        ({"n": 2.0}, "n must be an integer"),
+        ({"n": "3"}, "n must be an integer"),
+        ({"seed": True}, "seed must be an integer"),
+        ({"horizon": True}, "horizon must be a number"),
+        ({"clock": {"type": "poisson", "r": "2"}}, "clock.r must be a number"),
+        ({"workers": 2.0}, "workers must be an integer"),
     ], ids=["n", "horizon", "seed", "dt", "grid-points", "n-infinite", "clock-r",
-            "clock-p", "law-gap"])
+            "clock-p", "law-gap", "n-fraction", "n-float", "n-string", "seed-bool",
+            "horizon-bool", "clock-r-string", "workers-float"])
     def test_config_value_that_is_not_a_number_exits_2(self, tmp_path, capsys,
                                                          doc, field):
         config = tmp_path / "cfg.json"
@@ -776,6 +785,22 @@ class TestDomainErrors:
         assert err.startswith("error: config:") and err.count("\n") == 1
         assert "budget" in err and "Traceback" not in err
 
+    def test_a_moment_table_stops_at_its_first_overflowing_order(self, tmp_path, capsys):
+        # at t = 1 order 302 overflows a double: the largest n_max the
+        # budget admits holds no more than n_max 400 on its way there
+        peaks = []
+        for n_max in (400, 1_999_999):
+            tracemalloc.start()
+            try:
+                code = run(["analytic", "moments", "--t", 1, "--n-max", n_max,
+                            "--out", tmp_path])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            err = capsys.readouterr().err
+            assert code == 4 and err.startswith("error: numerical: moment 302 at t = 1 ")
+        assert peaks[1] < peaks[0] + 2 ** 20
+
     @pytest.mark.parametrize("error", [MemoryError(), MemoryError("no room for 8 GB")],
                              ids=["bare", "message"])
     def test_memory_error_exits_2(self, tmp_path, capsys, monkeypatch, error):
@@ -895,7 +920,10 @@ _SPEC_FLAGS = {
     "--clock": hs.sampled_from(["poisson", "npp", "renewal", "other"]),
     "--renewal-law": hs.sampled_from([
         '{"name":"pareto","alpha":1.5,"xm":0.2}', '{"name":"deterministic","gap":0.5}',
-        '{"name":"exponential","mean":-1}', '{"name":"other"}', "[]", "{"]),
+        '{"name":"exponential","mean":-1}', '{"name":"other"}', "[]", "{",
+        # JSON reads 1e999 as inf; alpha 1e-300 draws infinite gaps
+        '{"name":"exponential","mean":1e999}', '{"name":"deterministic","gap":1e999}',
+        '{"name":"pareto","alpha":1e-300,"xm":1}']),
 }
 # tiny sizes and horizons, so that every run the parser accepts is quick,
 # and sizes of 1e11 and 1e12, which the size budget refuses
@@ -950,6 +978,8 @@ class TestCliFuzz:
     @example(["analytic", "pdf", "--t", "inf"])
     @example(["analytic", "pdf", "--x-lo", "nan", "--x-hi", "1"])
     @example(["analytic", "cf", "--s-lo", "inf", "--s-hi", "1"])
+    @example(["simulate", "--clock", "renewal", "--renewal-law",
+              '{"name":"exponential","mean":1e999}'])
     def test_documented_exit_code_and_no_traceback(self, args):
         stderr = io.StringIO()
         with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(stderr), \

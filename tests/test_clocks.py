@@ -93,10 +93,16 @@ class TestSampling:
         b = sample_reset_times(PoissonClock(1.0), 100.0, np.random.default_rng(42))
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("horizon", [0.0, -1.0])
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
     def test_nonpositive_horizon_is_a_spec_error(self, horizon):
-        with pytest.raises(SpecError, match="horizon must be positive"):
+        with pytest.raises(SpecError, match="horizon must be positive and finite"):
             sample_reset_times(PoissonClock(1.0), horizon, np.random.default_rng(0))
+
+    def test_pareto_gaps_of_tiny_alpha_are_infinite_without_a_warning(self):
+        # (1/u)**1e300 overflows: the gap is past every horizon, its limit
+        clock = RenewalClock(ParetoGaps(1e-300, 1.0))
+        assert np.all(clock.law.draw(np.random.default_rng(0), 8) == math.inf)
+        assert len(sample_reset_times(clock, 10.0, np.random.default_rng(0))) == 0
 
     def test_rate_zero_yields_no_events(self):
         assert len(sample_reset_times(PoissonClock(0.0), 10.0,

@@ -75,6 +75,12 @@ class TestValidateSpec:
         with pytest.raises(SpecError, match="renewal_law.alpha"):
             validate_spec(ProcessSpec(0.5, 0.0, 0.0,
                                       RenewalClock(ParetoGaps(-1.0, 1.0))))
+        # an infinite parameter too: its mean gap would size the run
+        for law, field in ((ExponentialGaps(math.inf), "mean"),
+                           (DeterministicGaps(math.inf), "gap"),
+                           (ParetoGaps(1.5, math.inf), "xm"), (ParetoGaps(math.inf, 1.0), "alpha")):
+            with pytest.raises(SpecError, match=f"renewal_law.{field} must be positive and finite"):
+                validate_spec(ProcessSpec(0.5, 0.0, 0.0, RenewalClock(law)))
 
     def test_rejects_unknown_clock(self):
         with pytest.raises(SpecError, match="clock"):
