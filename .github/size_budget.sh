@@ -8,10 +8,12 @@
 # Each run below asks for 1e11 values or more (800 GB), under a 2 GB
 # address-space limit, or gives a renewal law an infinite parameter
 # (JSON reads 1e999 as inf), whose expected reset count would size the
-# run: it must exit 2, with no traceback on stderr.
+# run, or one of 5000 digits, past Python's 4300-digit int-string limit:
+# it must exit 2, with no traceback on stderr.
 set -uo pipefail
 ulimit -v 2000000
 big=100000000000
+digits=$(printf '%05000d' 0 | tr 0 9)
 status=0
 err=$(mktemp)
 while read -r args; do
@@ -39,6 +41,7 @@ simulate --n 1 --grid-points $big
 fpe --h 1e-9
 simulate --clock renewal --renewal-law {"name":"exponential","mean":1e999}
 simulate --clock renewal --renewal-law {"name":"deterministic","gap":1e999}
+simulate --clock renewal --renewal-law {"name":"exponential","mean":$digits}
 RUNS
 rm -f "$err"
 exit "$status"

@@ -3,8 +3,9 @@
 Trajectory i of a run draws from ``default_rng(SeedSequence(entropy,
 spawn_key=(i,)))``.  ``generators`` gives the same generators for a range
 of trajectories, with numpy's ``SeedSequence`` hash evaluated over their
-spawn keys as arrays.  ``simulate`` imports this module on first use, as
-a run's first ``default_rng`` would load ``numpy.random``."""
+spawn keys as arrays.  Importing it loads ``numpy.random`` (about 16 ms);
+``simulate`` imports it with itself, so every command pays that at start-up,
+as every run of ``simulate`` and ``validate`` would on its first draw."""
 
 import functools
 import numbers

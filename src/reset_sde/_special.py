@@ -1,0 +1,138 @@
+"""The three special functions of the closed forms, on numpy alone.
+
+``erfcx(x) = exp(x^2) erfc(x)``, for x >= 0, follows S. G. Johnson's
+Faddeeva package: piecewise polynomials in y = 400 / (4 + x).  Here the
+pieces are sixteen times narrower, u = 16 y, so a quartic in s = u - j,
+j = rint(u), does the work of its degree-6 Chebyshev polynomials: 1482
+rows of five coefficients from x = 50 (u = 118.5) to x = 0 (u = 1600),
+made from mpmath by ``tools/erfcx_table.py`` and stored in
+``_erfcx_table``.  s is taken as ((6400 - 4j) - j x) / (4 + x), whose
+subtraction is exact, not as u - j: the rounding of 4 + x and of u would
+cost up to 8 ulp of erfcx near x = 0 (scipy's erfcx carries it) and 4
+near x = 4.  Past x = 50 the Laplace continued fraction 1 / sqrt(pi) /
+(x + 1/2 / (x + 1 / (x + 3/2 / (x + 2 / x)))) is used, and
+1 / (sqrt(pi) x) past x = 5e7, as in scipy.
+
+``erfc(x)`` is erfcx(|x|) e^{-x^2}, and below 0 it is 2 minus that.
+x^2 = h + l is split exactly: h = xh^2 for xh the leading 26 bits of |x|,
+and l = (|x| - xh)(|x| + xh), so no rounding of x^2 is multiplied by up
+to 729 in the exponent.  ``ndtri`` is the standard normal quantile of the
+standard library's ``statistics.NormalDist`` (Wichura's AS241), on
+scalars.
+
+Accuracy, against mpmath at 40 digits: ``erfcx`` is within 2 ulp of the
+exact value up to x = 50 and 3 past it (the table's own relative error,
+rounded coefficients included, is at most 1.12e-16); scipy's is off by
+up to 8 near x = 0.  ``erfc`` is within 3 ulp over the reals, where
+scipy's erfc, which rounds x^2, is off by up to 11 ulp below x = 4 and
+111 ulp from 4 to 12, and gives 0 from x = 26.64, where erfc is still
+1.2e-310.  Speed, on a 2-vCPU VM, on the arguments of one ``validate``
+pass (130,608 values in 28 calls for erfcx, 120,000 in 8 for erfc),
+medians of 100: erfcx 2.1 ms and erfc 3.1 ms, against 0.8 and 2.1 ms for
+scipy's.
+"""
+
+import binascii
+from statistics import NormalDist
+
+import numpy as np
+
+from . import _erfcx_table
+
+_TAIL = 50.0       # past this x, the continued fraction
+_HUGE = 5e7        # past this x, 1 / (sqrt(pi) x)
+_ERFC_ZERO = 28.0  # erfc underflows to 0 past 27.3; |x| is held below this
+_INV_SQRT_PI = 0.56418958354775628694807945156
+_LOW_27 = np.int64(~(2 ** 27 - 1))  # clears the 27 low bits of a double
+_STANDARD_NORMAL = NormalDist()
+
+
+def _load():
+    """400 STEPS, u's scale, and the table's coefficient columns, lowest
+    order first, indexed by the piece j."""
+    rows = np.frombuffer(binascii.a2b_base64(_erfcx_table.COEFFICIENTS), dtype="<f8")
+    rows = rows.reshape(-1, _erfcx_table.DEGREE + 1)
+    # rows below FIRST (x past the tail) are zero; erfcx never reads them
+    table = np.zeros((_erfcx_table.FIRST + len(rows), rows.shape[1]))
+    table[_erfcx_table.FIRST:] = rows
+    return 400.0 * _erfcx_table.STEPS, [np.ascontiguousarray(c) for c in table.T]
+
+
+_SCALE, _COEFFICIENTS = _load()
+
+
+def _erfcx_pieces(x):
+    """erfcx of x in [0, 50] from the table."""
+    u = np.add(x, 4.0)
+    np.divide(_SCALE, u, out=u)
+    j = np.rint(u)
+    # s = ((6400 - 4j) - j x) / (4 + x): the subtraction of near-equal
+    # terms is exact, and the rounding of j x is far below that of u
+    np.multiply(j, -4.0, out=u)
+    u += _SCALE
+    t = np.multiply(j, x)
+    u -= t
+    u /= np.add(x, 4.0, out=t)
+    del t
+    j = j.astype(np.intp)
+    acc = _COEFFICIENTS[-1].take(j, mode="clip")
+    for c in _COEFFICIENTS[-2::-1]:
+        acc *= u
+        acc += c.take(j, mode="clip")
+    return acc
+
+
+def _erfcx_tail(x):
+    out = _INV_SQRT_PI / x
+    mid = x <= _HUGE
+    x = x[mid]
+    x2 = x * x
+    out[mid] = _INV_SQRT_PI * (x2 * (x2 + 4.5) + 2.0) / (x * (x2 * (x2 + 5.0) + 3.75))
+    return out
+
+
+def _erfcx(x):
+    if not x.size or x.max() <= _TAIL:
+        return _erfcx_pieces(x)
+    out = np.empty(x.shape)
+    tail = ~(x <= _TAIL)  # nan too
+    out[~tail] = _erfcx_pieces(x[~tail])
+    out[tail] = _erfcx_tail(x[tail])
+    return out
+
+
+def erfcx(x):
+    """exp(x^2) erfc(x) of an array of x >= 0 (nan gives nan), as float64."""
+    x = np.asarray(x, dtype=float)
+    return _erfcx(x.reshape(-1)).reshape(x.shape)
+
+
+def erfc(x):
+    """The complementary error function of an array, as float64."""
+    x = np.asarray(x, dtype=float)
+    shape, x = x.shape, x.reshape(-1)
+    a = np.minimum(np.abs(x), _ERFC_ZERO)
+    out = _erfcx(a)
+    head = np.bitwise_and(a.view(np.int64), _LOW_27).view(np.float64)
+    low = np.subtract(head, a)  # exact
+    a += head
+    low *= a  # -l
+    # e^{-l} - 1 = -l + l^2/2 - l^3/6, to 1e-14 of itself for |l| < 5e-5
+    np.multiply(low, 1.0 / 6.0, out=a)
+    a += 0.5
+    a *= low
+    a += 1.0
+    a *= low
+    np.multiply(head, head, out=low)
+    np.negative(low, out=low)
+    out *= np.exp(low, out=low)
+    a *= out
+    out += a
+    np.subtract(2.0, out, out=out, where=x < 0)
+    return out.reshape(shape)
+
+
+def ndtri(p: float) -> float:
+    """The standard normal quantile of p in (0, 1)."""
+    return _STANDARD_NORMAL.inv_cdf(p)
+

@@ -40,8 +40,8 @@ import sys
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special
 
+from . import _special
 from .core import (
     DomainError,
     NonhomogeneousPoissonClock,
@@ -49,6 +49,7 @@ from .core import (
     PoissonClock,
     ProcessSpec,
     SpecError,
+    _distinct,
     check_count,
     check_positive,
     check_size,
@@ -219,12 +220,10 @@ def _exp_times_erfcx(gauss_exp, arg, tail_exp):
     gauss_exp, arg, tail_exp = np.broadcast_arrays(
         np.asarray(gauss_exp, dtype=float), np.asarray(arg, dtype=float),
         np.asarray(tail_exp, dtype=float))
-    out = np.empty(arg.shape)
+    out = _special.erfcx(np.abs(arg))
+    out *= np.exp(gauss_exp)
     neg = arg < 0
-    pos = ~neg
-    out[pos] = np.exp(gauss_exp[pos]) * special.erfcx(arg[pos])
-    out[neg] = (2.0 * np.exp(tail_exp[neg])
-                - np.exp(gauss_exp[neg]) * special.erfcx(-arg[neg]))
+    out[neg] = 2.0 * np.exp(tail_exp[neg]) - out[neg]
     return out
 
 
@@ -974,7 +973,7 @@ def law_windows(spec: ProcessSpec, t) -> list:
     for center, weight, cap in parts:
         if weight > 2.0 * TAIL_MASS:
             half = cap if t is None else min(
-                cap, c * math.sqrt(t) * -float(special.ndtri(TAIL_MASS / weight)))
+                cap, c * math.sqrt(t) * -_special.ndtri(TAIL_MASS / weight))
             windows.append(Window(center - half, center + half, weight))
     _finite([w[:2] for w in windows], "the law's windows")
     return sorted(windows)
@@ -1021,7 +1020,7 @@ def _support(spec, t, points):
             grids.append(_gap_cells(*last, w.lo, xs[1] - xs[0]))
         grids.append(xs)
         last = (w.hi, xs[1] - xs[0])
-    return np.unique(np.concatenate(grids)), int(np.count_nonzero(counts >= 2))
+    return _distinct(np.concatenate(grids)), int(np.count_nonzero(counts >= 2))
 
 
 def _gap_cells(lo, lo_step, hi, hi_step) -> np.ndarray:

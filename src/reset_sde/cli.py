@@ -19,8 +19,8 @@ caller's while CPUs are left, then gets the whole set back
 (``simulate.ensemble_csv``); where the platform cannot fork, the shards
 run in turn in the calling process, with the same bytes.
 
-``analytic``, ``fpe`` and ``stats`` load ``scipy.special``, so only the
-commands that use them import it; ``simulate`` runs on numpy alone.
+Every command runs on numpy alone: the special functions of the closed
+forms and the KS checks are the package's own (``_special``).
 """
 
 import argparse
@@ -180,7 +180,7 @@ def _load_config(path, keys):
     if not path:
         return {}
     with open(path) as fh:
-        doc = json.load(fh)
+        doc = _parse_json(json.load, fh, "config file")
     if not isinstance(doc, dict):
         raise SpecError("config file must contain a JSON object")
     unknown = sorted(set(doc) - set(keys))
@@ -188,6 +188,18 @@ def _load_config(path, keys):
         raise SpecError(f"unknown key(s) {', '.join(map(repr, unknown))}; "
                         f"this command reads {', '.join(keys)}")
     return doc
+
+
+def _parse_json(parse, source, what):
+    """``parse(source)``, where a ValueError other than a syntax error, such
+    as an integer past Python's 4300-digit int-string limit, is a config
+    error too."""
+    try:
+        return parse(source)
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:
+        raise SpecError(f"{what}: {exc}") from None
 
 
 def _merged(args, config, key, default=None):
@@ -214,7 +226,7 @@ def _build_clock(args, config):
             doc[key] = getattr(args, flag)
     law_text = getattr(args, "renewal_law", None)
     if law_text:
-        doc["renewal_law"] = json.loads(law_text)
+        doc["renewal_law"] = _parse_json(json.loads, law_text, "--renewal-law")
     doc.setdefault("type", "npp" if "p" in doc else "poisson")
     if doc["type"] in ("poisson", "npp"):
         doc.setdefault("r", 1.0)
@@ -238,12 +250,10 @@ def _out_dir(args):
 
 
 def _run_record():
-    """The walk kernel's backend and the library versions of this run;
-    scipy only when the run has loaded it, so recording imports nothing."""
-    versions = {"python": platform.python_version(), "numpy": np.__version__}
-    if "scipy" in sys.modules:
-        versions["scipy"] = sys.modules["scipy"].__version__
-    return {"backend": _kernels.BACKEND, "versions": versions}
+    """The walk kernel's backend and the versions of python and numpy, the
+    one library a run uses."""
+    return {"backend": _kernels.BACKEND,
+            "versions": {"python": platform.python_version(), "numpy": np.__version__}}
 
 
 def _write_json(path, doc):

@@ -100,6 +100,17 @@ def _chunks(n):
     return (slice(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK))
 
 
+def _distinct(values) -> np.ndarray:
+    """The sorted distinct values of a float array without NaN: np.unique's
+    sort and neighbour mask, without its ``np.ma.is_masked`` call, which
+    loads numpy.ma."""
+    values = np.sort(values, axis=None)
+    keep = np.empty(values.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 # ---------------------------------------------------------------------------
 # Trajectories and ensembles
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import _kernels
+from ._seeding import generators
 from .core import (
     DomainError,
     Ensemble,
@@ -38,6 +39,7 @@ from .core import (
     _CHUNK,
     _cells,
     _chunks,
+    _distinct,
     _float_cells,
     check_count,
     check_positive,
@@ -444,7 +446,7 @@ def marginal_samples(spec: ProcessSpec, t, n: int, seed) -> np.ndarray:
     """
     validate_spec(spec)
     check_count(n, "n", 1)
-    times = np.unique(np.asarray(check_positive(t, "t", DomainError), dtype=float))
+    times = _distinct(np.asarray(check_positive(t, "t", DomainError), dtype=float))
     clock, t_max = spec.clock, float(times.max(initial=0.0))
     if clock.base_rate is not None:
         if not likely_resets(clock, t_max) < math.inf:
@@ -468,7 +470,7 @@ def euler_marginal_samples(spec: ProcessSpec, ts, dt: float, n: int, seed) -> np
     tabulated log survival as its hazard; peak memory is as for
     ``marginal_samples``, about the output plus one chunk.
     """
-    lattice = np.unique(np.asarray(ts, dtype=float))
+    lattice = _distinct(np.asarray(ts, dtype=float))
     if not len(lattice):
         raise DomainError("ts must hold at least one time")
     plan = validate_scheme(spec, SchemeConfig(EulerScheme(dt), float(lattice[-1]), lattice))
@@ -500,7 +502,6 @@ def run_ensemble(spec: ProcessSpec, cfg: SchemeConfig, n: int, seed,
     if keep not in ("full", "grid"):
         raise SpecError("keep must be 'full' or 'grid'")
     entropy = _entropy(seed)
-    from ._seeding import generators  # loads numpy.random, as a first run does
     one = simulate_exact if plan.probs is None else simulate_euler
     trajectories, step = [], _block_size(len(plan.times))
     for lo in range(0, n, step):
@@ -710,7 +711,6 @@ def _write_shard(started, plan, entropy, start, stop, paths):
     epochs and positions go to ``_float_cells`` in one call, and the table
     writers get cells."""
     start_s = time.perf_counter() - started
-    from ._seeding import generators  # loads numpy.random, as a first run does
     clock, cpu = time.perf_counter(), time.process_time()
     time_cells = _float_cells(plan.times)
     rows = resets = 0

@@ -10,8 +10,8 @@ from typing import NamedTuple
 import math
 
 import numpy as np
-from scipy import special
 
+from . import _special
 from .core import (
     DomainError,
     Ensemble,
@@ -182,7 +182,7 @@ def _means_and_stds(arrays, n):
 
 
 def _norm_cdf(z):
-    return 0.5 * special.erfc(-z / math.sqrt(2.0))
+    return 0.5 * _special.erfc(-z / math.sqrt(2.0))
 
 
 def _laplace_cdf(x, rate, center):

@@ -365,12 +365,14 @@ class TestSimulateCommand:
                 "('multiprocessing', 'concurrent', 'queue')))\n"
                 "print(sorted(manifest['versions']))\n"
                 "print('reset_sde.checks' in sys.modules)\n"
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+                "             or m.split('.')[:2] == ['numpy', 'ma']))\n")
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
             env=dict(os.environ, PYTHONPATH=os.pathsep.join(
                 p for p in (src, os.environ.get("PYTHONPATH")) if p)))
         assert proc.returncode == 0, proc.stderr
+        # no scipy module, nor numpy.ma, which np.unique would load
         assert proc.stdout.splitlines()[-1] == "[]"
         # nor does it load the cross-checks that the validate suites share
         assert proc.stdout.splitlines()[-2] == "False"
@@ -663,15 +665,21 @@ class TestValidateCommand:
                 assert check["pass"] is True
                 assert {"name", "value", "tolerance", "pass"} <= set(check)
 
-    def test_analytic_modules_load_only_scipy_special(self, tmp_path):
+    def test_validate_analytic_and_fpe_load_no_scipy_and_no_numpy_ma(self, tmp_path):
+        # numpy is the only run-time dependency; np.unique would load numpy.ma
         src = os.path.dirname(os.path.dirname(reset_sde.__file__))
+        out = str(tmp_path)
         code = ("import sys\n"
-                "import reset_sde.analytic, reset_sde.fpe, reset_sde.stats, reset_sde.checks\n"
                 "from reset_sde import cli\n"
-                "assert cli.main(['validate', '--suite', 'fpe-agreement', '--suite', "
-                f"'dynkin', '--out', {str(tmp_path)!r}]) == 0\n"
-                "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', "
-                "'scipy.linalg', 'scipy.sparse') if m in sys.modules))\n")
+                "assert cli.main(['validate', '--suite', 'pdf-ks', '--suite', 'moments', "
+                "'--suite', 'fpe-agreement', '--suite', 'dynkin', "
+                f"'--out', {out!r}]) == 0\n"
+                f"assert cli.main(['analytic', 'pdf', '--out', {out!r}]) == 0\n"
+                "assert cli.main(['analytic', 'cf', '--p', '-0.5', '--t', '5', "
+                f"'--out', {out!r}]) == 0\n"
+                f"assert cli.main(['fpe', '--r', '1', '--t', '1', '--out', {out!r}]) == 0\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+                "             or m.split('.')[:2] == ['numpy', 'ma']))\n")
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
             env=dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -738,18 +746,25 @@ class TestDomainErrors:
         ["fpe", "--config", {"clock": 5}],
         ["simulate", "--config", [1, 2]],
         ["simulate", "--n", 1, "--grid-points", 100000000001],
+        # integers past Python's 4300-digit int-string limit; a file not in UTF-8
+        ["simulate", "--config", b'{"n": ' + b"9" * 5000 + b"}"],
+        ["simulate", "--clock", "renewal", "--renewal-law",
+         '{"name": "exponential", "mean": ' + "9" * 5000 + "}"],
+        ["simulate", "--config", b"\xff\xfe{}"],
     ], ids=["pdf-t0", "fpe-negative-t", "mean-negative-t-hi", "msd-reversed-grid",
             "pdf-t-inf", "cf-t-nan", "mgf-t-inf", "moments-t-inf", "pdf-reversed-x",
             "moments-t-inf-no-order", "moments-negative-n-max", "pdf-one-point",
             "regime-without-p", "msd-without-p", "euler-without-dt",
             "config-clock-string", "config-clock-number", "config-list",
-            "simulate-grid-points-1e11"])
+            "simulate-grid-points-1e11", "config-5000-digit-integer",
+            "renewal-law-5000-digit-integer", "config-not-utf8"])
     def test_exits_2_without_traceback(self, tmp_path, capsys, args):
-        # a JSON document in args is written to a file, and its path passed
+        # a JSON document in args, or bytes, is written to a file, and its
+        # path passed
         config = tmp_path / "cfg.json"
         for i, arg in enumerate(args):
-            if isinstance(arg, (dict, list)):
-                config.write_text(json.dumps(arg))
+            if isinstance(arg, (dict, list, bytes)):
+                config.write_bytes(arg if isinstance(arg, bytes) else json.dumps(arg).encode())
                 args = args[:i] + [config] + args[i + 1:]
         out = tmp_path / "out"
         assert run(args + ["--out", out]) == 2
@@ -824,8 +839,7 @@ class TestRunRecord:
         versions = doc["versions"]
         assert versions["python"] == platform.python_version()
         assert versions["numpy"] == np.__version__
-        assert set(versions) == {"python", "numpy"} | (
-            {"scipy"} if "scipy" in sys.modules else set())
+        assert set(versions) == {"python", "numpy"}
 
     @pytest.mark.parametrize("args, extra", [
         (["simulate", "--n", 3, "--horizon", 1], {"stages", "counters", "shards"}),

@@ -429,3 +429,15 @@ class TestTypedErrors:
             Ensemble(fig1_spec(), None, 0, [tr]).positions_at()
         with pytest.raises(SpecError, match="equal length"):
             write_table(tmp_path / "bad.csv", ("a", "b"), [(np.zeros(2), np.zeros(3))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(hnp.arrays(np.float64, hs.integers(0, 300),
+                  elements=hs.sampled_from([0.0, -0.0, 0.25, 1.0, 1e-300, 3.5, 1e300, np.inf])
+                  | hs.floats(allow_nan=False)))
+def test_distinct_is_np_unique_bit_for_bit(values):
+    # np.unique's sort and neighbour mask, which the samplers use without
+    # its np.ma.is_masked call
+    got, want = core._distinct(values), np.unique(values)
+    assert got.tobytes() == want.tobytes() and got.dtype == want.dtype
+    assert core._distinct(values.reshape(-1, 1)).shape == want.shape
