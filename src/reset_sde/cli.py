@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__, _kernels
 from .clocks import clock_from_json, likely_resets
-from .errors import as_number
+from .errors import as_number, check_positive
 from .core import (
     DomainError,
     NonhomogeneousPoissonClock,
@@ -287,7 +287,9 @@ def _cmd_simulate(args) -> int:
         "dt", "grid-points", "grid_points", "horizon", "n", "scheme", "seed", "workers"))
     spec = _build_spec(args, config)
     scheme_name = _merged(args, config, "scheme", "exact")
-    horizon = _number(args, config, "horizon", 10.0)
+    # checked before the grid is made: one point at an infinite horizon
+    # is 0 * inf in linspace
+    horizon = check_positive(_number(args, config, "horizon", 10.0), "horizon")
     n = _number(args, config, "n", 1, int)
     seed = _number(args, config, "seed", 0, int)
     workers = _number(args, config, "workers", None, int)
@@ -407,24 +409,34 @@ def _grid(flag, lo, hi, points, spacing=np.linspace):
     return spacing(lo, hi, points)
 
 
+def _range(flag, lo, hi):
+    """The ``--{flag}-lo``/``--{flag}-hi`` range (lo, hi), or None when
+    neither end is given; one end alone is refused, as it would be dropped."""
+    if (lo is None) != (hi is None):
+        raise SpecError(f"--{flag}-{'hi' if hi is None else 'lo'} is missing: "
+                        f"give --{flag}-lo and --{flag}-hi together")
+    return None if lo is None else (lo, hi)
+
+
 def _x_grid(args, spec, t):
     """The x values of a density curve, and the number of the law's
     windows that got points (None for an ``--x-lo``/``--x-hi`` range)."""
     from . import analytic
-    if args.x_lo is not None and args.x_hi is not None:
-        return _grid("x", args.x_lo, args.x_hi, args.points), None
+    bounds = _range("x", args.x_lo, args.x_hi)
+    if bounds is not None:
+        return _grid("x", *bounds, args.points), None
     return analytic._support(spec, t, args.points)
 
 
 def _transform_curve(args, spec, out, what):
     from . import analytic
-    s_lo, s_hi = args.s_lo, args.s_hi
-    if s_lo is None or s_hi is None:
+    bounds = _range("s", args.s_lo, args.s_hi)
+    if bounds is None:
         edge = 5.0
         if what == "mgf" and spec.clock.base_rate:
             edge = 0.98 * math.sqrt(spec.clock.base_rate / spec.diffusivity)
-        s_lo, s_hi = -edge, edge
-    ss = _grid("s", s_lo, s_hi, args.points)
+        bounds = -edge, edge
+    ss = _grid("s", *bounds, args.points)
     if what == "mgf":  # analytic.mgf refuses all but the homogeneous clock
         values = analytic.mgf(spec, ss, args.t)
         _curve_csv(out, "curve.csv", ["s", "value"], (ss, values))
@@ -451,10 +463,10 @@ def _cmd_fpe(args) -> int:
     t_final = _number(args, config, "t", 1.0)
     boundary = _merged(args, config, "boundary", "reflecting")
     form = _merged(args, config, "form", "evans")
-    x_lo = _number(args, config, "x-lo", config.get("x_lo"))
-    x_hi = _number(args, config, "x-hi", config.get("x_hi"))
-    if x_lo is not None and x_hi is not None:
-        grid = fpe.FpeGrid(x_lo=x_lo, x_hi=x_hi, h=h, dt=dt, boundary=boundary)
+    bounds = _range("x", _number(args, config, "x-lo", config.get("x_lo")),
+                    _number(args, config, "x-hi", config.get("x_hi")))
+    if bounds is not None:
+        grid = fpe.FpeGrid(*bounds, h=h, dt=dt, boundary=boundary)
     else:
         grid = fpe.default_grid(spec, None if form == "stationary" else t_final,
                                 h=h, dt=dt, boundary=boundary)
@@ -590,6 +602,7 @@ _SUITES = {
 
 def _cmd_validate(args) -> int:
     started = time.time()
+    check_count(args.seed, "seed", 0)  # before any suite draws from it
     from . import analytic  # for the quadrature record of each suite
     names = args.suite or sorted(_SUITES)
     report = {"suites": {}, "suite_seconds": {}, "quadrature": {}, "seed": args.seed,

@@ -8,8 +8,6 @@ import math
 import os
 import platform
 import signal
-import subprocess
-import sys
 import tempfile
 import threading
 import tracemalloc
@@ -18,7 +16,6 @@ from hypothesis import example, given, settings, strategies as hs
 import numpy as np
 import pytest
 
-import reset_sde
 from reset_sde import _kernels, analytic, cli, simulate
 from reset_sde.core import DomainError, NumericalError, PoissonClock, ProcessSpec
 
@@ -182,6 +179,8 @@ class TestSimulateCommand:
             manifest = json.loads((out / "manifest.json").read_text())
             assert manifest["config"]["workers"] == min(workers, manifest["config"]["run"]["n"])
             assert len(manifest["shards"]) == manifest["config"]["workers"]
+            assert all(set(shard) == {"start_s", "cpu_s", "wall_s"}
+                       for shard in manifest["shards"])
             outputs.append(((out / "trajectories.csv").read_bytes(),
                             (out / "resets.csv").read_bytes(),
                             manifest["counters"], sorted(os.listdir(out))))
@@ -351,26 +350,30 @@ class TestSimulateCommand:
         with pytest.raises(ChildProcessError):  # every worker was waited for
             os.waitpid(-1, os.WNOHANG)
 
-    def test_simulate_imports_no_scipy(self, tmp_path):
+    def test_log_branch_of_the_power_law_clock(self, tmp_path):
+        # at p = -1 the intensity (t+1)^-1 integrates to R(t) = r log(1+t),
+        # and the sampler maps unit-rate events through its log1p / expm1 pair
+        assert run(["simulate", "--p", -1, "--horizon", 10, "--n", 300, "--seed", 7,
+                    "--out", tmp_path]) == 0
+        counters = json.loads((tmp_path / "manifest.json").read_text())["counters"]
+        assert counters["resets_expected"] == pytest.approx(300 * math.log(11.0))
+
+    def test_simulate_imports_no_scipy(self, tmp_path, child_python):
         # nor, with two workers, any process pool, thread queue or
         # multiprocessing module: the shards start by a bare fork
-        src = os.path.dirname(os.path.dirname(reset_sde.__file__))
-        code = ("import json, os, sys\n"
-                "from reset_sde import cli\n"
-                f"assert cli.main(['simulate', '--n', '3', '--horizon', '1', '--workers', '2', "
-                f"'--out', {str(tmp_path)!r}]) == 0\n"
-                f"manifest = json.load(open(os.path.join({str(tmp_path)!r}, 'manifest.json')))\n"
-                "print(manifest['config']['workers'], len(manifest['shards']))\n"
-                "print(sorted(m for m in sys.modules if m.split('.')[0] in "
-                "('multiprocessing', 'concurrent', 'queue')))\n"
-                "print(sorted(manifest['versions']))\n"
-                "print('reset_sde.checks' in sys.modules)\n"
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
-                "             or m.split('.')[:2] == ['numpy', 'ma']))\n")
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
-            env=dict(os.environ, PYTHONPATH=os.pathsep.join(
-                p for p in (src, os.environ.get("PYTHONPATH")) if p)))
+        proc = child_python(
+            "import json, os, sys\n"
+            "from reset_sde import cli\n"
+            f"assert cli.main(['simulate', '--n', '3', '--horizon', '1', '--workers', '2', "
+            f"'--out', {str(tmp_path)!r}]) == 0\n"
+            f"manifest = json.load(open(os.path.join({str(tmp_path)!r}, 'manifest.json')))\n"
+            "print(manifest['config']['workers'], len(manifest['shards']))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('multiprocessing', 'concurrent', 'queue')))\n"
+            "print(sorted(manifest['versions']))\n"
+            "print('reset_sde.checks' in sys.modules)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+            "             or m.split('.')[:2] == ['numpy', 'ma']))\n")
         assert proc.returncode == 0, proc.stderr
         # no scipy module, nor numpy.ma, which np.unique would load
         assert proc.stdout.splitlines()[-1] == "[]"
@@ -436,6 +439,11 @@ class TestAnalyticCommand:
         _, rows = read_csv(tmp_path / "fine" / "moments.csv")
         assert len(rows) == 401
         assert float(rows[-1][1]) == pytest.approx(1.1058773257844051e281, rel=1e-12)
+        # at x = rt = 1000 the top incomplete-gamma share is the complement
+        assert run(["analytic", "moments", "--r", 1, "--xr", 2, "--n-max", 100, "--t", 1000,
+                    "--out", tmp_path / "late"]) == 0
+        _, rows = read_csv(tmp_path / "late" / "moments.csv")
+        assert rows[-1][0] == "100" and math.isfinite(float(rows[-1][1]))
         capsys.readouterr()
         # at t = 1 order 400 is 1.9e433, beyond a double
         assert run(args + ["--t", 1, "--out", tmp_path / "over"]) == 4
@@ -568,6 +576,18 @@ class TestAnalyticCommand:
         assert len(ss) == 401
         assert np.max(np.abs(re + 1j * im - each)) <= 1e-12
 
+    @pytest.mark.parametrize("p", [-1, -0.5])
+    def test_power_law_curves_at_a_decaying_intensity(self, tmp_path, capsys, p):
+        # at p = -1, R and its inverse take their log1p / expm1 branch; the
+        # vectorised quadrature of both curves uses in-place ufuncs
+        assert run(["analytic", "cf", "--p", p, "--t", 5, "--out", tmp_path / "cf"]) == 0
+        _, rows = read_csv(tmp_path / "cf" / "curve.csv")
+        assert np.isfinite(np.array(rows, dtype=float)).all()
+        assert run(["analytic", "pdf", "--r", 1, "--p", p, "--t", 5,
+                    "--out", tmp_path / "pdf"]) == 0
+        mass = float(capsys.readouterr().out.split("mass = ")[1])
+        assert abs(mass - 1.0) < 1e-3
+
     def test_unconverged_quadrature_exits_4(self, tmp_path, capsys, monkeypatch):
         # A tolerance below the rounding floor cannot be met.
         monkeypatch.setitem(analytic._QUAD_OPTS, "epsrel", 1e-15)
@@ -589,16 +609,12 @@ class TestFpeCommand:
         assert abs(manifest["config"]["mass"] - 1.0) < 1e-3
 
     def test_source_forms_agree(self, tmp_path):
-        outs = {}
+        # the delta-fl source 2 D lambda p*(xR) is r, the evans source: one solve
         for form in ("evans", "delta-fl"):
-            out = tmp_path / form
             assert run(["fpe", "--form", form, "--r", 1, "--t", 0.5,
-                        "--h", 0.02, "--out", out]) == 0
-            _, rows = read_csv(out / "density.csv")
-            outs[form] = np.array([[float(a), float(b)] for a, b in rows])
-        xs = outs["evans"][:, 0]
-        l1 = np.trapezoid(np.abs(outs["evans"][:, 1] - outs["delta-fl"][:, 1]), xs)
-        assert l1 < 1e-3
+                        "--h", 0.02, "--out", tmp_path / form]) == 0
+        assert ((tmp_path / "evans" / "density.csv").read_bytes()
+                == (tmp_path / "delta-fl" / "density.csv").read_bytes())
 
     def test_stationary_form(self, tmp_path):
         out = tmp_path / "st"
@@ -665,25 +681,22 @@ class TestValidateCommand:
                 assert check["pass"] is True
                 assert {"name", "value", "tolerance", "pass"} <= set(check)
 
-    def test_validate_analytic_and_fpe_load_no_scipy_and_no_numpy_ma(self, tmp_path):
+    def test_validate_analytic_and_fpe_load_no_scipy_and_no_numpy_ma(self, tmp_path,
+                                                                    child_python):
         # numpy is the only run-time dependency; np.unique would load numpy.ma
-        src = os.path.dirname(os.path.dirname(reset_sde.__file__))
         out = str(tmp_path)
-        code = ("import sys\n"
-                "from reset_sde import cli\n"
-                "assert cli.main(['validate', '--suite', 'pdf-ks', '--suite', 'moments', "
-                "'--suite', 'fpe-agreement', '--suite', 'dynkin', "
-                f"'--out', {out!r}]) == 0\n"
-                f"assert cli.main(['analytic', 'pdf', '--out', {out!r}]) == 0\n"
-                "assert cli.main(['analytic', 'cf', '--p', '-0.5', '--t', '5', "
-                f"'--out', {out!r}]) == 0\n"
-                f"assert cli.main(['fpe', '--r', '1', '--t', '1', '--out', {out!r}]) == 0\n"
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
-                "             or m.split('.')[:2] == ['numpy', 'ma']))\n")
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
-            env=dict(os.environ, PYTHONPATH=os.pathsep.join(
-                p for p in (src, os.environ.get("PYTHONPATH")) if p)))
+        proc = child_python(
+            "import sys\n"
+            "from reset_sde import cli\n"
+            "assert cli.main(['validate', '--suite', 'pdf-ks', '--suite', 'moments', "
+            "'--suite', 'fpe-agreement', '--suite', 'dynkin', "
+            f"'--out', {out!r}]) == 0\n"
+            f"assert cli.main(['analytic', 'pdf', '--out', {out!r}]) == 0\n"
+            "assert cli.main(['analytic', 'cf', '--p', '-0.5', '--t', '5', "
+            f"'--out', {out!r}]) == 0\n"
+            f"assert cli.main(['fpe', '--r', '1', '--t', '1', '--out', {out!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+            "             or m.split('.')[:2] == ['numpy', 'ma']))\n")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
 
@@ -716,13 +729,40 @@ class TestValidateCommand:
         report = json.loads((tmp_path / "v" / "report.json").read_text())
         assert report["pass"] is False
 
-    def test_msd_suite_passes_at_seed_22(self, tmp_path):
-        # with 1500 paths the p=0.5 horizon check read 0.138 against 0.12 at this seed
-        assert run(["validate", "--suite", "msd-exponents", "--seed", 22,
-                    "--out", tmp_path / "v"]) == 0
+    @pytest.mark.parametrize("seed", [[], ["--seed", 22]], ids=["default", "22"])
+    def test_every_suite_passes(self, tmp_path, seed):
+        # seed 22 is where 1500 msd paths once failed a correct build
+        assert run(["validate", *seed, "--out", tmp_path]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert sorted(report["suites"]) == sorted(cli._SUITES)
 
     def test_unknown_suite_rejected_by_parser(self, tmp_path):
         assert run(["validate", "--suite", "nonsense"]) == 2
+
+
+# Every size flag of 1e11 values or more (800 GB) is refused by the size
+# budget before any array is made
+OVERSIZED = {
+    **{what: ["analytic", what, "--points", 10 ** 11]
+       for what in ("pdf", "stationary", "cf", "mgf", "mean")},
+    "msd": ["analytic", "msd", "--p", -0.5, "--points", 10 ** 11],
+    "pdf-x-range": ["analytic", "pdf", "--x-lo", -1, "--x-hi", 1, "--points", 10 ** 11],
+    "moments": ["analytic", "moments", "--n-max", 10 ** 11],
+    "simulate-n": ["simulate", "--n", 10 ** 11],
+    "simulate-grid-points": ["simulate", "--n", 1, "--grid-points", 10 ** 11],
+    "fpe-h": ["fpe", "--h", 1e-9],
+}
+# So is a renewal law whose expected reset count would size a run from an
+# infinite parameter (JSON reads 1e999 as inf), or from one of 5000 digits,
+# past Python's 4300-digit int-string limit
+UNSIZED_LAWS = {
+    "renewal-law-5000-digit-integer": ["simulate", "--clock", "renewal", "--renewal-law",
+                                       '{"name": "exponential", "mean": ' + "9" * 5000 + "}"],
+    "renewal-mean-inf": ["simulate", "--clock", "renewal", "--renewal-law",
+                         '{"name":"exponential","mean":1e999}'],
+    "renewal-gap-inf": ["simulate", "--clock", "renewal", "--renewal-law",
+                        '{"name":"deterministic","gap":1e999}'],
+}
 
 
 class TestDomainErrors:
@@ -746,18 +786,26 @@ class TestDomainErrors:
         ["fpe", "--config", {"clock": 5}],
         ["simulate", "--config", [1, 2]],
         ["simulate", "--n", 1, "--grid-points", 100000000001],
-        # integers past Python's 4300-digit int-string limit; a file not in UTF-8
+        # an integer past Python's 4300-digit int-string limit; a file not in UTF-8
         ["simulate", "--config", b'{"n": ' + b"9" * 5000 + b"}"],
-        ["simulate", "--clock", "renewal", "--renewal-law",
-         '{"name": "exponential", "mean": ' + "9" * 5000 + "}"],
         ["simulate", "--config", b"\xff\xfe{}"],
+        # one point at an infinite horizon: 0 * inf would warn in linspace
+        ["simulate", "--grid-points", 1, "--horizon", "inf"],
+        ["validate", "--seed", -1],
+        # a range with one end given, which would be dropped
+        ["analytic", "pdf", "--x-lo", -1],
+        ["fpe", "--x-hi", 3],
+        ["fpe", "--config", {"x_hi": 3}],
+        ["analytic", "cf", "--s-lo", 1],
+        *UNSIZED_LAWS.values(),
     ], ids=["pdf-t0", "fpe-negative-t", "mean-negative-t-hi", "msd-reversed-grid",
             "pdf-t-inf", "cf-t-nan", "mgf-t-inf", "moments-t-inf", "pdf-reversed-x",
             "moments-t-inf-no-order", "moments-negative-n-max", "pdf-one-point",
             "regime-without-p", "msd-without-p", "euler-without-dt",
             "config-clock-string", "config-clock-number", "config-list",
-            "simulate-grid-points-1e11", "config-5000-digit-integer",
-            "renewal-law-5000-digit-integer", "config-not-utf8"])
+            "simulate-grid-points-1e11", "config-5000-digit-integer", "config-not-utf8",
+            "simulate-one-point-horizon-inf", "validate-negative-seed", "pdf-x-lo-alone",
+            "fpe-x-hi-alone", "fpe-config-x-hi-alone", "cf-s-lo-alone", *UNSIZED_LAWS])
     def test_exits_2_without_traceback(self, tmp_path, capsys, args):
         # a JSON document in args, or bytes, is written to a file, and its
         # path passed
@@ -780,15 +828,11 @@ class TestDomainErrors:
         err = capsys.readouterr().err
         assert "--grid-points 100000000000 with --n 3" in err and err.count("\n") == 1
 
-    @pytest.mark.parametrize("args", [
-        *[["analytic", what, "--points", 10 ** 11]
-          for what in ("pdf", "stationary", "cf", "mgf", "mean")],
-        ["analytic", "msd", "--p", -0.5, "--points", 10 ** 11],
-        ["analytic", "moments", "--n-max", 10 ** 11],
-    ], ids=["pdf", "stationary", "cf", "mgf", "mean", "msd", "moments"])
+    @pytest.mark.parametrize("args", OVERSIZED.values(), ids=OVERSIZED)
     def test_sizes_past_the_budget_are_refused_before_any_array(self, tmp_path, capsys,
                                                                  args):
-        # 1e11 values would take 800 GB: refused by the size budget
+        run(args + ["--out", tmp_path])  # loads the modules the command imports
+        capsys.readouterr()
         tracemalloc.start()
         try:
             code = run(args + ["--out", tmp_path])
@@ -799,6 +843,29 @@ class TestDomainErrors:
         assert code == 2 and peak < 2 ** 20
         assert err.startswith("error: config:") and err.count("\n") == 1
         assert "budget" in err and "Traceback" not in err
+
+    def test_refusals_hold_under_a_2_gb_address_space(self, tmp_path, child_python):
+        # in a child under a 2 GB address-space limit, each oversized run exits
+        # 2 with one line, refused before it asks for its array: had it asked,
+        # numpy would have raised the MemoryError that reads "out of memory"
+        runs = [[str(a) for a in args] + ["--out", str(tmp_path / str(i))]
+                for i, args in enumerate([*OVERSIZED.values(), *UNSIZED_LAWS.values()])]
+        proc = child_python(
+            "import contextlib, io, json, resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2_000_000 * 1024, 2_000_000 * 1024))\n"
+            "from reset_sde import cli\n"
+            "results = []\n"
+            f"for args in {runs!r}:\n"
+            "    err = io.StringIO()\n"
+            "    with contextlib.redirect_stderr(err):\n"
+            "        results.append((cli.main(args), err.getvalue()))\n"
+            "print(json.dumps(results))\n")
+        assert proc.returncode == 0, proc.stderr
+        results = json.loads(proc.stdout)
+        assert len(results) == 14
+        for args, (code, err) in zip(runs, results):
+            assert code == 2 and err.startswith("error: config:"), (args, err)
+            assert err.count("\n") == 1 and "out of memory" not in err, (args, err)
 
     def test_a_moment_table_stops_at_its_first_overflowing_order(self, tmp_path, capsys):
         # at t = 1 order 302 overflows a double: the largest n_max the
