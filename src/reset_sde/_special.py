@@ -1,15 +1,16 @@
 """The three special functions of the closed forms, on numpy alone.
 
 ``erfcx(x) = exp(x^2) erfc(x)``, for x >= 0, follows S. G. Johnson's
-Faddeeva package: piecewise polynomials in y = 400 / (4 + x).  Here the
-pieces are sixteen times narrower, u = 16 y, so a quartic in s = u - j,
-j = rint(u), does the work of its degree-6 Chebyshev polynomials: 1482
-rows of five coefficients from x = 50 (u = 118.5) to x = 0 (u = 1600),
-made from mpmath by ``tools/erfcx_table.py`` and stored in
-``_erfcx_table``.  s is taken as ((6400 - 4j) - j x) / (4 + x), whose
-subtraction is exact, not as u - j: the rounding of 4 + x and of u would
-cost up to 8 ulp of erfcx near x = 0 (scipy's erfcx carries it) and 4
-near x = 4.  Past x = 50 the Laplace continued fraction 1 / sqrt(pi) /
+Faddeeva package: piecewise polynomials in y = 400 / (4 + x), one piece a
+unit of y, as in his.  Piece j = rint(u) of u = STEPS y, STEPS = 1 in
+``_erfcx_table``, is the degree-6 polynomial in s = u - j that
+interpolates erfcx at seven Chebyshev nodes of s in [-1/2, 1/2]: 94 rows
+of seven coefficients from x = 50 (u = 7.4) to x = 0 (u = 100), made
+from mpmath by ``tools/erfcx_table.py``.  s is taken as ((400 STEPS -
+4j) - j x) / (4 + x), whose subtraction is exact, not as u - j, which
+carries the rounding of 4 + x and of u: that costs one more ulp of
+erfcx below x = 3, and scipy's erfcx, which carries it, is off by up to
+8 near x = 0.  Past x = 50 the Laplace continued fraction 1 / sqrt(pi) /
 (x + 1/2 / (x + 1 / (x + 3/2 / (x + 2 / x)))) is used, and
 1 / (sqrt(pi) x) past x = 5e7, as in scipy.
 
@@ -22,13 +23,13 @@ scalars.
 
 Accuracy, against mpmath at 40 digits: ``erfcx`` is within 2 ulp of the
 exact value up to x = 50 and 3 past it (the table's own relative error,
-rounded coefficients included, is at most 1.12e-16); scipy's is off by
+rounded coefficients included, is at most 1.2e-16); scipy's is off by
 up to 8 near x = 0.  ``erfc`` is within 3 ulp over the reals, where
 scipy's erfc, which rounds x^2, is off by up to 11 ulp below x = 4 and
 111 ulp from 4 to 12, and gives 0 from x = 26.64, where erfc is still
 1.2e-310.  Speed, on a 2-vCPU VM, on the arguments of one ``validate``
 pass (130,608 values in 28 calls for erfcx, 120,000 in 8 for erfc),
-medians of 100: erfcx 2.1 ms and erfc 3.1 ms, against 0.8 and 2.1 ms for
+medians of 100: erfcx 2.4 ms and erfc 2.5 ms, against 0.7 and 1.2 ms for
 scipy's.
 """
 
@@ -66,7 +67,7 @@ def _erfcx_pieces(x):
     u = np.add(x, 4.0)
     np.divide(_SCALE, u, out=u)
     j = np.rint(u)
-    # s = ((6400 - 4j) - j x) / (4 + x): the subtraction of near-equal
+    # s = ((400 STEPS - 4j) - j x) / (4 + x): the subtraction of near-equal
     # terms is exact, and the rounding of j x is far below that of u
     np.multiply(j, -4.0, out=u)
     u += _SCALE

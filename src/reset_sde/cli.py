@@ -329,7 +329,8 @@ def _cmd_simulate(args) -> int:
                     counters=counters,
                     shards=[{"start_s": round(shard["start_s"], 4),
                              "cpu_s": round(shard["cpu_s"], 3),
-                             "wall_s": round(shard["wall_s"], 3)}
+                             "wall_s": round(shard["wall_s"], 3),
+                             "minflt": shard["minflt"]}
                             for shard in counts["shards"]])
     print(f"wrote {os.path.join(out, TRAJECTORIES_CSV)} ({n} trajectories)")
     return EXIT_OK

@@ -26,6 +26,11 @@ import shutil
 import time
 from typing import Optional, Union
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 import numpy as np
 
 from . import _kernels
@@ -590,9 +595,11 @@ def ensemble_csv(spec: ProcessSpec, cfg: SchemeConfig, n: int, seed, out,
     wall time), ``shards_wall_s``, the wall time of the longest shard,
     ``workers``, the number of shards, and ``shards``, one dict per shard
     in index order: ``start_s``, its start in seconds after the first
-    fork, and its own ``cpu_s`` and ``wall_s``.  A shard that had a CPU
-    to itself has ``cpu_s`` near its ``wall_s``; shards that shared one,
-    near ``wall_s`` over the number sharing it.
+    fork, its own ``cpu_s`` and ``wall_s``, and ``minflt``, the minor page
+    faults its process took while it ran (None where the ``resource``
+    module is missing).  A shard that had a CPU to itself has ``cpu_s``
+    near its ``wall_s``; shards that shared one, near ``wall_s`` over the
+    number sharing it.
     """
     plan = validate_scheme(spec, cfg, n)
     k = resolve_workers(n, workers, plan.rows)
@@ -635,7 +642,7 @@ def ensemble_csv(spec: ProcessSpec, cfg: SchemeConfig, n: int, seed, out,
     totals["shards_wall_s"] = max(c["wall_s"] for c in counts)
     totals["write_s"] += join_s
     totals["workers"] = k
-    totals["shards"] = [{key: c[key] for key in ("start_s", "cpu_s", "wall_s")}
+    totals["shards"] = [{key: c[key] for key in ("start_s", "cpu_s", "wall_s", "minflt")}
                         for c in counts]
     return totals
 
@@ -700,18 +707,24 @@ def _reap(pid, read):
     return False, ChildProcessError(f"a worker process died: {how}")
 
 
+def _minor_faults():
+    """The minor page faults of the calling process so far, or None where
+    the ``resource`` module is missing."""
+    return None if resource is None else resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def _write_shard(started, plan, entropy, start, stop, paths):
     """Simulate trajectories start..stop-1 of ``plan`` and write both CSVs
     of them to ``paths``, a block of ``_block_size`` trajectories at a
     time, so about ``_BLOCK_ROWS`` rows whatever the grid; return the
     shard's counts, stage times (seeding and simulating in ``ensemble_s``,
-    formatting and writing in ``write_s``), CPU seconds and wall seconds,
-    and its start in seconds after the ``perf_counter`` reading
-    ``started``.  The grid's time cells are formatted once; a block's reset
-    epochs and positions go to ``_float_cells`` in one call, and the table
-    writers get cells."""
+    formatting and writing in ``write_s``), CPU seconds, wall seconds and
+    minor page faults, and its start in seconds after the ``perf_counter``
+    reading ``started``.  The grid's time cells are formatted once; a
+    block's reset epochs and positions go to ``_float_cells`` in one call,
+    and the table writers get cells."""
     start_s = time.perf_counter() - started
-    clock, cpu = time.perf_counter(), time.process_time()
+    clock, cpu, faults = time.perf_counter(), time.process_time(), _minor_faults()
     time_cells = _float_cells(plan.times)
     rows = resets = 0
     ensemble_s, step = 0.0, _block_size(len(plan.times))
@@ -737,7 +750,8 @@ def _write_shard(started, plan, entropy, start, stop, paths):
     wall_s = time.perf_counter() - clock
     return {"rows": rows, "resets_drawn": resets, "ensemble_s": ensemble_s,
             "write_s": wall_s - ensemble_s, "cpu_s": time.process_time() - cpu,
-            "wall_s": wall_s, "start_s": start_s}
+            "wall_s": wall_s, "start_s": start_s,
+            "minflt": None if faults is None else _minor_faults() - faults}
 
 
 def _append_parts(path, parts):

@@ -143,7 +143,8 @@ class TestSimulateCommand:
         assert counters["resets_drawn"] == len(resets)
         assert counters["resets_expected"] == pytest.approx(25 * 2 * 3)
         (shard,) = manifest["shards"]
-        assert set(shard) == {"start_s", "cpu_s", "wall_s"} and shard["start_s"] >= 0
+        assert set(shard) == {"start_s", "cpu_s", "wall_s", "minflt"}
+        assert shard["start_s"] >= 0 and shard["minflt"] >= 0
         assert shard["cpu_s"] >= 0
         assert shard["wall_s"] == stages["shards_wall_s"]
 
@@ -179,7 +180,7 @@ class TestSimulateCommand:
             manifest = json.loads((out / "manifest.json").read_text())
             assert manifest["config"]["workers"] == min(workers, manifest["config"]["run"]["n"])
             assert len(manifest["shards"]) == manifest["config"]["workers"]
-            assert all(set(shard) == {"start_s", "cpu_s", "wall_s"}
+            assert all(set(shard) == {"start_s", "cpu_s", "wall_s", "minflt"}
                        for shard in manifest["shards"])
             outputs.append(((out / "trajectories.csv").read_bytes(),
                             (out / "resets.csv").read_bytes(),

@@ -787,6 +787,7 @@ class TestExport:
             for shard in counts["shards"]:
                 assert shard["start_s"] >= 0 and shard["cpu_s"] >= 0
                 assert 0 <= shard["wall_s"] <= counts["shards_wall_s"]
+                assert isinstance(shard["minflt"], int) and shard["minflt"] >= 0
             assert max(s["wall_s"] for s in counts["shards"]) == counts["shards_wall_s"]
             assert sum(s["cpu_s"] for s in counts["shards"]) == pytest.approx(counts["cpu_s"])
 
@@ -832,6 +833,14 @@ class TestExport:
         assert outputs[1] == outputs[0]
         # the shards ran one after the other
         assert counts["shards"][1]["start_s"] >= counts["shards"][0]["start_s"]
+
+    def test_minor_faults_are_none_without_the_resource_module(self, tmp_path, monkeypatch):
+        # the resource module is missing on Windows
+        monkeypatch.setattr(simulate_module, "resource", None)
+        counts = ensemble_csv(poisson_spec(1.0, 0.0, 2.0),
+                              SchemeConfig(ExactScheme(), horizon=1.0), 4, 5, tmp_path,
+                              workers=1)
+        assert [shard["minflt"] for shard in counts["shards"]] == [None]
 
     @pytest.mark.skipif(not PLACEABLE, reason="needs sched_setaffinity and two usable CPUs")
     @pytest.mark.parametrize("workers", [2, 3])
