@@ -81,11 +81,11 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="generate a trajectory ensemble")
     sim.add_argument("--config", help="JSON file with defaults; flags override")
     _add_spec_flags(sim)
-    sim.add_argument("--scheme", choices=["euler", "exact"])
+    sim.add_argument("--scheme", choices=["euler", "exact"], default="exact")
     sim.add_argument("--dt", type=float)
-    sim.add_argument("--horizon", type=float)
-    sim.add_argument("--n", type=int)
-    sim.add_argument("--seed", type=int)
+    sim.add_argument("--horizon", type=float, default=10.0)
+    sim.add_argument("--n", type=int, default=1)
+    sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--grid-points", type=int,
                      help="output grid resolution for the exact scheme")
     sim.add_argument("--workers", type=int,
@@ -136,20 +136,27 @@ def _add_spec_flags(parser):
     parser.add_argument("--p", type=float,
                         help="power-law intensity exponent (selects the "
                              "nonhomogeneous clock)")
-    parser.add_argument("--x0", type=float, help="initial position")
-    parser.add_argument("--xr", type=float, help="reset position")
-    parser.add_argument("--d", type=float, help="diffusivity")
+    parser.add_argument("--x0", type=float, default=0.0, help="initial position")
+    parser.add_argument("--xr", type=float, default=0.0, help="reset position")
+    parser.add_argument("--d", type=float, default=0.5, help="diffusivity")
     parser.add_argument("--clock", choices=["poisson", "npp", "renewal"])
     parser.add_argument("--renewal-law",
                         help='JSON, e.g. {"name":"pareto","alpha":1.5,"xm":0.2}')
+    # the "clock" object of a --config file, which the clock flags override
+    parser.set_defaults(clock_doc={})
 
 
 def main(argv=None) -> int:
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if getattr(args, "config", None):
+            commands = next(a.choices for a in parser._actions if a.dest == "command")
+            _load_config(commands[args.command], args.config)
+            args = parser.parse_args(argv)  # a flag overrides its config value
         return _COMMANDS[args.command](args)
     except (SpecError, DomainError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: config: {exc}", file=sys.stderr)
@@ -170,24 +177,49 @@ def main(argv=None) -> int:
 # Config plumbing
 # ---------------------------------------------------------------------------
 
-# The config keys of the process, which every command with --config reads
-_SPEC_KEYS = ("clock", "d", "diffusivity", "x0", "xR", "xr")
+# The spellings of the process document (``spec_to_json``) for two flags
+_ALIASES = {"diffusivity": "d", "xR": "xr"}
+# The flags that no config key names: the clock's, which ``_build_clock``
+# lays over the config's "clock" object, and the run's files
+_NOT_KEYS = ("help", "config", "out", "clock", "r", "p", "renewal_law")
 
 
-def _load_config(path, keys):
-    """The JSON object in the file ``path`` ({} for none), refusing a key
-    outside ``keys``: a misspelt key would leave its value at the default."""
-    if not path:
-        return {}
+def _load_config(parser, path):
+    """Install the JSON object in the file ``path`` as the defaults of
+    ``parser``, whose flags its keys name: a flag's name without "--", its
+    dest or its alias.  A value takes its flag's type (a JSON number for a
+    float, an integer for an int, else a string) and choices.  Refused: a
+    key that names no flag, as a misspelt key would leave its flag at the
+    default; a flag under two keys; and a value of another kind, ``null``
+    included."""
     with open(path) as fh:
         doc = _parse_json(json.load, fh, "config file")
     if not isinstance(doc, dict):
         raise SpecError("config file must contain a JSON object")
-    unknown = sorted(set(doc) - set(keys))
+    keys = {name: action for action in parser._actions if action.dest not in _NOT_KEYS
+            for name in (action.dest, action.option_strings[0][2:])}
+    keys.update((alias, keys[dest]) for alias, dest in _ALIASES.items())
+    unknown = sorted(set(doc) - set(keys) - {"clock"})
     if unknown:
         raise SpecError(f"unknown key(s) {', '.join(map(repr, unknown))}; "
-                        f"this command reads {', '.join(keys)}")
-    return doc
+                        f"this command reads {', '.join(sorted([*keys, 'clock']))}")
+    defaults, named = {"clock_doc": doc.pop("clock", {})}, {}
+    for key, value in doc.items():
+        action = keys[key]
+        if action.dest in named:
+            raise SpecError(f"{named[action.dest]!r} and {key!r} both set "
+                            f"{action.option_strings[0]}; give one")
+        named[action.dest] = key
+        if action.type is None:
+            if not isinstance(value, str):
+                raise SpecError(f"{key} must be a string; got {value!r}")
+        else:
+            value = as_number(value, key, action.type)
+        if action.choices is not None and value not in action.choices:
+            raise SpecError(f"{key} must be one of {', '.join(action.choices)}; "
+                            f"got {value!r}")
+        defaults[action.dest] = value
+    parser.set_defaults(**defaults)
 
 
 def _parse_json(parse, source, what):
@@ -202,45 +234,24 @@ def _parse_json(parse, source, what):
         raise SpecError(f"{what}: {exc}") from None
 
 
-def _merged(args, config, key, default=None):
-    """Flag value if given, else config value, else default."""
-    flag = getattr(args, key.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    return config.get(key, default)
-
-
-def _number(args, config, key, default=None, kind=float):
-    """``_merged`` as a number of type ``kind``, or None when absent."""
-    value = _merged(args, config, key, default)
-    return None if value is None else as_number(value, key, kind)
-
-
-def _build_clock(args, config):
-    doc = config.get("clock", {})
+def _build_clock(args):
+    doc = args.clock_doc
     if not isinstance(doc, dict):
         return clock_from_json(doc)  # refuses it: not an object
     doc = dict(doc)
-    for key, flag in (("type", "clock"), ("r", "r"), ("p", "p")):
-        if getattr(args, flag, None) is not None:
-            doc[key] = getattr(args, flag)
-    law_text = getattr(args, "renewal_law", None)
-    if law_text:
-        doc["renewal_law"] = _parse_json(json.loads, law_text, "--renewal-law")
+    doc.update((key, value) for key, value in (("type", args.clock), ("r", args.r),
+                                               ("p", args.p)) if value is not None)
+    if args.renewal_law:
+        doc["renewal_law"] = _parse_json(json.loads, args.renewal_law, "--renewal-law")
     doc.setdefault("type", "npp" if "p" in doc else "poisson")
     if doc["type"] in ("poisson", "npp"):
         doc.setdefault("r", 1.0)
     return clock_from_json(doc)
 
 
-def _build_spec(args, config) -> ProcessSpec:
-    spec = ProcessSpec(
-        diffusivity=_number(args, config, "d", config.get("diffusivity", 0.5)),
-        x0=_number(args, config, "x0", 0.0),
-        x_reset=_number(args, config, "xr", config.get("xR", 0.0)),
-        clock=_build_clock(args, config),
-    )
-    return validate_spec(spec)
+def _build_spec(args) -> ProcessSpec:
+    return validate_spec(ProcessSpec(diffusivity=args.d, x0=args.x0, x_reset=args.xr,
+                                     clock=_build_clock(args)))
 
 
 def _out_dir(args):
@@ -283,27 +294,23 @@ def _write_manifest(out_dir, command, config, seed, outputs, started, **extra):
 
 def _cmd_simulate(args) -> int:
     started = time.time()
-    config = _load_config(args.config, _SPEC_KEYS + (
-        "dt", "grid-points", "grid_points", "horizon", "n", "scheme", "seed", "workers"))
-    spec = _build_spec(args, config)
-    scheme_name = _merged(args, config, "scheme", "exact")
+    spec = _build_spec(args)
     # checked before the grid is made: one point at an infinite horizon
     # is 0 * inf in linspace
-    horizon = check_positive(_number(args, config, "horizon", 10.0), "horizon")
-    n = _number(args, config, "n", 1, int)
-    seed = _number(args, config, "seed", 0, int)
-    workers = _number(args, config, "workers", None, int)
-    grid_points = _number(args, config, "grid-points", config.get("grid_points"), int)
+    horizon = check_positive(args.horizon, "horizon")
+    n, grid_points = args.n, args.grid_points
     grid = None
-    if scheme_name == "euler":
-        dt = _number(args, config, "dt")
-        if dt is None:
+    if args.scheme == "euler":
+        if args.dt is None:
             raise SpecError("the Euler scheme requires --dt")
         if grid_points is not None:
             raise SpecError("--grid-points applies to the exact scheme only; "
                             "the Euler scheme writes its dt lattice")
-        scheme = EulerScheme(dt=dt)
+        scheme = EulerScheme(dt=args.dt)
     else:
+        if args.dt is not None:
+            raise SpecError("--dt applies to the Euler scheme only; "
+                            "pass --scheme euler or leave it out")
         scheme = ExactScheme()
         if grid_points is not None:
             check_count(grid_points, "grid-points", 1)
@@ -313,7 +320,7 @@ def _cmd_simulate(args) -> int:
     cfg = SchemeConfig(scheme=scheme, horizon=horizon, grid=grid)
 
     out = _out_dir(args)
-    counts = ensemble_csv(spec, cfg, n, seed, out, workers)
+    counts = ensemble_csv(spec, cfg, n, args.seed, out, args.workers)
     counters = {
         "trajectories": n,
         "rows": counts["rows"],
@@ -321,8 +328,8 @@ def _cmd_simulate(args) -> int:
         "resets_expected": (None if spec.clock.base_rate is None
                             else n * likely_resets(spec.clock, horizon)),
     }
-    resolved = dict(run_metadata(spec, cfg, n, seed), workers=counts["workers"], out=out)
-    _write_manifest(out, "simulate", resolved, seed,
+    resolved = dict(run_metadata(spec, cfg, n, args.seed), workers=counts["workers"], out=out)
+    _write_manifest(out, "simulate", resolved, args.seed,
                     [TRAJECTORIES_CSV, RESETS_CSV], started,
                     stages={key: round(counts[key], 3) for key in
                             ("ensemble_s", "write_s", "cpu_s", "shards_wall_s")},
@@ -349,7 +356,7 @@ def _curve_csv(out, name, header, columns):
 def _cmd_analytic(args) -> int:
     from . import analytic
     started = time.time()
-    spec = _build_spec(args, {})
+    spec = _build_spec(args)
     out = _out_dir(args)
     what = args.what
     resolved = {"spec": spec_to_json(spec), "what": what, "t": args.t, "out": out}
@@ -456,32 +463,24 @@ def _transform_curve(args, spec, out, what):
 def _cmd_fpe(args) -> int:
     from . import fpe
     started = time.time()
-    config = _load_config(args.config, _SPEC_KEYS + (
-        "boundary", "dt", "form", "h", "t", "x-hi", "x-lo", "x_hi", "x_lo"))
-    spec = _build_spec(args, config)
-    h = _number(args, config, "h", 1e-2)
-    dt = _number(args, config, "dt")
-    t_final = _number(args, config, "t", 1.0)
-    boundary = _merged(args, config, "boundary", "reflecting")
-    form = _merged(args, config, "form", "evans")
-    bounds = _range("x", _number(args, config, "x-lo", config.get("x_lo")),
-                    _number(args, config, "x-hi", config.get("x_hi")))
+    spec = _build_spec(args)
+    bounds = _range("x", args.x_lo, args.x_hi)
     if bounds is not None:
-        grid = fpe.FpeGrid(*bounds, h=h, dt=dt, boundary=boundary)
+        grid = fpe.FpeGrid(*bounds, h=args.h, dt=args.dt, boundary=args.boundary)
     else:
-        grid = fpe.default_grid(spec, None if form == "stationary" else t_final,
-                                h=h, dt=dt, boundary=boundary)
-    if form == "evans":
-        curve = fpe.solve_fpe_evans(spec, grid, t_final)
-    elif form == "delta-fl":
-        curve = fpe.solve_fpe_delta_fl(spec, grid, t_final)
+        grid = fpe.default_grid(spec, None if args.form == "stationary" else args.t,
+                                h=args.h, dt=args.dt, boundary=args.boundary)
+    if args.form == "evans":
+        curve = fpe.solve_fpe_evans(spec, grid, args.t)
+    elif args.form == "delta-fl":
+        curve = fpe.solve_fpe_delta_fl(spec, grid, args.t)
     else:
         curve = fpe.stationary_fpe(spec, grid)
     out = _out_dir(args)
     curve.to_csv(os.path.join(out, "density.csv"))
     mass = curve.mass()
     resolved = {
-        "spec": spec_to_json(spec), "form": form, "t": t_final,
+        "spec": spec_to_json(spec), "form": args.form, "t": args.t,
         "grid": {"x_lo": grid.x_lo, "x_hi": grid.x_hi, "h": grid.h,
                  "dt": grid.dt, "boundary": grid.boundary},
         "mass": mass, "out": out,

@@ -201,10 +201,11 @@ class TestSimulateCommand:
         assert manifest["config"]["spec"]["xR"] == 4.0
 
     @pytest.mark.parametrize("doc", [
-        {"diffusivity": 0.5, "x0": 0.0, "xR": 1.0, "clock": {"type": "poisson", "r": 2.0},
-         "scheme": "exact", "dt": 0.1, "horizon": 1.0, "n": 2, "seed": 1, "workers": 1,
+        {"diffusivity": 0.25, "x0": 0.5, "xR": 1.0, "clock": {"type": "poisson", "r": 2.0},
+         "scheme": "exact", "horizon": 1.0, "n": 2, "seed": 1, "workers": 2,
          "grid-points": 5},
-        {"d": 0.5, "xr": 1.0, "horizon": 1.0, "n": 2, "grid_points": 5},
+        {"d": 0.25, "x0": 0.5, "xr": 1.0, "horizon": 1.0, "n": 2, "seed": 1,
+         "grid_points": 5},
         {"scheme": "euler", "dt": 0.1, "horizon": 1.0, "n": 2},
     ], ids=["document-keys", "flag-names", "euler"])
     def test_every_key_simulate_reads_is_accepted(self, tmp_path, doc):
@@ -212,7 +213,16 @@ class TestSimulateCommand:
         config.write_text(json.dumps(doc))
         assert run(["simulate", "--config", config, "--out", tmp_path / "run"]) == 0
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
-        assert manifest["config"]["spec"]["xR"] == doc.get("xR", doc.get("xr", 0.0))
+        spec, run_config = manifest["config"]["spec"], manifest["config"]["run"]
+        assert spec == {"diffusivity": doc.get("diffusivity", doc.get("d", 0.5)),
+                        "x0": doc.get("x0", 0.0), "xR": doc.get("xR", doc.get("xr", 0.0)),
+                        "clock": doc.get("clock", {"type": "poisson", "r": 1.0})}
+        assert run_config == {
+            "scheme": doc.get("scheme", "exact"), "horizon": 1.0, "n": 2,
+            "seed": doc.get("seed", 0),
+            **({"dt": doc["dt"]} if "dt" in doc else
+               {"grid": [0.0, 0.25, 0.5, 0.75, 1.0]})}
+        assert manifest["config"]["workers"] == doc.get("workers", 1)
 
     def test_unknown_config_key_exits_2_before_any_output(self, tmp_path, capsys):
         # "horizn" misspelt, and a top-level "r" that only the clock reads:
@@ -627,18 +637,39 @@ class TestFpeCommand:
         assert worst < 1e-3
 
     @pytest.mark.parametrize("doc", [
-        {"diffusivity": 0.5, "x0": 0.0, "xR": 0.5, "clock": {"type": "poisson", "r": 1.0},
-         "form": "evans", "t": 0.1, "h": 0.1, "dt": 0.005, "boundary": "reflecting",
+        {"diffusivity": 0.25, "x0": 0.5, "xR": 0.5, "clock": {"type": "poisson", "r": 2.0},
+         "form": "delta-fl", "t": 0.1, "h": 0.1, "dt": 0.005, "boundary": "absorbing",
          "x-lo": -8.0, "x-hi": 8.0},
-        {"d": 0.5, "xr": 0.5, "t": 0.1, "h": 0.1, "x_lo": -8.0, "x_hi": 8.0},
+        {"d": 0.25, "x0": 0.5, "xr": 0.5, "t": 0.1, "h": 0.1, "x_lo": -8.0, "x_hi": 8.0},
     ], ids=["document-keys", "flag-names"])
     def test_every_key_fpe_reads_is_accepted(self, tmp_path, doc):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(doc))
         assert run(["fpe", "--config", config, "--out", tmp_path / "run"]) == 0
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
-        assert manifest["config"]["grid"]["x_lo"] == -8.0
-        assert manifest["config"]["spec"]["xR"] == 0.5
+        run_config = manifest["config"]
+        assert run_config["spec"] == {
+            "diffusivity": 0.25, "x0": 0.5, "xR": 0.5,
+            "clock": doc.get("clock", {"type": "poisson", "r": 1.0})}
+        assert (run_config["form"], run_config["t"]) == (doc.get("form", "evans"), 0.1)
+        assert run_config["grid"] == {
+            "x_lo": -8.0, "x_hi": 8.0, "h": 0.1, "dt": doc.get("dt", 0.1 / 10),
+            "boundary": doc.get("boundary", "reflecting")}
+
+    def test_config_sets_t_h_form_and_boundary(self, tmp_path):
+        # each reaches the solve and the manifest, as its flag does
+        doc = {"t": 0.25, "h": 0.05, "boundary": "absorbing", "form": "stationary"}
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(doc))
+        assert run(["fpe", "--config", config, "--out", tmp_path / "config"]) == 0
+        assert run(["fpe", "--t", 0.25, "--h", 0.05, "--boundary", "absorbing",
+                    "--form", "stationary", "--out", tmp_path / "flags"]) == 0
+        manifest = json.loads((tmp_path / "config" / "manifest.json").read_text())
+        run_config = manifest["config"]
+        assert (run_config["form"], run_config["t"]) == ("stationary", 0.25)
+        assert (run_config["grid"]["h"], run_config["grid"]["boundary"]) == (0.05, "absorbing")
+        assert ((tmp_path / "config" / "density.csv").read_bytes()
+                == (tmp_path / "flags" / "density.csv").read_bytes())
 
     def test_unknown_config_key_exits_2_before_any_output(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
@@ -666,6 +697,144 @@ class TestFpeCommand:
         assert run(["fpe", "--form", "evans", "--r", 0, "--t", 1.0,
                     "--x-lo", -2, "--x-hi", 2, "--boundary", "absorbing",
                     "--out", tmp_path / "leak"]) == 4
+
+
+# Each setting of simulate and fpe: values other than its defaults, and the
+# flags that make its run quick.  Its config keys are its flag's name
+# without "--", its dest and its alias.
+SETTINGS = [
+    ("simulate", {"--d": 2.0}, []),
+    ("simulate", {"--x0": 0.5}, []),
+    ("simulate", {"--xr": 1.5}, []),
+    ("simulate", {"--scheme": "euler", "--dt": 0.1}, []),
+    ("simulate", {"--horizon": 0.5}, []),
+    ("simulate", {"--n": 3}, []),
+    ("simulate", {"--seed": 7}, []),
+    ("simulate", {"--grid-points": 5}, []),
+    ("simulate", {"--workers": 2}, ["--n", 2]),
+    ("fpe", {"--d": 1.0}, ["--h", 0.05]),
+    ("fpe", {"--x0": 0.5}, ["--h", 0.05]),
+    ("fpe", {"--xr": 0.5}, ["--h", 0.05]),
+    ("fpe", {"--form": "delta-fl"}, ["--h", 0.05]),
+    ("fpe", {"--form": "stationary"}, ["--h", 0.05]),
+    ("fpe", {"--t": 0.25}, ["--h", 0.05]),
+    ("fpe", {"--x-lo": -8.0, "--x-hi": 9.0}, ["--h", 0.05]),
+    ("fpe", {"--h": 0.05}, []),
+    ("fpe", {"--dt": 2e-3}, ["--h", 0.05]),
+    ("fpe", {"--boundary": "absorbing"}, ["--h", 0.05]),
+]
+ALIASES = {"d": "diffusivity", "xr": "xR"}
+
+
+def spellings(flag):
+    """The config keys of ``flag``."""
+    name = flag[2:]
+    return sorted({name, name.replace("-", "_"), ALIASES.get(name, name)})
+
+
+class TestConfigFile:
+    def manifest_config(self, tmp_path, args, doc=None):
+        out = tmp_path / "run"
+        if doc is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(doc))
+            args = args + ["--config", tmp_path / "cfg.json"]
+        assert run(args + ["--out", out]) == 0
+        return json.loads((out / "manifest.json").read_text())["config"]
+
+    @pytest.mark.parametrize("command, settings, base", SETTINGS,
+                             ids=[f"{c}-{'-'.join(s).replace('--', '')}"
+                                  for c, s, _ in SETTINGS])
+    def test_flag_key_and_alias_write_one_manifest(self, tmp_path, command, settings, base):
+        flags = [arg for flag, value in settings.items() for arg in (flag, value)]
+        by_flags = self.manifest_config(tmp_path, [command, *base, *flags])
+        assert by_flags != self.manifest_config(tmp_path, [command, *base])
+        names = [spellings(flag) for flag in settings]
+        for i in range(max(map(len, names))):
+            doc = {keys[min(i, len(keys) - 1)]: value
+                   for keys, value in zip(names, settings.values())}
+            assert self.manifest_config(tmp_path, [command, *base], doc) == by_flags, doc
+
+    @pytest.mark.parametrize("command", ["simulate", "fpe"])
+    def test_settings_name_every_config_key(self, tmp_path, capsys, command):
+        # the refusal of an unknown key lists the keys the command reads
+        (tmp_path / "cfg.json").write_text(json.dumps({"zz": 1}))
+        assert run([command, "--config", tmp_path / "cfg.json"]) == 2
+        err = capsys.readouterr().err
+        assert set(err.strip().split("this command reads ")[1].split(", ")) == {"clock", *(
+            key for c, settings, _ in SETTINGS if c == command
+            for flag in settings for key in spellings(flag))}
+
+    @pytest.mark.parametrize("command, doc, message", [
+        ("simulate", {"scheme": "eulr"}, "scheme must be one of euler, exact; got 'eulr'"),
+        ("simulate", {"scheme": 5}, "scheme must be a string; got 5"),
+        ("fpe", {"form": "majumdar"},
+         "form must be one of evans, delta-fl, stationary; got 'majumdar'"),
+        ("fpe", {"form": ["evans"]}, "form must be a string; got ['evans']"),
+        ("fpe", {"boundary": "periodic"},
+         "boundary must be one of reflecting, absorbing; got 'periodic'"),
+        ("fpe", {"boundary": True}, "boundary must be a string; got True"),
+        ("fpe", {"t": "late"}, "t must be a number; got 'late'"),
+        ("fpe", {"x_lo": [], "x_hi": 1}, "x_lo must be a number; got []"),
+    ], ids=["scheme-choice", "scheme-number", "form-choice", "form-list",
+            "boundary-choice", "boundary-bool", "t-string", "x-lo-list"])
+    def test_value_outside_choices_or_of_another_kind_exits_2(self, tmp_path, capsys,
+                                                              command, doc, message):
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        assert run([command, "--config", tmp_path / "cfg.json",
+                    "--out", tmp_path / "run"]) == 2
+        assert capsys.readouterr().err == f"error: config: {message}\n"
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command, doc, first, second", [
+        ("simulate", {"d": 1, "diffusivity": 2}, "d", "diffusivity"),
+        ("simulate", {"xR": 1, "xr": 1}, "xR", "xr"),
+        ("simulate", {"grid-points": 3, "grid_points": 3}, "grid-points", "grid_points"),
+        ("fpe", {"diffusivity": 1, "d": 1}, "diffusivity", "d"),
+        ("fpe", {"x-lo": -1, "x_lo": -1, "x-hi": 1}, "x-lo", "x_lo"),
+        ("fpe", {"x_hi": 1, "x-lo": -1, "x-hi": 2}, "x_hi", "x-hi"),
+    ], ids=["d", "xr", "grid-points", "fpe-d", "x-lo", "x-hi"])
+    def test_one_setting_under_two_spellings_exits_2(self, tmp_path, capsys, command, doc,
+                                                     first, second):
+        # one of the two values would be dropped without a word
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        assert run([command, "--config", tmp_path / "cfg.json",
+                    "--out", tmp_path / "run"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: '{first}' and '{second}' both set --")
+        assert err.count("\n") == 1 and not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command, key", [
+        *(("simulate", key) for key in (
+            "clock", "d", "diffusivity", "x0", "xr", "xR", "scheme", "dt", "horizon",
+            "n", "seed", "grid-points", "grid_points", "workers")),
+        *(("fpe", key) for key in (
+            "clock", "d", "diffusivity", "x0", "xr", "xR", "form", "t", "x-lo", "x_lo",
+            "x-hi", "x_hi", "h", "dt", "boundary")),
+    ])
+    def test_null_for_any_setting_exits_2(self, tmp_path, capsys, command, key):
+        # null is no value: a null seed would draw from OS entropy
+        (tmp_path / "cfg.json").write_text(json.dumps({key: None}))
+        assert run([command, "--config", tmp_path / "cfg.json",
+                    "--out", tmp_path / "run"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: {key} must be ") and err.count("\n") == 1
+        assert err.endswith("; got None\n") or key == "clock"
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("args, doc", [
+        (["--dt", 0.1], None),
+        ([], {"dt": 0.1}),
+        (["--scheme", "exact"], {"scheme": "euler", "dt": 0.1}),
+    ], ids=["flag", "config", "flag-over-config"])
+    def test_dt_with_the_exact_scheme_exits_2(self, tmp_path, capsys, args, doc):
+        # the exact scheme takes no step: a --dt would be dropped
+        if doc is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(doc))
+            args = args + ["--config", tmp_path / "cfg.json"]
+        assert run(["simulate", *args, "--out", tmp_path / "run"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: --dt") and err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
 
 
 class TestValidateCommand:
@@ -1038,6 +1207,34 @@ _COMMAND_FLAGS = {
     }),
 }
 _ANALYTIC_WHAT = ["pdf", "cf", "mgf", "mean", "moments", "msd", "stationary", "regime"]
+# --config documents: values of each setting that the run accepts or
+# refuses, under each of its spellings, and values of any kind
+_CLOCKS = [{"type": "poisson", "r": 2}, {"type": "npp", "r": 1, "p": -0.5},
+           {"type": "renewal", "renewal_law": {"name": "deterministic", "gap": 0.5}},
+           {"type": "poisson", "p": 1}, "poisson"]
+_CONFIG_VALUES = {
+    "simulate": {
+        "d": [0.5, 2, 0], "x0": [0, 1.5], "xr": [0, 2], "clock": _CLOCKS,
+        "scheme": ["exact", "euler", "other"], "dt": [0.01, 0.1, 0],
+        "horizon": [0.5, 2, 0, 1e300], "n": [1, 3, 0, 2.0, 10 ** 11], "seed": [0, 7],
+        "grid-points": [1, 11, 0, 10 ** 11], "workers": [1, 2, 0], "horizn": [1]},
+    "fpe": {
+        "d": [0.5, 2, 0], "x0": [0, 1.5], "xr": [0, 2], "clock": _CLOCKS,
+        "form": ["evans", "delta-fl", "stationary", "other"], "t": [0.1, 0.5, 0],
+        "x-lo": [-2, 0, 2], "x-hi": [-2, 0, 2], "h": [0.1, 0.25, 0],
+        "dt": [0.01, 0.05, 0], "boundary": ["reflecting", "absorbing", "other"]},
+}
+_ANY_JSON = hs.sampled_from([None, True, "x", "exact", "evans", [], {}, -1, 1.5])
+
+
+@hs.composite
+def _config_doc(draw, command):
+    values, doc = _CONFIG_VALUES[command], {}
+    for setting in draw(hs.lists(hs.sampled_from(sorted(values)), max_size=5, unique=True)):
+        keys = spellings("--" + setting)
+        for key in draw(hs.lists(hs.sampled_from(keys), min_size=1, max_size=2, unique=True)):
+            doc[key] = draw(hs.one_of(hs.sampled_from(values[setting]), _ANY_JSON))
+    return doc
 
 
 @hs.composite
@@ -1049,11 +1246,13 @@ def _cli_args(draw):
         args.append(draw(hs.sampled_from(_ANALYTIC_WHAT)))
     for flag in draw(hs.lists(hs.sampled_from(sorted(flags)), max_size=6, unique=True)):
         args += [flag, draw(flags[flag])]
+    if command in _CONFIG_VALUES and draw(hs.booleans()):
+        args += ["--config", draw(_config_doc(command))]
     return args
 
 
 class TestCliFuzz:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(_cli_args())
     @example(["analytic", "pdf", "--clock", "npp", "--t", "inf"])
     @example(["analytic", "pdf", "--clock", "npp", "--r", "1e300"])
@@ -1062,10 +1261,20 @@ class TestCliFuzz:
     @example(["analytic", "cf", "--s-lo", "inf", "--s-hi", "1"])
     @example(["simulate", "--clock", "renewal", "--renewal-law",
               '{"name":"exponential","mean":1e999}'])
+    @example(["simulate", "--config", {"d": 1, "diffusivity": None, "seed": None}])
+    @example(["fpe", "--h", "0.1", "--config", {"t": 0.5, "h": 0.25, "form": "stationary",
+                                                 "boundary": "absorbing", "x_lo": "x"}])
     def test_documented_exit_code_and_no_traceback(self, args):
+        # a --config document in args is written to a file, and its path passed
         stderr = io.StringIO()
         with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(stderr), \
                 contextlib.redirect_stdout(io.StringIO()):
+            config = os.path.join(out, "cfg.json")
+            for i, arg in enumerate(args):
+                if isinstance(arg, dict):
+                    with open(config, "w") as fh:
+                        json.dump(arg, fh)
+                    args = args[:i] + [config] + args[i + 1:]
             code = cli.main(args + ["--out", out])
             # a run that succeeds writes numbers only: no NaN or infinite curve
             cells = [cell for path in sorted(glob.glob(os.path.join(out, "*.csv")))
